@@ -15,7 +15,7 @@ import math
 from typing import Sequence
 
 from .lattice import deglex_key
-from .perms import all_permutations
+from .perms import adjacent_transposition, all_permutations
 from .simple import SimpleBraid, _transfer_words
 
 MAX_STATE_STRANDS = 8
@@ -53,7 +53,7 @@ def build(n: int) -> AutomatonGraph:
     index = {state.perm: k for k, state in enumerate(states)}
     assert len(states) == math.factorial(n)
     transitions = []
-    gens = [tuple(_swap_identity(n, i)) for i in range(1, n)]
+    gens = [adjacent_transposition(n, i) for i in range(1, n)]
     for state in states:
         row = []
         for gen in gens:
@@ -61,12 +61,6 @@ def build(n: int) -> AutomatonGraph:
             row.append((index[tail], index[head]))
         transitions.append(tuple(row))
     return AutomatonGraph(n, states, tuple(transitions))
-
-
-def _swap_identity(n: int, i: int) -> list[int]:
-    word = list(range(1, n + 1))
-    word[i - 1], word[i] = word[i], word[i - 1]
-    return word
 
 
 def run(g: AutomatonGraph, word: Sequence[int]) -> SimpleBraid:

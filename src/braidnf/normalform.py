@@ -3,29 +3,33 @@ Greedy normal forms for positive words and for group elements.
 
 A positive word is a sequence of simple braids.  Its right-greedy normal
 form is the unique factorisation into non-identity simple braids in which
-no adjacent pair admits a transfer; it is computed by folding the letters
-in from the right, threading each new letter through the existing form
-with a single left-to-right sweep of transfers.
+no adjacent pair admits a transfer; half-twist factors, when present,
+form a block at its right end.
+
+Both normal forms come from one engine that appends letters at the right.
+It holds the running element as Omega^m * flip^parity(core) * Omega^trail:
+an appended letter bubbles leftwards through the core with one transfer
+per non-normal pair, a half twist that forms at the right end of the core
+moves into the bare count trail, and an inverse half twist either cancels
+one unit of trail or, when trail is empty, is commuted to the front by
+toggling parity.  Flip commutes with the transfer, so the core itself is
+never flipped while letters arrive: each incoming letter is flipped
+instead, and the core once at the end.  Inverse generators enter through
+sigma_i^-1 = Omega^-1 * u_i, where u_i is the simple braid complementing
+sigma_i to the half twist.
 
 The same rewriting step (replace an adjacent pair by its head and tail)
 applied at arbitrary non-normal positions is confluent and terminating,
 so `gs_rewrite_to_fixpoint` reaches the identical form under a leftmost
-or rightmost strategy; the oracle module leans on this to test
-confluence.
-
-Group elements are canonicalised as delta_power copies of the half twist
-followed by a positive normal form with no half-twist factor.  Inverse
-generators enter through the identity sigma_i^-1 = Omega^-1 * u_i where
-u_i is the simple braid complementing sigma_i to the half twist, and
-powers of the half twist commute past positive braids at the price of a
-flip.
+or rightmost strategy; it is the slow twin the tests and the oracle
+module check the engine against.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .perms import compose, flip, identity, omega
+from .perms import adjacent_transposition, compose, flip, identity, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
@@ -173,10 +177,10 @@ def _append_word(core: list, x: tuple, ident: tuple) -> None:
     its left, and so on until a pair is already normal.  Everything to the
     right of the current position stays normal throughout: along the
     unbroken chain of rewrites this is the left-normality stopping
-    implication, and when a head vanishes the exchange law forces the
-    next pair on the left to be normal already (a nontrivial transfer
-    there would lengthen a tail the exchange law says is fixed), so the
-    loop ends right after any deletion.
+    implication.  When a head vanishes the pair merges into the single
+    factor a*b, and the loop ends there: a tail y of the left neighbour
+    with y*a*b simple would make y*a simple, so a nontrivial y would
+    already have moved into a.
     """
     core.append(x)
     i = len(core) - 2
@@ -187,19 +191,46 @@ def _append_word(core: list, x: tuple, ident: tuple) -> None:
         _m, head, tail = _transfer_words(a, b)
         if head == ident:
             core[i : i + 2] = [tail]
-        else:
-            core[i] = head
-            core[i + 1] = tail
+            break
+        core[i] = head
+        core[i + 1] = tail
         i -= 1
 
 
-def _normalize_words(n: int, letters: Sequence[tuple]) -> list:
+def _normalize_letters(
+    n: int, letters: Iterable[Optional[tuple]]
+) -> tuple[int, int, int, list]:
+    """
+    Run the engine over a stream of simple letters, in which None stands
+    for the inverse half twist.  Returns (m, parity, trail, core) with the
+    product equal to Omega^m * flip^parity(core) * Omega^trail, core a
+    normal form free of half twists.
+    """
     ident = identity(n)
-    factors: list = []
-    for word in reversed(letters):
-        if word != ident:
-            factors = _prepend_word(word, factors, ident)
-    return factors
+    top = omega(n)
+    m = parity = trail = 0
+    core: list = []
+    for x in letters:
+        if x is None:
+            if trail:
+                trail -= 1
+            else:
+                m -= 1
+                parity ^= 1
+            continue
+        # identity and half twist are fixed by flip, so test them first
+        if x == ident:
+            continue
+        if x == top:
+            trail += 1
+            continue
+        if (trail + parity) & 1:
+            x = flip(x)
+        _append_word(core, x, ident)
+        while core and core[-1] == top:
+            core.pop()
+            trail += 1
+    return m, parity, trail, core
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +263,12 @@ def prepend_simple(a: SimpleBraid, nf: PositiveNormalForm) -> PositiveNormalForm
 
 def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     """
-    The right-greedy normal form of a positive word, folding letters in
-    from the right and prepending each with one transfer sweep.
+    The right-greedy normal form of a positive word, appending its letters
+    in order at the right end; the half twists collected there come back
+    as a trailing block of factors.
     """
-    factors = _normalize_words(w.n, [letter.perm for letter in w.letters])
+    _m, _parity, trail, core = _normalize_letters(w.n, (letter.perm for letter in w.letters))
+    factors = core + [omega(w.n)] * trail
     return PositiveNormalForm(w.n, tuple(SimpleBraid(f) for f in factors))
 
 
@@ -298,78 +331,39 @@ def rewrite_potential(w: PositiveWord) -> int:
 # The group normal form
 
 
-def _adj(n: int, i: int) -> tuple[int, ...]:
-    word = list(range(1, n + 1))
-    word[i - 1], word[i] = word[i], word[i - 1]
-    return tuple(word)
-
-
 def normalize_group(word) -> GroupNormalForm:
     """
     Canonicalise a signed word over Artin generators and half-twist
     symbols into (delta_power, positive factors).
 
-    The running element is held as Omega^m * core * Omega^trail, with the
-    half twists at the right kept as a bare count so that long positive
-    stretches never bubble letters through them; at the end the trailing
-    power is commuted to the front, flipping the core once per unit.
+    The engine's trailing half twists are commuted to the front at the
+    end, together with the pending parity, so the core is flipped at most
+    once.
     """
     n = word.n
     if n == 1:
         # one strand: every symbol is trivial
         return GroupNormalForm(1, 0, ())
-    ident = identity(n)
     top = omega(n)
-    m = 0
-    trail = 0
-    core: list = []
 
-    def shift_out_trail() -> None:
-        """Move maximal run of trailing half twists from core into trail."""
-        nonlocal trail
-        while core and core[-1] == top:
-            core.pop()
-            trail += 1
-
-    def append_letter(x: tuple) -> None:
-        nonlocal trail
-        if x == ident:  # two strands: the complement of the generator
-            return
-        if trail % 2:
-            x = flip(x)
-        if x == top:
-            trail += 1
-            return
-        _append_word(core, x, ident)
-        shift_out_trail()
-
-    def times_inverse_half_twist() -> None:
-        nonlocal m, trail, core
-        if trail > 0:
-            trail -= 1
-        else:
-            m -= 1
-            core = [flip(f) for f in core]
-
-    for tok in word.tokens:
-        if tok.kind == "gen":
-            if tok.sign > 0:
-                append_letter(_adj(n, tok.index))
+    def letters():
+        for tok in word.tokens:
+            if tok.kind == "gen":
+                x = adjacent_transposition(n, tok.index)
+                if tok.sign > 0:
+                    yield x
+                else:
+                    yield None
+                    yield compose(top, x)
+            elif tok.kind == "garside":
+                yield top if tok.sign > 0 else None
             else:
-                times_inverse_half_twist()
-                append_letter(compose(top, _adj(n, tok.index)))
-        elif tok.kind == "garside":
-            if tok.sign > 0:
-                trail += 1
-            else:
-                times_inverse_half_twist()
-        else:
-            raise ValueError(f"unknown token kind {tok.kind!r}")
+                raise ValueError(f"unknown token kind {tok.kind!r}")
 
-    delta = m + trail
-    if trail % 2:
+    m, parity, trail, core = _normalize_letters(n, letters())
+    if (trail + parity) & 1:
         core = [flip(f) for f in core]
-    return GroupNormalForm(n, delta, tuple(SimpleBraid(f) for f in core))
+    return GroupNormalForm(n, m + trail, tuple(SimpleBraid(f) for f in core))
 
 
 def equal(w1, w2) -> bool:

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -199,8 +200,9 @@ def test_normalize_group_matches_positive_normalizer():
         idxs = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
         word = ArtinWord(n, tuple(Token("gen", i, 1) for i in idxs))
         form = normalize_group(word)
-        nf = normalize_positive(gen_word(n, idxs))
-        # strip trailing half twists off the positive form, flipping once each
+        nf = gs_rewrite_to_fixpoint(gen_word(n, idxs), "rightmost")
+        # strip trailing half twists off the rewriting twin's form, flipping
+        # once each
         factors = list(nf.factors)
         power = 0
         top = omega(n)
@@ -289,10 +291,15 @@ def test_half_twist_equals_staircase_expansion():
 
 
 def test_append_matches_fold_reference():
-    # the in-place right-append used by the group normaliser against the
-    # fold-in normaliser, with arbitrary simple-braid letters
-    from braidnf.normalform import _append_word, _normalize_words
+    # the engine's in-place right-append, and the engine itself, against
+    # the rightmost rewriting twin (a fold from the right), with arbitrary
+    # simple-braid letters
+    from braidnf.normalform import _append_word
     from braidnf.perms import identity
+
+    def rightmost(n, perms):
+        word = PositiveWord(n, tuple(SimpleBraid(p) for p in perms))
+        return [f.perm for f in gs_rewrite_to_fixpoint(word, "rightmost").factors]
 
     rng = random.Random(77)
     for _ in range(2000):
@@ -301,13 +308,15 @@ def test_append_matches_fold_reference():
         base = [
             tuple(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(0, 6))
         ]
-        core = _normalize_words(n, base)
+        core = rightmost(n, base)
         x = tuple(rng.sample(range(1, n + 1), n))
         if x == ident:
             continue
-        expected = _normalize_words(n, core + [x])
+        expected = rightmost(n, core + [x])
         _append_word(core, x, ident)
         assert core == expected
+        engine = normalize_positive(PositiveWord(n, tuple(SimpleBraid(p) for p in base + [x])))
+        assert [f.perm for f in engine.factors] == expected
 
 
 def test_half_twist_factors_collect_at_the_tail():
@@ -321,3 +330,89 @@ def test_half_twist_factors_collect_at_the_tail():
         if top in perms:
             first = perms.index(top)
             assert all(p == top for p in perms[first:])
+
+
+@pytest.fixture
+def engine_counts(monkeypatch):
+    """Count the engine's flips and transfers through its module bindings."""
+    import braidnf.normalform as module
+
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(module, "flip", counted("flip", module.flip))
+    monkeypatch.setattr(
+        module, "_transfer_words", counted("transfer", module._transfer_words)
+    )
+    return counts
+
+
+def test_engine_work_per_letter_stays_flat(engine_counts):
+    # Counts, not timings: quadruple the length and the flips and transfers
+    # per letter must not grow with it.  Eager flipping of the core on each
+    # inverse letter, or sweeping through a long form per letter, makes
+    # them grow in proportion to the length.  Each rate is taken over a few
+    # words, because the one flip of the core at the end happens or not
+    # with the parity of the final half-twist count.
+    short, count = 200, 4
+    rng = random.Random(61)
+
+    def per_letter(run, words, letters):
+        engine_counts.clear()
+        results = [run(w) for w in words]
+        total = count * letters
+        return results, engine_counts["flip"] / total, engine_counts["transfer"] / total
+
+    # all inverse generators on four strands, about 2% half twists
+    rates = []
+    for length in (short, 4 * short):
+        words = [
+            ArtinWord(4, tuple(
+                Token("garside", 0, rng.choice((1, -1)))
+                if rng.random() < 0.02
+                else Token("gen", rng.randint(1, 3), -1)
+                for _ in range(length)
+            ))
+            for _ in range(count)
+        ]
+        _forms, flips, transfers = per_letter(normalize_group, words, length)
+        rates.append((flips, transfers))
+        for w in words:
+            assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(4, 0, ())
+    (flips_short, transfers_short), (flips_long, transfers_long) = rates
+    assert flips_long <= 1.5 * flips_short
+    assert transfers_long <= 1.5 * transfers_short
+
+    # positive words on three and four strands; with no inverse letters the
+    # engine flips an incoming letter at most once and never the core
+    for n in (3, 4):
+        rates = []
+        for length in (short, 4 * short):
+            words = [
+                gen_word(n, [rng.randint(1, n - 1) for _ in range(length)])
+                for _ in range(count)
+            ]
+            forms, flips, transfers = per_letter(normalize_positive, words, length)
+            assert flips <= 1
+            rates.append(transfers)
+            for w, nf in zip(words, forms):
+                assert nf == gs_rewrite_to_fixpoint(w, "rightmost")
+        assert rates[1] <= 1.5 * rates[0]
+
+
+def test_normalize_positive_one_and_two_strands(engine_counts):
+    # on two strands every non-identity letter is the half twist, so each
+    # goes straight into the trailing block without a transfer
+    nf = normalize_positive(gen_word(2, [1] * 50))
+    assert nf.factors == (omega_braid(2),) * 50
+    mixed = PositiveWord(2, (identity_braid(2), omega_braid(2), generator_braid(2, 1)))
+    assert normalize_positive(mixed).factors == (omega_braid(2),) * 2
+    assert engine_counts["transfer"] == 0
+    one = PositiveWord(1, (identity_braid(1), omega_braid(1)))
+    assert normalize_positive(one).factors == ()
