@@ -134,8 +134,11 @@ def _cmd_automaton(args) -> int:
     if args.dot == "-":
         sys.stdout.write(text)
     else:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.dot, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.dot!r}: {exc.strerror or exc}") from None
     return 0
 
 

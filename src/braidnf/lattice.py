@@ -7,13 +7,6 @@ the top.  This module provides the validated InversionSet type together
 with the lattice structure: complement, star, meet, join, the partial
 order, and the degree-lexicographic total order used to rank simple
 braids.
-
-The meet here is the honest lattice greatest lower bound.  Two cruder
-variants that circulate in the literature (a single betweenness-filter
-pass, and collapsing to the empty set whenever the intersection violates
-betweenness) are kept available as ``meet_variant`` for comparison; they
-disagree with the lattice meet on some inputs and nothing else in this
-package uses them.
 """
 from __future__ import annotations
 
@@ -30,7 +23,6 @@ from .perms import (
     inversion_bits,
     inversion_set,
     is_inversion_set,
-    pair_slot,
     permutation_from_inversions,
 )
 
@@ -157,36 +149,6 @@ def meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
         from .oracle import brute_meet
 
         return brute_meet(r1, r2)
-
-
-def meet_variant(r1: InversionSet, r2: InversionSet, mode: str) -> PairSet:
-    """
-    Two historical shortcuts for the meet, kept only so tests can document
-    where they diverge from the lattice meet.
-
-    mode "onepass" applies the betweenness filter once to the intersection;
-    mode "collapse" returns the empty set whenever the intersection
-    violates betweenness anywhere, and the intersection itself otherwise.
-    Neither result is guaranteed to be a valid inversion set.
-    """
-    if r1.n != r2.n:
-        raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
-    n = r1.n
-    inter = PairSet(n, r1.bits & r2.bits)
-    ok = lambda i, j: inter.bits >> pair_slot(i, j) & 1  # noqa: E731
-    if mode == "onepass":
-        keep = [
-            (i, k)
-            for i, k in inter
-            if all(ok(i, j) or ok(j, k) for j in range(i + 1, k))
-        ]
-        return PairSet.from_pairs(n, keep)
-    if mode == "collapse":
-        for i, k in inter:
-            if not all(ok(i, j) or ok(j, k) for j in range(i + 1, k)):
-                return PairSet.empty(n)
-        return inter
-    raise ValueError(f"unknown meet variant {mode!r}")
 
 
 def join(r1: InversionSet, r2: InversionSet) -> InversionSet:

@@ -43,6 +43,14 @@ from .simple import (
 StepHook = Optional[Callable[[int, tuple, tuple, tuple, tuple], None]]
 
 
+def _product(n: int, braids: Iterable[SimpleBraid]) -> tuple[int, ...]:
+    """The permutation of a product of simple braids, left factor first."""
+    word = identity(n)
+    for b in braids:
+        word = compose(word, b.perm)
+    return word
+
+
 @dataclasses.dataclass(frozen=True)
 class PositiveWord:
     """A word over simple braids; letters may include the identity."""
@@ -64,10 +72,7 @@ class PositiveWord:
         return cls(n, tuple(generator_braid(n, i) for i in indices))
 
     def permutation(self) -> tuple[int, ...]:
-        word = identity(self.n)
-        for letter in self.letters:
-            word = compose(word, letter.perm)
-        return word
+        return _product(self.n, self.letters)
 
     def crossing_number(self) -> int:
         return sum(letter.crossings() for letter in self.letters)
@@ -104,10 +109,7 @@ class PositiveNormalForm:
             raise ValueError("factor sequence is not a greedy normal form")
 
     def permutation(self) -> tuple[int, ...]:
-        word = identity(self.n)
-        for f in self.factors:
-            word = compose(word, f.perm)
-        return word
+        return _product(self.n, self.factors)
 
     def crossing_number(self) -> int:
         return sum(f.crossings() for f in self.factors)
@@ -140,33 +142,6 @@ class GroupNormalForm:
 
 # ---------------------------------------------------------------------------
 # Rewriting on bare one-line words
-
-
-def _prepend_word(a: tuple, factors: list, ident: tuple) -> list:
-    """
-    Normal form of a * factors, given that factors is already normal.
-
-    One left-to-right sweep: carry a across, at each factor splitting the
-    carry into an emitted head and a new carry that has absorbed the
-    factor.  The sweep stops early at the first normal pair; the emitted
-    heads are pairwise normal and identity heads can only arise before any
-    non-identity head has been emitted, so dropping them is safe.
-    """
-    if a == ident:
-        return list(factors)
-    out: list = []
-    carry = a
-    for t in range(len(factors)):
-        f = factors[t]
-        if _is_normal_words(carry, f):
-            out.append(carry)
-            out.extend(factors[t:])
-            return out
-        _m, head, carry = _transfer_words(carry, f)
-        if head != ident:
-            out.append(head)
-    out.append(carry)
-    return out
 
 
 def _append_word(core: list, x: tuple, ident: tuple) -> None:
@@ -253,12 +228,10 @@ def rewrite_pair_at(w: PositiveWord, i: int) -> PositiveWord:
 
 
 def prepend_simple(a: SimpleBraid, nf: PositiveNormalForm) -> PositiveNormalForm:
-    """The normal form of a * nf, by a single left-to-right sweep."""
+    """The normal form of a * nf: the engine appends a, f1, ..., fk in turn."""
     if a.n != nf.n:
         raise ValueError(f"braid on {a.n} strands, form on {nf.n}")
-    ident = identity(nf.n)
-    factors = _prepend_word(a.perm, [f.perm for f in nf.factors], ident)
-    return PositiveNormalForm(nf.n, tuple(SimpleBraid(f) for f in factors))
+    return normalize_positive(PositiveWord(nf.n, (a,) + nf.factors))
 
 
 def normalize_positive(w: PositiveWord) -> PositiveNormalForm:

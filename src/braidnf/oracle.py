@@ -26,7 +26,7 @@ from .normalform import (
 )
 from .perms import (
     PairSet,
-    _pair_of_slot,
+    act_on_bits,
     all_permutations,
     compose,
     identity,
@@ -34,7 +34,6 @@ from .perms import (
     inversion_bits,
     is_inversion_set,
     pair_count,
-    pair_slot,
 )
 from .simple import _is_normal_words, _transfer_words
 
@@ -144,20 +143,6 @@ def strand_crossings(word: PositiveWord, s: int, t: int) -> tuple[bool, ...]:
     return tuple(out)
 
 
-def _act_bits(p: Sequence[int], bits: int) -> int:
-    """Image of a pair bit array under a permutation, smaller index first."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        i, j = _pair_of_slot(low.bit_length() - 1)
-        a, b = p[i - 1], p[j - 1]
-        if a > b:
-            a, b = b, a
-        out |= 1 << pair_slot(a, b)
-        bits ^= low
-    return out
-
-
 def conserves_crossings(x, y, h, t) -> bool:
     """
     Whether replacing the two-factor window (x, y) by (h, t) preserves the
@@ -167,8 +152,8 @@ def conserves_crossings(x, y, h, t) -> bool:
     """
     if compose(x, y) != compose(h, t):
         return False
-    both_before = inversion_bits(x) & _act_bits(inverse(x), inversion_bits(y))
-    both_after = inversion_bits(h) & _act_bits(inverse(h), inversion_bits(t))
+    both_before = inversion_bits(x) & act_on_bits(inverse(x), inversion_bits(y))
+    both_after = inversion_bits(h) & act_on_bits(inverse(h), inversion_bits(t))
     return both_before == both_after
 
 
@@ -228,15 +213,14 @@ def verify_strand_lemma(n: int) -> VerificationReport:
 
 
 def _triples(n: int, samples: Optional[int], seed: int):
+    """Triples of S_n, all of them or seeded samples; checks n eagerly."""
     perms = list(all_permutations(n))
     if samples is None:
         if n > 4:
             raise ValueError("exhaustive triples need n <= 4; pass samples for larger n")
-        yield from itertools.product(perms, perms, perms)
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            yield rng.choice(perms), rng.choice(perms), rng.choice(perms)
+        return itertools.product(perms, perms, perms)
+    rng = random.Random(seed)
+    return ((rng.choice(perms), rng.choice(perms), rng.choice(perms)) for _ in range(samples))
 
 
 def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
@@ -252,6 +236,7 @@ def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> Verific
     alongside these are refuted by small counterexamples; they live in
     verify_gsb_strict as a documented divergence.
     """
+    triples = _triples(n, samples, seed)  # before any work: it rejects n > 4 unsampled
     failures: list = []
     ident = identity(n)
     cases = 0
@@ -269,7 +254,7 @@ def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> Verific
             failures.append(["output-pair-normal", a, b])
         if _is_normal_words(a, b) and (h_ab != a or t_ab != b):
             failures.append(["normal-pair-fixed", a, b])
-    for a, b, c in _triples(n, samples, seed):
+    for a, b, c in triples:
         cases += 1
         h_bc, t_bc = _checked_transfer(b, c, ident, failures)
         h_a_bc, t_a_bc = _checked_transfer(a, h_bc, ident, failures)
@@ -353,9 +338,9 @@ def verify_confluence(
 ) -> VerificationReport:
     """
     Random positive generator words: the leftmost strategy, the rightmost
-    strategy and the fold-in normaliser must produce identical normal
-    forms, within the termination bound, conserving crossings at every
-    rewrite step.
+    strategy and the append engine (normalize_positive) must produce
+    identical normal forms, within the termination bound, conserving
+    crossings at every rewrite step.
     """
     if n > 6:
         raise ValueError("confluence sweep is sized for n <= 6")
@@ -383,9 +368,9 @@ def verify_confluence(
                 failures.append(["crossing-conservation", strategy, idxs])
             if steps > bound:
                 failures.append(["termination-bound", strategy, idxs, steps, bound])
-        folded = tuple(f.perm for f in normalize_positive(word).factors)
-        if not (outcomes[0] == outcomes[1] == folded):
-            failures.append(["confluence", idxs, outcomes[0], outcomes[1], folded])
+        appended = tuple(f.perm for f in normalize_positive(word).factors)
+        if not (outcomes[0] == outcomes[1] == appended):
+            failures.append(["confluence", idxs, outcomes[0], outcomes[1], appended])
     return VerificationReport("confluence", n, samples, failures)
 
 

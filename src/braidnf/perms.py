@@ -274,20 +274,28 @@ def inversion_set(p: Sequence[int]) -> PairSet:
     return PairSet(len(p), inversion_bits(p))
 
 
-def act_on_pairs(p: Sequence[int], s: PairSet) -> PairSet:
+def act_on_bits(p: Sequence[int], bits: int) -> int:
     """
-    Apply p to both components of every pair, reordering each image pair so
-    the smaller number comes first.  Preserves cardinality.
+    Apply p to both components of every pair in a bit array, reordering
+    each image pair so the smaller number comes first.
     """
-    if len(p) != s.n:
-        raise ValueError(f"permutation on {len(p)} strands, pair set on {s.n}")
-    bits = 0
-    for i, j in s:
+    out = 0
+    while bits:
+        low = bits & -bits
+        i, j = _pair_of_slot(low.bit_length() - 1)
         a, b = p[i - 1], p[j - 1]
         if a > b:
             a, b = b, a
-        bits |= 1 << pair_slot(a, b)
-    return PairSet(s.n, bits)
+        out |= 1 << pair_slot(a, b)
+        bits ^= low
+    return out
+
+
+def act_on_pairs(p: Sequence[int], s: PairSet) -> PairSet:
+    """The image of a pair set under p, pair by pair as in act_on_bits."""
+    if len(p) != s.n:
+        raise ValueError(f"permutation on {len(p)} strands, pair set on {s.n}")
+    return PairSet(s.n, act_on_bits(p, s.bits))
 
 
 def is_inversion_set(s: PairSet) -> bool:
@@ -329,14 +337,3 @@ def permutation_from_inversions(s: PairSet) -> tuple[int, ...]:
         below = sum(1 - (bits >> pair_slot(j, i) & 1) for j in range(1, i))
         word.append(1 + above + below)
     return tuple(word)
-
-
-def compose_via_inversions(r1: PairSet, p1: Sequence[int], r2: PairSet) -> PairSet:
-    """
-    The inversion set of p1*p2 computed without p2, as the symmetric
-    difference of r1 with the preimage of r2 under p1.  Requires
-    r1 == inversion_set(p1) and r2 == inversion_set(p2) for some p2.
-    """
-    if r1.n != r2.n or len(p1) != r1.n:
-        raise ValueError("mismatched strand counts")
-    return act_on_pairs(inverse(p1), r2) ^ r1

@@ -4,7 +4,8 @@ Parsing, formatting and diagram rendering.
 Word grammar: a header ``n=<int>;`` followed by whitespace-separated
 tokens.  A nonzero signed integer k stands for the |k|-th Artin generator
 with sign(k) as exponent; ``D`` and ``-D`` stand for the half twist and
-its inverse.  Permutations read and print in bracketed one-line notation
+its inverse.  Words are ASCII: integers are runs of the digits 0-9, with
+no underscores.  Permutations read and print in bracketed one-line notation
 ``[3 5 4 2 6 1]``.  All emitted text is deterministic.
 
 Diagrams are drawn strands-down, one band per factor, each factor opened
@@ -75,7 +76,7 @@ def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
     return ArtinWord(w1.n, w1.tokens + w2.tokens)
 
 
-_HEADER = re.compile(r"^\s*n\s*=\s*(\d+)\s*$")
+_HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
 
 
 def parse_word(text: str) -> ArtinWord:
@@ -89,6 +90,9 @@ def parse_word(text: str) -> ArtinWord:
     n = int(match.group(1))
     if n < 1:
         raise ParseError("need at least one strand")
+    if not rest.isascii() or "_" in rest:  # int() takes other scripts' digits and "_"
+        bad = next(c for c in rest if not c.isascii() or c == "_")
+        raise ParseError(f"bad character {bad!r} in word")
     tokens = []
     for raw in rest.split():
         if raw == "D":
@@ -121,7 +125,7 @@ def format_word(word: ArtinWord) -> str:
 
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse bracketed one-line notation like '[3 5 4 2 6 1]'."""
-    match = re.match(r"^\s*\[([-\d\s]*)\]\s*$", text)
+    match = re.match(r"^\s*\[([-0-9\s]*)\]\s*$", text, re.ASCII)
     if not match:
         raise ParseError(f"expected '[v1 v2 ... vn]', got {text.strip()!r}")
     try:

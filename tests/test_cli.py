@@ -132,6 +132,9 @@ def test_automaton_stdout_and_file(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "automaton", "--n", "3", "--dot", str(path))
     assert code == 0
     assert path.read_text(encoding="utf-8") == out
+    unwritable = str(tmp_path / "missing" / "g.dot")
+    code, out, err = run_cli(capsys, "automaton", "--n", "3", "--dot", unwritable)
+    assert code == 2 and out == "" and "error:" in err
     code, _, err = run_cli(capsys, "automaton", "--n", "12")
     assert code == 2 and "error:" in err
 

@@ -12,7 +12,6 @@ from braidnf.lattice import (
     leq,
     meet,
     meet_permutations,
-    meet_variant,
     star,
 )
 from braidnf.oracle import brute_meet
@@ -95,20 +94,6 @@ def test_meet_on_gapped_intersection():
     assert got.bits == brute_meet(r1, r2).bits
     assert (2, 3) in got
     assert got.listing() == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
-
-
-def test_meet_variants_diverge():
-    r1 = inv(inverse(A_GAP))
-    r2 = complement(inv(B_GAP))
-    assert meet_variant(r1, r2, "collapse").bits == 0
-    assert meet_variant(r1, r2, "onepass").pairs() == (
-        (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
-    )
-    r = inv(PI6)
-    assert meet_variant(r, r, "onepass").bits == r.bits
-    assert meet_variant(r, r, "collapse").bits == r.bits
-    with pytest.raises(ValueError):
-        meet_variant(r, r, "bogus")
 
 
 def test_meet_is_greatest_lower_bound_s4():

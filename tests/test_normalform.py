@@ -131,7 +131,7 @@ def test_prepend_simple():
         w = PositiveWord(n, tuple(random_simple(rng, n) for _ in range(rng.randint(0, 6))))
         nf = normalize_positive(w)
         a = random_simple(rng, n)
-        expect = normalize_positive(PositiveWord(n, (a,) + nf.factors))
+        expect = gs_rewrite_to_fixpoint(PositiveWord(n, (a,) + nf.factors), "rightmost")
         assert prepend_simple(a, nf) == expect
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from braidnf import oracle
 from braidnf.lattice import InversionSet, complement
 from braidnf.normalform import PositiveWord, gs_rewrite_to_fixpoint, rewrite_pair_at
 from braidnf.oracle import (
@@ -112,6 +113,22 @@ def test_verify_gsb_and_stop_small():
     sampled = verify_gsb(5, samples=300, seed=1)
     assert sampled.passed
     assert verify_stop(5, samples=300, seed=1).passed
+
+
+def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
+    transfers = 0
+    real = oracle._transfer_words
+
+    def counting(a, b):
+        nonlocal transfers
+        transfers += 1
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_transfer_words", counting)
+    with pytest.raises(ValueError, match="n <= 4"):
+        verify_gsb(5)
+    assert transfers == 0
+    assert verify_gsb(2).cases == 4 + 8 and transfers > 0
 
 
 def test_verify_confluence_small():

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from braidnf.perms import (
     adjacent_transposition,
     all_permutations,
     compose,
-    compose_via_inversions,
     flip,
     full_bits,
     identity,
@@ -164,26 +162,6 @@ def test_permutation_from_inversions_roundtrip():
     for n in range(1, 6):
         for p in all_permutations(n):
             assert permutation_from_inversions(inversion_set(p)) == p
-
-
-def test_compose_via_inversions():
-    s1, s2 = adjacent_transposition(3, 1), adjacent_transposition(3, 2)
-    got = compose_via_inversions(inversion_set(s1), s1, inversion_set(s2))
-    assert got.pairs() == ((1, 2), (1, 3))
-    # inverse pairs cancel; identity on the left passes the right through
-    for p in all_permutations(4):
-        r = inversion_set(p)
-        assert compose_via_inversions(r, p, inversion_set(inverse(p))).bits == 0
-        assert compose_via_inversions(inversion_set(identity(4)), identity(4), r).bits == r.bits
-
-
-def test_compose_via_inversions_exhaustive():
-    for n in (4, 5):
-        perms = list(all_permutations(n))
-        inv = {p: inversion_set(p) for p in perms}
-        for p, q in itertools.product(perms, perms):
-            got = compose_via_inversions(inv[p], p, inv[q])
-            assert got.bits == inv[compose(p, q)].bits
 
 
 def test_length():

@@ -39,6 +39,16 @@ def test_parse_word_errors():
     for bad in ["1 2 1", "n=3 1", "m=3; 1", "n=3; 3", "n=3; 0", "n=3; x", "n=0;", "n=3; --D"]:
         with pytest.raises(ParseError):
             parse_word(bad)
+    # the grammar is ASCII: no other scripts' digits, no underscores in integers
+    for bad in ["n=\u0663; 1 2", "n=3; \u0661 \u0662", "n=12; 1_0", "n=3; 1\u00a02", "n\u00a0=3; 1"]:
+        with pytest.raises(ParseError):
+            parse_word(bad)
+    for bad in ["[\u0662 \u0661]", "[\u00a02 1]"]:
+        with pytest.raises(ParseError):
+            parse_permutation(bad)
+    assert parse_word("n=3; -1 D -D").tokens == (
+        Token("gen", 1, -1), Token("garside", 0, 1), Token("garside", 0, -1),
+    )
 
 
 def test_word_roundtrip():
