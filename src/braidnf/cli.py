@@ -10,7 +10,6 @@ verification failures), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -18,6 +17,7 @@ import time
 from .automaton import build, export_dot
 from .normalform import PositiveWord, equal, normalize_group, normalize_positive
 from .oracle import (
+    verify_commuting,
     verify_confluence,
     verify_gsb,
     verify_gsb_strict,
@@ -26,7 +26,7 @@ from .oracle import (
     verify_strand_lemma,
     verify_validity,
 )
-from .simple import SimpleBraid, commuting_characterization_check, transfer
+from .simple import SimpleBraid, transfer
 from .textio import (
     ParseError,
     format_normal_form,
@@ -73,59 +73,39 @@ def _cmd_transfer(args) -> int:
     return 0
 
 
-def _diagnostic_commuting(n: int) -> str:
-    mismatches = commuting_characterization_check(min(n, 5))
-    return json.dumps(
-        {
-            "suite": "gsb-commuting-diagnostic",
-            "n": min(n, 5),
-            "cases": "all ordered pairs",
-            "failure_count": len(mismatches),
-            "failures": mismatches[:100],
-            "diagnostic": True,
-        },
-        default=str,
-    )
+# The largest n each suite runs at under --all.
+ALL_SIZES = {"gsb": 4, "stop": 4, "strands": 4, "meet": 5, "validity": 5, "confluence": 6}
+
+
+def _suite_reports(suite: str, n: int, args) -> list:
+    """The reports of one suite at n, in print order."""
+    if suite == "gsb":
+        gating = verify_gsb(n, args.samples, args.seed)  # first: it rejects n > 4 unsampled
+        small = min(n, 5)  # the diagnostics are exhaustive
+        return [verify_commuting(small), verify_gsb_strict(small), gating]
+    if suite == "stop":
+        return [verify_stop(n, args.samples, args.seed)]
+    if suite == "strands":
+        return [verify_strand_lemma(n)]
+    if suite == "meet":
+        return [verify_meet(n, args.samples, args.seed)]
+    if suite == "validity":
+        return [verify_validity(n)]
+    samples = 1000 if args.samples is None else args.samples
+    return [verify_confluence(n, args.length, samples, args.seed)]
 
 
 def _cmd_verify(args) -> int:
-    suite_arg = "all" if args.all else args.suite
-    if suite_arg is None:
+    if args.all:
+        runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
+    elif args.suite:
+        runs = [(args.suite, args.n)]
+    else:
         raise ParseError("pass --suite <name> or --all")
-    n = args.n
-    reports = []
-    run_all = suite_arg == "all"
-    suites = (
-        ["gsb", "stop", "strands", "meet", "validity", "confluence"]
-        if run_all
-        else [suite_arg]
-    )
-    for suite in suites:
-        if suite == "gsb":
-            reports.append(verify_gsb(min(n, 4) if run_all else n, args.samples, args.seed))
-            print(_diagnostic_commuting(n))
-            # the unconditional textbook clauses, measured but never gating
-            strict = verify_gsb_strict(min(n, 4) if run_all else min(n, 5))
-            strict_payload = json.loads(strict.to_json())
-            strict_payload["diagnostic"] = True
-            print(json.dumps(strict_payload, default=str))
-        elif suite == "stop":
-            reports.append(verify_stop(min(n, 4) if run_all else n, args.samples, args.seed))
-        elif suite == "strands":
-            reports.append(verify_strand_lemma(min(n, 4) if run_all else n))
-        elif suite == "meet":
-            n_meet = min(n, 5) if run_all and args.samples is None else n
-            reports.append(verify_meet(n_meet, args.samples, args.seed))
-        elif suite == "validity":
-            reports.append(verify_validity(min(n, 5) if run_all else n))
-        elif suite == "confluence":
-            samples = args.samples if args.samples is not None else 1000
-            reports.append(verify_confluence(min(n, 6), args.length, samples, args.seed))
-    ok = True
+    reports = [report for suite, n in runs for report in _suite_reports(suite, n, args)]
     for report in reports:
         print(report.to_json())
-        ok = ok and report.passed
-    return 0 if ok else 1
+    return 0 if all(r.passed or r.diagnostic for r in reports) else 1
 
 
 def _cmd_automaton(args) -> int:
@@ -188,13 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("verify", help="run a verification suite; JSON-line reports")
-    p.add_argument(
-        "--suite",
-        choices=["gsb", "stop", "strands", "meet", "validity", "confluence", "all"],
-    )
+    p.add_argument("--suite", choices=list(ALL_SIZES))
     p.add_argument("--all", action="store_true", help="run every suite at safe sizes")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None, help="sampled cases, at least 1")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--length", type=int, default=20, help="word length bound (confluence)")
     p.set_defaults(func=_cmd_verify)

@@ -11,7 +11,6 @@ braids.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Iterator, Sequence
 
 from .perms import (
@@ -109,8 +108,8 @@ def _interval_closed_fixpoint(n: int, bits: int) -> int:
     When the input is transitive (any intersection of inversion sets is),
     the fixpoint is transitive too: if (i,j) and (j,k) survive, one shows
     by induction on k - i that adding (i,k) back would keep betweenness,
-    so maximality forces (i,k) to be present already.  The caller still
-    validates the result and has an escape hatch just in case.
+    so maximality forces (i,k) to be present already.  InversionSet still
+    validates the result, so a broken fixpoint raises instead of passing.
     """
     while True:
         rows = [0] * (n + 1)
@@ -141,14 +140,7 @@ def meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     """
     if r1.n != r2.n:
         raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
-    bits = _interval_closed_fixpoint(r1.n, r1.bits & r2.bits)
-    try:
-        return InversionSet(PairSet(r1.n, bits))
-    except ValueError:  # pragma: no cover - unreachable per the argument above
-        warnings.warn("meet fixpoint was not a valid inversion set; falling back to enumeration")
-        from .oracle import brute_meet
-
-        return brute_meet(r1, r2)
+    return InversionSet(PairSet(r1.n, _interval_closed_fixpoint(r1.n, r1.bits & r2.bits)))
 
 
 def join(r1: InversionSet, r2: InversionSet) -> InversionSet:

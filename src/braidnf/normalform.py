@@ -64,10 +64,6 @@ class PositiveWord:
                 raise ValueError(f"letter on {letter.n} strands in a word on {self.n}")
 
     @classmethod
-    def from_braids(cls, n: int, letters) -> PositiveWord:
-        return cls(n, tuple(letters))
-
-    @classmethod
     def from_generator_indices(cls, n: int, indices: Sequence[int]) -> PositiveWord:
         return cls(n, tuple(generator_braid(n, i) for i in indices))
 

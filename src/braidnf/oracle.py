@@ -14,10 +14,11 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 from typing import Optional, Sequence
 
-from .lattice import InversionSet, meet
+from .lattice import InversionSet, meet, meet_permutations
 from .normalform import (
     PositiveWord,
     gs_rewrite_to_fixpoint,
@@ -29,41 +30,46 @@ from .perms import (
     act_on_bits,
     all_permutations,
     compose,
-    identity,
     inverse,
     inversion_bits,
     is_inversion_set,
     pair_count,
 )
-from .simple import _is_normal_words, _transfer_words
+from .simple import (
+    _is_clean_words,
+    _is_normal_words,
+    _transfer_words,
+    commuting_characterization_check,
+)
 
 BRUTE_MAX_STRANDS = 7
 
 
 @dataclasses.dataclass
 class VerificationReport:
-    """Outcome of one verification sweep."""
+    """Outcome of one verification sweep; a diagnostic one never gates."""
 
     suite: str
     n: int
     cases: int
     failures: list
+    diagnostic: bool = False
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "n": self.n,
-                "cases": self.cases,
-                "failure_count": len(self.failures),
-                "failures": self.failures[:100],
-            },
-            default=str,
-        )
+        payload = {
+            "suite": self.suite,
+            "n": self.n,
+            "cases": self.cases,
+            "failure_count": len(self.failures),
+            "failures": self.failures[:100],
+        }
+        if self.diagnostic:
+            payload["diagnostic"] = True
+        return json.dumps(payload, default=str)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +167,9 @@ def conserves_crossings(x, y, h, t) -> bool:
 # Verification sweeps
 
 
-def _checked_transfer(a, b, ident, failures):
-    m, h, t = _transfer_words(a, b)
-    if m != ident and not conserves_crossings(a, b, h, t):
+def _checked_transfer(a, b, failures):
+    _m, h, t = _transfer_words(a, b)
+    if h != a and not conserves_crossings(a, b, h, t):  # h == a iff nothing moved
         failures.append(["crossing-conservation", a, b])
     return h, t
 
@@ -184,14 +190,11 @@ def verify_strand_lemma(n: int) -> VerificationReport:
     if n > 4:
         raise ValueError("exhaustive over S_n x S_n; need n <= 4")
     failures: list = []
-    full = (1 << pair_count(n)) - 1
     perms = list(all_permutations(n))
     cases = 0
     for a in perms:
-        star_bits = inversion_bits(inverse(a))
         for b in perms:
-            inter = star_bits & (full ^ inversion_bits(b))
-            if inter == 0 or not is_inversion_set(PairSet(n, inter)):
+            if not _is_clean_words(a, b):
                 continue
             _m, h, t = _transfer_words(a, b)
             for s in range(1, n + 1):
@@ -212,8 +215,14 @@ def verify_strand_lemma(n: int) -> VerificationReport:
     return VerificationReport("strands", n, cases, failures)
 
 
+def _check_samples(samples: Optional[int]) -> None:
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _triples(n: int, samples: Optional[int], seed: int):
-    """Triples of S_n, all of them or seeded samples; checks n eagerly."""
+    """Triples of S_n, all of them or seeded samples; checks its arguments eagerly."""
+    _check_samples(samples)
     perms = list(all_permutations(n))
     if samples is None:
         if n > 4:
@@ -221,6 +230,33 @@ def _triples(n: int, samples: Optional[int], seed: int):
         return itertools.product(perms, perms, perms)
     rng = random.Random(seed)
     return ((rng.choice(perms), rng.choice(perms), rng.choice(perms)) for _ in range(samples))
+
+
+def _pairs(n: int, samples: Optional[int], seed: int):
+    """Pairs of S_n: all of them for n <= 5, else the first two of sampled triples."""
+    if n <= 5:
+        return itertools.product(all_permutations(n), all_permutations(n))
+    return ((x, y) for x, y, _ in _triples(n, samples, seed))
+
+
+def _sweeps(a, b, c, failures):
+    """
+    Three checked transfers on (a, b, c) in each order, right pair first
+    (a, b, c) -> (a, h, t) -> mid_r -> end_r, and left pair first
+    (a, b, c) -> (h, t, c) -> mid_l -> end_l.  The exchange laws say end_r == end_l.
+    """
+    h_bc, t_bc = _checked_transfer(b, c, failures)
+    h_a_bc, t_a_bc = _checked_transfer(a, h_bc, failures)
+    h_ab, t_ab = _checked_transfer(a, b, failures)
+    h_abc, t_abc = _checked_transfer(t_ab, c, failures)
+    h_outer, t_outer = _checked_transfer(h_ab, h_abc, failures)
+    h_mid, t_mid = _checked_transfer(t_a_bc, t_bc, failures)
+    return (
+        (h_a_bc, t_a_bc, t_bc),
+        (h_a_bc, h_mid, t_mid),
+        (h_ab, h_abc, t_abc),
+        (h_outer, t_outer, t_abc),
+    )
 
 
 def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
@@ -238,16 +274,10 @@ def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> Verific
     """
     triples = _triples(n, samples, seed)  # before any work: it rejects n > 4 unsampled
     failures: list = []
-    ident = identity(n)
     cases = 0
-    pair_iter = (
-        itertools.product(all_permutations(n), all_permutations(n))
-        if n <= 5
-        else ((x, y) for x, y, _ in _triples(n, samples, seed))
-    )
-    for a, b in pair_iter:
+    for a, b in _pairs(n, samples, seed):
         cases += 1
-        h_ab, t_ab = _checked_transfer(a, b, ident, failures)
+        h_ab, t_ab = _checked_transfer(a, b, failures)
         if (h_ab == a) != (t_ab == b):
             failures.append(["trivial-iff", a, b])
         if not _is_normal_words(h_ab, t_ab):
@@ -256,18 +286,10 @@ def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> Verific
             failures.append(["normal-pair-fixed", a, b])
     for a, b, c in triples:
         cases += 1
-        h_bc, t_bc = _checked_transfer(b, c, ident, failures)
-        h_a_bc, t_a_bc = _checked_transfer(a, h_bc, ident, failures)
-        h_ab, t_ab = _checked_transfer(a, b, ident, failures)
-        h_abc, t_abc = _checked_transfer(t_ab, c, ident, failures)
-        h_outer, t_outer = _checked_transfer(h_ab, h_abc, ident, failures)
-        h_mid, t_mid = _checked_transfer(t_a_bc, t_bc, ident, failures)
-        if h_a_bc != h_outer:
-            failures.append(["head-assoc", a, b, c])
-        if h_mid != t_outer:
-            failures.append(["middle-exchange", a, b, c])
-        if t_mid != t_abc:
-            failures.append(["tail-assoc", a, b, c])
+        _mid_r, end_r, _mid_l, end_l = _sweeps(a, b, c, failures)
+        for law, right, left in zip(("head-assoc", "middle-exchange", "tail-assoc"), end_r, end_l):
+            if right != left:
+                failures.append([law, a, b, c])
     return VerificationReport("gsb", n, cases, failures)
 
 
@@ -290,19 +312,21 @@ def verify_gsb_strict(n: int, samples: Optional[int] = None, seed: int = 42) -> 
     """
     failures: list = []
     cases = 0
-    pair_iter = (
-        itertools.product(all_permutations(n), all_permutations(n))
-        if n <= 5
-        else ((x, y) for x, y, _ in _triples(n, samples, seed))
-    )
-    for a, b in pair_iter:
+    for a, b in _pairs(n, samples, seed):
         cases += 1
         _m, h_ab, t_ab = _transfer_words(a, b)
         if a == b and (h_ab != a or t_ab != a):
             failures.append(["idempotence", a])
         if not (_is_normal_words(a, t_ab) and _is_normal_words(h_ab, b)):
             failures.append(["flush-pair-normal", a, b])
-    return VerificationReport("gsb-strict", n, cases, failures)
+    return VerificationReport("gsb-strict", n, cases, failures, diagnostic=True)
+
+
+def verify_commuting(n: int) -> VerificationReport:
+    """commuting_characterization_check over all ordered pairs of S_n, as a diagnostic."""
+    failures = commuting_characterization_check(n)
+    cases = math.factorial(n) ** 2
+    return VerificationReport("gsb-commuting-diagnostic", n, cases, failures, diagnostic=True)
 
 
 def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
@@ -312,23 +336,17 @@ def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     rewrite, unconditionally for the two inner pairs.
     """
     failures: list = []
-    ident = identity(n)
     cases = 0
     for a, b, c in _triples(n, samples, seed):
         cases += 1
-        h_bc, t_bc = _checked_transfer(b, c, ident, failures)
-        h_a_bc, t_a_bc = _checked_transfer(a, h_bc, ident, failures)
-        h_ab, t_ab = _checked_transfer(a, b, ident, failures)
-        h_abc, t_abc = _checked_transfer(t_ab, c, ident, failures)
-        h_outer, t_outer = _checked_transfer(h_ab, h_abc, ident, failures)
-        h_mid, _t_mid = _checked_transfer(t_a_bc, t_bc, ident, failures)
-        if _is_normal_words(a, b) and not _is_normal_words(t_a_bc, t_bc):
+        mid_r, end_r, mid_l, end_l = _sweeps(a, b, c, failures)
+        if _is_normal_words(a, b) and not _is_normal_words(mid_r[1], mid_r[2]):
             failures.append(["left-normal-survives", a, b, c])
-        if _is_normal_words(b, c) and not _is_normal_words(h_ab, h_abc):
+        if _is_normal_words(b, c) and not _is_normal_words(mid_l[0], mid_l[1]):
             failures.append(["right-normal-survives", a, b, c])
-        if not _is_normal_words(h_a_bc, h_mid):
+        if not _is_normal_words(end_r[0], end_r[1]):
             failures.append(["inner-head-normal", a, b, c])
-        if not _is_normal_words(t_outer, t_abc):
+        if not _is_normal_words(end_l[1], end_l[2]):
             failures.append(["inner-tail-normal", a, b, c])
     return VerificationReport("stop", n, cases, failures)
 
@@ -342,8 +360,11 @@ def verify_confluence(
     identical normal forms, within the termination bound, conserving
     crossings at every rewrite step.
     """
-    if n > 6:
-        raise ValueError("confluence sweep is sized for n <= 6")
+    if not 2 <= n <= 6:
+        raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
+    if length < 0:
+        raise ValueError(f"length must be at least 0, got {length}")
+    _check_samples(samples)
     rng = random.Random(seed)
     failures: list = []
     for case in range(samples):
@@ -353,21 +374,13 @@ def verify_confluence(
         bound = rewrite_potential(word)
         outcomes = []
         for strategy in ("leftmost", "rightmost"):
-            steps = 0
-            bad = 0
-
-            def hook(i, x, y, h, t):
-                nonlocal steps, bad
-                steps += 1
-                if not conserves_crossings(x, y, h, t):
-                    bad += 1
-
-            nf = gs_rewrite_to_fixpoint(word, strategy, hook)
+            steps = []  # the (x, y, h, t) window of every rewrite step
+            nf = gs_rewrite_to_fixpoint(word, strategy, lambda i, *window: steps.append(window))
             outcomes.append(tuple(f.perm for f in nf.factors))
-            if bad:
+            if not all(conserves_crossings(*window) for window in steps):
                 failures.append(["crossing-conservation", strategy, idxs])
-            if steps > bound:
-                failures.append(["termination-bound", strategy, idxs, steps, bound])
+            if len(steps) > bound:
+                failures.append(["termination-bound", strategy, idxs, len(steps), bound])
         appended = tuple(f.perm for f in normalize_positive(word).factors)
         if not (outcomes[0] == outcomes[1] == appended):
             failures.append(["confluence", idxs, outcomes[0], outcomes[1], appended])
@@ -376,32 +389,40 @@ def verify_confluence(
 
 def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
     """
-    The lattice meet against the enumeration meet: exhaustive over ordered
-    pairs for n <= 5, sampled for larger n (still within the enumeration
-    bound).
+    Both meets against the enumeration meet: the lattice meet on inversion
+    sets and meet_permutations, the one the normaliser runs.  Exhaustive
+    over ordered pairs for n <= 5, sampled for larger n (still within the
+    enumeration bound).
     """
     if n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration bound is n <= {BRUTE_MAX_STRANDS}")
+    _check_samples(samples)
     failures: list = []
-    inv_sets = [InversionSet.from_permutation(p) for p in all_permutations(n)]
+    elements = [(p, InversionSet.from_permutation(p)) for p in all_permutations(n)]
     if samples is None:
         if n > 5:
             raise ValueError("exhaustive meet sweep needs n <= 5; pass samples")
-        pairs = itertools.product(inv_sets, inv_sets)
-        cases = len(inv_sets) ** 2
+        pairs = itertools.product(elements, elements)
+        cases = len(elements) ** 2
     else:
         rng = random.Random(seed)
-        pairs = ((rng.choice(inv_sets), rng.choice(inv_sets)) for _ in range(samples))
+        pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(samples))
         cases = samples
-    for r1, r2 in pairs:
-        fast = meet(r1, r2)
+    for (p, r1), (q, r2) in pairs:
         try:
             slow = brute_meet(r1, r2)
         except AssertionError as exc:
             failures.append(["uniqueness", r1.listing(), r2.listing(), str(exc)])
             continue
-        if fast.bits != slow.bits:
-            failures.append(["meet", r1.listing(), r2.listing(), fast.listing(), slow.listing()])
+        try:
+            fast = meet(r1, r2).bits
+        except ValueError:  # the fixpoint is not an inversion set
+            fast = None
+        engine = inversion_bits(meet_permutations(p, q))
+        for kind, bits in (("meet", fast), ("meet-permutations", engine)):
+            if bits != slow.bits:
+                got = None if bits is None else PairSet(n, bits).pairs()
+                failures.append([kind, r1.listing(), r2.listing(), got, slow.listing()])
     return VerificationReport("meet", n, cases, failures)
 
 

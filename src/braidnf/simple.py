@@ -204,6 +204,13 @@ def is_normal_pair(a: SimpleBraid, b: SimpleBraid) -> bool:
     return _is_normal_words(a.perm, b.perm)
 
 
+def _is_clean_words(a: Sequence[int], b: Sequence[int]) -> bool:
+    """is_clean_transfer on bare one-line words of equal length."""
+    n = len(a)
+    inter = inversion_bits(inverse(a)) & (full_bits(n) ^ inversion_bits(b))
+    return inter != 0 and is_inversion_set(PairSet(n, inter))
+
+
 def is_clean_transfer(a: SimpleBraid, b: SimpleBraid) -> bool:
     """
     Whether star(a) intersected with the complement of R(b) is a nonempty
@@ -213,8 +220,7 @@ def is_clean_transfer(a: SimpleBraid, b: SimpleBraid) -> bool:
     """
     if a.n != b.n:
         raise ValueError(f"braids on {a.n} and {b.n} strands")
-    inter = star_set(a).bits & (full_bits(a.n) ^ b.inv.bits)
-    return inter != 0 and is_inversion_set(PairSet(a.n, inter))
+    return _is_clean_words(a.perm, b.perm)
 
 
 def head_set_identity_check(a: SimpleBraid, b: SimpleBraid) -> bool:

@@ -58,9 +58,6 @@ class ArtinWord:
             if tok.kind == "gen" and not 1 <= tok.index <= self.n - 1:
                 raise ValueError(f"generator index {tok.index} out of range 1..{self.n - 1}")
 
-    def is_positive(self) -> bool:
-        return all(tok.sign > 0 for tok in self.tokens)
-
 
 def formal_inverse(word: ArtinWord) -> ArtinWord:
     """The reversed word with every exponent negated."""

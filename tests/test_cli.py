@@ -90,6 +90,8 @@ def test_verify_gsb_has_diagnostics(capsys):
     strict = next(l for l in lines if l["suite"] == "gsb-strict")
     assert strict["diagnostic"]
     assert (strict["cases"], strict["failure_count"]) == (36, 6)
+    commuting = next(l for l in lines if l["suite"] == "gsb-commuting-diagnostic")
+    assert commuting["diagnostic"] and commuting["cases"] == 36
 
 
 def test_verify_all(capsys):
@@ -99,6 +101,14 @@ def test_verify_all(capsys):
     gating = {l["suite"] for l in lines if not l.get("diagnostic")}
     assert gating == {"gsb", "stop", "strands", "meet", "validity", "confluence"}
     assert all(l["failure_count"] == 0 for l in lines if not l.get("diagnostic"))
+    # past every bound, --all runs each suite at its largest size
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n", "9", "--samples", "20")
+    assert code == 0
+    sizes = {l["suite"]: l["n"] for l in map(json.loads, out.splitlines())}
+    assert sizes == {
+        "gsb-commuting-diagnostic": 4, "gsb-strict": 4, "gsb": 4, "stop": 4,
+        "strands": 4, "meet": 5, "validity": 5, "confluence": 6,
+    }
 
 
 def test_verify_requires_a_suite(capsys):
@@ -121,6 +131,23 @@ def test_verify_bounds_error(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "meet", "--n", "9")
     assert code == 2 and "error:" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "confluence", "--n", "7")
+    assert code == 2 and out == "" and "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all"])
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_bad_arguments(capsys):
+    for argv, message in [
+        (["--suite", "meet", "--n", "6", "--samples", "-3"], "samples must be at least 1"),
+        (["--suite", "gsb", "--n", "6", "--samples", "-2"], "samples must be at least 1"),
+        (["--suite", "confluence", "--samples", "0"], "samples must be at least 1"),
+        (["--suite", "confluence", "--length", "-5"], "length must be at least 0"),
+        (["--suite", "confluence", "--n", "1"], "2 <= n <= 6"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and message in err, argv
 
 
 def test_automaton_stdout_and_file(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from braidnf import lattice
 from braidnf.lattice import (
     InversionSet,
     complement,
@@ -94,6 +95,14 @@ def test_meet_on_gapped_intersection():
     assert got.bits == brute_meet(r1, r2).bits
     assert (2, 3) in got
     assert got.listing() == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
+
+
+def test_meet_has_no_fallback(monkeypatch):
+    # a fixpoint that deletes nothing leaves the gapped intersection, which
+    # meet must reject rather than replace by another answer
+    monkeypatch.setattr(lattice, "_interval_closed_fixpoint", lambda n, bits: bits)
+    with pytest.raises(ValueError, match="not an inversion set"):
+        meet(inv(inverse(A_GAP)), complement(inv(B_GAP)))
 
 
 def test_meet_is_greatest_lower_bound_s4():

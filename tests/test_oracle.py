@@ -1,10 +1,11 @@
+import collections
 import itertools
 import json
 import random
 
 import pytest
 
-from braidnf import oracle
+from braidnf import lattice, oracle, simple
 from braidnf.lattice import InversionSet, complement
 from braidnf.normalform import PositiveWord, gs_rewrite_to_fixpoint, rewrite_pair_at
 from braidnf.oracle import (
@@ -20,7 +21,15 @@ from braidnf.oracle import (
     verify_strand_lemma,
     verify_validity,
 )
-from braidnf.perms import PairSet, all_permutations, compose, inverse, omega
+from braidnf.perms import (
+    PairSet,
+    adjacent_transposition,
+    all_permutations,
+    compose,
+    identity,
+    inverse,
+    omega,
+)
 from braidnf.simple import SimpleBraid, identity_braid, omega_braid
 
 
@@ -113,6 +122,33 @@ def test_verify_gsb_and_stop_small():
     sampled = verify_gsb(5, samples=300, seed=1)
     assert sampled.passed
     assert verify_stop(5, samples=300, seed=1).passed
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_gsb(6, samples=samples)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_stop(3, samples=samples)
+
+
+def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
+    # a transfer that moves at most one crossing breaks every exchange law
+    # and stopping implication; the counts pin how the sweeps wire them
+    def first_common_descent(u, v):
+        n = len(u)
+        for i in range(1, n):
+            if u[i - 1] > u[i] and v[i - 1] > v[i]:
+                return adjacent_transposition(n, i)
+        return identity(n)
+
+    monkeypatch.setattr(simple, "meet_permutations", first_common_descent)
+    kinds = collections.Counter(f[0] for f in verify_gsb(3).failures)
+    assert kinds == {
+        "head-assoc": 52, "middle-exchange": 92, "tail-assoc": 52, "output-pair-normal": 7
+    }
+    kinds = collections.Counter(f[0] for f in verify_stop(3).failures)
+    assert kinds == {
+        "left-normal-survives": 30, "right-normal-survives": 30,
+        "inner-head-normal": 74, "inner-tail-normal": 74,
+    }
 
 
 def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
@@ -137,6 +173,10 @@ def test_verify_confluence_small():
     assert report.cases == 300
     with pytest.raises(ValueError):
         verify_confluence(7)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_confluence(3, samples=0)
+    with pytest.raises(ValueError, match="length must be at least 0"):
+        verify_confluence(3, length=-5)
 
 
 def test_three_letter_words_close_for_all_s4_triples():
@@ -158,6 +198,21 @@ def test_verify_meet_exhaustive_small():
         verify_meet(8)
     with pytest.raises(ValueError):
         verify_meet(6)  # needs samples above the exhaustive bound
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_meet(6, samples=-3)
+
+
+def test_verify_meet_reports_broken_meets(monkeypatch):
+    with monkeypatch.context() as m:
+        # the fixpoint deletes nothing: meet raises on gapped intersections
+        m.setattr(lattice, "_interval_closed_fixpoint", lambda n, bits: bits)
+        report = verify_meet(4)
+        assert report.cases == 576 and report.failures
+        assert {f[0] for f in report.failures} == {"meet"}
+    monkeypatch.setattr(oracle, "meet_permutations", lambda u, v: identity(len(u)))
+    report = verify_meet(4)
+    assert report.failures
+    assert {f[0] for f in report.failures} == {"meet-permutations"}
 
 
 def test_verify_validity():
@@ -177,4 +232,7 @@ def test_report_serialisation():
     assert payload["cases"] == 10
     assert payload["failure_count"] == 1
     assert not report.passed
+    assert "diagnostic" not in payload
     assert VerificationReport("demo", 3, 10, []).passed
+    diagnostic = VerificationReport("demo", 3, 10, [["item"]], diagnostic=True)
+    assert json.loads(diagnostic.to_json())["diagnostic"] is True
