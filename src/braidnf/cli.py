@@ -99,6 +99,8 @@ def _cmd_verify(args) -> int:
     if args.all:
         runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
     elif args.suite:
+        if args.suite in ("strands", "validity") and args.samples is not None:
+            raise ParseError(f"--samples: suite {args.suite} is exhaustive")
         runs = [(args.suite, args.n)]
     else:
         raise ParseError("pass --suite <name> or --all")
@@ -130,6 +132,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.n < 2:
+        raise ParseError(f"--n must be at least 2, got {args.n}")
+    if args.len < 1:
+        raise ParseError(f"--len must be at least 1, got {args.len}")
     rng = random.Random(args.seed)
     indices = [rng.randint(1, args.n - 1) for _ in range(args.len)]
     word = PositiveWord.from_generator_indices(args.n, indices)

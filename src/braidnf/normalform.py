@@ -14,9 +14,16 @@ moves into the bare count trail, and an inverse half twist either cancels
 one unit of trail or, when trail is empty, is commuted to the front by
 toggling parity.  Flip commutes with the transfer, so the core itself is
 never flipped while letters arrive: each incoming letter is flipped
-instead, and the core once at the end.  Inverse generators enter through
-sigma_i^-1 = Omega^-1 * u_i, where u_i is the simple braid complementing
-sigma_i to the half twist.
+instead, and the core once at the end.
+
+Generators do not enter the engine one at a time.  Each maximal run of
+same-sign generators whose product is still a simple braid is folded
+into one letter first, so a run costs one transfer chain, not one per
+generator.  A positive run enters as its product B; an inverse run
+C^-1 enters as Omega^-1 * (Omega * C^-1), an inverse half twist followed
+by the simple complement of C.  A run is folded in the word's own frame:
+flip is an automorphism, so flipping the folded letter on arrival is the
+same as flipping each of its generators.
 
 The same rewriting step (replace an adjacent pair by its head and tail)
 applied at arbitrary non-normal positions is confluent and terminating,
@@ -27,9 +34,9 @@ module check the engine against.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .perms import adjacent_transposition, compose, flip, identity, omega
+from .perms import adjacent_transposition, compose, flip, identity, inverse, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
@@ -168,6 +175,47 @@ def _append_word(core: list, x: tuple, ident: tuple) -> None:
         i -= 1
 
 
+def _fold_runs(n: int, symbols: Iterable) -> Iterator[Optional[tuple]]:
+    """
+    The engine letters of a stream of symbols: signed generator indices
+    (i for sigma_i, -i for its inverse) and engine letters (a one-line
+    word, or None for the inverse half twist), which pass through and end
+    the pending run of generators.
+
+    A run is carried as one list P: B^-1 for a positive run B, and C for
+    an inverse run C^-1 = sigma_i1^-1 ... sigma_ik^-1, C = s_ik ... s_i1.
+    Either way the next generator s_j multiplies P on the left, which swaps
+    P[j-1] and P[j], and the run stays simple exactly when P[j-1] < P[j].
+    A positive run enters the engine as B, an inverse run as None followed
+    by Omega * C^-1, which is C^-1 reversed in one-line notation.
+    """
+    run = None
+    positive = True
+
+    def close():
+        x = inverse(run)
+        return (x,) if positive else (None, x[::-1])
+
+    for s in symbols:
+        if s.__class__ is int:
+            j = s if s > 0 else -s
+            if run is not None and (s > 0) is positive and run[j - 1] < run[j]:
+                run[j - 1], run[j] = run[j], run[j - 1]
+                continue
+            if run is not None:
+                yield from close()
+            run = list(range(1, n + 1))
+            run[j - 1], run[j] = j + 1, j
+            positive = s > 0
+            continue
+        if run is not None:
+            yield from close()
+            run = None
+        yield s
+    if run is not None:
+        yield from close()
+
+
 def _normalize_letters(
     n: int, letters: Iterable[Optional[tuple]]
 ) -> tuple[int, int, int, list]:
@@ -233,12 +281,15 @@ def prepend_simple(a: SimpleBraid, nf: PositiveNormalForm) -> PositiveNormalForm
 def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     """
     The right-greedy normal form of a positive word, appending its letters
-    in order at the right end; the half twists collected there come back
-    as a trailing block of factors.
+    in order at the right end, runs of generator letters folded; the half
+    twists collected there come back as a trailing block of factors.
     """
-    _m, _parity, trail, core = _normalize_letters(w.n, (letter.perm for letter in w.letters))
-    factors = core + [omega(w.n)] * trail
-    return PositiveNormalForm(w.n, tuple(SimpleBraid(f) for f in factors))
+    n = w.n
+    generators = {adjacent_transposition(n, i): i for i in range(1, n)}
+    symbols = (generators.get(letter.perm, letter.perm) for letter in w.letters)
+    _m, _parity, trail, core = _normalize_letters(n, _fold_runs(n, symbols))
+    factors = core + [omega(n)] * trail
+    return PositiveNormalForm(n, tuple(SimpleBraid(f) for f in factors))
 
 
 def gs_rewrite_to_fixpoint(
@@ -314,22 +365,11 @@ def normalize_group(word) -> GroupNormalForm:
         # one strand: every symbol is trivial
         return GroupNormalForm(1, 0, ())
     top = omega(n)
-
-    def letters():
-        for tok in word.tokens:
-            if tok.kind == "gen":
-                x = adjacent_transposition(n, tok.index)
-                if tok.sign > 0:
-                    yield x
-                else:
-                    yield None
-                    yield compose(top, x)
-            elif tok.kind == "garside":
-                yield top if tok.sign > 0 else None
-            else:
-                raise ValueError(f"unknown token kind {tok.kind!r}")
-
-    m, parity, trail, core = _normalize_letters(n, letters())
+    symbols = (
+        tok.sign * tok.index if tok.kind == "gen" else (top if tok.sign > 0 else None)
+        for tok in word.tokens
+    )
+    m, parity, trail, core = _normalize_letters(n, _fold_runs(n, symbols))
     if (trail + parity) & 1:
         core = [flip(f) for f in core]
     return GroupNormalForm(n, m + trail, tuple(SimpleBraid(f) for f in core))

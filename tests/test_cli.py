@@ -150,6 +150,18 @@ def test_verify_rejects_bad_arguments(capsys):
         assert code == 2 and out == "" and message in err, argv
 
 
+def test_verify_exhaustive_suites_reject_samples(capsys):
+    for suite in ("strands", "validity"):
+        for samples in ("-3", "5"):
+            argv = ["--suite", suite, "--n", "3", "--samples", samples]
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: --samples") and "exhaustive" in err, argv
+        # the seed is accepted: the benchmark passes it to every suite
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "3", "--seed", "7")
+        assert code == 0 and json.loads(out)["suite"] == suite
+
+
 def test_automaton_stdout_and_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "automaton", "--n", "3", "--dot", "-")
     assert code == 0
@@ -180,6 +192,20 @@ def test_bench_small(capsys):
     assert code == 0
     assert out.startswith("n=6 letters=300 seed=42 ")
     assert "letters/s" in out
+
+
+def test_bench_rejects_bad_arguments(capsys):
+    for argv, flag in [
+        (["--n", "1"], "--n"),
+        (["--n", "0"], "--n"),
+        (["--len", "0"], "--len"),
+        (["--len", "-1"], "--len"),
+    ]:
+        code, out, err = run_cli(capsys, "bench", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {flag} must be at least"), argv
+    code, out, _ = run_cli(capsys, "bench", "--n", "2", "--len", "1")
+    assert code == 0 and out.startswith("n=2 letters=1 ")
 
 
 def test_determinism(capsys):

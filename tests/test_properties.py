@@ -1,0 +1,55 @@
+"""Property tests of the group normal form on short signed words."""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidnf.normalform import GroupNormalForm, normalize_group
+from braidnf.simple import flip_braid
+from braidnf.textio import ArtinWord, Token, concat, formal_inverse
+from twins import lifted_group_twin
+
+# A fixed, derandomised example budget keeps this file to a few seconds.
+BUDGET = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def signed_words(draw):
+    """Words on 2..8 strands over signed generators, with a few D and -D."""
+    n = draw(st.integers(2, 8))
+    token = st.one_of(
+        st.builds(Token, st.just("gen"), st.integers(1, n - 1), st.sampled_from((1, -1))),
+        st.builds(Token, st.just("garside"), st.just(0), st.sampled_from((1, -1))),
+    )
+    tokens = draw(st.lists(token, max_size=24))
+    return ArtinWord(n, tuple(tokens))
+
+
+@BUDGET
+@given(signed_words())
+def test_word_times_its_inverse_is_trivial(word):
+    form = normalize_group(concat(word, formal_inverse(word)))
+    assert form == GroupNormalForm(word.n, 0, ())
+
+
+@BUDGET
+@given(signed_words())
+def test_agrees_with_the_rightmost_twin(word):
+    assert normalize_group(word) == lifted_group_twin(word)
+
+
+@BUDGET
+@given(signed_words())
+def test_flip_equivariance(word):
+    # sending each generator i to n - i flips every factor and keeps the
+    # half-twist power
+    n = word.n
+    flipped = ArtinWord(
+        n,
+        tuple(
+            Token(t.kind, n - t.index, t.sign) if t.kind == "gen" else t
+            for t in word.tokens
+        ),
+    )
+    form = normalize_group(word)
+    assert normalize_group(flipped) == GroupNormalForm(
+        n, form.delta_power, tuple(flip_braid(f) for f in form.factors)
+    )

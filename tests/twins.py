@@ -1,0 +1,39 @@
+"""Slow twins shared by the test modules."""
+from braidnf.normalform import GroupNormalForm, PositiveWord, gs_rewrite_to_fixpoint
+from braidnf.perms import adjacent_transposition, compose, flip, omega
+from braidnf.simple import SimpleBraid
+
+
+def lifted_group_twin(word) -> GroupNormalForm:
+    """
+    The group normal form of a signed word on at least two strands, the
+    slow way.  Every inverse symbol is lifted through
+    sigma_i^-1 = Omega^-1 * (Omega * s_i) and D^-1 = Omega^-1, and each
+    Omega^-1 is moved to the front by flipping every letter before it.
+    The positive word that is left is normalised by rightmost rewriting,
+    and its trailing half twists go to the front, flipping the rest once
+    each.
+    """
+    n = word.n
+    top = omega(n)
+    power, letters = 0, []
+    for tok in word.tokens:
+        if tok.sign < 0:
+            power -= 1
+            letters = [flip(p) for p in letters]
+        if tok.kind == "gen":
+            x = adjacent_transposition(n, tok.index)
+            letters.append(x if tok.sign > 0 else compose(top, x))
+        elif tok.sign > 0:
+            letters.append(top)
+    nf = gs_rewrite_to_fixpoint(
+        PositiveWord(n, tuple(SimpleBraid(p) for p in letters)), "rightmost"
+    )
+    factors = [f.perm for f in nf.factors]
+    trailing = 0
+    while factors and factors[-1] == top:
+        factors.pop()
+        trailing += 1
+    if trailing % 2:
+        factors = [flip(p) for p in factors]
+    return GroupNormalForm(n, power + trailing, tuple(SimpleBraid(p) for p in factors))
