@@ -5,11 +5,13 @@ One binary with subcommands: normalize and compare words, transfer
 crossings between two simple braids, run the verification suites, export
 the explicit automaton, render diagrams, and a normalisation benchmark.
 Exit codes: 0 success (or "equal"), 1 semantic negative (not equal,
-verification failures), 2 usage or parse errors.
+verification failures), 2 usage or parse errors, 141 (128 + SIGPIPE) when
+the reader closes standard output early, with nothing on standard error.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -210,6 +212,12 @@ def main(argv=None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at /dev/null so that flushing it at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

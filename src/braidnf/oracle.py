@@ -4,8 +4,8 @@ Brute-force references and verification sweeps.
 Everything fast in this package has a slow twin here: the lattice meet is
 checked against enumeration of the whole symmetric group, the inversion-set
 criterion against enumeration of all pair subsets, and the transfer
-operations against the algebraic identities and crossing bookkeeping they
-must satisfy.  The sweeps return VerificationReport values; a report with
+operations against the laws they must satisfy, one table (LAWS) that one
+sweep evaluates.  The sweeps return VerificationReport values; a report with
 no failures is a pass, and reports serialise to JSON lines for archiving.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import random
 from typing import Optional, Sequence
 
@@ -27,20 +26,16 @@ from .normalform import (
 )
 from .perms import (
     PairSet,
-    act_on_bits,
     all_permutations,
     compose,
+    identity,
     inverse,
     inversion_bits,
     is_inversion_set,
+    length,
     pair_count,
 )
-from .simple import (
-    _is_clean_words,
-    _is_normal_words,
-    _transfer_words,
-    commuting_characterization_check,
-)
+from .simple import _is_clean_words, _is_normal_words, _transfer_words
 
 BRUTE_MAX_STRANDS = 7
 
@@ -154,65 +149,122 @@ def conserves_crossings(x, y, h, t) -> bool:
     Whether replacing the two-factor window (x, y) by (h, t) preserves the
     per-strand-pair crossing counts.  The products being equal pins the
     set of pairs crossing an odd number of times, so it is enough to also
-    compare the pairs crossing in both bands of the window.
+    compare the pairs crossing in both bands of the window: those crossing
+    in the first band and not in the product.
     """
-    if compose(x, y) != compose(h, t):
+    product = compose(x, y)
+    if product != compose(h, t):
         return False
-    both_before = inversion_bits(x) & act_on_bits(inverse(x), inversion_bits(y))
-    both_after = inversion_bits(h) & act_on_bits(inverse(h), inversion_bits(t))
-    return both_before == both_after
+    once = inversion_bits(product)
+    return inversion_bits(x) & ~once == inversion_bits(h) & ~once
+
+
+# ---------------------------------------------------------------------------
+# The law table
+
+
+def _commuting(h, t, N, a, b) -> bool:
+    """h(a, b) == b != a iff a = x*b with x*b = b*x, b an involution, and crossings adding."""
+    x = compose(a, inverse(b))
+    return (h(a, b) == b != a) == (
+        a != b
+        and compose(b, b) == identity(len(b))
+        and length(a) == length(x) + length(b)
+        and compose(x, b) == compose(b, x)
+    )
+
+
+def _strand_lemma(h, t, N, a, b, pair) -> bool:
+    """
+    The strands starting at positions s < u cross in the new head iff they
+    cross in a and in b, and in the new tail iff they cross in a or in b.
+    """
+    s, u = pair
+    head = h(a, b)
+    in_a, in_b = _cross_in(a, s, u), _cross_in(b, a[s - 1], a[u - 1])
+    in_tail = _cross_in(t(a, b), head[s - 1], head[u - 1])
+    return _cross_in(head, s, u) == (in_a and in_b) and in_tail == (in_a or in_b)
+
+
+# Each group of laws is a tuple of rows (name, law).  A law gets the two
+# operations h(x, y) and t(x, y), the head and tail after moving the maximal
+# tail of x into y, the normality test N(x, y), then the entries of one case,
+# and returns True when it holds.  A failure is recorded as [name, *case], or
+# as [name, *w] when the law returns a witness tuple w.  The exchange and
+# stopping laws compare the sweep of a triple right pair first, (a, b, c) ->
+# (a, h(b, c), t(b, c)) -> ..., with the sweep left pair first.
+LAWS = {
+    "pair": (
+        ("trivial-iff", lambda h, t, N, a, b: (h(a, b) == a) == (t(a, b) == b)),
+        ("output-pair-normal", lambda h, t, N, a, b: N(h(a, b), t(a, b))),
+        ("normal-pair-fixed", lambda h, t, N, a, b: not N(a, b) or (h(a, b), t(a, b)) == (a, b)),
+    ),
+    "exchange": (
+        ("head-assoc", lambda h, t, N, a, b, c: h(a, h(b, c)) == h(h(a, b), h(t(a, b), c))),
+        (
+            "middle-exchange",
+            lambda h, t, N, a, b, c: h(t(a, h(b, c)), t(b, c)) == t(h(a, b), h(t(a, b), c)),
+        ),
+        ("tail-assoc", lambda h, t, N, a, b, c: t(t(a, h(b, c)), t(b, c)) == t(t(a, b), c)),
+    ),
+    "stop": (
+        ("left-normal-survives", lambda h, t, N, a, b, c: not N(a, b) or N(t(a, h(b, c)), t(b, c))),
+        (
+            "right-normal-survives",
+            lambda h, t, N, a, b, c: not N(b, c) or N(h(a, b), h(t(a, b), c)),
+        ),
+        ("inner-head-normal", lambda h, t, N, a, b, c: N(h(a, h(b, c)), h(t(a, h(b, c)), t(b, c)))),
+        ("inner-tail-normal", lambda h, t, N, a, b, c: N(t(h(a, b), h(t(a, b), c)), t(t(a, b), c))),
+    ),
+    "strict": (
+        ("idempotence", lambda h, t, N, a, b: a != b or (h(a, a), t(a, a)) == (a, a) or (a,)),
+        ("flush-pair-normal", lambda h, t, N, a, b: N(a, t(a, b)) and N(h(a, b), b)),
+    ),
+    "commuting": (("commuting", _commuting),),
+    "strands": (("strands", _strand_lemma),),
+}
+
+
+def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> VerificationReport:
+    """
+    For each part (group, cases), evaluate every law of LAWS[group] on every
+    case.  Each distinct pair is transferred once per call, through one memo
+    that also checks crossing conservation.
+    """
+    if n < 1:
+        raise ValueError("need at least one strand")
+    failures: list = []
+    done: dict = {}
+
+    def transfer(a, b):
+        pair = done.get((a, b))
+        if pair is None:
+            _m, head, tail = _transfer_words(a, b)
+            # the head is a*m, so head == a exactly when nothing moved
+            if head != a and not conserves_crossings(a, b, head, tail):
+                failures.append(["crossing-conservation", a, b])
+            pair = done[a, b] = head, tail
+        return pair
+
+    def h(a, b):
+        return transfer(a, b)[0]
+
+    def t(a, b):
+        return transfer(a, b)[1]
+
+    cases = 0
+    for group, group_cases in parts:
+        for case in group_cases:
+            cases += 1
+            for name, law in LAWS[group]:
+                verdict = law(h, t, _is_normal_words, *case)
+                if verdict is not True:
+                    failures.append([name, *(verdict or case)])
+    return VerificationReport(suite, n, cases, failures, diagnostic)
 
 
 # ---------------------------------------------------------------------------
 # Verification sweeps
-
-
-def _checked_transfer(a, b, failures):
-    _m, h, t = _transfer_words(a, b)
-    if h != a and not conserves_crossings(a, b, h, t):  # h == a iff nothing moved
-        failures.append(["crossing-conservation", a, b])
-    return h, t
-
-
-def verify_strand_lemma(n: int) -> VerificationReport:
-    """
-    For every pair of simple braids with a clean nontrivial transfer and
-    every pair of strands, check the four equivalences tying crossings in
-    the rewritten window (head, tail) to crossings in the original (a, b).
-
-    "Clean" means star(a) intersected with the complement of R(b) is
-    itself an inversion set, so the moved tail is exactly that
-    intersection.  That is the operational content of the hypothesis the
-    equivalences carry: when the intersection needs trimming down to the
-    lattice meet, the moved tail is smaller and the per-pair equivalences
-    genuinely fail (smallest examples on four strands).
-    """
-    if n > 4:
-        raise ValueError("exhaustive over S_n x S_n; need n <= 4")
-    failures: list = []
-    perms = list(all_permutations(n))
-    cases = 0
-    for a in perms:
-        for b in perms:
-            if not _is_clean_words(a, b):
-                continue
-            _m, h, t = _transfer_words(a, b)
-            for s in range(1, n + 1):
-                for u in range(s + 1, n + 1):
-                    cases += 1
-                    c1 = _cross_in(a, s, u)
-                    c2 = _cross_in(b, a[s - 1], a[u - 1])
-                    d1 = _cross_in(h, s, u)
-                    d2 = _cross_in(t, h[s - 1], h[u - 1])
-                    checks = (
-                        d1 == (c1 and c2),
-                        (not d1) == ((not c1) or (c1 and not c2)),
-                        d2 == (c2 or (c1 and not c2)),
-                        (not d2) == ((not c1) and (not c2)),
-                    )
-                    if not all(checks):
-                        failures.append(["strands", a, b, (s, u), checks])
-    return VerificationReport("strands", n, cases, failures)
 
 
 def _check_samples(samples: Optional[int]) -> None:
@@ -232,65 +284,39 @@ def _triples(n: int, samples: Optional[int], seed: int):
     return ((rng.choice(perms), rng.choice(perms), rng.choice(perms)) for _ in range(samples))
 
 
-def _pairs(n: int, samples: Optional[int], seed: int):
+def _pairs(n: int, samples: Optional[int] = None, seed: int = 42):
     """Pairs of S_n: all of them for n <= 5, else the first two of sampled triples."""
     if n <= 5:
         return itertools.product(all_permutations(n), all_permutations(n))
     return ((x, y) for x, y, _ in _triples(n, samples, seed))
 
 
-def _sweeps(a, b, c, failures):
+def verify_strand_lemma(n: int) -> VerificationReport:
     """
-    Three checked transfers on (a, b, c) in each order, right pair first
-    (a, b, c) -> (a, h, t) -> mid_r -> end_r, and left pair first
-    (a, b, c) -> (h, t, c) -> mid_l -> end_l.  The exchange laws say end_r == end_l.
+    The strand lemma for every pair of strands and every pair (a, b) with a
+    clean transfer: star(a) intersected with the complement of R(b) is a
+    nonempty inversion set, so the moved tail is exactly that intersection.
+    The lemma fails on the pairs whose intersection is nonempty and not an
+    inversion set, the smallest on three strands (README, Known divergences).
     """
-    h_bc, t_bc = _checked_transfer(b, c, failures)
-    h_a_bc, t_a_bc = _checked_transfer(a, h_bc, failures)
-    h_ab, t_ab = _checked_transfer(a, b, failures)
-    h_abc, t_abc = _checked_transfer(t_ab, c, failures)
-    h_outer, t_outer = _checked_transfer(h_ab, h_abc, failures)
-    h_mid, t_mid = _checked_transfer(t_a_bc, t_bc, failures)
-    return (
-        (h_a_bc, t_a_bc, t_bc),
-        (h_a_bc, h_mid, t_mid),
-        (h_ab, h_abc, t_abc),
-        (h_outer, t_outer, t_abc),
+    if n > 4:
+        raise ValueError("exhaustive over S_n x S_n; need n <= 4")
+    strand_pairs = list(itertools.combinations(range(1, n + 1), 2))
+    clean = (
+        (a, b, pair) for a, b in _pairs(n) if _is_clean_words(a, b) for pair in strand_pairs
     )
+    return _sweep("strands", n, ("strands", clean))
 
 
 def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
     """
-    The identities the transfer pair satisfies and the rewriting system
-    leans on: the two-sided triviality equivalence (head fixed iff tail
-    fixed), normality of every transfer's output pair, normal pairs being
-    fixed points, and the three ternary exchange laws.  Exhaustive for
-    n <= 4, sampled above.  Crossing conservation is checked at every
-    transfer taken.
-
-    The unconditional idempotence and flush-pair clauses sometimes quoted
-    alongside these are refuted by small counterexamples; they live in
-    verify_gsb_strict as a documented divergence.
+    The pair laws over pairs and the exchange laws over triples, exhaustive
+    for n <= 4 and sampled above.  The unconditional idempotence and
+    flush-pair clauses sometimes quoted alongside them are refuted by small
+    counterexamples; they live in verify_gsb_strict as a documented divergence.
     """
     triples = _triples(n, samples, seed)  # before any work: it rejects n > 4 unsampled
-    failures: list = []
-    cases = 0
-    for a, b in _pairs(n, samples, seed):
-        cases += 1
-        h_ab, t_ab = _checked_transfer(a, b, failures)
-        if (h_ab == a) != (t_ab == b):
-            failures.append(["trivial-iff", a, b])
-        if not _is_normal_words(h_ab, t_ab):
-            failures.append(["output-pair-normal", a, b])
-        if _is_normal_words(a, b) and (h_ab != a or t_ab != b):
-            failures.append(["normal-pair-fixed", a, b])
-    for a, b, c in triples:
-        cases += 1
-        _mid_r, end_r, _mid_l, end_l = _sweeps(a, b, c, failures)
-        for law, right, left in zip(("head-assoc", "middle-exchange", "tail-assoc"), end_r, end_l):
-            if right != left:
-                failures.append([law, a, b, c])
-    return VerificationReport("gsb", n, cases, failures)
+    return _sweep("gsb", n, ("pair", _pairs(n, samples, seed)), ("exchange", triples))
 
 
 def verify_gsb_strict(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
@@ -310,23 +336,14 @@ def verify_gsb_strict(n: int, samples: Optional[int] = None, seed: int = 42) -> 
     over the 576 cases at n = 4; the acceptance suite pins these against
     a brute-force twin.
     """
-    failures: list = []
-    cases = 0
-    for a, b in _pairs(n, samples, seed):
-        cases += 1
-        _m, h_ab, t_ab = _transfer_words(a, b)
-        if a == b and (h_ab != a or t_ab != a):
-            failures.append(["idempotence", a])
-        if not (_is_normal_words(a, t_ab) and _is_normal_words(h_ab, b)):
-            failures.append(["flush-pair-normal", a, b])
-    return VerificationReport("gsb-strict", n, cases, failures, diagnostic=True)
+    return _sweep("gsb-strict", n, ("strict", _pairs(n, samples, seed)), diagnostic=True)
 
 
 def verify_commuting(n: int) -> VerificationReport:
-    """commuting_characterization_check over all ordered pairs of S_n, as a diagnostic."""
-    failures = commuting_characterization_check(n)
-    cases = math.factorial(n) ** 2
-    return VerificationReport("gsb-commuting-diagnostic", n, cases, failures, diagnostic=True)
+    """The commuting characterisation of head_op(a, b) == b != a over all pairs of S_n."""
+    if n > 5:
+        raise ValueError("diagnostic sweep is exhaustive; keep n <= 5")
+    return _sweep("gsb-commuting-diagnostic", n, ("commuting", _pairs(n)), diagnostic=True)
 
 
 def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
@@ -335,20 +352,7 @@ def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     sufficient: normality survives on the appropriate flanks of a triple
     rewrite, unconditionally for the two inner pairs.
     """
-    failures: list = []
-    cases = 0
-    for a, b, c in _triples(n, samples, seed):
-        cases += 1
-        mid_r, end_r, mid_l, end_l = _sweeps(a, b, c, failures)
-        if _is_normal_words(a, b) and not _is_normal_words(mid_r[1], mid_r[2]):
-            failures.append(["left-normal-survives", a, b, c])
-        if _is_normal_words(b, c) and not _is_normal_words(mid_l[0], mid_l[1]):
-            failures.append(["right-normal-survives", a, b, c])
-        if not _is_normal_words(end_r[0], end_r[1]):
-            failures.append(["inner-head-normal", a, b, c])
-        if not _is_normal_words(end_l[1], end_l[2]):
-            failures.append(["inner-tail-normal", a, b, c])
-    return VerificationReport("stop", n, cases, failures)
+    return _sweep("stop", n, ("stop", _triples(n, samples, seed)))
 
 
 def verify_confluence(

@@ -23,9 +23,7 @@ from typing import Optional, Sequence
 from .lattice import InversionSet, leq, meet_permutations, star
 from .perms import (
     PairSet,
-    act_on_pairs,
     adjacent_transposition,
-    all_permutations,
     check_permutation,
     compose,
     flip,
@@ -34,7 +32,6 @@ from .perms import (
     inverse,
     inversion_bits,
     is_inversion_set,
-    length,
     omega,
 )
 
@@ -215,31 +212,12 @@ def is_clean_transfer(a: SimpleBraid, b: SimpleBraid) -> bool:
     """
     Whether star(a) intersected with the complement of R(b) is a nonempty
     inversion set.  Then the moved tail is exactly that intersection, and
-    the set-theoretic transfer identities below apply; otherwise the
-    lattice meet trims the intersection and those identities can fail.
+    the strand lemma (oracle.verify_strand_lemma) applies; it fails when
+    the intersection is nonempty and not an inversion set.
     """
     if a.n != b.n:
         raise ValueError(f"braids on {a.n} and {b.n} strands")
     return _is_clean_words(a.perm, b.perm)
-
-
-def head_set_identity_check(a: SimpleBraid, b: SimpleBraid) -> bool:
-    """
-    Verify the two set-theoretic descriptions of a clean transfer: the
-    head's inversion set is R(a) intersected with the preimage of R(b)
-    under a, and star(tail) is star(b) united with the image of star(a)
-    under b.  Requires is_clean_transfer(a, b); smallest examples where
-    the identities fail without it live on four strands.
-    """
-    if not is_clean_transfer(a, b):
-        raise ValueError(
-            "the set identities assume the moved tail is the full intersection"
-        )
-    tr = transfer(a, b)
-    head_ok = tr.head.inv.bits == (a.inv.pairs & act_on_pairs(inverse(a.perm), b.inv.pairs)).bits
-    tail_star = star_set(tr.tail)
-    expected = star_set(b).pairs | act_on_pairs(b.perm, star_set(a).pairs)
-    return head_ok and tail_star.bits == expected.bits
 
 
 def is_head(x: SimpleBraid, a: SimpleBraid) -> bool:
@@ -256,35 +234,6 @@ def is_tail(x: SimpleBraid, a: SimpleBraid) -> bool:
     return leq(star_set(x), star_set(a))
 
 
-def commuting_characterization_check(n: int) -> list[dict]:
-    """
-    Diagnostic sweep for the claimed equivalence: head_op(a, b) == b != a
-    iff a = x*b with x*b = b*x, b an involution, and crossing counts
-    adding in x*b.  Returns the list of (a, b) where the two sides
-    disagree; empty means the characterisation held for this n.
-    """
-    if n > 5:
-        raise ValueError("diagnostic sweep is exhaustive; keep n <= 5")
-    mismatches = []
-    perms = list(all_permutations(n))
-    ident = identity(n)
-    for a in perms:
-        la = length(a)
-        for b in perms:
-            _m, head, _tail = _transfer_words(a, b)
-            lhs = head == b and a != b
-            x = compose(a, inverse(b))
-            rhs = (
-                a != b
-                and compose(b, b) == ident
-                and la == length(x) + length(b)
-                and compose(x, b) == compose(b, x)
-            )
-            if lhs != rhs:
-                mismatches.append({"a": a, "b": b, "lhs": lhs, "rhs": rhs})
-    return mismatches
-
-
 __all__ = [
     "SimpleBraid",
     "Transfer",
@@ -299,8 +248,6 @@ __all__ = [
     "tail_op",
     "is_normal_pair",
     "is_clean_transfer",
-    "head_set_identity_check",
     "is_head",
     "is_tail",
-    "commuting_characterization_check",
 ]

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -145,9 +149,32 @@ def test_verify_rejects_bad_arguments(capsys):
         (["--suite", "confluence", "--samples", "0"], "samples must be at least 1"),
         (["--suite", "confluence", "--length", "-5"], "length must be at least 0"),
         (["--suite", "confluence", "--n", "1"], "2 <= n <= 6"),
+        (["--suite", "gsb", "--n", "0"], "need at least one strand"),
+        (["--suite", "stop", "--n", "0"], "need at least one strand"),
+        (["--suite", "stop", "--n", "-2"], "need at least one strand"),
+        (["--suite", "strands", "--n", "-1"], "need at least one strand"),
     ]:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and message in err, argv
+
+
+def test_broken_pipe_exits_quietly():
+    # about 820 KB of output, many times the 64 KiB pipe buffer, so the early
+    # close always leaves a write to fail
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidnf", "normalize", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdin.write(("n=16; " + " 1" * 20000).encode())
+    proc.stdin.close()
+    assert proc.stdout.read(100).startswith(b"D^0 : [2 1 3 4")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_verify_exhaustive_suites_reject_samples(capsys):

@@ -28,6 +28,7 @@ from braidnf.perms import (
     compose,
     identity,
     inverse,
+    is_inversion_set,
     omega,
 )
 from braidnf.simple import SimpleBraid, identity_braid, omega_braid
@@ -115,6 +116,30 @@ def test_verify_strand_lemma():
         verify_strand_lemma(5)
 
 
+def test_strand_row_fails_exactly_on_gapped_intersections():
+    # without the clean hypothesis the strand lemma fails exactly on the pairs
+    # whose intersection star(a) & complement(R(b)) is nonempty and not an
+    # inversion set; smallest: two pairs on three strands where nothing moves
+    for n, count in ((3, 2), (4, 98)):
+        perms = list(all_permutations(n))
+        strand_pairs = list(itertools.combinations(range(1, n + 1), 2))
+        cases = ((a, b, pair) for a in perms for b in perms for pair in strand_pairs)
+        report = oracle._sweep("strands", n, ("strands", cases))
+        assert report.cases == len(perms) ** 2 * len(strand_pairs)
+        failing = {(f[1], f[2]) for f in report.failures}
+        gapped = set()
+        for a in perms:
+            for b in perms:
+                inter = complement(inv(b)).bits & inv(inverse(a)).bits
+                if inter and not is_inversion_set(PairSet(n, inter)):
+                    gapped.add((a, b))
+        assert failing == gapped and len(failing) == count
+        if n == 3:
+            assert failing == {((2, 3, 1), (2, 1, 3)), ((3, 1, 2), (1, 3, 2))}
+            for a, b in failing:
+                assert simple._transfer_words(a, b)[0] == identity(3)
+
+
 def test_verify_gsb_and_stop_small():
     for n in (2, 3):
         assert verify_gsb(n).passed
@@ -149,6 +174,26 @@ def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
         "left-normal-survives": 30, "right-normal-survives": 30,
         "inner-head-normal": 74, "inner-tail-normal": 74,
     }
+
+
+def test_sweep_transfers_each_pair_once_and_checks_conservation(monkeypatch):
+    # a transfer that moves all of a into b breaks crossing conservation
+    # exactly where some pair of strands crosses in both a and b
+    calls = collections.Counter()
+
+    def move_everything(a, b):
+        calls[a, b] += 1
+        return a, identity(len(a)), compose(a, b)
+
+    monkeypatch.setattr(oracle, "_transfer_words", move_everything)
+    report = verify_gsb(3)
+    perms = list(all_permutations(3))
+    assert set(calls) == set(itertools.product(perms, perms)) and set(calls.values()) == {1}
+    broken = [tuple(f[1:]) for f in report.failures if f[0] == "crossing-conservation"]
+    doubled = {
+        (a, b) for a in perms for b in perms if inv(inverse(a)).bits & inv(b).bits
+    }
+    assert len(broken) == len(set(broken)) and set(broken) == doubled
 
 
 def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
