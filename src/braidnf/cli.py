@@ -5,8 +5,9 @@ One binary with subcommands: normalize and compare words, transfer
 crossings between two simple braids, run the verification suites, export
 the explicit automaton, render diagrams, and a normalisation benchmark.
 Exit codes: 0 success (or "equal"), 1 semantic negative (not equal,
-verification failures), 2 usage or parse errors, 141 (128 + SIGPIPE) when
-the reader closes standard output early, with nothing on standard error.
+verification failures), 2 usage or parse errors, 3 an internal error (any
+other exception, reported in one line), 141 (128 + SIGPIPE) when the
+reader closes standard output early, with nothing on standard error.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .oracle import (
 )
 from .simple import SimpleBraid, transfer
 from .textio import (
+    MAX_STRANDS,
     ParseError,
     format_normal_form,
     format_permutation,
@@ -136,6 +138,8 @@ def _cmd_render(args) -> int:
 def _cmd_bench(args) -> int:
     if args.n < 2:
         raise ParseError(f"--n must be at least 2, got {args.n}")
+    if args.n > MAX_STRANDS:
+        raise ParseError(f"--n must be at most {MAX_STRANDS}, got {args.n}")
     if args.len < 1:
         raise ParseError(f"--len must be at least 1, got {args.len}")
     rng = random.Random(args.seed)
@@ -218,6 +222,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except Exception as exc:  # a bug, not a verdict: keep it off exit code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

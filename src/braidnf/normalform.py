@@ -14,7 +14,9 @@ moves into the bare count trail, and an inverse half twist either cancels
 one unit of trail or, when trail is empty, is commuted to the front by
 toggling parity.  Flip commutes with the transfer, so the core itself is
 never flipped while letters arrive: each incoming letter is flipped
-instead, and the core once at the end.
+instead, and the core once at the end.  Each rewrite is one step of
+Thurston's automaton over pairs of simple braids (simple._step_words),
+read from a lazily filled table on up to five strands.
 
 Generators do not enter the engine one at a time.  Each maximal run of
 same-sign generators whose product is still a simple braid is folded
@@ -40,6 +42,7 @@ from .perms import adjacent_transposition, compose, flip, identity, inverse, ome
 from .simple import (
     SimpleBraid,
     _is_normal_words,
+    _step_words,
     _transfer_words,
     generator_braid,
 )
@@ -87,12 +90,13 @@ class PositiveWord:
 def is_normal(factors: Sequence[SimpleBraid]) -> bool:
     """
     Whether a factor sequence is a right-greedy normal form: no identity
-    factors, and every adjacent pair admits no transfer.
+    factors, and every adjacent pair admits no transfer (a step that
+    rewrites nothing).
     """
     if any(f.is_identity() for f in factors):
         return False
     return all(
-        _is_normal_words(factors[i].perm, factors[i + 1].perm)
+        _step_words(factors[i].perm, factors[i + 1].perm) is None
         for i in range(len(factors) - 1)
     )
 
@@ -163,10 +167,10 @@ def _append_word(core: list, x: tuple, ident: tuple) -> None:
     core.append(x)
     i = len(core) - 2
     while i >= 0:
-        a, b = core[i], core[i + 1]
-        if _is_normal_words(a, b):
+        step = _step_words(core[i], core[i + 1])
+        if step is None:
             break
-        _m, head, tail = _transfer_words(a, b)
+        head, tail = step
         if head == ident:
             core[i : i + 2] = [tail]
             break

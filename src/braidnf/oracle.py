@@ -35,7 +35,13 @@ from .perms import (
     length,
     pair_count,
 )
-from .simple import _is_clean_words, _is_normal_words, _transfer_words
+from .simple import (
+    TABLE_MAX_STRANDS,
+    _is_clean_words,
+    _is_normal_words,
+    _step_words,
+    _transfer_words,
+)
 
 BRUTE_MAX_STRANDS = 7
 
@@ -229,12 +235,15 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     """
     For each part (group, cases), evaluate every law of LAWS[group] on every
     case.  Each distinct pair is transferred once per call, through one memo
-    that also checks crossing conservation.
+    that also checks crossing conservation, and tested for normality once,
+    through another.  Both memos live for one call: the sweep stays
+    independent of the engine's table.
     """
     if n < 1:
         raise ValueError("need at least one strand")
     failures: list = []
     done: dict = {}
+    normal: dict = {}
 
     def transfer(a, b):
         pair = done.get((a, b))
@@ -252,12 +261,18 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     def t(a, b):
         return transfer(a, b)[1]
 
+    def N(a, b):
+        verdict = normal.get((a, b))
+        if verdict is None:
+            verdict = normal[a, b] = _is_normal_words(a, b)
+        return verdict
+
     cases = 0
     for group, group_cases in parts:
         for case in group_cases:
             cases += 1
             for name, law in LAWS[group]:
-                verdict = law(h, t, _is_normal_words, *case)
+                verdict = law(h, t, N, *case)
                 if verdict is not True:
                     failures.append([name, *(verdict or case)])
     return VerificationReport(suite, n, cases, failures, diagnostic)
@@ -396,7 +411,9 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     Both meets against the enumeration meet: the lattice meet on inversion
     sets and meet_permutations, the one the normaliser runs.  Exhaustive
     over ordered pairs for n <= 5, sampled for larger n (still within the
-    enumeration bound).
+    enumeration bound).  Up to TABLE_MAX_STRANDS each pair's engine step,
+    read from the transition table, is also checked against the normality
+    test and the meet-based transfer.
     """
     if n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration bound is n <= {BRUTE_MAX_STRANDS}")
@@ -427,6 +444,11 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
             if bits != slow.bits:
                 got = None if bits is None else PairSet(n, bits).pairs()
                 failures.append([kind, r1.listing(), r2.listing(), got, slow.listing()])
+        if n <= TABLE_MAX_STRANDS:
+            step = _step_words(p, q)
+            want = None if _is_normal_words(p, q) else _transfer_words(p, q)[1:]
+            if step != want:
+                failures.append(["table", p, q, step, want])
     return VerificationReport("meet", n, cases, failures)
 
 

@@ -156,6 +156,32 @@ def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
+# Thurston's transitions over all pairs of simple braids number (n!)^2: 576 at
+# n = 4 and 14,400 at n = 5, but 518,400 at n = 6, so the table stops at five
+# strands.  It fills lazily, one pair at a time: a full fill takes about
+# 0.15 s at n = 5, longer than most words take to normalise.
+TABLE_MAX_STRANDS = 5
+_STEPS: dict = {}
+_UNSEEN = object()
+
+
+def _step_words(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """
+    One rewriting step on bare one-line words: None when (a, b) is normal,
+    else (head, tail).  For n <= TABLE_MAX_STRANDS the answer is read from
+    a table of the transitions filled from _is_normal_words and
+    _transfer_words on first use; above it, those two are called directly.
+    """
+    if len(a) > TABLE_MAX_STRANDS:
+        return None if _is_normal_words(a, b) else _transfer_words(a, b)[1:]
+    step = _STEPS.get((a, b), _UNSEEN)
+    if step is _UNSEEN:
+        step = _STEPS[a, b] = None if _is_normal_words(a, b) else _transfer_words(a, b)[1:]
+    return step
+
+
 @dataclasses.dataclass(frozen=True)
 class Transfer:
     """Result of moving the maximal tail of a into b."""

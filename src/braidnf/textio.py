@@ -5,8 +5,9 @@ Word grammar: a header ``n=<int>;`` followed by whitespace-separated
 tokens.  A nonzero signed integer k stands for the |k|-th Artin generator
 with sign(k) as exponent; ``D`` and ``-D`` stand for the half twist and
 its inverse.  Words are ASCII: integers are runs of the digits 0-9, with
-no underscores.  Permutations read and print in bracketed one-line notation
-``[3 5 4 2 6 1]``.  All emitted text is deterministic.
+no underscores.  The strand count is at most MAX_STRANDS.  Permutations
+read and print in bracketed one-line notation ``[3 5 4 2 6 1]``.  All
+emitted text is deterministic.
 
 Diagrams are drawn strands-down, one band per factor, each factor opened
 up into its canonical reduced word; the front strand of a positive
@@ -73,6 +74,12 @@ def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
     return ArtinWord(w1.n, w1.tokens + w2.tokens)
 
 
+# Every factor is an n-entry tuple and one transfer's meet takes up to
+# n(n-1)/2 swaps, so a 200-letter signed word already takes about 40 s at
+# 1,024 strands; far larger n would exhaust time or memory (or overflow
+# range() while building the half twist) instead of failing cleanly.
+MAX_STRANDS = 1024
+
 _HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
 
 
@@ -85,8 +92,8 @@ def parse_word(text: str) -> ArtinWord:
     if not match:
         raise ParseError(f"bad header {head.strip()!r}; expected 'n=<int>;'")
     n = int(match.group(1))
-    if n < 1:
-        raise ParseError("need at least one strand")
+    if not 1 <= n <= MAX_STRANDS:
+        raise ParseError(f"strand count {n} out of range 1..{MAX_STRANDS}")
     if not rest.isascii() or "_" in rest:  # int() takes other scripts' digits and "_"
         bad = next(c for c in rest if not c.isascii() or c == "_")
         raise ParseError(f"bad character {bad!r} in word")

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from braidnf import cli
 from braidnf.cli import main
 
 
@@ -233,6 +234,33 @@ def test_bench_rejects_bad_arguments(capsys):
         assert err.startswith(f"error: {flag} must be at least"), argv
     code, out, _ = run_cli(capsys, "bench", "--n", "2", "--len", "1")
     assert code == 0 and out.startswith("n=2 letters=1 ")
+
+
+def test_strand_limit_is_a_usage_error(capsys):
+    # without the limit, this header overflowed range() while building the
+    # half twist and left with a traceback and exit code 1, "not equal"
+    for argv in (
+        ["normalize", "n=99999999999999999999999; 1"],
+        ["eq", "n=1025; 1", "n=1025; 1"],
+        ["render", "n=1025; 1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: strand count") and "1..1024" in err, argv
+        assert err.count("\n") == 1, argv
+    code, out, err = run_cli(capsys, "bench", "--n", "1025", "--len", "1")
+    assert code == 2 and out == "" and err.startswith("error: --n must be at most 1024")
+    code, out, _ = run_cli(capsys, "normalize", "n=1024; 1023")
+    assert code == 0 and out.startswith("D^0 : [1 2 3 ")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(word):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "normalize_group", broken)
+    code, out, err = run_cli(capsys, "normalize", "n=3; 1")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom\n")
 
 
 def test_determinism(capsys):

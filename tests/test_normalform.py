@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from braidnf import simple
 from braidnf.normalform import (
     GroupNormalForm,
     PositiveNormalForm,
@@ -380,22 +381,28 @@ def test_half_twist_factors_collect_at_the_tail():
 
 @pytest.fixture
 def engine_counts(monkeypatch):
-    """Count the engine's flips and transfers through its module bindings."""
+    """
+    Count the engine's flips and its transfers through its module bindings.
+    A transfer is a step that rewrites its pair, whether the transition
+    table or the meet served it, so the counts do not depend on how warm
+    the table is.
+    """
     import braidnf.normalform as module
 
     counts = collections.Counter()
+    flip, step = module.flip, module._step_words
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
+    def counted_flip(*args):
+        counts["flip"] += 1
+        return flip(*args)
 
-        return wrapper
+    def counted_step(a, b):
+        result = step(a, b)
+        counts["transfer"] += result is not None
+        return result
 
-    monkeypatch.setattr(module, "flip", counted("flip", module.flip))
-    monkeypatch.setattr(
-        module, "_transfer_words", counted("transfer", module._transfer_words)
-    )
+    monkeypatch.setattr(module, "flip", counted_flip)
+    monkeypatch.setattr(module, "_step_words", counted_step)
     return counts
 
 
@@ -482,3 +489,41 @@ def test_runs_cut_transfers_per_letter(engine_counts):
         for w in words:
             run(w)
         assert engine_counts["transfer"] / (count * length) <= 1.0, run.__name__
+
+
+def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
+    # Four strands have 24 * 24 = 576 pairs of simple braids, so from a
+    # fresh table the engine computes at most that many meets however many
+    # transfers the words take; on six strands the table stores nothing.
+    monkeypatch.setattr(simple, "_STEPS", {})
+    meets = 0
+    meet = simple.meet_permutations
+
+    def counted_meet(u, v):
+        nonlocal meets
+        meets += 1
+        return meet(u, v)
+
+    monkeypatch.setattr(simple, "meet_permutations", counted_meet)
+    length, count = 800, 4
+    rng = random.Random(101)
+    positive = [
+        gen_word(4, [rng.randint(1, 3) for _ in range(length)]) for _ in range(count)
+    ]
+    inverse = [
+        ArtinWord(4, tuple(Token("gen", rng.randint(1, 3), -1) for _ in range(length)))
+        for _ in range(count)
+    ]
+    for w in positive:
+        normalize_positive(w)
+    for w in inverse:
+        normalize_group(w)
+    assert 0 < meets <= 576 < engine_counts["transfer"]
+    assert len(simple._STEPS) <= 576
+    simple._STEPS.clear()
+    before = meets
+    for _ in range(count):
+        normalize_group(ArtinWord(6, tuple(
+            Token("gen", rng.randint(1, 5), rng.choice((1, -1))) for _ in range(100)
+        )))
+    assert simple._STEPS == {} and meets > before

@@ -164,6 +164,7 @@ def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
                 return adjacent_transposition(n, i)
         return identity(n)
 
+    monkeypatch.setattr(simple, "_STEPS", {})  # the mutant must not fill the table
     monkeypatch.setattr(simple, "meet_permutations", first_common_descent)
     kinds = collections.Counter(f[0] for f in verify_gsb(3).failures)
     assert kinds == {
@@ -178,17 +179,27 @@ def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
 
 def test_sweep_transfers_each_pair_once_and_checks_conservation(monkeypatch):
     # a transfer that moves all of a into b breaks crossing conservation
-    # exactly where some pair of strands crosses in both a and b
+    # exactly where some pair of strands crosses in both a and b; each
+    # distinct pair is transferred once and tested for normality once
     calls = collections.Counter()
+    tested = collections.Counter()
+    normal = oracle._is_normal_words
 
     def move_everything(a, b):
         calls[a, b] += 1
         return a, identity(len(a)), compose(a, b)
 
+    def counted_normal(a, b):
+        tested[a, b] += 1
+        return normal(a, b)
+
+    monkeypatch.setattr(simple, "_STEPS", {})
     monkeypatch.setattr(oracle, "_transfer_words", move_everything)
+    monkeypatch.setattr(oracle, "_is_normal_words", counted_normal)
     report = verify_gsb(3)
     perms = list(all_permutations(3))
     assert set(calls) == set(itertools.product(perms, perms)) and set(calls.values()) == {1}
+    assert tested and set(tested.values()) == {1}
     broken = [tuple(f[1:]) for f in report.failures if f[0] == "crossing-conservation"]
     doubled = {
         (a, b) for a in perms for b in perms if inv(inverse(a)).bits & inv(b).bits
@@ -205,6 +216,7 @@ def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
         transfers += 1
         return real(a, b)
 
+    monkeypatch.setattr(simple, "_STEPS", {})
     monkeypatch.setattr(oracle, "_transfer_words", counting)
     with pytest.raises(ValueError, match="n <= 4"):
         verify_gsb(5)
@@ -248,6 +260,7 @@ def test_verify_meet_exhaustive_small():
 
 
 def test_verify_meet_reports_broken_meets(monkeypatch):
+    monkeypatch.setattr(simple, "_STEPS", {})
     with monkeypatch.context() as m:
         # the fixpoint deletes nothing: meet raises on gapped intersections
         m.setattr(lattice, "_interval_closed_fixpoint", lambda n, bits: bits)
@@ -258,6 +271,27 @@ def test_verify_meet_reports_broken_meets(monkeypatch):
     report = verify_meet(4)
     assert report.failures
     assert {f[0] for f in report.failures} == {"meet-permutations"}
+
+
+def test_verify_meet_checks_the_transition_table(monkeypatch):
+    # a step function that swaps head and tail is caught on every pair it
+    # rewrites into two different factors, and only there
+    def swapped(a, b):
+        step = simple._step_words(a, b)
+        return None if step is None else step[::-1]
+
+    monkeypatch.setattr(simple, "_STEPS", {})
+    monkeypatch.setattr(oracle, "_step_words", swapped)
+    report = verify_meet(3)
+    assert report.cases == 36
+    assert {f[0] for f in report.failures} == {"table"}
+    perms = list(all_permutations(3))
+    differ = set()
+    for a, b in itertools.product(perms, perms):
+        step = simple._step_words(a, b)
+        if step is not None and step[0] != step[1]:
+            differ.add((a, b))
+    assert {(f[1], f[2]) for f in report.failures} == differ and differ
 
 
 def test_verify_validity():
