@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ from .simple import (
     _step_words,
     _transfer_words,
 )
+from .textio import MAX_STRANDS
 
 BRUTE_MAX_STRANDS = 7
 
@@ -287,16 +289,27 @@ def _check_samples(samples: Optional[int]) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
+def _sample(n: int, rng: random.Random) -> tuple[int, ...]:
+    """rng.choice(list(all_permutations(n))) without the list: randrange(n!), unranked."""
+    index, digits = rng.randrange(math.factorial(n)), []
+    for radix in range(1, n + 1):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    rest = list(range(1, n + 1))
+    return tuple(rest.pop(digit) for digit in reversed(digits))
+
+
 def _triples(n: int, samples: Optional[int], seed: int):
     """Triples of S_n, all of them or seeded samples; checks its arguments eagerly."""
     _check_samples(samples)
-    perms = list(all_permutations(n))
     if samples is None:
         if n > 4:
             raise ValueError("exhaustive triples need n <= 4; pass samples for larger n")
-        return itertools.product(perms, perms, perms)
+        return itertools.product(all_permutations(n), repeat=3)
+    if n > MAX_STRANDS:
+        raise ValueError(f"sampled triples need n <= {MAX_STRANDS}, got {n}")
     rng = random.Random(seed)
-    return ((rng.choice(perms), rng.choice(perms), rng.choice(perms)) for _ in range(samples))
+    return ((_sample(n, rng), _sample(n, rng), _sample(n, rng)) for _ in range(samples))
 
 
 def _pairs(n: int, samples: Optional[int] = None, seed: int = 42):

@@ -170,12 +170,13 @@ def _step_words(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """
     One rewriting step on bare one-line words: None when (a, b) is normal,
-    else (head, tail).  For n <= TABLE_MAX_STRANDS the answer is read from
-    a table of the transitions filled from _is_normal_words and
-    _transfer_words on first use; above it, those two are called directly.
+    else (head, tail).  Up to TABLE_MAX_STRANDS it is read from a table
+    filled from _is_normal_words and _transfer_words on first use; above,
+    one transfer decides: nothing moves (head == a) iff (a, b) is normal.
     """
     if len(a) > TABLE_MAX_STRANDS:
-        return None if _is_normal_words(a, b) else _transfer_words(a, b)[1:]
+        _, head, tail = _transfer_words(a, b)
+        return None if head == a else (head, tail)
     step = _STEPS.get((a, b), _UNSEEN)
     if step is _UNSEEN:
         step = _STEPS[a, b] = None if _is_normal_words(a, b) else _transfer_words(a, b)[1:]

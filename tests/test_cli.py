@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from braidnf import cli
+from braidnf import cli, oracle
 from braidnf.cli import main
 
 
@@ -119,6 +119,27 @@ def test_verify_all(capsys):
 def test_verify_requires_a_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3")
     assert code == 2 and "error:" in err
+
+
+def test_sampled_suites_draw_without_listing_s_n(capsys, monkeypatch):
+    # S_12 has 479 million elements: listing it would exhaust memory, so any
+    # listing above the exhaustive diagnostics' five strands fails the test
+    listing = oracle.all_permutations
+
+    def small_listing(n):
+        assert n <= 5, f"listed S_{n}"
+        return listing(n)
+
+    monkeypatch.setattr(oracle, "all_permutations", small_listing)
+    for suite, cases in (("gsb", 6), ("stop", 3)):
+        argv = ["verify", "--suite", suite, "--samples", "3", "--n"]
+        code, out, _ = run_cli(capsys, *argv, "12")
+        gating = [l for l in map(json.loads, out.splitlines()) if not l.get("diagnostic")]
+        assert code == 0 and [(l["n"], l["cases"]) for l in gating] == [(12, cases)]
+        # past the strand limit: a usage error before any report or sample
+        code, out, err = run_cli(capsys, *argv, "1025")
+        assert (code, out) == (2, "")
+        assert err == "error: sampled triples need n <= 1024, got 1025\n"
 
 
 def test_verify_meet_sampled(capsys):

@@ -212,3 +212,44 @@ def test_meet_permutations_matches_meet():
         q = tuple(rng.sample(range(1, n + 1), n))
         m = meet_permutations(p, q)
         assert inversion_set(m).bits == meet(inv(p), inv(q)).bits
+
+
+def _near_top(rng, n):
+    """omega(n) with one to four random adjacent swaps."""
+    w = list(omega(n))
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(n - 1)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
+def test_meet_permutations_near_the_top():
+    # the engine's heaviest meets: omega with a few adjacent swaps, as
+    # either argument or both, against the independent fixpoint meet
+    rng = random.Random(11)
+    for n, rounds in ((16, 25), (64, 3)):
+        top = omega(n)
+        assert meet_permutations(top, top) == top
+        for _ in range(rounds):
+            x, y = _near_top(rng, n), _near_top(rng, n)
+            r = tuple(rng.sample(range(1, n + 1), n))
+            for p, q in ((x, r), (r, y), (x, y)):
+                m = meet_permutations(p, q)
+                assert inversion_set(m).bits == meet(inv(p), inv(q)).bits
+
+
+def test_meet_permutations_descents_are_the_common_descents():
+    def descents(p):
+        return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+    rng = random.Random(12)
+    hidden = 0  # pairs with common inversions but no common descent
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        p, q = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+        m = meet_permutations(p, q)
+        assert descents(m) == descents(p) & descents(q)
+        if not descents(p) & descents(q):
+            assert m == identity(n) and meet(inv(p), inv(q)).bits == 0
+            hidden += inversion_set(p).bits & inversion_set(q).bits != 0
+    assert hidden > 100

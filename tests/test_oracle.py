@@ -154,6 +154,17 @@ def test_verify_gsb_and_stop_small():
             verify_stop(3, samples=samples)
 
 
+def test_samples_are_the_draws_of_a_listed_s_n():
+    # sampled suites draw without listing S_n, yet every seed keeps drawing
+    # what random.choice on the list would: the pinned sweeps stay the same
+    for n in range(1, 7):
+        listed = list(all_permutations(n))
+        for seed in (1, 42):
+            lazy, eager = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert oracle._sample(n, lazy) == eager.choice(listed)
+
+
 def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
     # a transfer that moves at most one crossing breaks every exchange law
     # and stopping implication; the counts pin how the sweeps wire them

@@ -1,10 +1,23 @@
 """Property tests of the group normal form on short signed words."""
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnf.normalform import GroupNormalForm, normalize_group
-from braidnf.simple import flip_braid
-from braidnf.textio import ArtinWord, Token, concat, formal_inverse
+from braidnf.simple import SimpleBraid, flip_braid
+from braidnf.textio import (
+    ArtinWord,
+    Token,
+    concat,
+    format_normal_form,
+    format_word,
+    formal_inverse,
+    parse_normal_form_json,
+    parse_permutation,
+    parse_word,
+    simple_to_artin,
+)
 from twins import lifted_group_twin
 
 # A fixed, derandomised example budget keeps this file to a few seconds.
@@ -12,9 +25,9 @@ BUDGET = settings(max_examples=150, deadline=None, derandomize=True, database=No
 
 
 @st.composite
-def signed_words(draw):
-    """Words on 2..8 strands over signed generators, with a few D and -D."""
-    n = draw(st.integers(2, 8))
+def signed_words(draw, max_strands=8):
+    """Words on 2..max_strands strands over signed generators, with a few D and -D."""
+    n = draw(st.integers(2, max_strands))
     token = st.one_of(
         st.builds(Token, st.just("gen"), st.integers(1, n - 1), st.sampled_from((1, -1))),
         st.builds(Token, st.just("garside"), st.just(0), st.sampled_from((1, -1))),
@@ -31,9 +44,26 @@ def test_word_times_its_inverse_is_trivial(word):
 
 
 @BUDGET
-@given(signed_words())
+@given(signed_words(32))
 def test_agrees_with_the_rightmost_twin(word):
     assert normalize_group(word) == lifted_group_twin(word)
+
+
+@BUDGET
+@given(signed_words())
+def test_printed_form_reads_back(word):
+    # the text form prints D^k and each factor's permutation; spelled as a
+    # word (k half twists, then each factor's reduced word) and parsed
+    # back, it normalises to the same form, and so does the JSON form
+    form = normalize_group(word)
+    head, _, factors = format_normal_form(form).partition(" :")
+    power = int(head.removeprefix("D^"))
+    tokens = [Token("garside", 0, 1 if power > 0 else -1)] * abs(power)
+    for perm in re.findall(r"\[[^]]*\]", factors):
+        tokens += simple_to_artin(SimpleBraid(parse_permutation(perm))).tokens
+    text = format_word(ArtinWord(word.n, tuple(tokens)))
+    assert normalize_group(parse_word(text)) == form
+    assert parse_normal_form_json(format_normal_form(form, "json")) == form
 
 
 @BUDGET
