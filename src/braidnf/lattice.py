@@ -37,8 +37,15 @@ class InversionSet:
             raise ValueError(f"not an inversion set: {self.pairs.pairs()}")
 
     @classmethod
+    def _trusted(cls, pairs: PairSet) -> InversionSet:
+        """Wrap a pair set that is an inversion set by construction, unchecked."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "pairs", pairs)
+        return r
+
+    @classmethod
     def from_permutation(cls, p: Sequence[int]) -> InversionSet:
-        return cls(inversion_set(p))
+        return cls._trusted(inversion_set(p))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> InversionSet:
@@ -74,7 +81,7 @@ def complement(r: InversionSet) -> InversionSet:
     to p*omega when r belongs to p, because appending the reversing
     permutation inverts exactly the previously non-inverted pairs.
     """
-    return InversionSet(PairSet(r.n, full_bits(r.n) ^ r.bits))
+    return InversionSet._trusted(PairSet(r.n, full_bits(r.n) ^ r.bits))
 
 
 def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
@@ -86,7 +93,7 @@ def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
     p = check_permutation(p)
     if inversion_bits(p) != r.bits:
         raise ValueError("pair set is not the inversion set of the given permutation")
-    return InversionSet(act_on_pairs(p, r.pairs))
+    return InversionSet._trusted(act_on_pairs(p, r.pairs))
 
 
 def _between_mask(i: int, k: int) -> int:

@@ -15,8 +15,14 @@ one unit of trail or, when trail is empty, is commuted to the front by
 toggling parity.  Flip commutes with the transfer, so the core itself is
 never flipped while letters arrive: each incoming letter is flipped
 instead, and the core once at the end.  Each rewrite is one step of
-Thurston's automaton over pairs of simple braids (simple._step_words),
-read from a lazily filled table on up to five strands.
+Thurston's automaton over pairs of simple braids.
+
+The engine's alphabet is chosen once per call.  Up to five strands
+(simple.TABLE_MAX_STRANDS) a letter is the rank of its simple braid and
+the whole run is integer table reads (simple.RankTables): each step,
+flip and run extension is one list read, and each output factor is a
+shared SimpleBraid.  Above, a letter is its one-line word and a step is
+one transfer (simple._step_words).  The loop is the same for both.
 
 Generators do not enter the engine one at a time.  Each maximal run of
 same-sign generators whose product is still a simple braid is folded
@@ -36,15 +42,17 @@ module check the engine against.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import adjacent_transposition, compose, flip, identity, inverse, omega
 from .simple import (
+    TABLE_MAX_STRANDS,
     SimpleBraid,
     _is_normal_words,
     _step_words,
     _transfer_words,
     generator_braid,
+    rank_tables,
 )
 
 # A rewrite-step observer: receives (position, left, right, head, tail) as
@@ -93,11 +101,13 @@ def is_normal(factors: Sequence[SimpleBraid]) -> bool:
     factors, and every adjacent pair admits no transfer (a step that
     rewrites nothing).
     """
-    if any(f.is_identity() for f in factors):
-        return False
-    return all(
-        _step_words(factors[i].perm, factors[i + 1].perm) is None
-        for i in range(len(factors) - 1)
+    if not factors:
+        return True
+    alphabet = _alphabet(factors[0].n)
+    word = [alphabet.letter(f.perm) for f in factors]
+    step = alphabet.step
+    return alphabet.ident not in word and all(
+        step(word[i], word[i + 1]) is None for i in range(len(word) - 1)
     )
 
 
@@ -148,10 +158,47 @@ class GroupNormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting on bare one-line words
+# The engine
 
 
-def _append_word(core: list, x: tuple, ident: tuple) -> None:
+class _Alphabet(NamedTuple):
+    """The engine's letters on n strands and what it does with them."""
+
+    ident: object
+    top: object  # the half twist
+    letter: Callable  # one-line word -> letter
+    braid: Callable  # letter -> SimpleBraid
+    flip: Callable
+    step: Callable  # (a, b) -> None when normal, else (head, tail)
+    extend: Callable  # (run, j) -> s_j * run, or -1 when not simple
+    close_pos: Callable  # positive run P -> P^-1
+    close_neg: Callable  # inverse run P -> Omega * P^-1
+
+
+def _alphabet(n: int) -> _Alphabet:
+    """
+    The alphabet of one engine call, chosen once per call: ranks of simple
+    braids up to TABLE_MAX_STRANDS, where every operation is a table read,
+    and one-line words above, where a step is one transfer.
+    """
+    if n <= TABLE_MAX_STRANDS:
+        t = rank_tables(n)
+        ext = t.EXT
+        return _Alphabet(
+            0, t.N - 1, t.RANK.__getitem__, t.BRAID.__getitem__, t.FLIP.__getitem__,
+            t.step, lambda a, j: ext[a * n + j], t.CPOS.__getitem__, t.CNEG.__getitem__,
+        )
+
+    def extend(p, j):
+        return p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :] if p[j - 1] < p[j] else -1
+
+    return _Alphabet(
+        identity(n), omega(n), tuple, SimpleBraid, flip, _step_words,
+        extend, inverse, lambda p: inverse(p)[::-1],
+    )
+
+
+def _append_word(core: list, x, ident, step: Callable = _step_words) -> None:
     """
     Append one non-identity letter to a normal factor list, in place.
 
@@ -167,10 +214,10 @@ def _append_word(core: list, x: tuple, ident: tuple) -> None:
     core.append(x)
     i = len(core) - 2
     while i >= 0:
-        step = _step_words(core[i], core[i + 1])
-        if step is None:
+        rewrite = step(core[i], core[i + 1])
+        if rewrite is None:
             break
-        head, tail = step
+        head, tail = rewrite
         if head == ident:
             core[i : i + 2] = [tail]
             break
@@ -179,61 +226,60 @@ def _append_word(core: list, x: tuple, ident: tuple) -> None:
         i -= 1
 
 
-def _fold_runs(n: int, symbols: Iterable) -> Iterator[Optional[tuple]]:
+def _fold_runs(alphabet: _Alphabet, symbols: Iterable) -> Iterator:
     """
     The engine letters of a stream of symbols: signed generator indices
-    (i for sigma_i, -i for its inverse) and engine letters (a one-line
-    word, or None for the inverse half twist), which pass through and end
-    the pending run of generators.
+    (i for sigma_i, -i for its inverse) and one-line words (or None for
+    the inverse half twist), which pass through as letters and end the
+    pending run of generators.
 
-    A run is carried as one list P: B^-1 for a positive run B, and C for
-    an inverse run C^-1 = sigma_i1^-1 ... sigma_ik^-1, C = s_ik ... s_i1.
-    Either way the next generator s_j multiplies P on the left, which swaps
-    P[j-1] and P[j], and the run stays simple exactly when P[j-1] < P[j].
+    A run is carried as one permutation P, a letter of the alphabet: B^-1
+    for a positive run B, and C for an inverse run
+    C^-1 = sigma_i1^-1 ... sigma_ik^-1, C = s_ik ... s_i1.  Either way the
+    next generator s_j multiplies P on the left, which swaps P[j-1] and
+    P[j], and the run stays simple exactly when P[j-1] < P[j].
     A positive run enters the engine as B, an inverse run as None followed
     by Omega * C^-1, which is C^-1 reversed in one-line notation.
     """
+    ident, letter, extend = alphabet.ident, alphabet.letter, alphabet.extend
+    close_pos, close_neg = alphabet.close_pos, alphabet.close_neg
     run = None
     positive = True
 
     def close():
-        x = inverse(run)
-        return (x,) if positive else (None, x[::-1])
+        return (close_pos(run),) if positive else (None, close_neg(run))
 
     for s in symbols:
         if s.__class__ is int:
             j = s if s > 0 else -s
-            if run is not None and (s > 0) is positive and run[j - 1] < run[j]:
-                run[j - 1], run[j] = run[j], run[j - 1]
+            if run is not None and (s > 0) is positive and (grown := extend(run, j)) != -1:
+                run = grown
                 continue
             if run is not None:
                 yield from close()
-            run = list(range(1, n + 1))
-            run[j - 1], run[j] = j + 1, j
+            run = extend(ident, j)
             positive = s > 0
             continue
         if run is not None:
             yield from close()
             run = None
-        yield s
+        yield None if s is None else letter(s)
     if run is not None:
         yield from close()
 
 
-def _normalize_letters(
-    n: int, letters: Iterable[Optional[tuple]]
-) -> tuple[int, int, int, list]:
+def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int, int, list]:
     """
-    Run the engine over a stream of simple letters, in which None stands
-    for the inverse half twist.  Returns (m, parity, trail, core) with the
-    product equal to Omega^m * flip^parity(core) * Omega^trail, core a
-    normal form free of half twists.
+    Run the engine over the letters _fold_runs makes of a stream of
+    symbols; None stands for the inverse half twist.  Returns
+    (m, parity, trail, core) with the product equal to
+    Omega^m * flip^parity(core) * Omega^trail, core a normal form free of
+    half twists.
     """
-    ident = identity(n)
-    top = omega(n)
+    ident, top, flip_letter, step = alphabet.ident, alphabet.top, alphabet.flip, alphabet.step
     m = parity = trail = 0
     core: list = []
-    for x in letters:
+    for x in _fold_runs(alphabet, symbols):
         if x is None:
             if trail:
                 trail -= 1
@@ -248,8 +294,8 @@ def _normalize_letters(
             trail += 1
             continue
         if (trail + parity) & 1:
-            x = flip(x)
-        _append_word(core, x, ident)
+            x = flip_letter(x)
+        _append_word(core, x, ident, step)
         while core and core[-1] == top:
             core.pop()
             trail += 1
@@ -291,9 +337,10 @@ def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     n = w.n
     generators = {adjacent_transposition(n, i): i for i in range(1, n)}
     symbols = (generators.get(letter.perm, letter.perm) for letter in w.letters)
-    _m, _parity, trail, core = _normalize_letters(n, _fold_runs(n, symbols))
-    factors = core + [omega(n)] * trail
-    return PositiveNormalForm(n, tuple(SimpleBraid(f) for f in factors))
+    alphabet = _alphabet(n)
+    _m, _parity, trail, core = _normalize_letters(alphabet, symbols)
+    factors = core + [alphabet.top] * trail
+    return PositiveNormalForm(n, tuple(map(alphabet.braid, factors)))
 
 
 def gs_rewrite_to_fixpoint(
@@ -373,10 +420,11 @@ def normalize_group(word) -> GroupNormalForm:
         tok.sign * tok.index if tok.kind == "gen" else (top if tok.sign > 0 else None)
         for tok in word.tokens
     )
-    m, parity, trail, core = _normalize_letters(n, _fold_runs(n, symbols))
+    alphabet = _alphabet(n)
+    m, parity, trail, core = _normalize_letters(alphabet, symbols)
     if (trail + parity) & 1:
-        core = [flip(f) for f in core]
-    return GroupNormalForm(n, m + trail, tuple(SimpleBraid(f) for f in core))
+        core = map(alphabet.flip, core)
+    return GroupNormalForm(n, m + trail, tuple(map(alphabet.braid, core)))
 
 
 def equal(w1, w2) -> bool:

@@ -40,8 +40,8 @@ from .simple import (
     TABLE_MAX_STRANDS,
     _is_clean_words,
     _is_normal_words,
-    _step_words,
     _transfer_words,
+    rank_tables,
 )
 from .textio import MAX_STRANDS
 
@@ -425,8 +425,9 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     sets and meet_permutations, the one the normaliser runs.  Exhaustive
     over ordered pairs for n <= 5, sampled for larger n (still within the
     enumeration bound).  Up to TABLE_MAX_STRANDS each pair's engine step,
-    read from the transition table, is also checked against the normality
-    test and the meet-based transfer.
+    its entry of the rank automaton's STEP table (simple.RankTables), is
+    also checked against the normality test and the meet-based transfer;
+    a disagreement is reported in one-line notation.
     """
     if n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration bound is n <= {BRUTE_MAX_STRANDS}")
@@ -442,6 +443,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
         rng = random.Random(seed)
         pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(samples))
         cases = samples
+    tables = rank_tables(n) if n <= TABLE_MAX_STRANDS else None
     for (p, r1), (q, r2) in pairs:
         try:
             slow = brute_meet(r1, r2)
@@ -457,8 +459,10 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
             if bits != slow.bits:
                 got = None if bits is None else PairSet(n, bits).pairs()
                 failures.append([kind, r1.listing(), r2.listing(), got, slow.listing()])
-        if n <= TABLE_MAX_STRANDS:
-            step = _step_words(p, q)
+        if tables is not None:
+            step = tables.step(tables.RANK[p], tables.RANK[q])
+            if step is not None:
+                step = (tables.PERM[step[0]], tables.PERM[step[1]])
             want = None if _is_normal_words(p, q) else _transfer_words(p, q)[1:]
             if step != want:
                 failures.append(["table", p, q, step, want])

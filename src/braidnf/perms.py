@@ -19,6 +19,7 @@ the betweenness property (``is_inversion_set``).
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 from typing import Iterable, Iterator, Sequence
@@ -127,11 +128,16 @@ def flip(p: Sequence[int]) -> tuple[int, ...]:
 
 def length(p: Sequence[int]) -> int:
     """
-    The Coxeter length, i.e. the number of inversions. O(n^2), fine for the
-    strand counts this package targets.
+    The Coxeter length, i.e. the number of inversions: each entry counts
+    the larger entries before it by bisection in the sorted prefix.
     """
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    prefix: list[int] = []
+    count = 0
+    for v in p:
+        k = bisect.bisect(prefix, v)
+        count += len(prefix) - k
+        prefix.insert(k, v)
+    return count
 
 
 def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -302,19 +308,23 @@ def is_inversion_set(s: PairSet) -> bool:
     """
     Whether s is the inversion set of some permutation.  Two conditions
     characterise that: transitivity ((i,j) and (j,k) force (i,k)), and
-    betweenness ((i,k) forces (i,j) or (j,k) for every j between i and k).
+    betweenness ((i,k) forces (i,j) or (j,k) for every j between i and k),
+    which is transitivity of the complement.  With row k the strands
+    i < k paired with k in s, and j < k: when (j, k) is in s, row j lies
+    inside row k; when it is not, the strands i < j missing from row j
+    are missing from row k.
     """
     bits = s.bits
-    has = lambda i, j: bits >> pair_slot(i, j) & 1  # noqa: E731
-    for i, k in s:
-        # betweenness of (i, k)
-        for j in range(i + 1, k):
-            if not (has(i, j) or has(j, k)):
+    rows: list[int] = []  # rows[k-1]: bit i-1 set for each (i, k) in s
+    for k in range(1, s.n + 1):
+        row = bits >> ((k - 1) * (k - 2) // 2) & ((1 << (k - 1)) - 1)
+        for j, below in enumerate(rows, 1):
+            if row >> (j - 1) & 1:
+                if below & ~row:
+                    return False
+            elif ~below & ((1 << (j - 1)) - 1) & row:
                 return False
-        # transitivity: (i, k) & (k, j) => (i, j)
-        for j in range(k + 1, s.n + 1):
-            if has(k, j) and not has(i, j):
-                return False
+        rows.append(row)
     return True
 
 

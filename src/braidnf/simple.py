@@ -14,6 +14,13 @@ Peeling that tail off a and gluing it onto b gives two operations
 whose composite leaves the underlying braid unchanged.  A pair with no
 transferable tail is "normal": right-greedy normal forms are exactly the
 factorisations all of whose adjacent pairs are normal.
+
+The transfer is the transition function of Thurston's automaton, whose
+states are the simple braids.  On up to TABLE_MAX_STRANDS strands the
+automaton runs on integer states: RankTables numbers the n! simple
+braids and keeps its transitions, flips and run extensions as flat
+lists.  The transitions fill lazily, from the normality test and the
+meet-based transfer, which stay as their slow twin.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ from .lattice import InversionSet, leq, meet_permutations, star
 from .perms import (
     PairSet,
     adjacent_transposition,
+    all_permutations,
     check_permutation,
     compose,
     flip,
@@ -156,31 +164,75 @@ def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
-# Thurston's transitions over all pairs of simple braids number (n!)^2: 576 at
-# n = 4 and 14,400 at n = 5, but 518,400 at n = 6, so the table stops at five
-# strands.  It fills lazily, one pair at a time: a full fill takes about
-# 0.15 s at n = 5, longer than most words take to normalise.
+def _step_words(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple]:
+    """
+    One rewriting step on one-line words: None when (a, b) is normal, else
+    (head, tail).  One transfer decides: nothing moves iff (a, b) is normal.
+    """
+    _, head, tail = _transfer_words(a, b)
+    return None if head == a else (head, tail)
+
+
+# Thurston's transitions number (n!)^2: 576 at n = 4 and 14,400 at n = 5, but
+# 518,400 at n = 6, so rank tables stop at five strands.
 TABLE_MAX_STRANDS = 5
-_STEPS: dict = {}
-_UNSEEN = object()
 
 
-def _step_words(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+class RankTables:
     """
-    One rewriting step on bare one-line words: None when (a, b) is normal,
-    else (head, tail).  Up to TABLE_MAX_STRANDS it is read from a table
-    filled from _is_normal_words and _transfer_words on first use; above,
-    one transfer decides: nothing moves (head == a) iff (a, b) is normal.
+    Thurston's automaton on n <= TABLE_MAX_STRANDS strands, on integer
+    states: a simple braid's rank is its index in S_n listed in itertools
+    (lexicographic) order, so the identity is 0 and the half twist N - 1.
+    Flat lists read by rank: STEP[a*N + b] is None for a normal pair, else
+    (head, tail), and False until first asked for; FLIP[a] is the flip;
+    EXT[a*n + j] is s_j * P for a pending run P of generators
+    (normalform._fold_runs), or -1 when that is no longer simple; CPOS[a]
+    and CNEG[a] are the letters a positive and an inverse run close to,
+    P^-1 and Omega * P^-1; BRAID[a] is the SimpleBraid, checked once and
+    shared, and PERM[a] its one-line word, inverted by RANK.  Only STEP
+    grows with use, as a memo of the transfer; the rest is O(n!).
     """
-    if len(a) > TABLE_MAX_STRANDS:
-        _, head, tail = _transfer_words(a, b)
-        return None if head == a else (head, tail)
-    step = _STEPS.get((a, b), _UNSEEN)
-    if step is _UNSEEN:
-        step = _STEPS[a, b] = None if _is_normal_words(a, b) else _transfer_words(a, b)[1:]
-    return step
+
+    def __init__(self, n: int):
+        if not 1 <= n <= TABLE_MAX_STRANDS:
+            raise ValueError(f"rank tables need 1 <= n <= {TABLE_MAX_STRANDS}, got {n}")
+        perms = list(all_permutations(n))
+        rank = {p: r for r, p in enumerate(perms)}
+        self.n, self.N, self.PERM, self.RANK = n, len(perms), perms, rank
+        self.EXT = [
+            rank[p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :]] if 0 < j and p[j - 1] < p[j] else -1
+            for p in perms
+            for j in range(n)
+        ]
+        self.FLIP = [rank[flip(p)] for p in perms]
+        self.CPOS = [rank[inverse(p)] for p in perms]
+        self.CNEG = [rank[inverse(p)[::-1]] for p in perms]
+        self.BRAID = [SimpleBraid(p) for p in perms]
+        self.STEP: list = [False] * (self.N * self.N)
+
+    def step(self, a: int, b: int) -> Optional[tuple[int, int]]:
+        """STEP[a*N + b], computed from the normality test and the transfer on first use."""
+        k = a * self.N + b
+        step = self.STEP[k]
+        if step is False:
+            p, q = self.PERM[a], self.PERM[b]
+            if _is_normal_words(p, q):
+                step = None
+            else:
+                _m, head, tail = _transfer_words(p, q)
+                step = (self.RANK[head], self.RANK[tail])
+            self.STEP[k] = step
+        return step
+
+
+_TABLES: dict[int, RankTables] = {}
+
+
+def rank_tables(n: int) -> RankTables:
+    """The rank tables on n strands, built when n is first seen."""
+    if n not in _TABLES:
+        _TABLES[n] = RankTables(n)
+    return _TABLES[n]
 
 
 @dataclasses.dataclass(frozen=True)

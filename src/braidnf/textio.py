@@ -74,10 +74,11 @@ def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
     return ArtinWord(w1.n, w1.tokens + w2.tokens)
 
 
-# Every factor is an n-entry tuple and one transfer's meet takes up to
-# n(n-1)/2 swaps, so a 200-letter signed word already takes about 40 s at
-# 1,024 strands; far larger n would exhaust time or memory (or overflow
-# range() while building the half twist) instead of failing cleanly.
+# Every factor is an n-entry tuple and each transfer walks all n positions,
+# so a 200-letter signed word of random generators takes about 0.3 s at
+# 1,024 strands (a whole `normalize` command); far larger n would exhaust
+# time or memory (or overflow range() while building the half twist)
+# instead of failing cleanly.
 MAX_STRANDS = 1024
 
 _HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
@@ -147,15 +148,20 @@ def format_permutation(p) -> str:
 
 
 def word_to_simple_letters(word: ArtinWord) -> PositiveWord:
-    """Interpret a positive word letter by letter as simple braids."""
+    """
+    Interpret a positive word letter by letter as simple braids.  Each
+    generator and the half twist is built once, on first use, and shared
+    by all its letters.
+    """
+    n = word.n
+    braids: dict = {}  # by token index; index 0 is the half twist
     letters = []
     for tok in word.tokens:
         if tok.sign < 0:
             raise ParseError("word contains an inverse token; only positive words lift letterwise")
-        if tok.kind == "garside":
-            letters.append(omega_braid(word.n))
-        else:
-            letters.append(generator_braid(word.n, tok.index))
+        if tok.index not in braids:
+            braids[tok.index] = omega_braid(n) if tok.kind == "garside" else generator_braid(n, tok.index)
+        letters.append(braids[tok.index])
     return PositiveWord(word.n, tuple(letters))
 
 

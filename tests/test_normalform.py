@@ -382,14 +382,39 @@ def test_half_twist_factors_collect_at_the_tail():
 @pytest.fixture
 def engine_counts(monkeypatch):
     """
-    Count the engine's flips and its transfers through its module bindings.
-    A transfer is a step that rewrites its pair, whether the transition
-    table or the meet served it, so the counts do not depend on how warm
-    the table is.
+    Count the engine's flips and its transfers.  Up to five strands they
+    are reads of the rank tables, so fresh tables whose FLIP and STEP
+    lists count are swapped in; above, the tuple path's module bindings
+    are wrapped.  A transfer is a step that rewrites its pair, whether a
+    table entry or the meet served it, so the counts do not depend on how
+    warm the table is.
     """
     import braidnf.normalform as module
 
     counts = collections.Counter()
+
+    class CountedFlips(list):
+        def __getitem__(self, a):
+            counts["flip"] += 1
+            return list.__getitem__(self, a)
+
+    class CountedSteps(list):
+        # an entry is either read, or computed and stored on its first read
+        def __getitem__(self, k):
+            step = list.__getitem__(self, k)
+            counts["transfer"] += step.__class__ is tuple
+            return step
+
+        def __setitem__(self, k, step):
+            counts["transfer"] += step is not None
+            list.__setitem__(self, k, step)
+
+    monkeypatch.setattr(simple, "_TABLES", {})
+    for n in range(1, simple.TABLE_MAX_STRANDS + 1):
+        tables = simple.rank_tables(n)
+        tables.FLIP = CountedFlips(tables.FLIP)
+        tables.STEP = CountedSteps(tables.STEP)
+
     flip, step = module.flip, module._step_words
 
     def counted_flip(*args):
@@ -439,6 +464,7 @@ def test_engine_work_per_letter_stays_flat(engine_counts):
         for w in words:
             assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(4, 0, ())
     (flips_short, transfers_short), (flips_long, transfers_long) = rates
+    assert flips_short > 0 and transfers_short > 0
     assert flips_long <= 1.5 * flips_short
     assert transfers_long <= 1.5 * transfers_short
 
@@ -456,7 +482,7 @@ def test_engine_work_per_letter_stays_flat(engine_counts):
             rates.append(transfers)
             for w, nf in zip(words, forms):
                 assert nf == gs_rewrite_to_fixpoint(w, "rightmost")
-        assert rates[1] <= 1.5 * rates[0]
+        assert rates[0] > 0 and rates[1] <= 1.5 * rates[0]
 
 
 def test_normalize_positive_one_and_two_strands(engine_counts):
@@ -488,14 +514,15 @@ def test_runs_cut_transfers_per_letter(engine_counts):
         engine_counts.clear()
         for w in words:
             run(w)
-        assert engine_counts["transfer"] / (count * length) <= 1.0, run.__name__
+        assert 0 < engine_counts["transfer"] / (count * length) <= 1.0, run.__name__
 
 
 def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     # Four strands have 24 * 24 = 576 pairs of simple braids, so from a
     # fresh table the engine computes at most that many meets however many
-    # transfers the words take; on six strands the table stores nothing.
-    monkeypatch.setattr(simple, "_STEPS", {})
+    # transfers the words take; on six strands no table is built.
+    tables = simple.rank_tables(4)
+    assert set(tables.STEP) == {False}  # the fixture's tables are fresh
     meets = 0
     meet = simple.meet_permutations
 
@@ -519,11 +546,39 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     for w in inverse:
         normalize_group(w)
     assert 0 < meets <= 576 < engine_counts["transfer"]
-    assert len(simple._STEPS) <= 576
-    simple._STEPS.clear()
+    assert 0 < sum(step is not False for step in tables.STEP) <= 576
+    built = set(simple._TABLES)
     before = meets
     for _ in range(count):
         normalize_group(ArtinWord(6, tuple(
             Token("gen", rng.randint(1, 5), rng.choice((1, -1))) for _ in range(100)
         )))
-    assert simple._STEPS == {} and meets > before
+    assert set(simple._TABLES) == built and 6 not in built and meets > before
+
+
+def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
+    # a short word on five strands asks for a small part of its 14,400
+    # transitions, and no rank table is ever built above five strands,
+    # where S_n would be too large to list
+    monkeypatch.setattr(simple, "_TABLES", {})
+    rng = random.Random(131)
+    word = ArtinWord(5, tuple(
+        Token("gen", rng.randint(1, 4), rng.choice((1, -1))) for _ in range(100)
+    ))
+    form = normalize_group(word)
+    assert normalize_group(concat(word, formal_inverse(word))) == GroupNormalForm(5, 0, ())
+    filled = sum(step is not False for step in simple.rank_tables(5).STEP)
+    assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
+    for n in (6, 64):
+        signed = ArtinWord(n, tuple(
+            Token("gen", rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(100)
+        ))
+        nf = normalize_group(signed)
+        assert normalize_group(concat(signed, formal_inverse(signed))) == GroupNormalForm(n, 0, ())
+        assert is_normal(nf.factors)
+        normalize_positive(gen_word(n, [rng.randint(1, n - 1) for _ in range(100)]))
+    assert set(simple._TABLES) == {5}
+    for n in (0, 6, 64):
+        with pytest.raises(ValueError, match="rank tables need"):
+            simple.rank_tables(n)
+    assert set(simple._TABLES) == {5}

@@ -175,7 +175,7 @@ def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
                 return adjacent_transposition(n, i)
         return identity(n)
 
-    monkeypatch.setattr(simple, "_STEPS", {})  # the mutant must not fill the table
+    monkeypatch.setattr(simple, "_TABLES", {})  # the mutant must not fill the tables
     monkeypatch.setattr(simple, "meet_permutations", first_common_descent)
     kinds = collections.Counter(f[0] for f in verify_gsb(3).failures)
     assert kinds == {
@@ -204,7 +204,7 @@ def test_sweep_transfers_each_pair_once_and_checks_conservation(monkeypatch):
         tested[a, b] += 1
         return normal(a, b)
 
-    monkeypatch.setattr(simple, "_STEPS", {})
+    monkeypatch.setattr(simple, "_TABLES", {})
     monkeypatch.setattr(oracle, "_transfer_words", move_everything)
     monkeypatch.setattr(oracle, "_is_normal_words", counted_normal)
     report = verify_gsb(3)
@@ -227,7 +227,7 @@ def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
         transfers += 1
         return real(a, b)
 
-    monkeypatch.setattr(simple, "_STEPS", {})
+    monkeypatch.setattr(simple, "_TABLES", {})
     monkeypatch.setattr(oracle, "_transfer_words", counting)
     with pytest.raises(ValueError, match="n <= 4"):
         verify_gsb(5)
@@ -271,7 +271,7 @@ def test_verify_meet_exhaustive_small():
 
 
 def test_verify_meet_reports_broken_meets(monkeypatch):
-    monkeypatch.setattr(simple, "_STEPS", {})
+    monkeypatch.setattr(simple, "_TABLES", {})
     with monkeypatch.context() as m:
         # the fixpoint deletes nothing: meet raises on gapped intersections
         m.setattr(lattice, "_interval_closed_fixpoint", lambda n, bits: bits)
@@ -285,24 +285,24 @@ def test_verify_meet_reports_broken_meets(monkeypatch):
 
 
 def test_verify_meet_checks_the_transition_table(monkeypatch):
-    # a step function that swaps head and tail is caught on every pair it
+    # a STEP table with head and tail swapped is caught on every pair it
     # rewrites into two different factors, and only there
-    def swapped(a, b):
-        step = simple._step_words(a, b)
-        return None if step is None else step[::-1]
-
-    monkeypatch.setattr(simple, "_STEPS", {})
-    monkeypatch.setattr(oracle, "_step_words", swapped)
+    monkeypatch.setattr(simple, "_TABLES", {})
+    tables = simple.rank_tables(3)
+    pairs = list(itertools.product(range(tables.N), repeat=2))
+    steps = {(a, b): tables.step(a, b) for a, b in pairs}
+    swapped = [None if step is None else step[::-1] for step in tables.STEP]
+    monkeypatch.setattr(tables, "STEP", swapped)
     report = verify_meet(3)
     assert report.cases == 36
     assert {f[0] for f in report.failures} == {"table"}
-    perms = list(all_permutations(3))
     differ = set()
-    for a, b in itertools.product(perms, perms):
-        step = simple._step_words(a, b)
+    for (a, b), step in steps.items():
         if step is not None and step[0] != step[1]:
-            differ.add((a, b))
+            differ.add((tables.PERM[a], tables.PERM[b]))
     assert {(f[1], f[2]) for f in report.failures} == differ and differ
+    # failure records stay in one-line notation
+    assert all(len(p) == 3 for f in report.failures for p in (f[1], f[2], *f[3], *f[4]))
 
 
 def test_verify_validity():
