@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import adjacent_transposition, compose, flip, identity, inverse, omega
+from .perms import compose, flip, identity, inverse, omega
 from .simple import (
     TABLE_MAX_STRANDS,
     SimpleBraid,
@@ -198,7 +198,7 @@ def _alphabet(n: int) -> _Alphabet:
     )
 
 
-def _append_word(core: list, x, ident, step: Callable = _step_words) -> None:
+def _append_word(core: list, x, ident, step: Callable) -> None:
     """
     Append one non-identity letter to a normal factor list, in place.
 
@@ -229,9 +229,9 @@ def _append_word(core: list, x, ident, step: Callable = _step_words) -> None:
 def _fold_runs(alphabet: _Alphabet, symbols: Iterable) -> Iterator:
     """
     The engine letters of a stream of symbols: signed generator indices
-    (i for sigma_i, -i for its inverse) and one-line words (or None for
-    the inverse half twist), which pass through as letters and end the
-    pending run of generators.
+    (i for sigma_i, -i for its inverse, as ArtinWord holds them) and
+    one-line words (or None for the inverse half twist), which pass
+    through as letters and end the pending run of generators.
 
     A run is carried as one permutation P, a letter of the alphabet: B^-1
     for a positive run B, and C for an inverse run
@@ -328,17 +328,24 @@ def prepend_simple(a: SimpleBraid, nf: PositiveNormalForm) -> PositiveNormalForm
     return normalize_positive(PositiveWord(nf.n, (a,) + nf.factors))
 
 
+def _generator_index(p: tuple[int, ...]) -> Optional[int]:
+    """i when p is the adjacent transposition s_i, else None; O(n)."""
+    moved = [i for i, v in enumerate(p, 1) if v != i]
+    return moved[0] if len(moved) == 2 and moved[1] == moved[0] + 1 else None
+
+
 def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     """
     The right-greedy normal form of a positive word, appending its letters
     in order at the right end, runs of generator letters folded; the half
     twists collected there come back as a trailing block of factors.
+    Each distinct letter is tested once for being a generator.
     """
     n = w.n
-    generators = {adjacent_transposition(n, i): i for i in range(1, n)}
-    symbols = (generators.get(letter.perm, letter.perm) for letter in w.letters)
+    perms = [letter.perm for letter in w.letters]
+    symbols = {p: _generator_index(p) or p for p in set(perms)}
     alphabet = _alphabet(n)
-    _m, _parity, trail, core = _normalize_letters(alphabet, symbols)
+    _m, _parity, trail, core = _normalize_letters(alphabet, map(symbols.__getitem__, perms))
     factors = core + [alphabet.top] * trail
     return PositiveNormalForm(n, tuple(map(alphabet.braid, factors)))
 
@@ -405,7 +412,7 @@ def rewrite_potential(w: PositiveWord) -> int:
 def normalize_group(word) -> GroupNormalForm:
     """
     Canonicalise a signed word over Artin generators and half-twist
-    symbols into (delta_power, positive factors).
+    symbols (a textio.ArtinWord) into (delta_power, positive factors).
 
     The engine's trailing half twists are commuted to the front at the
     end, together with the pending parity, so the core is flipped at most
@@ -416,10 +423,7 @@ def normalize_group(word) -> GroupNormalForm:
         # one strand: every symbol is trivial
         return GroupNormalForm(1, 0, ())
     top = omega(n)
-    symbols = (
-        tok.sign * tok.index if tok.kind == "gen" else (top if tok.sign > 0 else None)
-        for tok in word.tokens
-    )
+    symbols = (s if -n < s < n else top if s > 0 else None for s in word.symbols)
     alphabet = _alphabet(n)
     m, parity, trail, core = _normalize_letters(alphabet, symbols)
     if (trail + parity) & 1:

@@ -19,8 +19,8 @@ The transfer is the transition function of Thurston's automaton, whose
 states are the simple braids.  On up to TABLE_MAX_STRANDS strands the
 automaton runs on integer states: RankTables numbers the n! simple
 braids and keeps its transitions, flips and run extensions as flat
-lists.  The transitions fill lazily, from the normality test and the
-meet-based transfer, which stay as their slow twin.
+lists.  The transitions fill lazily, one meet-based transfer each; the
+normality test stays as their independent slow twin.
 """
 from __future__ import annotations
 
@@ -211,16 +211,12 @@ class RankTables:
         self.STEP: list = [False] * (self.N * self.N)
 
     def step(self, a: int, b: int) -> Optional[tuple[int, int]]:
-        """STEP[a*N + b], computed from the normality test and the transfer on first use."""
+        """STEP[a*N + b], computed by one transfer (_step_words) on first use."""
         k = a * self.N + b
         step = self.STEP[k]
         if step is False:
-            p, q = self.PERM[a], self.PERM[b]
-            if _is_normal_words(p, q):
-                step = None
-            else:
-                _m, head, tail = _transfer_words(p, q)
-                step = (self.RANK[head], self.RANK[tail])
+            rewrite = _step_words(self.PERM[a], self.PERM[b])
+            step = None if rewrite is None else (self.RANK[rewrite[0]], self.RANK[rewrite[1]])
             self.STEP[k] = step
         return step
 

@@ -5,9 +5,14 @@ Word grammar: a header ``n=<int>;`` followed by whitespace-separated
 tokens.  A nonzero signed integer k stands for the |k|-th Artin generator
 with sign(k) as exponent; ``D`` and ``-D`` stand for the half twist and
 its inverse.  Words are ASCII: integers are runs of the digits 0-9, with
-no underscores.  The strand count is at most MAX_STRANDS.  Permutations
+no underscores, after an optional ``-`` or ``+`` (``+1`` is ``1``; ``+D``
+is not a token).  The strand count is at most MAX_STRANDS.  Permutations
 read and print in bracketed one-line notation ``[3 5 4 2 6 1]``.  All
 emitted text is deterministic.
+
+A parsed word (ArtinWord) holds one nonzero int per token, the signed
+symbols the normalisation engine reads: k for the generator token k, and
+n and -n for ``D`` and ``-D`` on n strands.
 
 Diagrams are drawn strands-down, one band per factor, each factor opened
 up into its canonical reduced word; the front strand of a positive
@@ -31,47 +36,39 @@ class ParseError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class Token:
-    """One input symbol: an Artin generator or a half-twist symbol."""
-
-    kind: str  # "gen" | "garside"
-    index: int  # generator index; 0 for half-twist tokens
-    sign: int  # +1 | -1
-
-    def __post_init__(self):
-        if self.kind not in ("gen", "garside"):
-            raise ValueError(f"unknown token kind {self.kind!r}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"token sign must be +-1, got {self.sign}")
-
-
-@dataclasses.dataclass(frozen=True)
 class ArtinWord:
-    """A parsed word over Artin generators and half-twist symbols."""
+    """
+    A word over Artin generators and half twists on n strands, one nonzero
+    int per symbol: k with |k| < n is sigma_|k|^sign(k), and n and -n are
+    the half twist D and its inverse.
+    """
 
     n: int
-    tokens: tuple[Token, ...]
+    symbols: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n, symbols = self.n, self.symbols
+        if n < 1:
             raise ValueError("need at least one strand")
-        for tok in self.tokens:
-            if tok.kind == "gen" and not 1 <= tok.index <= self.n - 1:
-                raise ValueError(f"generator index {tok.index} out of range 1..{self.n - 1}")
+        # one C-level pass each; the type test comes first, so min and max
+        # only ever compare ints (bool and str are rejected)
+        if symbols and not (
+            set(map(type, symbols)) == {int} and -n <= min(symbols) and max(symbols) <= n
+            and 0 not in symbols
+        ):
+            bad = next(s for s in symbols if type(s) is not int or not 0 < abs(s) <= n)
+            raise ValueError(f"symbol {bad!r} is not a nonzero int in -{n}..{n}")
 
 
 def formal_inverse(word: ArtinWord) -> ArtinWord:
     """The reversed word with every exponent negated."""
-    return ArtinWord(
-        word.n,
-        tuple(Token(t.kind, t.index, -t.sign) for t in reversed(word.tokens)),
-    )
+    return ArtinWord(word.n, tuple(-s for s in reversed(word.symbols)))
 
 
 def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
     if w1.n != w2.n:
         raise ParseError(f"words on {w1.n} and {w2.n} strands")
-    return ArtinWord(w1.n, w1.tokens + w2.tokens)
+    return ArtinWord(w1.n, w1.symbols + w2.symbols)
 
 
 # Every factor is an n-entry tuple and each transfer walks all n positions,
@@ -98,34 +95,27 @@ def parse_word(text: str) -> ArtinWord:
     if not rest.isascii() or "_" in rest:  # int() takes other scripts' digits and "_"
         bad = next(c for c in rest if not c.isascii() or c == "_")
         raise ParseError(f"bad character {bad!r} in word")
-    tokens = []
+    half_twists = {"D": n, "-D": -n}
+    symbols = []
     for raw in rest.split():
-        if raw == "D":
-            tokens.append(Token("garside", 0, 1))
-            continue
-        if raw == "-D":
-            tokens.append(Token("garside", 0, -1))
-            continue
-        try:
-            k = int(raw)
-        except ValueError:
-            raise ParseError(f"bad token {raw!r}") from None
-        if k == 0:
-            raise ParseError("generator index 0 is not allowed")
-        if abs(k) > n - 1:
-            raise ParseError(f"generator index {abs(k)} out of range 1..{n - 1}")
-        tokens.append(Token("gen", abs(k), 1 if k > 0 else -1))
-    return ArtinWord(n, tuple(tokens))
+        k = half_twists.get(raw)
+        if k is None:
+            try:
+                k = int(raw)
+            except ValueError:
+                raise ParseError(f"bad token {raw!r}") from None
+            if not 0 < abs(k) < n:
+                if k == 0:
+                    raise ParseError("generator index 0 is not allowed")
+                raise ParseError(f"generator index {abs(k)} out of range 1..{n - 1}")
+        symbols.append(k)
+    return ArtinWord(n, tuple(symbols))
 
 
 def format_word(word: ArtinWord) -> str:
-    parts = [f"n={word.n};"]
-    for tok in word.tokens:
-        if tok.kind == "garside":
-            parts.append("D" if tok.sign > 0 else "-D")
-        else:
-            parts.append(str(tok.sign * tok.index))
-    return " ".join(parts)
+    n = word.n
+    names = {n: "D", -n: "-D"}
+    return " ".join([f"n={n};", *(names.get(s) or str(s) for s in word.symbols)])
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
@@ -150,19 +140,13 @@ def format_permutation(p) -> str:
 def word_to_simple_letters(word: ArtinWord) -> PositiveWord:
     """
     Interpret a positive word letter by letter as simple braids.  Each
-    generator and the half twist is built once, on first use, and shared
-    by all its letters.
+    distinct symbol is built once and shared by all its letters.
     """
-    n = word.n
-    braids: dict = {}  # by token index; index 0 is the half twist
-    letters = []
-    for tok in word.tokens:
-        if tok.sign < 0:
-            raise ParseError("word contains an inverse token; only positive words lift letterwise")
-        if tok.index not in braids:
-            braids[tok.index] = omega_braid(n) if tok.kind == "garside" else generator_braid(n, tok.index)
-        letters.append(braids[tok.index])
-    return PositiveWord(word.n, tuple(letters))
+    n, symbols = word.n, word.symbols
+    if symbols and min(symbols) < 0:
+        raise ParseError("word contains an inverse token; only positive words lift letterwise")
+    braids = {s: omega_braid(n) if s == n else generator_braid(n, s) for s in set(symbols)}
+    return PositiveWord(n, tuple(map(braids.__getitem__, symbols)))
 
 
 def simple_to_artin(a: SimpleBraid) -> ArtinWord:
@@ -172,7 +156,7 @@ def simple_to_artin(a: SimpleBraid) -> ArtinWord:
     the crossing count, and folding it back through the normaliser gives
     the single factor a.
     """
-    return ArtinWord(a.n, tuple(Token("gen", i, 1) for i in _reduced_word(a.perm)))
+    return ArtinWord(a.n, tuple(_reduced_word(a.perm)))
 
 
 def _reduced_word(perm) -> list[int]:

@@ -39,7 +39,7 @@ from braidnf.simple import (
     identity_braid,
     transfer,
 )
-from braidnf.textio import ArtinWord, Token, concat, formal_inverse, parse_word
+from braidnf.textio import ArtinWord, concat, formal_inverse, parse_word
 
 _REPORTS = {}
 
@@ -272,13 +272,13 @@ def test_criterion_10_group_round_trip():
     rng = random.Random(42)
     for _ in range(1000):
         n = rng.randint(2, 7)
-        tokens = []
+        symbols = []
         for _ in range(rng.randint(0, 50)):
             if rng.random() < 0.1:
-                tokens.append(Token("garside", 0, rng.choice((1, -1))))
+                symbols.append(n * rng.choice((1, -1)))
             else:
-                tokens.append(Token("gen", rng.randint(1, n - 1), rng.choice((1, -1))))
-        w = ArtinWord(n, tuple(tokens))
+                symbols.append(rng.randint(1, n - 1) * rng.choice((1, -1)))
+        w = ArtinWord(n, tuple(symbols))
         assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(n, 0, ())
     from braidnf.normalform import equal
 

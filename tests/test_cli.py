@@ -38,6 +38,45 @@ def test_normalize_parse_error(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+MALFORMED_WORDS = [
+    # missing header
+    ("1 2 1", "missing 'n=<int>;' header"),
+    ("n=3 1", "missing 'n=<int>;' header"),
+    # bad header, including other scripts' digits and NBSP
+    ("m=3; 1", "bad header 'm=3'; expected 'n=<int>;'"),
+    ("n=\u0663; 1 2", "bad header 'n=\u0663'; expected 'n=<int>;'"),
+    ("n\u00a0=3; 1", "bad header 'n\\xa0=3'; expected 'n=<int>;'"),
+    # strand count
+    ("n=0;", "strand count 0 out of range 1..1024"),
+    ("n=1025;", "strand count 1025 out of range 1..1024"),
+    # body characters
+    ("n=3; \u0661 \u0662", "bad character '\u0661' in word"),
+    ("n=12; 1_0", "bad character '_' in word"),
+    ("n=3; 1\u00a02", "bad character '\\xa0' in word"),
+    # bad tokens
+    ("n=3; x", "bad token 'x'"),
+    ("n=3; --D", "bad token '--D'"),
+    # index zero
+    ("n=3; 0", "generator index 0 is not allowed"),
+    ("n=3; -0", "generator index 0 is not allowed"),
+    # index out of range
+    ("n=3; 3", "generator index 3 out of range 1..2"),
+    ("n=3; -3", "generator index 3 out of range 1..2"),
+    ("n=1; 1", "generator index 1 out of range 1..0"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_WORDS)
+def test_malformed_word_error_lines(capsys, text, message):
+    assert run_cli(capsys, "normalize", text) == (2, "", f"error: {message}\n")
+
+
+def test_render_inverse_token_error_line(capsys):
+    assert run_cli(capsys, "render", "n=3; 1 -2") == (
+        2, "", "error: word contains an inverse token; only positive words lift letterwise\n",
+    )
+
+
 def test_normalize_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("n=3; 2 1 2"))
     code, out, _ = run_cli(capsys, "normalize", "-")

@@ -1,5 +1,6 @@
 import collections
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,7 +22,6 @@ from braidnf.perms import omega
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import (
     ArtinWord,
-    Token,
     concat,
     formal_inverse,
     parse_word,
@@ -207,14 +207,14 @@ def test_normalize_group_matches_positive_normalizer():
     for _ in range(200):
         n = rng.randint(2, 6)
         idxs = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
-        word = ArtinWord(n, tuple(Token("gen", i, 1) for i in idxs))
+        word = ArtinWord(n, tuple(idxs))
         assert normalize_group(word) == lifted_group_twin(word)
 
 
-def _run_tokens(n, sign, perm):
+def _run_symbols(n, sign, perm):
     """A same-sign run whose product is the simple braid perm, or its inverse."""
     word = simple_to_artin(SimpleBraid(perm))
-    return list(word.tokens if sign > 0 else formal_inverse(word).tokens)
+    return list(word.symbols if sign > 0 else formal_inverse(word).symbols)
 
 
 def test_normalize_group_folds_runs_like_the_twin():
@@ -228,18 +228,18 @@ def test_normalize_group_folds_runs_like_the_twin():
     rng = random.Random(89)
     for trial in range(350):
         n = 2 + trial % 7
-        tokens = []
+        symbols = []
         for _ in range(rng.randint(1, 5)):
             sign = rng.choice((1, -1))
             perm = omega(n) if rng.random() < 0.2 else tuple(rng.sample(range(1, n + 1), n))
-            run = _run_tokens(n, sign, perm)
-            tokens += run
+            run = _run_symbols(n, sign, perm)
+            symbols += run
             ending = rng.randrange(3)
             if ending == 0:
-                tokens.append(Token("garside", 0, rng.choice((1, -1))))
+                symbols.append(n * rng.choice((1, -1)))
             elif ending == 1 and run:
-                tokens.append(run[-1])
-        word = ArtinWord(n, tuple(tokens))
+                symbols.append(run[-1])
+        word = ArtinWord(n, tuple(symbols))
         assert normalize_group(word) == lifted_group_twin(word)
 
 
@@ -252,7 +252,7 @@ def test_normalize_positive_folds_generator_runs_like_the_twin():
         letters = []
         for _ in range(rng.randint(1, 5)):
             perm = omega(n) if rng.random() < 0.2 else tuple(rng.sample(range(1, n + 1), n))
-            letters += [generator_braid(n, t.index) for t in _run_tokens(n, 1, perm)]
+            letters += [generator_braid(n, i) for i in _run_symbols(n, 1, perm)]
             kind = rng.randrange(4)
             if kind == 0:
                 letters.append(identity_braid(n))
@@ -268,13 +268,13 @@ def test_group_round_trip_small():
     rng = random.Random(53)
     for _ in range(150):
         n = rng.randint(2, 5)
-        tokens = []
+        symbols = []
         for _ in range(rng.randint(0, 12)):
             if rng.random() < 0.15:
-                tokens.append(Token("garside", 0, rng.choice((1, -1))))
+                symbols.append(n * rng.choice((1, -1)))
             else:
-                tokens.append(Token("gen", rng.randint(1, n - 1), rng.choice((1, -1))))
-        w = ArtinWord(n, tuple(tokens))
+                symbols.append(rng.randint(1, n - 1) * rng.choice((1, -1)))
+        w = ArtinWord(n, tuple(symbols))
         assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(n, 0, ())
 
 
@@ -291,7 +291,7 @@ def _half_twist_staircase(n):
     # sigma_1, sigma_2 sigma_1, ..., sigma_{n-1} ... sigma_1
     out = []
     for top in range(1, n):
-        out.extend(Token("gen", i, 1) for i in range(top, 0, -1))
+        out.extend(range(top, 0, -1))
     return out
 
 
@@ -299,41 +299,34 @@ def test_equal_under_identity_preserving_edits():
     rng = random.Random(83)
     for _ in range(300):
         n = rng.randint(3, 6)
-        tokens = [
-            Token("gen", rng.randint(1, n - 1), rng.choice((1, -1)))
-            for _ in range(rng.randint(0, 15))
+        symbols = [
+            rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(rng.randint(0, 15))
         ]
-        edited = list(tokens)
+        edited = list(symbols)
         for _ in range(rng.randint(1, 5)):
             pos = rng.randint(0, len(edited))
             kind = rng.randrange(4)
             if kind == 0:  # free cancellation
                 i = rng.randint(1, n - 1)
                 s = rng.choice((1, -1))
-                insert = [Token("gen", i, s), Token("gen", i, -s)]
+                insert = [i * s, -i * s]
             elif kind == 1:  # half-twist pair
-                insert = [Token("garside", 0, 1), Token("garside", 0, -1)]
+                insert = [n, -n]
             elif kind == 2 and n >= 4:  # far generators commute
                 i, j = 1, rng.randint(3, n - 1)
-                insert = [
-                    Token("gen", i, 1), Token("gen", j, 1),
-                    Token("gen", i, -1), Token("gen", j, -1),
-                ]
+                insert = [i, j, -i, -j]
             else:  # defining relation as a closed loop
                 i = rng.randint(1, n - 2)
-                insert = [
-                    Token("gen", i, 1), Token("gen", i + 1, 1), Token("gen", i, 1),
-                    Token("gen", i + 1, -1), Token("gen", i, -1), Token("gen", i + 1, -1),
-                ]
+                insert = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
             edited[pos:pos] = insert
-        assert equal(ArtinWord(n, tuple(tokens)), ArtinWord(n, tuple(edited)))
+        assert equal(ArtinWord(n, tuple(symbols)), ArtinWord(n, tuple(edited)))
 
 
 def test_half_twist_equals_staircase_expansion():
     for n in range(2, 8):
         stair = ArtinWord(n, tuple(_half_twist_staircase(n)))
         assert normalize_group(stair) == GroupNormalForm(n, 1, ())
-        twist = ArtinWord(n, (Token("garside", 0, 1),))
+        twist = ArtinWord(n, (n,))
         assert equal(stair, twist)
 
 
@@ -343,6 +336,7 @@ def test_append_matches_fold_reference():
     # simple-braid letters
     from braidnf.normalform import _append_word
     from braidnf.perms import identity
+    from braidnf.simple import _step_words
 
     def rightmost(n, perms):
         word = PositiveWord(n, tuple(SimpleBraid(p) for p in perms))
@@ -360,7 +354,7 @@ def test_append_matches_fold_reference():
         if x == ident:
             continue
         expected = rightmost(n, core + [x])
-        _append_word(core, x, ident)
+        _append_word(core, x, ident, _step_words)
         assert core == expected
         engine = normalize_positive(PositiveWord(n, tuple(SimpleBraid(p) for p in base + [x])))
         assert [f.perm for f in engine.factors] == expected
@@ -452,9 +446,7 @@ def test_engine_work_per_letter_stays_flat(engine_counts):
     for length in (short, 4 * short):
         words = [
             ArtinWord(4, tuple(
-                Token("garside", 0, rng.choice((1, -1)))
-                if rng.random() < 0.02
-                else Token("gen", rng.randint(1, 3), -1)
+                4 * rng.choice((1, -1)) if rng.random() < 0.02 else -rng.randint(1, 3)
                 for _ in range(length)
             ))
             for _ in range(count)
@@ -485,6 +477,21 @@ def test_engine_work_per_letter_stays_flat(engine_counts):
         assert rates[0] > 0 and rates[1] <= 1.5 * rates[0]
 
 
+def test_normalize_positive_spots_generators_in_linear_space():
+    # A 3-letter word on 1,024 strands holds a few one-line words of 8 KiB
+    # each.  Listing all 1,023 adjacent transpositions to spot generator
+    # letters would hold over 8 MiB whatever the word length.
+    word = gen_word(1024, [1, 2, 1])
+    tracemalloc.start()
+    try:
+        nf = normalize_positive(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert nf.factors == (SimpleBraid((3, 2, 1) + tuple(range(4, 1025))),)
+
+
 def test_normalize_positive_one_and_two_strands(engine_counts):
     # on two strands every non-identity letter is the half twist, so each
     # goes straight into the trailing block without a transfer
@@ -507,7 +514,7 @@ def test_runs_cut_transfers_per_letter(engine_counts):
         gen_word(4, [rng.randint(1, 3) for _ in range(length)]) for _ in range(count)
     ]
     inverse = [
-        ArtinWord(4, tuple(Token("gen", rng.randint(1, 3), -1) for _ in range(length)))
+        ArtinWord(4, tuple(-rng.randint(1, 3) for _ in range(length)))
         for _ in range(count)
     ]
     for run, words in ((normalize_positive, positive), (normalize_group, inverse)):
@@ -538,7 +545,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
         gen_word(4, [rng.randint(1, 3) for _ in range(length)]) for _ in range(count)
     ]
     inverse = [
-        ArtinWord(4, tuple(Token("gen", rng.randint(1, 3), -1) for _ in range(length)))
+        ArtinWord(4, tuple(-rng.randint(1, 3) for _ in range(length)))
         for _ in range(count)
     ]
     for w in positive:
@@ -551,7 +558,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     before = meets
     for _ in range(count):
         normalize_group(ArtinWord(6, tuple(
-            Token("gen", rng.randint(1, 5), rng.choice((1, -1))) for _ in range(100)
+            rng.randint(1, 5) * rng.choice((1, -1)) for _ in range(100)
         )))
     assert set(simple._TABLES) == built and 6 not in built and meets > before
 
@@ -562,16 +569,14 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
     # where S_n would be too large to list
     monkeypatch.setattr(simple, "_TABLES", {})
     rng = random.Random(131)
-    word = ArtinWord(5, tuple(
-        Token("gen", rng.randint(1, 4), rng.choice((1, -1))) for _ in range(100)
-    ))
+    word = ArtinWord(5, tuple(rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(100)))
     form = normalize_group(word)
     assert normalize_group(concat(word, formal_inverse(word))) == GroupNormalForm(5, 0, ())
     filled = sum(step is not False for step in simple.rank_tables(5).STEP)
     assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
     for n in (6, 64):
         signed = ArtinWord(n, tuple(
-            Token("gen", rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(100)
+            rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(100)
         ))
         nf = normalize_group(signed)
         assert normalize_group(concat(signed, formal_inverse(signed))) == GroupNormalForm(n, 0, ())

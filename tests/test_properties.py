@@ -1,4 +1,5 @@
 """Property tests of the group normal form on short signed words."""
+import operator
 import re
 
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from braidnf.normalform import GroupNormalForm, normalize_group
 from braidnf.simple import SimpleBraid, flip_braid
 from braidnf.textio import (
     ArtinWord,
-    Token,
     concat,
     format_normal_form,
     format_word,
@@ -26,14 +26,16 @@ BUDGET = settings(max_examples=150, deadline=None, derandomize=True, database=No
 
 @st.composite
 def signed_words(draw, max_strands=8):
-    """Words on 2..max_strands strands over signed generators, with a few D and -D."""
+    """
+    Words on 2..max_strands strands over signed generators, with a few D
+    and -D: symbols in -n..n without 0, where n and -n are the half twists.
+    """
     n = draw(st.integers(2, max_strands))
-    token = st.one_of(
-        st.builds(Token, st.just("gen"), st.integers(1, n - 1), st.sampled_from((1, -1))),
-        st.builds(Token, st.just("garside"), st.just(0), st.sampled_from((1, -1))),
+    symbol = st.one_of(
+        st.builds(operator.mul, st.integers(1, n - 1), st.sampled_from((1, -1))),
+        st.sampled_from((n, -n)),
     )
-    tokens = draw(st.lists(token, max_size=24))
-    return ArtinWord(n, tuple(tokens))
+    return ArtinWord(n, tuple(draw(st.lists(symbol, max_size=24))))
 
 
 @BUDGET
@@ -52,16 +54,17 @@ def test_agrees_with_the_rightmost_twin(word):
 @BUDGET
 @given(signed_words())
 def test_printed_form_reads_back(word):
+    assert parse_word(format_word(word)) == word
     # the text form prints D^k and each factor's permutation; spelled as a
     # word (k half twists, then each factor's reduced word) and parsed
     # back, it normalises to the same form, and so does the JSON form
     form = normalize_group(word)
     head, _, factors = format_normal_form(form).partition(" :")
     power = int(head.removeprefix("D^"))
-    tokens = [Token("garside", 0, 1 if power > 0 else -1)] * abs(power)
+    symbols = [word.n if power > 0 else -word.n] * abs(power)
     for perm in re.findall(r"\[[^]]*\]", factors):
-        tokens += simple_to_artin(SimpleBraid(parse_permutation(perm))).tokens
-    text = format_word(ArtinWord(word.n, tuple(tokens)))
+        symbols += simple_to_artin(SimpleBraid(parse_permutation(perm))).symbols
+    text = format_word(ArtinWord(word.n, tuple(symbols)))
     assert normalize_group(parse_word(text)) == form
     assert parse_normal_form_json(format_normal_form(form, "json")) == form
 
@@ -73,11 +76,7 @@ def test_flip_equivariance(word):
     # half-twist power
     n = word.n
     flipped = ArtinWord(
-        n,
-        tuple(
-            Token(t.kind, n - t.index, t.sign) if t.kind == "gen" else t
-            for t in word.tokens
-        ),
+        n, tuple((n if s > 0 else -n) - s if abs(s) < n else s for s in word.symbols)
     )
     form = normalize_group(word)
     assert normalize_group(flipped) == GroupNormalForm(

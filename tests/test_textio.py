@@ -8,7 +8,6 @@ from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_b
 from braidnf.textio import (
     ArtinWord,
     ParseError,
-    Token,
     concat,
     formal_inverse,
     format_normal_form,
@@ -26,13 +25,16 @@ from braidnf.textio import (
 def test_parse_word():
     w = parse_word("n=3; 1 2 1")
     assert w.n == 3
-    assert [(t.kind, t.index, t.sign) for t in w.tokens] == [
-        ("gen", 1, 1), ("gen", 2, 1), ("gen", 1, 1),
-    ]
-    w2 = parse_word("n=3; -1 D")
-    assert [(t.kind, t.index, t.sign) for t in w2.tokens] == [("gen", 1, -1), ("garside", 0, 1)]
-    assert parse_word("n=5;").tokens == ()
-    assert parse_word("  n = 4 ;  -D   2  ").tokens == (Token("garside", 0, -1), Token("gen", 2, 1))
+    assert w.symbols == (1, 2, 1)
+    # D and -D are n and -n
+    assert parse_word("n=3; -1 D").symbols == (-1, 3)
+    assert parse_word("n=5;").symbols == ()
+    assert parse_word("  n = 4 ;  -D   2  ").symbols == (-4, 2)
+    # a leading + is accepted on integers, and on nothing else
+    assert parse_word("n=3; +1 -1").symbols == (1, -1)
+    for bad in ["n=3; +D", "n=3; +-1"]:
+        with pytest.raises(ParseError, match="bad token"):
+            parse_word(bad)
 
 
 def test_parse_word_errors():
@@ -46,9 +48,7 @@ def test_parse_word_errors():
     for bad in ["[\u0662 \u0661]", "[\u00a02 1]"]:
         with pytest.raises(ParseError):
             parse_permutation(bad)
-    assert parse_word("n=3; -1 D -D").tokens == (
-        Token("gen", 1, -1), Token("garside", 0, 1), Token("garside", 0, -1),
-    )
+    assert parse_word("n=3; -1 D -D").symbols == (-1, 3, -3)
 
 
 def test_word_roundtrip():
@@ -78,15 +78,15 @@ def test_word_to_simple_letters():
 
 def test_simple_to_artin():
     w = simple_to_artin(omega_braid(3))
-    assert [t.index for t in w.tokens] == [1, 2, 1]
-    assert simple_to_artin(identity_braid(4)).tokens == ()
-    assert [t.index for t in simple_to_artin(generator_braid(3, 2)).tokens] == [2]
+    assert w.symbols == (1, 2, 1)
+    assert simple_to_artin(identity_braid(4)).symbols == ()
+    assert simple_to_artin(generator_braid(3, 2)).symbols == (2,)
     rng = random.Random(71)
     for _ in range(200):
         n = rng.randint(2, 6)
         a = SimpleBraid(tuple(rng.sample(range(1, n + 1), n)))
         w = simple_to_artin(a)
-        assert len(w.tokens) == a.crossings()
+        assert len(w.symbols) == a.crossings()
         back = normalize_positive(word_to_simple_letters(w))
         if a.is_identity():
             assert back.factors == ()
@@ -154,9 +154,11 @@ def test_render_svg():
 
 
 def test_artin_word_validation():
+    # symbols are nonzero ints of absolute value at most n; n and -n are D and -D
+    for bad in [(0,), (4,), (-4,), (1, 0, 2), (True,), ("1",), (1.0,)]:
+        with pytest.raises(ValueError, match="is not a nonzero int in -3..3"):
+            ArtinWord(3, bad)
     with pytest.raises(ValueError):
-        ArtinWord(3, (Token("gen", 3, 1),))
-    with pytest.raises(ValueError):
-        Token("gen", 1, 2)
-    with pytest.raises(ValueError):
-        Token("sigma", 1, 1)
+        ArtinWord(0, ())
+    assert ArtinWord(3, (3, -3)) == parse_word("n=3; D -D")
+    assert ArtinWord(1, (1, -1)) == parse_word("n=1; D -D")

@@ -17,14 +17,14 @@ def lifted_group_twin(word) -> GroupNormalForm:
     n = word.n
     top = omega(n)
     power, letters = 0, []
-    for tok in word.tokens:
-        if tok.sign < 0:
+    for s in word.symbols:
+        if s < 0:
             power -= 1
             letters = [flip(p) for p in letters]
-        if tok.kind == "gen":
-            x = adjacent_transposition(n, tok.index)
-            letters.append(x if tok.sign > 0 else compose(top, x))
-        elif tok.sign > 0:
+        if abs(s) < n:
+            x = adjacent_transposition(n, abs(s))
+            letters.append(x if s > 0 else compose(top, x))
+        elif s > 0:
             letters.append(top)
     nf = gs_rewrite_to_fixpoint(
         PositiveWord(n, tuple(SimpleBraid(p) for p in letters)), "rightmost"
