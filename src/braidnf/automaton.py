@@ -57,7 +57,7 @@ def build(n: int) -> AutomatonGraph:
     for state in states:
         row = []
         for gen in gens:
-            _m, head, tail = _transfer_words(state.perm, gen)
+            head, tail = _transfer_words(state.perm, gen)
             row.append((index[tail], index[head]))
         transitions.append(tuple(row))
     return AutomatonGraph(n, states, tuple(transitions))

@@ -7,6 +7,12 @@ the top.  This module provides the validated InversionSet type together
 with the lattice structure: complement, star, meet, join, the partial
 order, and the degree-lexicographic total order used to rank simple
 braids.
+
+The meet also has a fast form on one-line words, an insertion pass that
+never builds a pair set.  The transfer runs it directly: it carries
+values rather than positions, so it yields a^-1 and b read in the meet's
+order, head^-1 and the tail, with no product or inverse of the meet;
+meet_permutations is a view of the same pass.
 """
 from __future__ import annotations
 
@@ -18,9 +24,11 @@ from .perms import (
     _pair_of_slot,
     act_on_pairs,
     check_permutation,
+    compose,
     full_bits,
     inversion_bits,
     inversion_set,
+    inverse,
     is_inversion_set,
     permutation_from_inversions,
 )
@@ -179,6 +187,34 @@ def deglex_compare(r1: InversionSet, r2: InversionSet) -> int:
     return (k1 > k2) - (k1 < k2)
 
 
+def _meet_reads(u: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """
+    The weak-order meet m of u and b*omega, read off as two lists: u read
+    in m's order and b read in m's order, that is m^-1*u and m^-1*b.  Run
+    on u = a^-1 they are head^-1 and tail of the transfer of (a, b).  This
+    is the insertion of meet_permutations carrying values, not positions:
+    v = b*omega inverts (p, r) exactly when b[p] < b[r], and a running
+    maximum of b stands in for the running minimum of v.
+    """
+    if len(u) != len(b):
+        raise ValueError(f"permutations on {len(u)} and {len(b)} strands")
+    us: list[int] = []
+    bs: list[int] = []
+    low_u, high_b = len(u) + 1, 0  # the least u and greatest b placed so far
+    for ur, br in zip(u, b):
+        if ur < low_u and br > high_b:  # r passes the whole list
+            k, low_u, high_b = 0, ur, br
+        else:
+            k = len(us)
+            while k and ur < us[k - 1] and br > bs[k - 1]:
+                k -= 1
+            low_u = ur if ur < low_u else low_u
+            high_b = br if br > high_b else high_b
+        us.insert(k, ur)
+        bs.insert(k, br)
+    return us, bs
+
+
 def meet_permutations(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     """
     The weak-order meet of two permutations in one-line notation, by
@@ -190,24 +226,12 @@ def meet_permutations(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     in v; a lower bound passing an entry p before the entry q that stops r
     would invert (q, r) in both, by transitivity through p.  Running minima
     spot a position that passes the whole list, so (omega, omega) takes
-    O(n) comparisons.  The tests check this function against meet.
+    O(n) comparisons.  The loop is _meet_reads, which lists u in that
+    order, m^-1*u, so m = u * (m^-1*u)^-1.  The tests check this function
+    against meet.
     """
     if len(u) != len(v):
         raise ValueError(f"permutations on {len(u)} and {len(v)} strands")
-    order: list[int] = []
-    low_u = low_v = len(u) + 1  # the least u and v values placed so far
-    for r in range(len(u)):
-        ur, vr = u[r], v[r]
-        if ur < low_u and vr < low_v:  # r passes the whole list
-            k, low_u, low_v = 0, ur, vr
-        else:
-            k = len(order)
-            while k and ur < u[order[k - 1]] and vr < v[order[k - 1]]:
-                k -= 1
-            low_u = ur if ur < low_u else low_u
-            low_v = vr if vr < low_v else low_v
-        order.insert(k, r)
-    m = [0] * len(u)
-    for rank, p in enumerate(order, 1):
-        m[p] = rank
-    return tuple(m)
+    n = len(v)
+    reads, _ = _meet_reads(u, [n + 1 - x for x in v])
+    return compose(u, inverse(reads))

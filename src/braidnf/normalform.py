@@ -314,7 +314,7 @@ def rewrite_pair_at(w: PositiveWord, i: int) -> PositiveWord:
     """
     if not 0 <= i < len(w.letters) - 1:
         raise IndexError(f"no adjacent pair at position {i} in a word of length {len(w.letters)}")
-    _m, head, tail = _transfer_words(w.letters[i].perm, w.letters[i + 1].perm)
+    head, tail = _transfer_words(w.letters[i].perm, w.letters[i + 1].perm)
     letters = (
         w.letters[:i] + (SimpleBraid(head), SimpleBraid(tail)) + w.letters[i + 2 :]
     )
@@ -364,7 +364,7 @@ def gs_rewrite_to_fixpoint(
 
     def rewrite_at(i: int) -> None:
         a, b = perms[i], perms[i + 1]
-        _m, head, tail = _transfer_words(a, b)
+        head, tail = _transfer_words(a, b)
         if step_hook is not None:
             step_hook(i, a, b, head, tail)
         if head == ident:

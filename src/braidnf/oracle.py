@@ -250,7 +250,7 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     def transfer(a, b):
         pair = done.get((a, b))
         if pair is None:
-            _m, head, tail = _transfer_words(a, b)
+            head, tail = _transfer_words(a, b)
             # the head is a*m, so head == a exactly when nothing moved
             if head != a and not conserves_crossings(a, b, head, tail):
                 failures.append(["crossing-conservation", a, b])
@@ -422,7 +422,8 @@ def verify_confluence(
 def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
     """
     Both meets against the enumeration meet: the lattice meet on inversion
-    sets and meet_permutations, the one the normaliser runs.  Exhaustive
+    sets and meet_permutations, a view of the insertion pass the
+    normaliser runs (lattice._meet_reads).  Exhaustive
     over ordered pairs for n <= 5, sampled for larger n (still within the
     enumeration bound).  Up to TABLE_MAX_STRANDS each pair's engine step,
     its entry of the rank automaton's STEP table (simple.RankTables), is
@@ -463,7 +464,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
             step = tables.step(tables.RANK[p], tables.RANK[q])
             if step is not None:
                 step = (tables.PERM[step[0]], tables.PERM[step[1]])
-            want = None if _is_normal_words(p, q) else _transfer_words(p, q)[1:]
+            want = None if _is_normal_words(p, q) else _transfer_words(p, q)
             if step != want:
                 failures.append(["table", p, q, step, want])
     return VerificationReport("meet", n, cases, failures)

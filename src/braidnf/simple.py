@@ -19,15 +19,18 @@ The transfer is the transition function of Thurston's automaton, whose
 states are the simple braids.  On up to TABLE_MAX_STRANDS strands the
 automaton runs on integer states: RankTables numbers the n! simple
 braids and keeps its transitions, flips and run extensions as flat
-lists.  The transitions fill lazily, one meet-based transfer each; the
-normality test stays as their independent slow twin.
+lists.  The transitions fill lazily, one transfer each; the normality
+test stays as their independent slow twin.  A transfer is one insertion
+pass of the weak-order meet that lists a^-1 and b in the meet's order:
+those lists are head^-1 and the tail, so neither the meet nor a product
+of permutations is formed.
 """
 from __future__ import annotations
 
 import dataclasses
 from typing import Optional, Sequence
 
-from .lattice import InversionSet, leq, meet_permutations, star
+from .lattice import InversionSet, _meet_reads, leq, star
 from .perms import (
     PairSet,
     adjacent_transposition,
@@ -135,20 +138,17 @@ def product_in_D(a: SimpleBraid, b: SimpleBraid) -> Optional[SimpleBraid]:
 
 def _transfer_words(
     a: Sequence[int], b: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    Core of the transfer on bare one-line words: returns (m, head, tail)
-    with head = a*m and tail = m^-1*b, where m is the weak-order meet of
-    a^-1 with b*omega.  R of a^-1 is star(a) and R of b*omega is the
-    complement of R(b), so m encodes the maximal transferable tail.
+    Core of the transfer on bare one-line words: returns (head, tail) with
+    head = a*m and tail = m^-1*b, where m is the weak-order meet of a^-1
+    with b*omega.  R of a^-1 is star(a) and R of b*omega is the complement
+    of R(b), so m encodes the maximal transferable tail.  One insertion
+    pass (lattice._meet_reads) lists a^-1 and b in m's order, which are
+    head^-1 and tail, so m itself is never built.
     """
-    n = len(a)
-    u = inverse(a)
-    v = tuple(n + 1 - x for x in b)  # b*omega in one-line notation
-    m = meet_permutations(u, v)
-    head = compose(a, m)
-    tail = compose(inverse(m), b)
-    return m, head, tail
+    head_inv, tail = _meet_reads(inverse(a), b)
+    return inverse(head_inv), tuple(tail)
 
 
 def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -167,10 +167,13 @@ def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
 def _step_words(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple]:
     """
     One rewriting step on one-line words: None when (a, b) is normal, else
-    (head, tail).  One transfer decides: nothing moves iff (a, b) is normal.
+    (head, tail).  One transfer decides: nothing moves iff (a, b) is normal,
+    and the tail m^-1*b equals b exactly when m is the identity, so the
+    head is only built for a pair that rewrites.
     """
-    _, head, tail = _transfer_words(a, b)
-    return None if head == a else (head, tail)
+    head_inv, tail = _meet_reads(inverse(a), b)
+    tail = tuple(tail)
+    return None if tail == b else (inverse(head_inv), tail)
 
 
 # Thurston's transitions number (n!)^2: 576 at n = 4 and 14,400 at n = 5, but
@@ -251,8 +254,8 @@ def transfer(a: SimpleBraid, b: SimpleBraid) -> Transfer:
     """
     if a.n != b.n:
         raise ValueError(f"braids on {a.n} and {b.n} strands")
-    m, head, tail = _transfer_words(a.perm, b.perm)
-    return Transfer(m, SimpleBraid(head), SimpleBraid(tail))
+    head, tail = _transfer_words(a.perm, b.perm)
+    return Transfer(compose(inverse(a.perm), head), SimpleBraid(head), SimpleBraid(tail))
 
 
 def head_op(a: SimpleBraid, b: SimpleBraid) -> SimpleBraid:

@@ -6,9 +6,10 @@ tokens.  A nonzero signed integer k stands for the |k|-th Artin generator
 with sign(k) as exponent; ``D`` and ``-D`` stand for the half twist and
 its inverse.  Words are ASCII: integers are runs of the digits 0-9, with
 no underscores, after an optional ``-`` or ``+`` (``+1`` is ``1``; ``+D``
-is not a token).  The strand count is at most MAX_STRANDS.  Permutations
-read and print in bracketed one-line notation ``[3 5 4 2 6 1]``.  All
-emitted text is deterministic.
+is not a token).  The strand count is at most MAX_STRANDS, and a word
+has at most MAX_LETTERS tokens.  Permutations read and print in
+bracketed one-line notation ``[3 5 4 2 6 1]``.  All emitted text is
+deterministic.
 
 A parsed word (ArtinWord) holds one nonzero int per token, the signed
 symbols the normalisation engine reads: k for the generator token k, and
@@ -72,11 +73,18 @@ def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
 
 
 # Every factor is an n-entry tuple and each transfer walks all n positions,
-# so a 200-letter signed word of random generators takes about 0.3 s at
-# 1,024 strands (a whole `normalize` command); far larger n would exhaust
-# time or memory (or overflow range() while building the half twist)
-# instead of failing cleanly.
+# so a 200-letter signed word of random generators takes about 0.4 s at
+# 1,024 strands (a whole `normalize` command from a fresh interpreter:
+# 0.38-0.42 s on a shared 2-core VM, CPython 3.11.7); far larger n would
+# exhaust time or memory (or overflow range() while building the half
+# twist) instead of failing cleanly.
 MAX_STRANDS = 1024
+
+# A parsed word holds one int per token and costs time linear in its
+# length to normalise, so a longer word is a usage error rather than
+# unbounded work.  It is caught by one bounded split per word, before any
+# token is converted.
+MAX_LETTERS = 1_000_000
 
 _HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
 
@@ -95,9 +103,12 @@ def parse_word(text: str) -> ArtinWord:
     if not rest.isascii() or "_" in rest:  # int() takes other scripts' digits and "_"
         bad = next(c for c in rest if not c.isascii() or c == "_")
         raise ParseError(f"bad character {bad!r} in word")
+    tokens = rest.split(maxsplit=MAX_LETTERS)  # one extra entry when too long
+    if len(tokens) > MAX_LETTERS:
+        raise ParseError(f"word has more than {MAX_LETTERS} tokens")
     half_twists = {"D": n, "-D": -n}
     symbols = []
-    for raw in rest.split():
+    for raw in tokens:
         k = half_twists.get(raw)
         if k is None:
             try:

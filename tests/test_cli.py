@@ -9,6 +9,7 @@ import pytest
 
 from braidnf import cli, oracle
 from braidnf.cli import main
+from braidnf.textio import MAX_LETTERS, parse_word
 
 
 def run_cli(capsys, *argv):
@@ -63,12 +64,22 @@ MALFORMED_WORDS = [
     ("n=3; 3", "generator index 3 out of range 1..2"),
     ("n=3; -3", "generator index 3 out of range 1..2"),
     ("n=1; 1", "generator index 1 out of range 1..0"),
+    # word length, checked before any token
+    pytest.param(
+        "n=3; " + "1 " * (MAX_LETTERS + 1), "word has more than 1000000 tokens", id="too-long"
+    ),
 ]
 
 
 @pytest.mark.parametrize("text,message", MALFORMED_WORDS)
 def test_malformed_word_error_lines(capsys, text, message):
     assert run_cli(capsys, "normalize", text) == (2, "", f"error: {message}\n")
+
+
+def test_word_at_the_letter_limit_parses():
+    assert MAX_LETTERS == 1_000_000
+    word = parse_word("n=3; " + "-1 D " * (MAX_LETTERS // 2) + "\n")
+    assert len(word.symbols) == MAX_LETTERS and word.symbols[-2:] == (-1, 3)
 
 
 def test_render_inverse_token_error_line(capsys):

@@ -28,6 +28,7 @@ from braidnf.perms import (
     is_inversion_set,
     omega,
 )
+from twins import near_top
 
 PI6 = (4, 2, 6, 1, 5, 3)
 
@@ -214,15 +215,6 @@ def test_meet_permutations_matches_meet():
         assert inversion_set(m).bits == meet(inv(p), inv(q)).bits
 
 
-def _near_top(rng, n):
-    """omega(n) with one to four random adjacent swaps."""
-    w = list(omega(n))
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(n - 1)
-        w[i], w[i + 1] = w[i + 1], w[i]
-    return tuple(w)
-
-
 def test_meet_permutations_near_the_top():
     # the engine's heaviest meets: omega with a few adjacent swaps, as
     # either argument or both, against the independent fixpoint meet
@@ -231,7 +223,7 @@ def test_meet_permutations_near_the_top():
         top = omega(n)
         assert meet_permutations(top, top) == top
         for _ in range(rounds):
-            x, y = _near_top(rng, n), _near_top(rng, n)
+            x, y = near_top(rng, n), near_top(rng, n)
             r = tuple(rng.sample(range(1, n + 1), n))
             for p, q in ((x, r), (r, y), (x, y)):
                 m = meet_permutations(p, q)

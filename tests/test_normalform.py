@@ -531,14 +531,14 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     tables = simple.rank_tables(4)
     assert set(tables.STEP) == {False}  # the fixture's tables are fresh
     meets = 0
-    meet = simple.meet_permutations
+    meet = simple._meet_reads
 
-    def counted_meet(u, v):
+    def counted_meet(u, b):
         nonlocal meets
         meets += 1
-        return meet(u, v)
+        return meet(u, b)
 
-    monkeypatch.setattr(simple, "meet_permutations", counted_meet)
+    monkeypatch.setattr(simple, "_meet_reads", counted_meet)
     length, count = 800, 4
     rng = random.Random(101)
     positive = [

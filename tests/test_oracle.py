@@ -137,7 +137,8 @@ def test_strand_row_fails_exactly_on_gapped_intersections():
         if n == 3:
             assert failing == {((2, 3, 1), (2, 1, 3)), ((3, 1, 2), (1, 3, 2))}
             for a, b in failing:
-                assert simple._transfer_words(a, b)[0] == identity(3)
+                head, _tail = simple._transfer_words(a, b)
+                assert compose(inverse(a), head) == identity(3)  # head = a*m
 
 
 def test_verify_gsb_and_stop_small():
@@ -168,15 +169,18 @@ def test_samples_are_the_draws_of_a_listed_s_n():
 def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
     # a transfer that moves at most one crossing breaks every exchange law
     # and stopping implication; the counts pin how the sweeps wire them
-    def first_common_descent(u, v):
-        n = len(u)
-        for i in range(1, n):
-            if u[i - 1] > u[i] and v[i - 1] > v[i]:
-                return adjacent_transposition(n, i)
-        return identity(n)
+    def first_common_descent(u, b):
+        # the meet of u and b*omega cut to one crossing: read in that order
+        m = identity(len(u))
+        for i in range(1, len(u)):
+            if u[i - 1] > u[i] and b[i - 1] < b[i]:
+                m = adjacent_transposition(len(u), i)
+                break
+        order = inverse(m)
+        return [u[p - 1] for p in order], [b[p - 1] for p in order]
 
     monkeypatch.setattr(simple, "_TABLES", {})  # the mutant must not fill the tables
-    monkeypatch.setattr(simple, "meet_permutations", first_common_descent)
+    monkeypatch.setattr(simple, "_meet_reads", first_common_descent)
     kinds = collections.Counter(f[0] for f in verify_gsb(3).failures)
     assert kinds == {
         "head-assoc": 52, "middle-exchange": 92, "tail-assoc": 52, "output-pair-normal": 7
@@ -198,7 +202,7 @@ def test_sweep_transfers_each_pair_once_and_checks_conservation(monkeypatch):
 
     def move_everything(a, b):
         calls[a, b] += 1
-        return a, identity(len(a)), compose(a, b)
+        return identity(len(a)), compose(a, b)
 
     def counted_normal(a, b):
         tested[a, b] += 1

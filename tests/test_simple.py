@@ -5,7 +5,7 @@ import random
 import pytest
 
 from braidnf import oracle
-from braidnf.lattice import InversionSet, deglex_compare, deglex_key
+from braidnf.lattice import InversionSet, complement, deglex_compare, deglex_key, meet, star
 from braidnf.perms import (
     all_permutations,
     compose,
@@ -15,10 +15,12 @@ from braidnf.perms import (
     inversion_set,
     length,
     omega,
+    permutation_from_inversions,
 )
 from braidnf.simple import (
     SimpleBraid,
     _is_normal_words,
+    _step_words,
     _transfer_words,
     flip_braid,
     generator_braid,
@@ -34,6 +36,7 @@ from braidnf.simple import (
     tail_op,
     transfer,
 )
+from twins import near_top
 
 
 def braids(n):
@@ -178,11 +181,11 @@ def test_is_head_is_tail():
 def test_exhaustive_identities_s3():
     perms = list(all_permutations(3))
     for a in perms:
-        h, t = _transfer_words(a, a)[1:]
+        h, t = _transfer_words(a, a)
         # self-transfer fixes a exactly when (a, a) is already normal
         assert (h == a and t == a) == _is_normal_words(a, a)
     for a, b in itertools.product(perms, perms):
-        _m, h_ab, t_ab = _transfer_words(a, b)
+        h_ab, t_ab = _transfer_words(a, b)
         assert (h_ab == a) == (t_ab == b)
         assert _is_normal_words(h_ab, t_ab)
         if _is_normal_words(a, b):
@@ -204,12 +207,12 @@ def test_self_transfer_counterexample():
 
 
 def _check_ternary_identities(a, b, c):
-    _, h_bc, t_bc = _transfer_words(b, c)
-    _, h_a_bc, t_a_bc = _transfer_words(a, h_bc)
-    _, h_ab, t_ab = _transfer_words(a, b)
-    _, h_abc, t_abc = _transfer_words(t_ab, c)
-    _, h_outer, t_outer = _transfer_words(h_ab, h_abc)
-    _, h_mid, t_mid = _transfer_words(t_a_bc, t_bc)
+    h_bc, t_bc = _transfer_words(b, c)
+    h_a_bc, t_a_bc = _transfer_words(a, h_bc)
+    h_ab, t_ab = _transfer_words(a, b)
+    h_abc, t_abc = _transfer_words(t_ab, c)
+    h_outer, t_outer = _transfer_words(h_ab, h_abc)
+    h_mid, t_mid = _transfer_words(t_a_bc, t_bc)
     assert h_a_bc == h_outer
     assert h_mid == t_outer
     assert t_mid == t_abc
@@ -232,13 +235,14 @@ def test_randomized_identities_up_to_eight_strands():
         a = tuple(rng.sample(range(1, n + 1), n))
         b = tuple(rng.sample(range(1, n + 1), n))
         ident = identity(n)
-        m, h, t = _transfer_words(a, b)
+        h, t = _transfer_words(a, b)
+        m = compose(inverse(a), h)  # head = a*m
         assert compose(h, t) == compose(a, b)
         assert length(h) + length(t) == length(a) + length(b)
         assert length(h) == length(a) - length(m)
         assert length(t) == length(b) + length(m)
         # flip commutes with both operations
-        fh, ft = _transfer_words(flip(a), flip(b))[1:]
+        fh, ft = _transfer_words(flip(a), flip(b))
         assert fh == flip(h) and ft == flip(t)
         # half twist exchange at the permutation level
         w = omega(n)
@@ -253,6 +257,33 @@ def test_randomized_identities_up_to_eight_strands():
             rt = inversion_set(t)
             assert deglex_compare(InversionSet(rh), InversionSet(ra)) == -1
             assert deglex_compare(InversionSet(rb), InversionSet(rt)) == -1
+
+
+def test_transfer_matches_the_fixpoint_meet_at_wide_n():
+    # the engine's one move above the rank tables, read off the insertion
+    # pass, against the transfer built from the independent fixpoint meet
+    rng = random.Random(14)
+
+    def fixpoint_transfer(a, b):
+        r_a, r_b = InversionSet.from_permutation(a), InversionSet.from_permutation(b)
+        m = permutation_from_inversions(meet(star(r_a, a), complement(r_b)).pairs)
+        return compose(a, m), compose(inverse(m), b)
+
+    checked = normal = 0
+    for n, rounds in ((6, 200), (9, 100), (16, 25), (64, 3)):
+        ident, top = identity(n), omega(n)
+        pairs = [(ident, ident), (ident, top), (top, ident), (top, top)]
+        for _ in range(rounds):
+            r, s = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            x, y = near_top(rng, n), near_top(rng, n)
+            pairs += [(r, s), (x, r), (r, y), (x, y), (ident, r), (r, ident), (top, r), (r, top)]
+        for a, b in pairs:
+            assert _transfer_words(a, b) == fixpoint_transfer(a, b), (a, b)
+            is_normal = _is_normal_words(a, b)
+            assert (_step_words(a, b) is None) == is_normal, (a, b)
+            checked += 1
+            normal += is_normal
+    assert checked == 4 * 4 + 8 * (200 + 100 + 25 + 3) and 0 < normal < checked
 
 
 def test_star_set():

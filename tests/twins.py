@@ -1,4 +1,4 @@
-"""Slow twins shared by the test modules."""
+"""Slow twins, and inputs that stress the fast paths, shared by the test modules."""
 from braidnf.normalform import GroupNormalForm, PositiveWord, gs_rewrite_to_fixpoint
 from braidnf.perms import adjacent_transposition, compose, flip, omega
 from braidnf.simple import SimpleBraid
@@ -37,3 +37,12 @@ def lifted_group_twin(word) -> GroupNormalForm:
     if trailing % 2:
         factors = [flip(p) for p in factors]
     return GroupNormalForm(n, power + trailing, tuple(SimpleBraid(p) for p in factors))
+
+
+def near_top(rng, n):
+    """omega(n) with one to four random adjacent swaps."""
+    w = list(omega(n))
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(n - 1)
+        w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
