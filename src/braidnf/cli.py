@@ -54,6 +54,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_eq(args) -> int:
+    if args.word1 == args.word2 == "-":
+        raise ParseError("standard input can supply only one word")
     w1 = parse_word(_read_word_text(args.word1))
     w2 = parse_word(_read_word_text(args.word2))
     if w1.n != w2.n:
@@ -96,15 +98,20 @@ def _suite_reports(suite: str, n: int, args) -> list:
     if suite == "validity":
         return [verify_validity(n)]
     samples = 1000 if args.samples is None else args.samples
-    return [verify_confluence(n, args.length, samples, args.seed)]
+    length = 20 if args.length is None else args.length
+    return [verify_confluence(n, length, samples, args.seed)]
 
 
 def _cmd_verify(args) -> int:
+    if args.length is not None and args.length < 0:  # before any suite runs
+        raise ParseError(f"length must be at least 0, got {args.length}")
     if args.all:
         runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
     elif args.suite:
         if args.suite in ("strands", "validity") and args.samples is not None:
             raise ParseError(f"--samples: suite {args.suite} is exhaustive")
+        if args.suite != "confluence" and args.length is not None:
+            raise ParseError(f"--length: suite {args.suite} draws no words")
         runs = [(args.suite, args.n)]
     else:
         raise ParseError("pass --suite <name> or --all")
@@ -185,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--samples", type=int, default=None, help="sampled cases, at least 1")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--length", type=int, default=20, help="word length bound (confluence)")
+    p.add_argument("--length", type=int, help="word length bound (confluence), default 20")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("automaton", help="build the explicit automaton and export DOT")

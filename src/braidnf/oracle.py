@@ -79,36 +79,33 @@ class VerificationReport:
 # Enumerations
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _inversion_groups(n: int) -> tuple:
-    """All inversion-set bit arrays of S_n, grouped by cardinality."""
-    groups: list[list] = [[] for _ in range(pair_count(n) + 1)]
+    """All inversion-set bit arrays of S_n, one frozenset per cardinality."""
+    groups: list[set] = [set() for _ in range(pair_count(n) + 1)]
     for p in all_permutations(n):
         bits = inversion_bits(p)
-        groups[bits.bit_count()].append(bits)
-    return tuple(tuple(g) for g in groups)
-
-
-@functools.lru_cache(maxsize=None)
-def _all_inversion_bits(n: int) -> frozenset:
-    return frozenset(inversion_bits(p) for p in all_permutations(n))
+        groups[bits.bit_count()].add(bits)
+    return tuple(map(frozenset, groups))
 
 
 def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     """
     The weak-order meet by enumeration: among all inversion sets contained
-    in the intersection, the unique one of maximal cardinality.  Raises if
-    the maximum is not unique, which would contradict the lattice
-    structure.
+    in the intersection, the unique one of maximal cardinality.  The scan
+    starts at the size of the intersection, since no larger set fits in
+    it.  Raises if the maximum is not unique, which would contradict the
+    lattice structure.
     """
     if r1.n != r2.n:
         raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
     n = r1.n
     if n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration of S_{n} is too large; need n <= {BRUTE_MAX_STRANDS}")
-    not_target = ~(r1.bits & r2.bits)
+    target = r1.bits & r2.bits
+    not_target = ~target
     groups = _inversion_groups(n)
-    for size in range(len(groups) - 1, -1, -1):
+    for size in range(target.bit_count(), -1, -1):
         hits = [bits for bits in groups[size] if not bits & not_target]
         if hits:
             if len(hits) > 1:
@@ -120,10 +117,10 @@ def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
 
 
 def brute_validity(s: PairSet) -> bool:
-    """Whether s is an inversion set, by enumerating S_n."""
+    """Whether s is an inversion set: one of S_n's, enumerated, of its cardinality."""
     if s.n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration of S_{s.n} is too large; need n <= {BRUTE_MAX_STRANDS}")
-    return s.bits in _all_inversion_bits(s.n)
+    return s.bits in _inversion_groups(s.n)[s.bits.bit_count()]
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +233,23 @@ LAWS = {
 def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> VerificationReport:
     """
     For each part (group, cases), evaluate every law of LAWS[group] on every
-    case.  Each distinct pair is transferred once per call, through one memo
-    that also checks crossing conservation, and tested for normality once,
-    through another.  Both memos live for one call: the sweep stays
-    independent of the engine's table.
+    case.  The transfer and the normality test are cached for one call
+    (functools.cache), so each distinct pair is transferred once, its
+    crossing conservation checked then, and tested for normality once.
+    Built per call, the caches keep each sweep independent of the engine's
+    table and of every other sweep.
     """
     if n < 1:
         raise ValueError("need at least one strand")
     failures: list = []
-    done: dict = {}
-    normal: dict = {}
 
+    @functools.cache
     def transfer(a, b):
-        pair = done.get((a, b))
-        if pair is None:
-            head, tail = _transfer_words(a, b)
-            # the head is a*m, so head == a exactly when nothing moved
-            if head != a and not conserves_crossings(a, b, head, tail):
-                failures.append(["crossing-conservation", a, b])
-            pair = done[a, b] = head, tail
-        return pair
+        head, tail = _transfer_words(a, b)
+        # the head is a*m, so head == a exactly when nothing moved
+        if head != a and not conserves_crossings(a, b, head, tail):
+            failures.append(["crossing-conservation", a, b])
+        return head, tail
 
     def h(a, b):
         return transfer(a, b)[0]
@@ -263,12 +257,7 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     def t(a, b):
         return transfer(a, b)[1]
 
-    def N(a, b):
-        verdict = normal.get((a, b))
-        if verdict is None:
-            verdict = normal[a, b] = _is_normal_words(a, b)
-        return verdict
-
+    N = functools.cache(_is_normal_words)
     cases = 0
     for group, group_cases in parts:
         for case in group_cases:
@@ -472,16 +461,16 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
 
 def verify_validity(n: int) -> VerificationReport:
     """
-    The two-condition inversion-set criterion against enumeration, over
-    every subset of the pair slots.
+    The two-condition inversion-set criterion (is_inversion_set) against
+    its enumeration twin (brute_validity), over every subset of the pair
+    slots.
     """
     if n > 6:
         raise ValueError("2^(n(n-1)/2) subsets; need n <= 6")
-    good = _all_inversion_bits(n)
     failures: list = []
     total = 1 << pair_count(n)
     for bits in range(total):
         s = PairSet(n, bits)
-        if is_inversion_set(s) != (bits in good):
+        if is_inversion_set(s) != brute_validity(s):
             failures.append(["validity", s.pairs()])
     return VerificationReport("validity", n, total, failures)

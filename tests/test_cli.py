@@ -105,6 +105,15 @@ def test_eq(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_eq_reads_standard_input_once(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n=3; 1 2 1"))
+    assert run_cli(capsys, "eq", "-", "-") == (
+        2, "", "error: standard input can supply only one word\n"
+    )
+    code, out, _ = run_cli(capsys, "eq", "-", "n=3; 2 1 2")
+    assert code == 0 and out == "equal\n"
+
+
 def test_transfer(capsys):
     code, out, _ = run_cli(capsys, "transfer", "[3 1 7 8 4 5 2 6]", "[5 2 6 7 8 1 4 3]")
     assert code == 0
@@ -220,6 +229,10 @@ def test_verify_rejects_bad_arguments(capsys):
         (["--suite", "gsb", "--n", "6", "--samples", "-2"], "samples must be at least 1"),
         (["--suite", "confluence", "--samples", "0"], "samples must be at least 1"),
         (["--suite", "confluence", "--length", "-5"], "length must be at least 0"),
+        (["--suite", "meet", "--n", "4", "--length", "-3"], "length must be at least 0"),
+        (["--all", "--length", "-1"], "length must be at least 0"),
+        (["--suite", "meet", "--length", "5"], "--length: suite meet draws no words"),
+        (["--suite", "gsb", "--length", "20"], "--length: suite gsb draws no words"),
         (["--suite", "confluence", "--n", "1"], "2 <= n <= 6"),
         (["--suite", "gsb", "--n", "0"], "need at least one strand"),
         (["--suite", "stop", "--n", "0"], "need at least one strand"),

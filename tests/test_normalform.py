@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from braidnf import simple
+from braidnf import normalform, simple
 from braidnf.normalform import (
     GroupNormalForm,
     PositiveNormalForm,
@@ -376,52 +376,32 @@ def test_half_twist_factors_collect_at_the_tail():
 @pytest.fixture
 def engine_counts(monkeypatch):
     """
-    Count the engine's flips and its transfers.  Up to five strands they
-    are reads of the rank tables, so fresh tables whose FLIP and STEP
-    lists count are swapped in; above, the tuple path's module bindings
-    are wrapped.  A transfer is a step that rewrites its pair, whether a
-    table entry or the meet served it, so the counts do not depend on how
-    warm the table is.
+    Count the engine's flips and its transfers.  Every engine call takes
+    its flip and step from normalform._alphabet, so that one function is
+    wrapped, whatever the alphabet.  A transfer is a step that rewrites
+    its pair, whether a table entry or the meet served it, so the counts
+    do not depend on how warm the table is; the rank tables start fresh.
     """
-    import braidnf.normalform as module
-
     counts = collections.Counter()
+    alphabet = normalform._alphabet
 
-    class CountedFlips(list):
-        def __getitem__(self, a):
+    def counted_alphabet(n):
+        letters = alphabet(n)
+        flip, step = letters.flip, letters.step
+
+        def counted_flip(a):
             counts["flip"] += 1
-            return list.__getitem__(self, a)
+            return flip(a)
 
-    class CountedSteps(list):
-        # an entry is either read, or computed and stored on its first read
-        def __getitem__(self, k):
-            step = list.__getitem__(self, k)
-            counts["transfer"] += step.__class__ is tuple
-            return step
+        def counted_step(a, b):
+            result = step(a, b)
+            counts["transfer"] += result is not None
+            return result
 
-        def __setitem__(self, k, step):
-            counts["transfer"] += step is not None
-            list.__setitem__(self, k, step)
+        return letters._replace(flip=counted_flip, step=counted_step)
 
     monkeypatch.setattr(simple, "_TABLES", {})
-    for n in range(1, simple.TABLE_MAX_STRANDS + 1):
-        tables = simple.rank_tables(n)
-        tables.FLIP = CountedFlips(tables.FLIP)
-        tables.STEP = CountedSteps(tables.STEP)
-
-    flip, step = module.flip, module._step_words
-
-    def counted_flip(*args):
-        counts["flip"] += 1
-        return flip(*args)
-
-    def counted_step(a, b):
-        result = step(a, b)
-        counts["transfer"] += result is not None
-        return result
-
-    monkeypatch.setattr(module, "flip", counted_flip)
-    monkeypatch.setattr(module, "_step_words", counted_step)
+    monkeypatch.setattr(normalform, "_alphabet", counted_alphabet)
     return counts
 
 

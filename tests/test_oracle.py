@@ -222,6 +222,22 @@ def test_sweep_transfers_each_pair_once_and_checks_conservation(monkeypatch):
     assert len(broken) == len(set(broken)) and set(broken) == doubled
 
 
+def test_sweep_caches_live_for_one_call(monkeypatch):
+    # each sweep transfers every distinct pair afresh: caches kept across
+    # calls would make a sweep depend on the ones before it
+    calls = collections.Counter()
+    real = oracle._transfer_words
+
+    def counting(a, b):
+        calls[a, b] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_transfer_words", counting)
+    first, second = verify_gsb(3), verify_gsb(3)
+    assert first == second and first.passed
+    assert len(calls) == 36 and set(calls.values()) == {2}
+
+
 def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
     transfers = 0
     real = oracle._transfer_words
