@@ -86,7 +86,7 @@ ALL_SIZES = {"gsb": 4, "stop": 4, "strands": 4, "meet": 5, "validity": 5, "confl
 def _suite_reports(suite: str, n: int, args) -> list:
     """The reports of one suite at n, in print order."""
     if suite == "gsb":
-        gating = verify_gsb(n, args.samples, args.seed)  # first: it rejects n > 4 unsampled
+        gating = verify_gsb(n, args.samples, args.seed)  # first: it rejects n > 5 unsampled
         small = min(n, 5)  # the diagnostics are exhaustive
         return [verify_commuting(small), verify_gsb_strict(small), gating]
     if suite == "stop":
@@ -190,7 +190,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(ALL_SIZES))
     p.add_argument("--all", action="store_true", help="run every suite at safe sizes")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--samples", type=int, default=None, help="sampled cases, at least 1")
+    p.add_argument(
+        "--samples",
+        type=int,
+        help="sampled cases, at least 1: triples for gsb and stop, pairs for meet, words for"
+        " confluence; gsb's pairs at n <= 5, its diagnostics, strands and validity stay exhaustive",
+    )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--length", type=int, help="word length bound (confluence), default 20")
     p.set_defaults(func=_cmd_verify)

@@ -56,9 +56,11 @@ from .simple import (
 )
 
 # A rewrite-step observer: receives (position, left, right, head, tail) as
-# bare one-line words.  Used by the verification suites to watch crossing
-# conservation and termination without slowing the plain code path.
-StepHook = Optional[Callable[[int, tuple, tuple, tuple, tuple], None]]
+# the rewriting's letters, bare one-line words from gs_rewrite_to_fixpoint
+# and ints of the oracle's pair table in oracle.verify_confluence.  Used to
+# watch crossing conservation and termination without slowing the plain
+# code path.
+StepHook = Optional[Callable[[int, object, object, object, object], None]]
 
 
 def _product(n: int, braids: Iterable[SimpleBraid]) -> tuple[int, ...]:
@@ -83,7 +85,9 @@ class PositiveWord:
 
     @classmethod
     def from_generator_indices(cls, n: int, indices: Sequence[int]) -> PositiveWord:
-        return cls(n, tuple(generator_braid(n, i) for i in indices))
+        """The word of Artin generators; each distinct one is built once and shared."""
+        braids = {i: generator_braid(n, i) for i in set(indices)}
+        return cls(n, tuple(map(braids.__getitem__, indices)))
 
     def permutation(self) -> tuple[int, ...]:
         return _product(self.n, self.letters)
@@ -350,6 +354,34 @@ def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     return PositiveNormalForm(n, tuple(map(alphabet.braid, factors)))
 
 
+def _rewrite_to_fixpoint(
+    letters: Iterable, strategy: str, ident, step: Callable, hook: StepHook
+) -> list:
+    """
+    The letters, identity dropped, after rewriting one non-normal adjacent
+    pair at a time, the leftmost or the rightmost one.  step(a, b) is None
+    for a normal pair, else (head, tail), as _append_word takes it; a
+    vanished head merges the pair into its tail.  After a rewrite the
+    scan steps back one pair, since only the pairs next to the rewritten
+    one can have changed.  hook, when given, sees every rewrite.
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    letters = [x for x in letters if x != ident]
+    forward = 1 if strategy == "leftmost" else -1
+    i = 0 if forward == 1 else len(letters) - 2
+    while 0 <= i < len(letters) - 1:
+        rewrite = step(letters[i], letters[i + 1])
+        if rewrite is None:
+            i += forward
+            continue
+        if hook is not None:
+            hook(i, letters[i], letters[i + 1], *rewrite)
+        letters[i : i + 2] = rewrite[1:] if rewrite[0] == ident else rewrite
+        i = min(max(i - forward, 0), len(letters) - 2)
+    return letters
+
+
 def gs_rewrite_to_fixpoint(
     w: PositiveWord, strategy: str = "leftmost", step_hook: StepHook = None
 ) -> PositiveNormalForm:
@@ -357,41 +389,17 @@ def gs_rewrite_to_fixpoint(
     Normalise by repeatedly rewriting one non-normal adjacent pair chosen
     by the given strategy, dropping identity factors as they appear.
     Confluence makes the result independent of the strategy; termination
-    is bounded by the position-weighted crossing count of the input.
+    is bounded by the position-weighted crossing count of the input.  A
+    pair is judged by the normality test and rewritten by the transfer on
+    one-line words, never by the engine's step.
     """
-    ident = identity(w.n)
-    perms = [letter.perm for letter in w.letters if letter.perm != ident]
 
-    def rewrite_at(i: int) -> None:
-        a, b = perms[i], perms[i + 1]
-        head, tail = _transfer_words(a, b)
-        if step_hook is not None:
-            step_hook(i, a, b, head, tail)
-        if head == ident:
-            perms[i : i + 2] = [tail]
-        else:
-            perms[i] = head
-            perms[i + 1] = tail
+    def step(a, b):
+        return None if _is_normal_words(a, b) else _transfer_words(a, b)
 
-    if strategy == "leftmost":
-        i = 0
-        while i < len(perms) - 1:
-            if _is_normal_words(perms[i], perms[i + 1]):
-                i += 1
-                continue
-            rewrite_at(i)
-            i = max(i - 1, 0)
-    elif strategy == "rightmost":
-        j = len(perms) - 2
-        while j >= 0:
-            if _is_normal_words(perms[j], perms[j + 1]):
-                j -= 1
-                continue
-            rewrite_at(j)
-            j = min(j + 1, len(perms) - 2)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return PositiveNormalForm(w.n, tuple(SimpleBraid(p) for p in perms))
+    perms = [letter.perm for letter in w.letters]
+    perms = _rewrite_to_fixpoint(perms, strategy, identity(w.n), step, step_hook)
+    return PositiveNormalForm(w.n, tuple(map(SimpleBraid, perms)))
 
 
 def rewrite_potential(w: PositiveWord) -> int:

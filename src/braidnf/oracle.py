@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 from .lattice import InversionSet, meet, meet_permutations
 from .normalform import (
+    PositiveNormalForm,
     PositiveWord,
-    gs_rewrite_to_fixpoint,
+    _rewrite_to_fixpoint,
     normalize_positive,
     rewrite_potential,
 )
@@ -38,6 +39,7 @@ from .perms import (
 )
 from .simple import (
     TABLE_MAX_STRANDS,
+    SimpleBraid,
     _is_clean_words,
     _is_normal_words,
     _transfer_words,
@@ -170,8 +172,9 @@ def conserves_crossings(x, y, h, t) -> bool:
 
 def _commuting(h, t, N, a, b) -> bool:
     """h(a, b) == b != a iff a = x*b with x*b = b*x, b an involution, and crossings adding."""
+    a, b, head = map(N.perm.__getitem__, (a, b, h(a, b)))
     x = compose(a, inverse(b))
-    return (h(a, b) == b != a) == (
+    return (head == b != a) == (
         a != b
         and compose(b, b) == identity(len(b))
         and length(a) == length(x) + length(b)
@@ -184,20 +187,21 @@ def _strand_lemma(h, t, N, a, b, pair) -> bool:
     The strands starting at positions s < u cross in the new head iff they
     cross in a and in b, and in the new tail iff they cross in a or in b.
     """
-    s, u = pair
-    head = h(a, b)
+    (s, u), a, b, head, tail = map(N.perm.__getitem__, (pair, a, b, h(a, b), t(a, b)))
     in_a, in_b = _cross_in(a, s, u), _cross_in(b, a[s - 1], a[u - 1])
-    in_tail = _cross_in(t(a, b), head[s - 1], head[u - 1])
+    in_tail = _cross_in(tail, head[s - 1], head[u - 1])
     return _cross_in(head, s, u) == (in_a and in_b) and in_tail == (in_a or in_b)
 
 
 # Each group of laws is a tuple of rows (name, law).  A law gets the two
 # operations h(x, y) and t(x, y), the head and tail after moving the maximal
 # tail of x into y, the normality test N(x, y), then the entries of one case,
-# and returns True when it holds.  A failure is recorded as [name, *case], or
-# as [name, *w] when the law returns a witness tuple w.  The exchange and
-# stopping laws compare the sweep of a triple right pair first, (a, b, c) ->
-# (a, h(b, c), t(b, c)) -> ..., with the sweep left pair first.
+# and returns True when it holds.  Every entry is an int of the call's pair
+# table (_PairTable), and N.perm[x] reads x back.  A failure is recorded, in
+# one-line words, as [name, *case], or as [name, *w] when the law returns a
+# witness tuple w.  The exchange and stopping laws compare the sweep of a
+# triple right pair first, (a, b, c) -> (a, h(b, c), t(b, c)) -> ..., with
+# the sweep left pair first.
 LAWS = {
     "pair": (
         ("trivial-iff", lambda h, t, N, a, b: (h(a, b) == a) == (t(a, b) == b)),
@@ -230,42 +234,85 @@ LAWS = {
 }
 
 
+class _PairTable(dict):
+    """
+    Pairs of simple braids for one verification call, on ints.  The table
+    maps a one-line word (any case entry) to its int, interned on first
+    sight, and perm reads an int back; up to TABLE_MAX_STRANDS both start
+    from the rank automaton's enumeration of S_n (simple.RankTables), so a
+    braid's int is its rank.  A pair's normality verdict and its
+    (head, tail) are filled on first use, in a row per left int: a pair is
+    tested for normality (_is_normal_words) once and transferred
+    (_transfer_words) once, its crossing conservation checked then; a pair
+    that breaks it goes into broken, and into failures as
+    ["crossing-conservation", x, y] with x and y its one-line words.  Both
+    functions are looked up in this module when a pair is filled, never
+    read from the engine's STEP table.  h, t and N are the laws' head,
+    tail and normality test, and N.perm is perm; step is the rewriting
+    step on ints: None for a normal pair, else (head, tail).
+    """
+
+    def __init__(self, n: int):
+        perm = self.perm = list(rank_tables(n).PERM) if n <= TABLE_MAX_STRANDS else []
+        super().__init__(zip(perm, range(len(perm))))
+        moves, normal = {}, {}  # a -> {b: (head, tail)} and a -> {b: (verdict,)}
+        self.broken, self.failures = set(), []
+
+        def move(a, b) -> tuple[int, int]:
+            x, y = perm[a], perm[b]
+            head, tail = _transfer_words(x, y)
+            # an unchanged window conserves everything
+            if (head, tail) != (x, y) and not conserves_crossings(x, y, head, tail):
+                self.broken.add((a, b))
+                self.failures.append(["crossing-conservation", x, y])
+            return moves.setdefault(a, {}).setdefault(b, (self[head], self[tail]))
+
+        def test(a, b) -> tuple[bool]:
+            return normal.setdefault(a, {}).setdefault(b, (_is_normal_words(perm[a], perm[b]),))
+
+        def reader(rows, fill, i):  # entry i of a pair's row, filled on first use
+            def read(a, b):
+                try:
+                    return rows[a][b][i]
+                except KeyError:
+                    return fill(a, b)[i]
+
+            return read
+
+        def step(a, b):
+            return None if N(a, b) else (h(a, b), t(a, b))
+
+        h, t, N = reader(moves, move, 0), reader(moves, move, 1), reader(normal, test, 0)
+        N.perm = perm
+        self.h, self.t, self.N, self.step = h, t, N, step
+
+    def __missing__(self, p) -> int:
+        self.perm.append(p)
+        return self.setdefault(p, len(self))
+
+
 def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> VerificationReport:
     """
     For each part (group, cases), evaluate every law of LAWS[group] on every
-    case.  The transfer and the normality test are cached for one call
-    (functools.cache), so each distinct pair is transferred once, its
+    case.  The entries of each case are interned to the ints of one pair
+    table built for this call (_PairTable), and the laws read head, tail
+    and normality from it, so each distinct pair is transferred once, its
     crossing conservation checked then, and tested for normality once.
-    Built per call, the caches keep each sweep independent of the engine's
-    table and of every other sweep.
+    Failure records read the ints back as the case's one-line words.
     """
     if n < 1:
         raise ValueError("need at least one strand")
-    failures: list = []
-
-    @functools.cache
-    def transfer(a, b):
-        head, tail = _transfer_words(a, b)
-        # the head is a*m, so head == a exactly when nothing moved
-        if head != a and not conserves_crossings(a, b, head, tail):
-            failures.append(["crossing-conservation", a, b])
-        return head, tail
-
-    def h(a, b):
-        return transfer(a, b)[0]
-
-    def t(a, b):
-        return transfer(a, b)[1]
-
-    N = functools.cache(_is_normal_words)
+    table = _PairTable(n)
+    failures, h, t, N, perm = table.failures, table.h, table.t, table.N, table.perm.__getitem__
     cases = 0
     for group, group_cases in parts:
         for case in group_cases:
             cases += 1
+            case = tuple(map(table.__getitem__, case))
             for name, law in LAWS[group]:
                 verdict = law(h, t, N, *case)
                 if verdict is not True:
-                    failures.append([name, *(verdict or case)])
+                    failures.append([name, *map(perm, verdict or case)])
     return VerificationReport(suite, n, cases, failures, diagnostic)
 
 
@@ -292,8 +339,8 @@ def _triples(n: int, samples: Optional[int], seed: int):
     """Triples of S_n, all of them or seeded samples; checks its arguments eagerly."""
     _check_samples(samples)
     if samples is None:
-        if n > 4:
-            raise ValueError("exhaustive triples need n <= 4; pass samples for larger n")
+        if n > 5:
+            raise ValueError("exhaustive triples need n <= 5; pass samples for larger n")
         return itertools.product(all_permutations(n), repeat=3)
     if n > MAX_STRANDS:
         raise ValueError(f"sampled triples need n <= {MAX_STRANDS}, got {n}")
@@ -328,11 +375,11 @@ def verify_strand_lemma(n: int) -> VerificationReport:
 def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
     """
     The pair laws over pairs and the exchange laws over triples, exhaustive
-    for n <= 4 and sampled above.  The unconditional idempotence and
+    for n <= 5 and sampled above.  The unconditional idempotence and
     flush-pair clauses sometimes quoted alongside them are refuted by small
     counterexamples; they live in verify_gsb_strict as a documented divergence.
     """
-    triples = _triples(n, samples, seed)  # before any work: it rejects n > 4 unsampled
+    triples = _triples(n, samples, seed)  # before any work: it rejects n > 5 unsampled
     return _sweep("gsb", n, ("pair", _pairs(n, samples, seed)), ("exchange", triples))
 
 
@@ -379,7 +426,12 @@ def verify_confluence(
     Random positive generator words: the leftmost strategy, the rightmost
     strategy and the append engine (normalize_positive) must produce
     identical normal forms, within the termination bound, conserving
-    crossings at every rewrite step.
+    crossings at every rewrite step.  The two strategies rewrite ints of
+    one pair table built for this call (_PairTable), so each distinct pair
+    is tested for normality once and, when it rewrites, transferred and
+    checked for conservation once; a word fails conservation when one of
+    its rewrites is a broken pair.  Each strategy's result is validated as
+    a PositiveNormalForm before the comparison.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
@@ -388,17 +440,20 @@ def verify_confluence(
     _check_samples(samples)
     rng = random.Random(seed)
     failures: list = []
+    table = _PairTable(n)
+    ident, perm, step = table[identity(n)], table.perm, table.step
     for case in range(samples):
         ell = rng.randint(0, length)
         idxs = [rng.randint(1, n - 1) for _ in range(ell)]
         word = PositiveWord.from_generator_indices(n, idxs)
         bound = rewrite_potential(word)
-        outcomes = []
+        letters, outcomes = [table[letter.perm] for letter in word.letters], []
         for strategy in ("leftmost", "rightmost"):
-            steps = []  # the (x, y, h, t) window of every rewrite step
-            nf = gs_rewrite_to_fixpoint(word, strategy, lambda i, *window: steps.append(window))
+            steps = []  # the (position, left, right, head, tail) of every rewrite step
+            form = _rewrite_to_fixpoint(letters, strategy, ident, step, lambda *s: steps.append(s))
+            nf = PositiveNormalForm(n, tuple(SimpleBraid(perm[x]) for x in form))
             outcomes.append(tuple(f.perm for f in nf.factors))
-            if not all(conserves_crossings(*window) for window in steps):
+            if not table.broken.isdisjoint(s[1:3] for s in steps):
                 failures.append(["crossing-conservation", strategy, idxs])
             if len(steps) > bound:
                 failures.append(["termination-bound", strategy, idxs, len(steps), bound])

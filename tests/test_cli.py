@@ -175,6 +175,19 @@ def test_verify_all(capsys):
     }
 
 
+def test_verify_all_samples_only_where_a_suite_samples(capsys):
+    # gsb samples triples and still runs every pair at n <= 5, stop samples
+    # triples, meet pairs and confluence words; strands, validity and the
+    # two diagnostics stay exhaustive
+    code, out, _ = run_cli(capsys, "verify", "--all", "--n", "3", "--samples", "5")
+    assert code == 0
+    cases = {l["suite"]: l["cases"] for l in map(json.loads, out.splitlines())}
+    assert cases == {
+        "gsb-commuting-diagnostic": 36, "gsb-strict": 36, "gsb": 41, "stop": 5,
+        "strands": 51, "meet": 5, "validity": 8, "confluence": 5,
+    }
+
+
 def test_verify_requires_a_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3")
     assert code == 2 and "error:" in err

@@ -249,10 +249,47 @@ def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
 
     monkeypatch.setattr(simple, "_TABLES", {})
     monkeypatch.setattr(oracle, "_transfer_words", counting)
-    with pytest.raises(ValueError, match="n <= 4"):
-        verify_gsb(5)
+    with pytest.raises(ValueError, match="n <= 5"):
+        verify_gsb(6)
     assert transfers == 0
     assert verify_gsb(2).cases == 4 + 8 and transfers > 0
+
+
+def test_triples_are_exhaustive_up_to_five_strands():
+    triples = oracle._triples(5, None, 42)
+    assert sum(1 for _ in triples) == 120**3
+    with pytest.raises(ValueError, match="n <= 5"):
+        oracle._triples(6, None, 42)
+
+
+def test_confluence_twin_transfers_each_pair_once_per_call(monkeypatch):
+    # the rewriting twin reads the oracle's own pair table, built per call:
+    # a table kept across calls would skip the second call's transfers
+    calls = collections.Counter()
+    real = oracle._transfer_words
+
+    def counting(a, b):
+        calls[a, b] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_transfer_words", counting)
+    first, second = verify_confluence(3, 10, 50, 1), verify_confluence(3, 10, 50, 1)
+    assert first == second and first.passed
+    assert calls and set(calls.values()) == {2}
+    assert all(not oracle._is_normal_words(a, b) for a, b in calls)
+
+
+def test_confluence_twin_rewrites_with_the_oracle_transfer(monkeypatch):
+    # a transfer that moves all of a into b breaks crossing conservation and
+    # confluence; the twin must take it from the oracle, not from a table
+    # that an earlier, unpatched call filled
+    def move_everything(a, b):
+        return identity(len(a)), compose(a, b)
+
+    assert verify_confluence(3, 10, 50, 1).passed
+    monkeypatch.setattr(oracle, "_transfer_words", move_everything)
+    kinds = collections.Counter(f[0] for f in verify_confluence(3, 10, 50, 1).failures)
+    assert kinds == {"crossing-conservation": 35, "confluence": 20}
 
 
 def test_verify_confluence_small():
