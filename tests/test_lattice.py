@@ -245,3 +245,77 @@ def test_meet_permutations_descents_are_the_common_descents():
             assert m == identity(n) and meet(inv(p), inv(q)).bits == 0
             hidden += inversion_set(p).bits & inversion_set(q).bits != 0
     assert hidden > 100
+
+
+class _Counted(int):
+    """An int that counts its < and > comparisons."""
+
+    count = 0
+
+    def __lt__(self, other):
+        _Counted.count += 1
+        return int.__lt__(self, other)
+
+    def __gt__(self, other):
+        _Counted.count += 1
+        return int.__gt__(self, other)
+
+
+def test_meet_pass_is_linear_past_crossing_boundaries():
+    # a near-top left factor against a sparse right one, the engine's
+    # commonest heavy pair: every entry that passes the whole list marks a
+    # crossing boundary, and no later walk goes back past it
+    for n in (64, 256, 1024):
+        rng = random.Random(n)
+        for _ in range(5):
+            a = list(omega(n))
+            for i in rng.sample(range(n - 1), n // 4):
+                a[i], a[i + 1] = a[i + 1], a[i]
+            b = list(identity(n))
+            for _ in range(3):
+                i = rng.randrange(n - 1)
+                b[i], b[i + 1] = b[i + 1], b[i]
+            _Counted.count = 0
+            us, bs = lattice._meet_reads(
+                [_Counted(x) for x in inverse(a)], [_Counted(x) for x in b]
+            )
+            assert _Counted.count <= 4 * n
+            if n == 64:
+                m = compose(inverse(a), inverse(us))
+                want = meet(inv(inverse(a)), inv(compose(b, omega(n))))
+                assert inversion_set(m).bits == want.bits
+                assert tuple(bs) == compose(inverse(m), b)
+
+
+def _block_sum(rng, sizes, skew):
+    """Random blocks of the given sizes, placed low to high (a direct sum)
+    or high to low (a skew sum)."""
+    n, out, done = sum(sizes), [], 0
+    for k in sizes:
+        low = n - done - k if skew else done
+        out += rng.sample(range(low + 1, low + k + 1), k)
+        done += k
+    return tuple(out)
+
+
+def test_meet_permutations_on_block_sums():
+    # skew sums put the largest values first, so their block boundaries are
+    # the crossing boundaries at which the insertion pass starts its walks;
+    # random permutations seldom have any
+    def sizes(n):
+        out = []
+        while sum(out) < n:
+            out.append(min(rng.randint(1, 6), n - sum(out)))
+        return out
+
+    rng = random.Random(13)
+    for _ in range(3000):
+        n = rng.randint(6, 40)
+        su = sizes(n)
+        sv = su if rng.random() < 0.5 else sizes(n)
+        p = _block_sum(rng, su, rng.random() < 0.5)
+        q = _block_sum(rng, sv, rng.random() < 0.5)
+        got = inversion_set(meet_permutations(p, q)).bits
+        assert got == meet(inv(p), inv(q)).bits
+        if n <= 7:
+            assert got == brute_meet(inv(p), inv(q)).bits
