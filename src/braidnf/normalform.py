@@ -42,11 +42,14 @@ module check the engine against.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import compose, flip, identity, inverse, omega
 from .simple import (
     TABLE_MAX_STRANDS,
+    RankTables,
     SimpleBraid,
     _is_normal_words,
     _step_words,
@@ -79,9 +82,9 @@ class PositiveWord:
     letters: tuple[SimpleBraid, ...]
 
     def __post_init__(self):
-        for letter in self.letters:
-            if letter.n != self.n:
-                raise ValueError(f"letter on {letter.n} strands in a word on {self.n}")
+        bad = _off_strand(self.n, self.letters)
+        if bad is not None:
+            raise ValueError(f"letter on {bad.n} strands in a word on {self.n}")
 
     @classmethod
     def from_generator_indices(cls, n: int, indices: Sequence[int]) -> PositiveWord:
@@ -99,20 +102,38 @@ class PositiveWord:
         return len(self.letters)
 
 
+def _off_strand(n: int, braids: Sequence[SimpleBraid]) -> Optional[SimpleBraid]:
+    """
+    The first braid not on n strands, or None.  The lengths of all the
+    permutations are tested in one C-level pass, and the first offender
+    is looked for only when that pass fails.
+    """
+    if not {n}.issuperset(map(len, [b.perm for b in braids])):
+        return next(b for b in braids if b.n != n)
+    return None
+
+
 def is_normal(factors: Sequence[SimpleBraid]) -> bool:
     """
     Whether a factor sequence is a right-greedy normal form: no identity
     factors, and every adjacent pair admits no transfer (a step that
-    rewrites nothing).
+    rewrites nothing).  The pairs are stepped in order until one
+    rewrites: step gives None or a non-empty tuple, so any() finds it.
     """
     if not factors:
         return True
     alphabet = _alphabet(factors[0].n)
-    word = [alphabet.letter(f.perm) for f in factors]
-    step = alphabet.step
-    return alphabet.ident not in word and all(
-        step(word[i], word[i + 1]) is None for i in range(len(word) - 1)
-    )
+    word = list(map(alphabet.letter, [f.perm for f in factors]))
+    return alphabet.ident not in word and not any(map(alphabet.step, word, islice(word, 1, None)))
+
+
+def _check_form(n: int, factors: Sequence[SimpleBraid]) -> None:
+    """Raise ValueError unless the factors are on n strands and form a normal form."""
+    bad = _off_strand(n, factors)
+    if bad is not None:
+        raise ValueError(f"factor on {bad.n} strands in a form on {n}")
+    if not is_normal(factors):
+        raise ValueError("factor sequence is not a greedy normal form")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,11 +144,7 @@ class PositiveNormalForm:
     factors: tuple[SimpleBraid, ...]
 
     def __post_init__(self):
-        for f in self.factors:
-            if f.n != self.n:
-                raise ValueError(f"factor on {f.n} strands in a form on {self.n}")
-        if not is_normal(self.factors):
-            raise ValueError("factor sequence is not a greedy normal form")
+        _check_form(self.n, self.factors)
 
     def permutation(self) -> tuple[int, ...]:
         return _product(self.n, self.factors)
@@ -151,13 +168,8 @@ class GroupNormalForm:
     factors: tuple[SimpleBraid, ...]
 
     def __post_init__(self):
-        for f in self.factors:
-            if f.n != self.n:
-                raise ValueError(f"factor on {f.n} strands in a form on {self.n}")
-        if not is_normal(self.factors):
-            raise ValueError("factor sequence is not a greedy normal form")
-        top = omega(self.n)
-        if any(f.perm == top and self.n > 1 for f in self.factors):
+        _check_form(self.n, self.factors)
+        if omega(self.n) in [f.perm for f in self.factors] and self.n > 1:
             raise ValueError("half-twist factors belong in delta_power")
 
 
@@ -181,17 +193,13 @@ class _Alphabet(NamedTuple):
 
 def _alphabet(n: int) -> _Alphabet:
     """
-    The alphabet of one engine call, chosen once per call: ranks of simple
-    braids up to TABLE_MAX_STRANDS, where every operation is a table read,
-    and one-line words above, where a step is one transfer.
+    The alphabet of one engine call or normality test, chosen once per
+    call: ranks of simple braids up to TABLE_MAX_STRANDS, where every
+    operation is a table read, and one-line words above, where a step is
+    one transfer.
     """
     if n <= TABLE_MAX_STRANDS:
-        t = rank_tables(n)
-        ext = t.EXT
-        return _Alphabet(
-            0, t.N - 1, t.RANK.__getitem__, t.BRAID.__getitem__, t.FLIP.__getitem__,
-            t.step, lambda a, j: ext[a * n + j], t.CPOS.__getitem__, t.CNEG.__getitem__,
-        )
+        return _table_alphabet(rank_tables(n))
 
     def extend(p, j):
         return p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :] if p[j - 1] < p[j] else -1
@@ -199,6 +207,19 @@ def _alphabet(n: int) -> _Alphabet:
     return _Alphabet(
         identity(n), omega(n), tuple, SimpleBraid, flip, _step_words,
         extend, inverse, lambda p: inverse(p)[::-1],
+    )
+
+
+@functools.lru_cache(maxsize=TABLE_MAX_STRANDS)
+def _table_alphabet(t: RankTables) -> _Alphabet:
+    """
+    The rank alphabet of one RankTables object, built once per object:
+    tables built afresh (after simple._TABLES is reset) get their own.
+    """
+    ext, n = t.EXT, t.n
+    return _Alphabet(
+        0, t.N - 1, t.RANK.__getitem__, t.BRAID.__getitem__, t.FLIP.__getitem__,
+        t.step, lambda a, j: ext[a * n + j], t.CPOS.__getitem__, t.CNEG.__getitem__,
     )
 
 

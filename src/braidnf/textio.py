@@ -90,7 +90,13 @@ _HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
 
 
 def parse_word(text: str) -> ArtinWord:
-    """Parse the word grammar described in the module docstring."""
+    """
+    Parse the word grammar described in the module docstring.  Each
+    distinct token is converted and checked once (_symbol), and the word
+    is read through that table in one pass.  When a token is bad the
+    tokens are scanned again in word order, so the error names the first
+    bad token of the word.
+    """
     head, sep, rest = text.partition(";")
     if not sep:
         raise ParseError("missing 'n=<int>;' header")
@@ -106,21 +112,28 @@ def parse_word(text: str) -> ArtinWord:
     tokens = rest.split(maxsplit=MAX_LETTERS)  # one extra entry when too long
     if len(tokens) > MAX_LETTERS:
         raise ParseError(f"word has more than {MAX_LETTERS} tokens")
-    half_twists = {"D": n, "-D": -n}
-    symbols = []
-    for raw in tokens:
-        k = half_twists.get(raw)
-        if k is None:
-            try:
-                k = int(raw)
-            except ValueError:
-                raise ParseError(f"bad token {raw!r}") from None
-            if not 0 < abs(k) < n:
-                if k == 0:
-                    raise ParseError("generator index 0 is not allowed")
-                raise ParseError(f"generator index {abs(k)} out of range 1..{n - 1}")
-        symbols.append(k)
-    return ArtinWord(n, tuple(symbols))
+    try:
+        symbols = {raw: _symbol(raw, n) for raw in set(tokens)}
+    except ParseError:
+        for raw in tokens:
+            _symbol(raw, n)
+        raise
+    return ArtinWord(n, tuple(map(symbols.__getitem__, tokens)))
+
+
+def _symbol(raw: str, n: int) -> int:
+    """The symbol of one token of a word on n strands, or ParseError."""
+    if raw in ("D", "-D"):
+        return n if raw == "D" else -n
+    try:
+        k = int(raw)
+    except ValueError:
+        raise ParseError(f"bad token {raw!r}") from None
+    if not 0 < abs(k) < n:
+        if k == 0:
+            raise ParseError("generator index 0 is not allowed")
+        raise ParseError(f"generator index {abs(k)} out of range 1..{n - 1}")
+    return k
 
 
 def format_word(word: ArtinWord) -> str:
@@ -187,12 +200,15 @@ def _reduced_word(perm) -> list[int]:
 
 
 def format_normal_form(form: GroupNormalForm, style: str = "text") -> str:
-    """Render a group normal form; style 'text' or 'json'."""
+    """
+    Render a group normal form; style 'text' or 'json'.  The text style
+    renders each distinct factor's '[...]' once and joins the factors in
+    one pass.
+    """
     if style == "text":
-        parts = [f"D^{form.delta_power} :"]
-        for f in form.factors:
-            parts.append("[" + " ".join(str(v) for v in f.perm) + "]")
-        return " ".join(parts)
+        perms = [f.perm for f in form.factors]
+        text = {p: "[" + " ".join(map(str, p)) + "]" for p in set(perms)}
+        return " ".join([f"D^{form.delta_power} :", *map(text.__getitem__, perms)])
     if style == "json":
         payload = {
             "n": form.n,

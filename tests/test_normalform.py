@@ -47,6 +47,37 @@ def test_positive_word_validation():
     assert len(w) == 3
 
 
+def test_strand_mismatch_names_the_first_offender():
+    # the checks pass over all letters at once; when one is off, the error
+    # still names the first offending letter or factor in order
+    rng = random.Random(1903)
+    for n in [2, 3, 4, 5, 64]:
+        text = " ".join(str(rng.choice((-1, 1)) * rng.randint(1, n - 1)) for _ in range(60))
+        factors = list(normalize_group(parse_word(f"n={n}; {text}")).factors)
+        factors = factors or [generator_braid(n, 1)]
+        first, later = identity_braid(n + 1), generator_braid(n + 2, 1)
+        i = rng.randrange(len(factors) + 1)
+        bad = tuple(factors[:i] + [first] + factors[i:] + [later])
+        with pytest.raises(ValueError) as exc:
+            PositiveWord(n, bad)
+        assert str(exc.value) == f"letter on {n + 1} strands in a word on {n}"
+        for make in [lambda fs: PositiveNormalForm(n, fs), lambda fs: GroupNormalForm(n, 0, fs)]:
+            with pytest.raises(ValueError) as exc:
+                make(bad)
+            assert str(exc.value) == f"factor on {n + 1} strands in a form on {n}"
+
+
+def test_group_form_half_twist_check():
+    for n in [2, 3, 4, 5, 8, 64]:
+        factors = (generator_braid(n, 1), omega_braid(n))
+        assert PositiveNormalForm(n, factors).factors == factors
+        with pytest.raises(ValueError) as exc:
+            GroupNormalForm(n, 0, factors)
+        assert str(exc.value) == "half-twist factors belong in delta_power"
+    assert GroupNormalForm(1, 0, ()).factors == ()
+    assert GroupNormalForm(1, -3, ()).delta_power == -3
+
+
 def test_rewrite_pair_at():
     w = gen_word(3, [1, 2])
     got = rewrite_pair_at(w, 0)

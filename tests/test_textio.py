@@ -51,6 +51,55 @@ def test_parse_word_errors():
     assert parse_word("n=3; -1 D -D").symbols == (-1, 3, -3)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n=3; 1 x 0", "bad token 'x'"),
+        ("n=3; 0 1 x", "generator index 0 is not allowed"),
+        ("n=3; 2 5 x", "generator index 5 out of range 1..2"),
+        ("n=3; 2 -3 y 0", "generator index 3 out of range 1..2"),
+        ("n=3; 1 1 +D 1 0 x 0 +D", "bad token '+D'"),
+        ("n=4; D -D 2 -9 -D 0 9 z", "generator index 9 out of range 1..3"),
+    ],
+)
+def test_first_bad_token_in_word_order_wins(text, message):
+    # several distinct bad tokens: the error names the first in the word,
+    # whatever order the distinct tokens are checked in
+    with pytest.raises(ParseError) as exc:
+        parse_word(text)
+    assert str(exc.value) == message
+
+
+def _repetitive_text(rng, n, length):
+    """A word drawn from a pool of a few tokens, with +k, D and -D among them."""
+    pool = ["D", "-D"] + [str(rng.choice((-1, 1)) * rng.randint(1, n - 1)) for _ in range(3)]
+    pool.append("+" + str(rng.randint(1, n - 1)))
+    return f"n={n}; " + " ".join(rng.choice(pool) for _ in range(length))
+
+
+def test_parse_and_format_match_per_item_twins():
+    def parse_per_token(text):
+        head, _, rest = text.partition(";")
+        n = int(head.split("=")[1])
+        halves = {"D": n, "-D": -n}
+        return ArtinWord(n, tuple(halves[t] if t in halves else int(t) for t in rest.split()))
+
+    def format_per_factor(form):
+        parts = [f"D^{form.delta_power} :"]
+        for f in form.factors:
+            parts.append("[" + " ".join(str(v) for v in f.perm) + "]")
+        return " ".join(parts)
+
+    rng = random.Random(1901)
+    for n in [2, 3, 4, 5, 64]:
+        for _ in range(8):
+            text = _repetitive_text(rng, n, rng.randint(0, 300 if n < 64 else 120))
+            word = parse_word(text)
+            assert word == parse_per_token(text)
+            form = normalize_group(word)
+            assert format_normal_form(form) == format_per_factor(form)
+
+
 def test_word_roundtrip():
     for text in ["n=3;", "n=3; 1 2 1", "n=4; -1 D 3 -D -3", "n=2; 1 -1"]:
         w = parse_word(text)
