@@ -31,6 +31,7 @@ from .oracle import (
 )
 from .simple import SimpleBraid, transfer
 from .textio import (
+    MAX_LETTERS,
     MAX_STRANDS,
     ParseError,
     format_normal_form,
@@ -105,6 +106,8 @@ def _suite_reports(suite: str, n: int, args) -> list:
 def _cmd_verify(args) -> int:
     if args.length is not None and args.length < 0:  # before any suite runs
         raise ParseError(f"length must be at least 0, got {args.length}")
+    if args.length is not None and args.length > MAX_LETTERS:
+        raise ParseError(f"length must be at most {MAX_LETTERS}, got {args.length}")
     if args.all:
         runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
     elif args.suite:
@@ -149,6 +152,8 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"--n must be at most {MAX_STRANDS}, got {args.n}")
     if args.len < 1:
         raise ParseError(f"--len must be at least 1, got {args.len}")
+    if args.len > MAX_LETTERS:
+        raise ParseError(f"--len must be at most {MAX_LETTERS}, got {args.len}")
     rng = random.Random(args.seed)
     indices = [rng.randint(1, args.n - 1) for _ in range(args.len)]
     word = PositiveWord.from_generator_indices(args.n, indices)

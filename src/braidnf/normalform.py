@@ -17,12 +17,14 @@ never flipped while letters arrive: each incoming letter is flipped
 instead, and the core once at the end.  Each rewrite is one step of
 Thurston's automaton over pairs of simple braids.
 
-The engine's alphabet is chosen once per call.  Up to five strands
-(simple.TABLE_MAX_STRANDS) a letter is the rank of its simple braid and
-the whole run is integer table reads (simple.RankTables): each step,
-flip and run extension is one list read, and each output factor is a
-shared SimpleBraid.  Above, a letter is its one-line word and a step is
-one transfer (simple._step_words).  The loop is the same for both.
+The engine's alphabet is chosen once per call.  Its rules are stated
+once, on one-line words (_word_alphabet): a letter is its one-line word
+and a step is one transfer (simple._step_words).  Up to five strands
+(TABLE_MAX_STRANDS) RankTables tabulates that alphabet over S_n, so a
+letter is the rank of its simple braid and the whole run is integer
+table reads: each step, flip and run extension is one list read, and
+each output factor is a shared SimpleBraid.  The loop is the same for
+both.
 
 Generators do not enter the engine one at a time.  Each maximal run of
 same-sign generators whose product is still a simple braid is folded
@@ -42,20 +44,16 @@ module check the engine against.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import compose, flip, identity, inverse, omega
+from .perms import all_permutations, compose, flip, identity, inverse, omega
 from .simple import (
-    TABLE_MAX_STRANDS,
-    RankTables,
     SimpleBraid,
     _is_normal_words,
     _step_words,
     _transfer_words,
     generator_braid,
-    rank_tables,
 )
 
 # A rewrite-step observer: receives (position, left, right, head, tail) as
@@ -119,11 +117,16 @@ def is_normal(factors: Sequence[SimpleBraid]) -> bool:
     factors, and every adjacent pair admits no transfer (a step that
     rewrites nothing).  The pairs are stepped in order until one
     rewrites: step gives None or a non-empty tuple, so any() finds it.
+    Raises ValueError unless all factors are on as many strands as the
+    first.
     """
     if not factors:
         return True
-    alphabet = _alphabet(factors[0].n)
-    word = list(map(alphabet.letter, [f.perm for f in factors]))
+    n, perms = factors[0].n, [f.perm for f in factors]
+    if not {n}.issuperset(map(len, perms)):
+        raise ValueError(f"factor on {_off_strand(n, factors).n} strands in a sequence on {n}")
+    alphabet = _alphabet(n)
+    word = list(map(alphabet.letter, perms))
     return alphabet.ident not in word and not any(map(alphabet.step, word, islice(word, 1, None)))
 
 
@@ -191,15 +194,12 @@ class _Alphabet(NamedTuple):
     close_neg: Callable  # inverse run P -> Omega * P^-1
 
 
-def _alphabet(n: int) -> _Alphabet:
+def _word_alphabet(n: int) -> _Alphabet:
     """
-    The alphabet of one engine call or normality test, chosen once per
-    call: ranks of simple braids up to TABLE_MAX_STRANDS, where every
-    operation is a table read, and one-line words above, where a step is
-    one transfer.
+    The engine's alphabet on one-line words, where every rule is stated
+    once: a step is one transfer (simple._step_words), and a run of
+    generators (_fold_runs) grows by one swap and closes by inversion.
     """
-    if n <= TABLE_MAX_STRANDS:
-        return _table_alphabet(rank_tables(n))
 
     def extend(p, j):
         return p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :] if p[j - 1] < p[j] else -1
@@ -210,17 +210,73 @@ def _alphabet(n: int) -> _Alphabet:
     )
 
 
-@functools.lru_cache(maxsize=TABLE_MAX_STRANDS)
-def _table_alphabet(t: RankTables) -> _Alphabet:
+# Thurston's transitions number (n!)^2: 576 at n = 4 and 14,400 at n = 5, but
+# 518,400 at n = 6, so rank tables stop at five strands.
+TABLE_MAX_STRANDS = 5
+
+
+class RankTables:
     """
-    The rank alphabet of one RankTables object, built once per object:
-    tables built afresh (after simple._TABLES is reset) get their own.
+    Thurston's automaton on n <= TABLE_MAX_STRANDS strands, on integer
+    states: the word alphabet (_word_alphabet) tabulated over S_n.  A
+    simple braid's rank is its index in S_n listed in itertools
+    (lexicographic) order, so the identity is 0 and the half twist N - 1;
+    PERM[a] is its one-line word, inverted by RANK.  alphabet reads every
+    rule of the word alphabet through ranks, as flat list reads: the flip,
+    the run extensions (-1 where a run stops being simple), the run
+    closings and one SimpleBraid per rank, checked once and shared.  Its
+    step reads STEP[a*N + b]: None for a normal pair, else (head, tail),
+    and False until first asked for.  Only STEP grows with use, as a memo
+    of the transfer; the rest is O(n!).
     """
-    ext, n = t.EXT, t.n
-    return _Alphabet(
-        0, t.N - 1, t.RANK.__getitem__, t.BRAID.__getitem__, t.FLIP.__getitem__,
-        t.step, lambda a, j: ext[a * n + j], t.CPOS.__getitem__, t.CNEG.__getitem__,
-    )
+
+    def __init__(self, n: int):
+        if not 1 <= n <= TABLE_MAX_STRANDS:
+            raise ValueError(f"rank tables need 1 <= n <= {TABLE_MAX_STRANDS}, got {n}")
+        perms = list(all_permutations(n))
+        rank = {p: r for r, p in enumerate(perms)}
+        self.n, self.N, self.PERM, self.RANK = n, len(perms), perms, rank
+        self.STEP: list = [False] * (self.N * self.N)
+        words = _word_alphabet(n)
+        ext = [rank.get(words.extend(p, j), -1) if j else -1 for p in perms for j in range(n)]
+
+        def tabulate(rule: Callable) -> Callable:
+            return [rank[rule(p)] for p in perms].__getitem__
+
+        self.alphabet = _Alphabet(
+            rank[words.ident], rank[words.top], rank.__getitem__,
+            list(map(words.braid, perms)).__getitem__, tabulate(words.flip), self.step,
+            lambda a, j: ext[a * n + j], tabulate(words.close_pos), tabulate(words.close_neg),
+        )
+
+    def step(self, a: int, b: int) -> Optional[tuple[int, int]]:
+        """STEP[a*N + b], computed by one transfer (_step_words) on first use."""
+        k = a * self.N + b
+        step = self.STEP[k]
+        if step is False:
+            rewrite = _step_words(self.PERM[a], self.PERM[b])
+            step = self.STEP[k] = rewrite and (self.RANK[rewrite[0]], self.RANK[rewrite[1]])
+        return step
+
+
+_TABLES: dict[int, RankTables] = {}
+
+
+def rank_tables(n: int) -> RankTables:
+    """The rank tables on n strands, built when n is first seen."""
+    if n not in _TABLES:
+        _TABLES[n] = RankTables(n)
+    return _TABLES[n]
+
+
+def _alphabet(n: int) -> _Alphabet:
+    """
+    The alphabet of one engine call or normality test, chosen once per
+    call: that of the rank tables up to TABLE_MAX_STRANDS, where every
+    operation is a table read, and the word alphabet above, where a step
+    is one transfer.
+    """
+    return rank_tables(n).alphabet if n <= TABLE_MAX_STRANDS else _word_alphabet(n)
 
 
 def _append_word(core: list, x, ident, step: Callable) -> None:

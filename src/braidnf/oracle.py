@@ -5,8 +5,12 @@ Everything fast in this package has a slow twin here: the lattice meet is
 checked against enumeration of the whole symmetric group, the inversion-set
 criterion against enumeration of all pair subsets, and the transfer
 operations against the laws they must satisfy, one table (LAWS) that one
-sweep evaluates.  The sweeps return VerificationReport values; a report with
-no failures is a pass, and reports serialise to JSON lines for archiving.
+sweep evaluates.  Each verification call interns its own states in one
+pair table (_PairTable); only verify_meet reads the engine's rank tables
+(normalform.RankTables), to check their STEP entries against the
+normality test and the transfer.  The sweeps return VerificationReport
+values; a report with no failures is a pass, and reports serialise to
+JSON lines for archiving.
 """
 from __future__ import annotations
 
@@ -20,10 +24,12 @@ from typing import Optional, Sequence
 
 from .lattice import InversionSet, meet, meet_permutations
 from .normalform import (
+    TABLE_MAX_STRANDS,
     PositiveNormalForm,
     PositiveWord,
     _rewrite_to_fixpoint,
     normalize_positive,
+    rank_tables,
     rewrite_potential,
 )
 from .perms import (
@@ -37,15 +43,8 @@ from .perms import (
     length,
     pair_count,
 )
-from .simple import (
-    TABLE_MAX_STRANDS,
-    SimpleBraid,
-    _is_clean_words,
-    _is_normal_words,
-    _transfer_words,
-    rank_tables,
-)
-from .textio import MAX_STRANDS
+from .simple import SimpleBraid, _is_clean_words, _is_normal_words, _transfer_words
+from .textio import MAX_LETTERS, MAX_STRANDS
 
 BRUTE_MAX_STRANDS = 7
 
@@ -237,24 +236,22 @@ LAWS = {
 class _PairTable(dict):
     """
     Pairs of simple braids for one verification call, on ints.  The table
-    maps a one-line word (any case entry) to its int, interned on first
-    sight, and perm reads an int back; up to TABLE_MAX_STRANDS both start
-    from the rank automaton's enumeration of S_n (simple.RankTables), so a
-    braid's int is its rank.  A pair's normality verdict and its
-    (head, tail) are filled on first use, in a row per left int: a pair is
-    tested for normality (_is_normal_words) once and transferred
-    (_transfer_words) once, its crossing conservation checked then; a pair
-    that breaks it goes into broken, and into failures as
-    ["crossing-conservation", x, y] with x and y its one-line words.  Both
-    functions are looked up in this module when a pair is filled, never
-    read from the engine's STEP table.  h, t and N are the laws' head,
-    tail and normality test, and N.perm is perm; step is the rewriting
-    step on ints: None for a normal pair, else (head, tail).
+    maps a one-line word (any case entry) to its int, interned in the
+    order of first sight at every n, and perm reads an int back.  A
+    pair's normality verdict and its (head, tail) are filled on first use,
+    in a row per left int: a pair is tested for normality
+    (_is_normal_words) once and transferred (_transfer_words) once, its
+    crossing conservation checked then; a pair that breaks it goes into
+    broken, and into failures as ["crossing-conservation", x, y] with x
+    and y its one-line words.  Both functions are looked up in this module
+    when a pair is filled; the engine's tables are never built or read.
+    h, t and N are the laws' head, tail and normality test, and N.perm is
+    perm; step is the rewriting step on ints: None for a normal pair, else
+    (head, tail).
     """
 
-    def __init__(self, n: int):
-        perm = self.perm = list(rank_tables(n).PERM) if n <= TABLE_MAX_STRANDS else []
-        super().__init__(zip(perm, range(len(perm))))
+    def __init__(self):
+        perm = self.perm = []
         moves, normal = {}, {}  # a -> {b: (head, tail)} and a -> {b: (verdict,)}
         self.broken, self.failures = set(), []
 
@@ -302,7 +299,7 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     """
     if n < 1:
         raise ValueError("need at least one strand")
-    table = _PairTable(n)
+    table = _PairTable()
     failures, h, t, N, perm = table.failures, table.h, table.t, table.N, table.perm.__getitem__
     cases = 0
     for group, group_cases in parts:
@@ -437,10 +434,12 @@ def verify_confluence(
         raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
     if length < 0:
         raise ValueError(f"length must be at least 0, got {length}")
+    if length > MAX_LETTERS:
+        raise ValueError(f"length must be at most {MAX_LETTERS}, got {length}")
     _check_samples(samples)
     rng = random.Random(seed)
     failures: list = []
-    table = _PairTable(n)
+    table = _PairTable()
     ident, perm, step = table[identity(n)], table.perm, table.step
     for case in range(samples):
         ell = rng.randint(0, length)
@@ -470,7 +469,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     normaliser runs (lattice._meet_reads).  Exhaustive
     over ordered pairs for n <= 5, sampled for larger n (still within the
     enumeration bound).  Up to TABLE_MAX_STRANDS each pair's engine step,
-    its entry of the rank automaton's STEP table (simple.RankTables), is
+    its entry of the rank automaton's STEP table (normalform.RankTables), is
     also checked against the normality test and the meet-based transfer;
     a disagreement is reported in one-line notation.
     """

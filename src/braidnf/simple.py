@@ -16,14 +16,12 @@ transferable tail is "normal": right-greedy normal forms are exactly the
 factorisations all of whose adjacent pairs are normal.
 
 The transfer is the transition function of Thurston's automaton, whose
-states are the simple braids.  On up to TABLE_MAX_STRANDS strands the
-automaton runs on integer states: RankTables numbers the n! simple
-braids and keeps its transitions, flips and run extensions as flat
-lists.  The transitions fill lazily, one transfer each; the normality
-test stays as their independent slow twin.  A transfer is one insertion
-pass of the weak-order meet that lists a^-1 and b in the meet's order:
-those lists are head^-1 and the tail, so neither the meet nor a product
-of permutations is formed.
+states are the simple braids: _step_words is one transition on one-line
+words, and the engine (normalform.RankTables) tabulates it up to five
+strands.  The normality test stays as its independent slow twin.  A
+transfer is one insertion pass of the weak-order meet that lists a^-1
+and b in the meet's order: those lists are head^-1 and the tail, so
+neither the meet nor a product of permutations is formed.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ from .lattice import InversionSet, _meet_reads, leq, star
 from .perms import (
     PairSet,
     adjacent_transposition,
-    all_permutations,
     check_permutation,
     compose,
     flip,
@@ -136,19 +133,31 @@ def product_in_D(a: SimpleBraid, b: SimpleBraid) -> Optional[SimpleBraid]:
 # The transfer
 
 
+def _step_words(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple]:
+    """
+    One rewriting step on one-line words: None when (a, b) is normal, else
+    (head, tail), with head = a*m and tail = m^-1*b, where m is the
+    weak-order meet of a^-1 with b*omega.  R of a^-1 is star(a) and R of
+    b*omega is the complement of R(b), so m encodes the maximal
+    transferable tail.  One insertion pass (lattice._meet_reads) lists a^-1
+    and b in m's order, which are head^-1 and tail, so m itself is never
+    built.  Nothing moves iff (a, b) is normal, and the tail equals b
+    exactly when m is the identity, so the head is only built for a pair
+    that rewrites.
+    """
+    head_inv, tail = _meet_reads(inverse(a), b)
+    tail = tuple(tail)
+    return None if tail == b else (inverse(head_inv), tail)
+
+
 def _transfer_words(
     a: Sequence[int], b: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    Core of the transfer on bare one-line words: returns (head, tail) with
-    head = a*m and tail = m^-1*b, where m is the weak-order meet of a^-1
-    with b*omega.  R of a^-1 is star(a) and R of b*omega is the complement
-    of R(b), so m encodes the maximal transferable tail.  One insertion
-    pass (lattice._meet_reads) lists a^-1 and b in m's order, which are
-    head^-1 and tail, so m itself is never built.
+    The transfer on bare one-line words, (head, tail): the step, or the
+    pair itself when it is normal, since then m is the identity.
     """
-    head_inv, tail = _meet_reads(inverse(a), b)
-    return inverse(head_inv), tuple(tail)
+    return _step_words(a, b) or (tuple(a), tuple(b))
 
 
 def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -162,76 +171,6 @@ def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
     return not any(
         ainv[i] > ainv[i + 1] and b[i] < b[i + 1] for i in range(len(a) - 1)
     )
-
-
-def _step_words(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple]:
-    """
-    One rewriting step on one-line words: None when (a, b) is normal, else
-    (head, tail).  One transfer decides: nothing moves iff (a, b) is normal,
-    and the tail m^-1*b equals b exactly when m is the identity, so the
-    head is only built for a pair that rewrites.
-    """
-    head_inv, tail = _meet_reads(inverse(a), b)
-    tail = tuple(tail)
-    return None if tail == b else (inverse(head_inv), tail)
-
-
-# Thurston's transitions number (n!)^2: 576 at n = 4 and 14,400 at n = 5, but
-# 518,400 at n = 6, so rank tables stop at five strands.
-TABLE_MAX_STRANDS = 5
-
-
-class RankTables:
-    """
-    Thurston's automaton on n <= TABLE_MAX_STRANDS strands, on integer
-    states: a simple braid's rank is its index in S_n listed in itertools
-    (lexicographic) order, so the identity is 0 and the half twist N - 1.
-    Flat lists read by rank: STEP[a*N + b] is None for a normal pair, else
-    (head, tail), and False until first asked for; FLIP[a] is the flip;
-    EXT[a*n + j] is s_j * P for a pending run P of generators
-    (normalform._fold_runs), or -1 when that is no longer simple; CPOS[a]
-    and CNEG[a] are the letters a positive and an inverse run close to,
-    P^-1 and Omega * P^-1; BRAID[a] is the SimpleBraid, checked once and
-    shared, and PERM[a] its one-line word, inverted by RANK.  Only STEP
-    grows with use, as a memo of the transfer; the rest is O(n!).
-    """
-
-    def __init__(self, n: int):
-        if not 1 <= n <= TABLE_MAX_STRANDS:
-            raise ValueError(f"rank tables need 1 <= n <= {TABLE_MAX_STRANDS}, got {n}")
-        perms = list(all_permutations(n))
-        rank = {p: r for r, p in enumerate(perms)}
-        self.n, self.N, self.PERM, self.RANK = n, len(perms), perms, rank
-        self.EXT = [
-            rank[p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :]] if 0 < j and p[j - 1] < p[j] else -1
-            for p in perms
-            for j in range(n)
-        ]
-        self.FLIP = [rank[flip(p)] for p in perms]
-        self.CPOS = [rank[inverse(p)] for p in perms]
-        self.CNEG = [rank[inverse(p)[::-1]] for p in perms]
-        self.BRAID = [SimpleBraid(p) for p in perms]
-        self.STEP: list = [False] * (self.N * self.N)
-
-    def step(self, a: int, b: int) -> Optional[tuple[int, int]]:
-        """STEP[a*N + b], computed by one transfer (_step_words) on first use."""
-        k = a * self.N + b
-        step = self.STEP[k]
-        if step is False:
-            rewrite = _step_words(self.PERM[a], self.PERM[b])
-            step = None if rewrite is None else (self.RANK[rewrite[0]], self.RANK[rewrite[1]])
-            self.STEP[k] = step
-        return step
-
-
-_TABLES: dict[int, RankTables] = {}
-
-
-def rank_tables(n: int) -> RankTables:
-    """The rank tables on n strands, built when n is first seen."""
-    if n not in _TABLES:
-        _TABLES[n] = RankTables(n)
-    return _TABLES[n]
 
 
 @dataclasses.dataclass(frozen=True)

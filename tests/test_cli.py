@@ -251,6 +251,7 @@ def test_verify_rejects_bad_arguments(capsys):
         (["--suite", "stop", "--n", "0"], "need at least one strand"),
         (["--suite", "stop", "--n", "-2"], "need at least one strand"),
         (["--suite", "strands", "--n", "-1"], "need at least one strand"),
+        (["--all", "--length", "1000001"], "length must be at most 1000000"),
     ]:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == "" and message in err, argv
@@ -331,6 +332,8 @@ def test_bench_rejects_bad_arguments(capsys):
         assert err.startswith(f"error: {flag} must be at least"), argv
     code, out, _ = run_cli(capsys, "bench", "--n", "2", "--len", "1")
     assert code == 0 and out.startswith("n=2 letters=1 ")
+    code, out, err = run_cli(capsys, "bench", "--len", "1000001")
+    assert code == 2 and out == "" and err == "error: --len must be at most 1000000, got 1000001\n"
 
 
 def test_strand_limit_is_a_usage_error(capsys):

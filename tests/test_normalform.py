@@ -112,6 +112,13 @@ def test_is_normal():
     assert not is_normal([generator_braid(3, 1), generator_braid(3, 2)])
     assert is_normal([generator_braid(3, 1), generator_braid(3, 1)])
     assert not is_normal([identity_braid(3)])
+    # factors on other strand counts than the first are a ValueError at every n
+    for short, long in ((3, 4), (6, 7)):
+        message = "^factor on {} strands in a sequence on {}$"
+        with pytest.raises(ValueError, match=message.format(long, short)):
+            is_normal([generator_braid(short, 1), generator_braid(long, 1)])
+        with pytest.raises(ValueError, match=message.format(short, long)):
+            is_normal([generator_braid(long, 1), generator_braid(long, 2), identity_braid(short)])
 
 
 def test_normal_form_validation():
@@ -431,7 +438,7 @@ def engine_counts(monkeypatch):
 
         return letters._replace(flip=counted_flip, step=counted_step)
 
-    monkeypatch.setattr(simple, "_TABLES", {})
+    monkeypatch.setattr(normalform, "_TABLES", {})
     monkeypatch.setattr(normalform, "_alphabet", counted_alphabet)
     return counts
 
@@ -539,7 +546,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     # Four strands have 24 * 24 = 576 pairs of simple braids, so from a
     # fresh table the engine computes at most that many meets however many
     # transfers the words take; on six strands no table is built.
-    tables = simple.rank_tables(4)
+    tables = normalform.rank_tables(4)
     assert set(tables.STEP) == {False}  # the fixture's tables are fresh
     meets = 0
     meet = simple._meet_reads
@@ -565,25 +572,25 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
         normalize_group(w)
     assert 0 < meets <= 576 < engine_counts["transfer"]
     assert 0 < sum(step is not False for step in tables.STEP) <= 576
-    built = set(simple._TABLES)
+    built = set(normalform._TABLES)
     before = meets
     for _ in range(count):
         normalize_group(ArtinWord(6, tuple(
             rng.randint(1, 5) * rng.choice((1, -1)) for _ in range(100)
         )))
-    assert set(simple._TABLES) == built and 6 not in built and meets > before
+    assert set(normalform._TABLES) == built and 6 not in built and meets > before
 
 
 def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
     # a short word on five strands asks for a small part of its 14,400
     # transitions, and no rank table is ever built above five strands,
     # where S_n would be too large to list
-    monkeypatch.setattr(simple, "_TABLES", {})
+    monkeypatch.setattr(normalform, "_TABLES", {})
     rng = random.Random(131)
     word = ArtinWord(5, tuple(rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(100)))
     form = normalize_group(word)
     assert normalize_group(concat(word, formal_inverse(word))) == GroupNormalForm(5, 0, ())
-    filled = sum(step is not False for step in simple.rank_tables(5).STEP)
+    filled = sum(step is not False for step in normalform.rank_tables(5).STEP)
     assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
     for n in (6, 64):
         signed = ArtinWord(n, tuple(
@@ -593,8 +600,34 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
         assert normalize_group(concat(signed, formal_inverse(signed))) == GroupNormalForm(n, 0, ())
         assert is_normal(nf.factors)
         normalize_positive(gen_word(n, [rng.randint(1, n - 1) for _ in range(100)]))
-    assert set(simple._TABLES) == {5}
+    assert set(normalform._TABLES) == {5}
     for n in (0, 6, 64):
         with pytest.raises(ValueError, match="rank tables need"):
-            simple.rank_tables(n)
-    assert set(simple._TABLES) == {5}
+            normalform.rank_tables(n)
+    assert set(normalform._TABLES) == {5}
+
+
+def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
+    # the rank tables state no rule of their own: each rule of the rank
+    # alphabet is the word alphabet's, read through RANK and PERM, and its
+    # step, filled from an empty STEP, agrees on every pair of ranks
+    monkeypatch.setattr(normalform, "_TABLES", {})
+    for n in range(1, 6):
+        tables = normalform.rank_tables(n)
+        ranks, words = tables.alphabet, normalform._word_alphabet(n)
+        perm, rank = tables.PERM, tables.RANK
+        assert set(tables.STEP) == {False}
+        assert (perm[ranks.ident], perm[ranks.top]) == (words.ident, words.top)
+        for a, p in enumerate(perm):
+            assert ranks.letter(p) == a and ranks.braid(a) == words.braid(p)
+            assert perm[ranks.flip(a)] == words.flip(p)
+            assert perm[ranks.close_pos(a)] == words.close_pos(p)
+            assert perm[ranks.close_neg(a)] == words.close_neg(p)
+            for j in range(1, n):
+                grown = words.extend(p, j)
+                assert ranks.extend(a, j) == (-1 if grown == -1 else rank[grown])
+            for b, q in enumerate(perm):
+                step = words.step(p, q)
+                want = None if step is None else (rank[step[0]], rank[step[1]])
+                assert ranks.step(a, b) == want
+        assert False not in tables.STEP

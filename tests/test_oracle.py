@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from braidnf import lattice, oracle, simple
+from braidnf import lattice, normalform, oracle, simple
 from braidnf.lattice import InversionSet, complement
 from braidnf.normalform import PositiveWord, gs_rewrite_to_fixpoint, rewrite_pair_at
 from braidnf.oracle import (
@@ -179,7 +179,7 @@ def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):
         order = inverse(m)
         return [u[p - 1] for p in order], [b[p - 1] for p in order]
 
-    monkeypatch.setattr(simple, "_TABLES", {})  # the mutant must not fill the tables
+    monkeypatch.setattr(normalform, "_TABLES", {})  # the mutant must not fill the tables
     monkeypatch.setattr(simple, "_meet_reads", first_common_descent)
     kinds = collections.Counter(f[0] for f in verify_gsb(3).failures)
     assert kinds == {
@@ -208,7 +208,7 @@ def test_sweep_transfers_each_pair_once_and_checks_conservation(monkeypatch):
         tested[a, b] += 1
         return normal(a, b)
 
-    monkeypatch.setattr(simple, "_TABLES", {})
+    monkeypatch.setattr(normalform, "_TABLES", {})
     monkeypatch.setattr(oracle, "_transfer_words", move_everything)
     monkeypatch.setattr(oracle, "_is_normal_words", counted_normal)
     report = verify_gsb(3)
@@ -247,7 +247,7 @@ def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
         transfers += 1
         return real(a, b)
 
-    monkeypatch.setattr(simple, "_TABLES", {})
+    monkeypatch.setattr(normalform, "_TABLES", {})
     monkeypatch.setattr(oracle, "_transfer_words", counting)
     with pytest.raises(ValueError, match="n <= 5"):
         verify_gsb(6)
@@ -302,6 +302,8 @@ def test_verify_confluence_small():
         verify_confluence(3, samples=0)
     with pytest.raises(ValueError, match="length must be at least 0"):
         verify_confluence(3, length=-5)
+    with pytest.raises(ValueError, match="length must be at most 1000000"):
+        verify_confluence(3, length=1_000_001)
 
 
 def test_three_letter_words_close_for_all_s4_triples():
@@ -328,7 +330,7 @@ def test_verify_meet_exhaustive_small():
 
 
 def test_verify_meet_reports_broken_meets(monkeypatch):
-    monkeypatch.setattr(simple, "_TABLES", {})
+    monkeypatch.setattr(normalform, "_TABLES", {})
     with monkeypatch.context() as m:
         # the fixpoint deletes nothing: meet raises on gapped intersections
         m.setattr(lattice, "_interval_closed_fixpoint", lambda n, bits: bits)
@@ -344,8 +346,8 @@ def test_verify_meet_reports_broken_meets(monkeypatch):
 def test_verify_meet_checks_the_transition_table(monkeypatch):
     # a STEP table with head and tail swapped is caught on every pair it
     # rewrites into two different factors, and only there
-    monkeypatch.setattr(simple, "_TABLES", {})
-    tables = simple.rank_tables(3)
+    monkeypatch.setattr(normalform, "_TABLES", {})
+    tables = normalform.rank_tables(3)
     pairs = list(itertools.product(range(tables.N), repeat=2))
     steps = {(a, b): tables.step(a, b) for a, b in pairs}
     swapped = [None if step is None else step[::-1] for step in tables.STEP]
