@@ -115,28 +115,39 @@ def is_normal(factors: Sequence[SimpleBraid]) -> bool:
     """
     Whether a factor sequence is a right-greedy normal form: no identity
     factors, and every adjacent pair admits no transfer (a step that
-    rewrites nothing).  The pairs are stepped in order until one
-    rewrites: step gives None or a non-empty tuple, so any() finds it.
-    Raises ValueError unless all factors are on as many strands as the
-    first.
+    rewrites nothing).  Raises ValueError unless all factors are on as
+    many strands as the first.
     """
     if not factors:
         return True
     n, perms = factors[0].n, [f.perm for f in factors]
     if not {n}.issuperset(map(len, perms)):
         raise ValueError(f"factor on {_off_strand(n, factors).n} strands in a sequence on {n}")
+    return _is_normal_perms(n, perms)
+
+
+def _is_normal_perms(n: int, perms: list) -> bool:
+    """
+    is_normal on the factors' one-line words, all on n strands.  The pairs
+    are stepped in order until one rewrites: step gives None or a
+    non-empty tuple, so any() finds it.
+    """
     alphabet = _alphabet(n)
     word = list(map(alphabet.letter, perms))
     return alphabet.ident not in word and not any(map(alphabet.step, word, islice(word, 1, None)))
 
 
-def _check_form(n: int, factors: Sequence[SimpleBraid]) -> None:
-    """Raise ValueError unless the factors are on n strands and form a normal form."""
-    bad = _off_strand(n, factors)
-    if bad is not None:
-        raise ValueError(f"factor on {bad.n} strands in a form on {n}")
-    if not is_normal(factors):
+def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
+    """
+    Raise ValueError unless the factors are on n strands and form a normal
+    form; returns their one-line words, read once for both checks.
+    """
+    perms = [f.perm for f in factors]
+    if not {n}.issuperset(map(len, perms)):
+        raise ValueError(f"factor on {_off_strand(n, factors).n} strands in a form on {n}")
+    if perms and not _is_normal_perms(n, perms):
         raise ValueError("factor sequence is not a greedy normal form")
+    return perms
 
 
 @dataclasses.dataclass(frozen=True)
@@ -171,8 +182,8 @@ class GroupNormalForm:
     factors: tuple[SimpleBraid, ...]
 
     def __post_init__(self):
-        _check_form(self.n, self.factors)
-        if omega(self.n) in [f.perm for f in self.factors] and self.n > 1:
+        perms = _check_form(self.n, self.factors)
+        if omega(self.n) in perms and self.n > 1:
             raise ValueError("half-twist factors belong in delta_power")
 
 

@@ -8,9 +8,20 @@ operations against the laws they must satisfy, one table (LAWS) that one
 sweep evaluates.  Each verification call interns its own states in one
 pair table (_PairTable); only verify_meet reads the engine's rank tables
 (normalform.RankTables), to check their STEP entries against the
-normality test and the transfer.  The sweeps return VerificationReport
-values; a report with no failures is a pass, and reports serialise to
-JSON lines for archiving.
+normality test and the transfer.
+
+The sweep has two paths through the same law statements.  Exhaustive
+sweeps up to five strands take the row path (_dense): S_n is interned
+first, every pair's head, tail and verdict are filled once into flat rows,
+and for each fixed prefix of a case, say (a, b), a law is evaluated over
+the whole row of last entries c at once, with C-level maps, translations
+and comparisons on bytes rows (_Row).  Only a row that a law fails on is
+evaluated again case by case, so failure records and their order are the
+scalar path's.  The scalar path evaluates one case at a time; it runs the
+sampled sweeps, the strand lemma and those re-runs, and it is the row
+path's twin in the tests.  The sweeps return VerificationReport values; a
+report with no failures is a pass, and reports serialise to JSON lines
+for archiving.
 """
 from __future__ import annotations
 
@@ -19,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from typing import Optional, Sequence
 
@@ -169,16 +181,40 @@ def conserves_crossings(x, y, h, t) -> bool:
 # The law table
 
 
-def _commuting(h, t, N, a, b) -> bool:
+class _Row(bytes):
+    """
+    Values of a law's term over a row of cases, entry c for the case whose
+    last entry is the int c (S_n has at most 120 elements here); a row of
+    verdicts holds 0 and 1.  ==, <= (implication) and & act entry by entry,
+    also against an int or a bool, and a row of true entries reads True.
+    """
+
+    def _map(self, f, other):
+        row = _Row(map(f, self, other if type(other) is _Row else itertools.repeat(other)))
+        return all(row) or row
+
+    def __eq__(self, other):
+        return bytes.__eq__(self, other) is True or self._map(operator.eq, other)
+
+    __le__ = functools.partialmethod(_map, operator.le)
+    __ge__ = functools.partialmethod(_map, operator.ge)
+    __and__ = __rand__ = functools.partialmethod(_map, operator.and_)
+
+
+def _each(f, perm, *xs):
+    """f on the one-line words perm[x] of the entries, entry by entry over a row among them."""
+    if _Row not in map(type, xs):
+        return f(*map(perm.__getitem__, xs))
+    words = [map(perm.__getitem__, x) if type(x) is _Row else itertools.repeat(perm[x]) for x in xs]
+    row = _Row(map(f, *words))
+    return all(row) or row
+
+
+def _commutes(a, b, head) -> bool:
     """h(a, b) == b != a iff a = x*b with x*b = b*x, b an involution, and crossings adding."""
-    a, b, head = map(N.perm.__getitem__, (a, b, h(a, b)))
     x = compose(a, inverse(b))
-    return (head == b != a) == (
-        a != b
-        and compose(b, b) == identity(len(b))
-        and length(a) == length(x) + length(b)
-        and compose(x, b) == compose(b, x)
-    )
+    commute = compose(b, b) == identity(len(b)) and compose(x, b) == compose(b, x)
+    return (head == b != a) == (a != b and commute and length(a) == length(x) + length(b))
 
 
 def _strand_lemma(h, t, N, a, b, pair) -> bool:
@@ -195,8 +231,14 @@ def _strand_lemma(h, t, N, a, b, pair) -> bool:
 # Each group of laws is a tuple of rows (name, law).  A law gets the two
 # operations h(x, y) and t(x, y), the head and tail after moving the maximal
 # tail of x into y, the normality test N(x, y), then the entries of one case,
-# and returns True when it holds.  Every entry is an int of the call's pair
-# table (_PairTable), and N.perm[x] reads x back.  A failure is recorded, in
+# and returns True when it holds; p <= q is the implication, & the
+# conjunction.  Every entry is an int of the call's pair table (_PairTable),
+# and N.perm[x] reads x back.  The same statement checks a whole row of
+# cases when its last entry is the row of all ints (_dense): terms then
+# evaluate to rows (_Row), on which ==, <= and & act entry by entry, and
+# _each lifts a function of one-line words; not, and, or and != do not act
+# on rows, and the row/scalar twin test in tests/test_oracle.py holds every
+# group to that.  A failure is recorded, in
 # one-line words, as [name, *case], or as [name, *w] when the law returns a
 # witness tuple w.  The exchange and stopping laws compare the sweep of a
 # triple right pair first, (a, b, c) -> (a, h(b, c), t(b, c)) -> ..., with
@@ -205,7 +247,7 @@ LAWS = {
     "pair": (
         ("trivial-iff", lambda h, t, N, a, b: (h(a, b) == a) == (t(a, b) == b)),
         ("output-pair-normal", lambda h, t, N, a, b: N(h(a, b), t(a, b))),
-        ("normal-pair-fixed", lambda h, t, N, a, b: not N(a, b) or (h(a, b), t(a, b)) == (a, b)),
+        ("normal-pair-fixed", lambda h, t, N, a, b: N(a, b) <= ((h(a, b) == a) & (t(a, b) == b))),
     ),
     "exchange": (
         ("head-assoc", lambda h, t, N, a, b, c: h(a, h(b, c)) == h(h(a, b), h(t(a, b), c))),
@@ -216,19 +258,16 @@ LAWS = {
         ("tail-assoc", lambda h, t, N, a, b, c: t(t(a, h(b, c)), t(b, c)) == t(t(a, b), c)),
     ),
     "stop": (
-        ("left-normal-survives", lambda h, t, N, a, b, c: not N(a, b) or N(t(a, h(b, c)), t(b, c))),
-        (
-            "right-normal-survives",
-            lambda h, t, N, a, b, c: not N(b, c) or N(h(a, b), h(t(a, b), c)),
-        ),
+        ("left-normal-survives", lambda h, t, N, a, b, c: N(a, b) <= N(t(a, h(b, c)), t(b, c))),
+        ("right-normal-survives", lambda h, t, N, a, b, c: N(b, c) <= N(h(a, b), h(t(a, b), c))),
         ("inner-head-normal", lambda h, t, N, a, b, c: N(h(a, h(b, c)), h(t(a, h(b, c)), t(b, c)))),
         ("inner-tail-normal", lambda h, t, N, a, b, c: N(t(h(a, b), h(t(a, b), c)), t(t(a, b), c))),
     ),
     "strict": (
-        ("idempotence", lambda h, t, N, a, b: a != b or (h(a, a), t(a, a)) == (a, a) or (a,)),
-        ("flush-pair-normal", lambda h, t, N, a, b: N(a, t(a, b)) and N(h(a, b), b)),
+        ("idempotence", lambda h, t, N, a, b: (a == b) <= ((h(a, a), t(a, a)) == (a, a)) or (a,)),
+        ("flush-pair-normal", lambda h, t, N, a, b: N(a, t(a, b)) & N(h(a, b), b)),
     ),
-    "commuting": (("commuting", _commuting),),
+    "commuting": (("commuting", lambda h, t, N, a, b: _each(_commutes, N.perm, a, b, h(a, b))),),
     "strands": (("strands", _strand_lemma),),
 }
 
@@ -238,23 +277,23 @@ class _PairTable(dict):
     Pairs of simple braids for one verification call, on ints.  The table
     maps a one-line word (any case entry) to its int, interned in the
     order of first sight at every n, and perm reads an int back.  A
-    pair's normality verdict and its (head, tail) are filled on first use,
-    in a row per left int: a pair is tested for normality
-    (_is_normal_words) once and transferred (_transfer_words) once, its
-    crossing conservation checked then; a pair that breaks it goes into
-    broken, and into failures as ["crossing-conservation", x, y] with x
-    and y its one-line words.  Both functions are looked up in this module
-    when a pair is filled; the engine's tables are never built or read.
-    h, t and N are the laws' head, tail and normality test, and N.perm is
+    pair's normality verdict and its (head, tail) are cached on first use,
+    for this table only: a pair is tested for normality (_is_normal_words)
+    once and transferred (_transfer_words) once, its crossing conservation
+    checked then; a pair that breaks it goes into broken, and into
+    failures as ["crossing-conservation", x, y] with x and y its one-line
+    words.  Both functions are looked up in this module when a pair is
+    first used; the engine's tables are never built or read.  h, t and N
+    are the laws' head, tail and normality test on ints, and N.perm is
     perm; step is the rewriting step on ints: None for a normal pair, else
     (head, tail).
     """
 
     def __init__(self):
         perm = self.perm = []
-        moves, normal = {}, {}  # a -> {b: (head, tail)} and a -> {b: (verdict,)}
         self.broken, self.failures = set(), []
 
+        @functools.cache
         def move(a, b) -> tuple[int, int]:
             x, y = perm[a], perm[b]
             head, tail = _transfer_words(x, y)
@@ -262,30 +301,56 @@ class _PairTable(dict):
             if (head, tail) != (x, y) and not conserves_crossings(x, y, head, tail):
                 self.broken.add((a, b))
                 self.failures.append(["crossing-conservation", x, y])
-            return moves.setdefault(a, {}).setdefault(b, (self[head], self[tail]))
+            return self[head], self[tail]
 
-        def test(a, b) -> tuple[bool]:
-            return normal.setdefault(a, {}).setdefault(b, (_is_normal_words(perm[a], perm[b]),))
+        @functools.cache
+        def N(a, b) -> bool:
+            return _is_normal_words(perm[a], perm[b])
 
-        def reader(rows, fill, i):  # entry i of a pair's row, filled on first use
-            def read(a, b):
-                try:
-                    return rows[a][b][i]
-                except KeyError:
-                    return fill(a, b)[i]
-
-            return read
-
-        def step(a, b):
-            return None if N(a, b) else (h(a, b), t(a, b))
-
-        h, t, N = reader(moves, move, 0), reader(moves, move, 1), reader(normal, test, 0)
-        N.perm = perm
-        self.h, self.t, self.N, self.step = h, t, N, step
+        N.perm, self.N, self.step = perm, N, lambda a, b: None if N(a, b) else move(a, b)
+        self.h, self.t = (lambda a, b: move(a, b)[0]), (lambda a, b: move(a, b)[1])
 
     def __missing__(self, p) -> int:
         self.perm.append(p)
         return self.setdefault(p, len(self))
+
+
+def _dense(table: _PairTable, n: int):
+    """
+    The row path over S_n: returns failing(laws, k), which yields, in sweep
+    order, the cases of every row of k-tuples that some law fails on, in
+    one-line words.  S_n is interned in all_permutations order, the ints
+    0, 1, ... of the call's fresh table, and the row variable is the row
+    (_Row) of them.  Each pair's head, tail and verdict are then filled
+    once, through the table's own h, t and N, into a flat row per left
+    int, padded to a translation table: a read of two ints is an entry, a
+    read of an int and a row is a translation, and a read with a row on
+    the left goes entry by entry.  A row of cases, the row variable as its
+    last entry, fails when a law returns neither True nor a row of true
+    entries.
+    """
+    ids = _Row(map(table.__getitem__, all_permutations(n)))
+
+    def reader(op):
+        rows = [bytes(map(op, itertools.repeat(a), ids)).ljust(256, b"\0") for a in ids]
+
+        def read(x, y):
+            if type(x) is int:
+                return rows[x][y] if type(y) is int else _Row(y.translate(rows[x]))
+            return _Row(map(operator.getitem, map(rows.__getitem__, x), y))
+
+        return read
+
+    h, t, N = reader(table.h), reader(table.t), reader(table.N)
+    N.perm = words = table.perm
+
+    def failing(laws, arity: int):
+        for prefix in itertools.product(ids, repeat=arity - 1):
+            verdicts = (law(h, t, N, *prefix, ids) for _, law in laws)
+            if not all(v is True or type(v) is _Row and all(v) for v in verdicts):
+                yield from itertools.product(*([words[x]] for x in prefix), words)
+
+    return failing
 
 
 def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> VerificationReport:
@@ -295,18 +360,26 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     table built for this call (_PairTable), and the laws read head, tail
     and normality from it, so each distinct pair is transferred once, its
     crossing conservation checked then, and tested for normality once.
+    A part whose cases are an int k stands for every k-tuple of S_n, and
+    takes the row path: the laws run over the rows of the dense table
+    (_dense), and only the rows they fail on are evaluated case by case,
+    so the failure records and their order are the scalar sweep's.
     Failure records read the ints back as the case's one-line words.
     """
     if n < 1:
         raise ValueError("need at least one strand")
     table = _PairTable()
     failures, h, t, N, perm = table.failures, table.h, table.t, table.N, table.perm.__getitem__
-    cases = 0
+    cases, failing = 0, any(type(c) is int for _, c in parts) and _dense(table, n)
     for group, group_cases in parts:
+        laws, rows = LAWS[group], type(group_cases) is int
+        if rows:
+            cases += math.factorial(n) ** group_cases
+            group_cases = failing(laws, group_cases)
         for case in group_cases:
-            cases += 1
+            cases += not rows  # a row's cases were counted with it
             case = tuple(map(table.__getitem__, case))
-            for name, law in LAWS[group]:
+            for name, law in laws:
                 verdict = law(h, t, N, *case)
                 if verdict is not True:
                     failures.append([name, *map(perm, verdict or case)])
@@ -346,9 +419,9 @@ def _triples(n: int, samples: Optional[int], seed: int):
 
 
 def _pairs(n: int, samples: Optional[int] = None, seed: int = 42):
-    """Pairs of S_n: all of them for n <= 5, else the first two of sampled triples."""
+    """Pairs of S_n: all of them for n <= 5, by rows (2), else the first two of sampled triples."""
     if n <= 5:
-        return itertools.product(all_permutations(n), all_permutations(n))
+        return 2
     return ((x, y) for x, y, _ in _triples(n, samples, seed))
 
 
@@ -363,9 +436,8 @@ def verify_strand_lemma(n: int) -> VerificationReport:
     if n > 4:
         raise ValueError("exhaustive over S_n x S_n; need n <= 4")
     strand_pairs = list(itertools.combinations(range(1, n + 1), 2))
-    clean = (
-        (a, b, pair) for a, b in _pairs(n) if _is_clean_words(a, b) for pair in strand_pairs
-    )
+    pairs = itertools.product(all_permutations(n), repeat=2)
+    clean = ((a, b, pair) for a, b in pairs if _is_clean_words(a, b) for pair in strand_pairs)
     return _sweep("strands", n, ("strands", clean))
 
 
@@ -376,7 +448,7 @@ def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> Verific
     flush-pair clauses sometimes quoted alongside them are refuted by small
     counterexamples; they live in verify_gsb_strict as a documented divergence.
     """
-    triples = _triples(n, samples, seed)  # before any work: it rejects n > 5 unsampled
+    triples = 3 if samples is None and n <= 5 else _triples(n, samples, seed)  # 3: by rows
     return _sweep("gsb", n, ("pair", _pairs(n, samples, seed)), ("exchange", triples))
 
 
@@ -413,7 +485,8 @@ def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     sufficient: normality survives on the appropriate flanks of a triple
     rewrite, unconditionally for the two inner pairs.
     """
-    return _sweep("stop", n, ("stop", _triples(n, samples, seed)))
+    triples = 3 if samples is None and n <= 5 else _triples(n, samples, seed)  # 3: by rows
+    return _sweep("stop", n, ("stop", triples))
 
 
 def verify_confluence(

@@ -1,7 +1,9 @@
 import collections
 import itertools
 import json
+import math
 import random
+import time
 
 import pytest
 
@@ -260,6 +262,88 @@ def test_triples_are_exhaustive_up_to_five_strands():
     assert sum(1 for _ in triples) == 120**3
     with pytest.raises(ValueError, match="n <= 5"):
         oracle._triples(6, None, 42)
+
+
+def test_gsb_and_stop_run_every_triple_at_five_strands():
+    # the row path makes the exhaustive n = 5 sweeps cheap enough for tier-1:
+    # 1.9-2.5 s together on a 2-core VM; the bound leaves room for its swings
+    started = time.perf_counter()
+    gsb, stop = verify_gsb(5), verify_stop(5)
+    elapsed = time.perf_counter() - started
+    assert (gsb.cases, gsb.failures) == (120**2 + 120**3, [])
+    assert (stop.cases, stop.failures) == (120**3, [])
+    assert elapsed < 6.0, f"gsb and stop at n = 5 took {elapsed:.2f}s"
+
+
+ARITY = {"pair": 2, "exchange": 3, "stop": 3, "strict": 2, "commuting": 2}
+
+
+def _both_paths(n, group):
+    """One group over every tuple of S_n: by rows (an int part), then case by case."""
+    every = itertools.product(all_permutations(n), repeat=ARITY[group])
+    return oracle._sweep(group, n, (group, ARITY[group])), oracle._sweep(group, n, (group, every))
+
+
+def test_row_path_is_the_scalar_sweep():
+    # the scalar sweep is the row path's twin: same cases, same failure
+    # records in the same order; the strict group fails on 6 and 150 cases
+    # and commuting on 4 at n = 4, so failing rows are re-run case by case
+    failing = {(3, "strict"): 6, (4, "strict"): 150, (4, "commuting"): 4}
+    for n in (3, 4):
+        for group in ARITY:
+            rows, scalar = _both_paths(n, group)
+            assert rows == scalar, (n, group)
+            assert rows.cases == math.factorial(n) ** ARITY[group]
+            assert len(rows.failures) == failing.get((n, group), 0), (n, group)
+
+
+def test_row_path_is_the_scalar_sweep_under_a_broken_transfer(monkeypatch):
+    # a transfer that moves all of a into b breaks conservation and most
+    # laws; the row path fills every pair before it evaluates a law, so its
+    # crossing-conservation records come in fill order, first; the scalar
+    # sweep records them at first use.  The rest match in order.
+    def move_everything(a, b):
+        return identity(len(a)), compose(a, b)
+
+    monkeypatch.setattr(oracle, "_transfer_words", move_everything)
+    for group in ARITY:
+        rows, scalar = _both_paths(3, group)
+        assert rows.cases == scalar.cases and rows.failures, group
+        split = [
+            ([f for f in r.failures if f[0] == "crossing-conservation"],
+             [f for f in r.failures if f[0] != "crossing-conservation"])
+            for r in (rows, scalar)
+        ]
+        (row_broken, row_laws), (scalar_broken, scalar_laws) = split
+        assert row_laws == scalar_laws, group
+        assert sorted(row_broken) == sorted(scalar_broken) and row_broken, group
+
+
+def test_a_corrupt_transfer_entry_fails_both_paths(monkeypatch):
+    # swapping the head and tail of one pair's transfer, (2,3,1) against
+    # itself, is caught by the row path (exhaustive) and by the scalar one
+    # (sampled triples), both recording the broken pair once
+    real = oracle._transfer_words
+    victim = (2, 3, 1)
+
+    def swapped(a, b):
+        head, tail = real(a, b)
+        return (tail, head) if a == b == victim else (head, tail)
+
+    monkeypatch.setattr(oracle, "_transfer_words", swapped)
+    exchange = {"head-assoc", "middle-exchange", "tail-assoc"}
+    stop = {"left-normal-survives", "right-normal-survives", "inner-head-normal", "inner-tail-normal"}
+    reports = {
+        "gsb rows": (verify_gsb(3), exchange),
+        "stop rows": (verify_stop(3), stop),
+        "gsb sampled": (verify_gsb(3, samples=200, seed=5), exchange),
+        "stop sampled": (verify_stop(3, samples=200, seed=5), stop),
+    }
+    for path, (report, laws) in reports.items():
+        kinds = collections.Counter(f[0] for f in report.failures)
+        assert laws <= set(kinds), (path, kinds)
+        assert kinds["crossing-conservation"] == 1, path
+        assert ["crossing-conservation", victim, victim] in report.failures, path
 
 
 def test_confluence_twin_transfers_each_pair_once_per_call(monkeypatch):
