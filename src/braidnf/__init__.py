@@ -4,6 +4,8 @@ simple-braid (permutation) generators, with inversion-set calculus, the
 weak-order lattice, a confluent rewriting system, an explicit small-n
 normal-form automaton, and brute-force verification sweeps.
 """
+import types
+
 from .lattice import (
     InversionSet,
     complement,
@@ -85,71 +87,9 @@ from .textio import (
 
 __version__ = "0.1.0"
 
+# The imports above are the one listing of the public namespace.
 __all__ = [
-    "ArtinWord",
-    "GroupNormalForm",
-    "InversionSet",
-    "PairSet",
-    "ParseError",
-    "PositiveNormalForm",
-    "PositiveWord",
-    "SimpleBraid",
-    "Transfer",
-    "VerificationReport",
-    "act_on_pairs",
-    "adjacent_transposition",
-    "brute_meet",
-    "brute_validity",
-    "complement",
-    "compose",
-    "deglex_compare",
-    "deglex_key",
-    "equal",
-    "flip",
-    "flip_braid",
-    "format_normal_form",
-    "format_permutation",
-    "format_word",
-    "generator_braid",
-    "gs_rewrite_to_fixpoint",
-    "head_op",
-    "identity",
-    "identity_braid",
-    "inverse",
-    "inversion_set",
-    "is_clean_transfer",
-    "is_head",
-    "is_inversion_set",
-    "is_normal",
-    "is_normal_pair",
-    "is_tail",
-    "join",
-    "leq",
-    "meet",
-    "meet_permutations",
-    "normalize_group",
-    "normalize_positive",
-    "omega",
-    "omega_braid",
-    "parse_permutation",
-    "parse_word",
-    "permutation_from_inversions",
-    "prepend_simple",
-    "product_in_D",
-    "render_diagram",
-    "rewrite_pair_at",
-    "simple_to_artin",
-    "star",
-    "star_set",
-    "strand_crossings",
-    "tail_op",
-    "transfer",
-    "verify_confluence",
-    "verify_gsb",
-    "verify_gsb_strict",
-    "verify_meet",
-    "verify_stop",
-    "verify_strand_lemma",
-    "verify_validity",
-    "word_to_simple_letters",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

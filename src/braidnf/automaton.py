@@ -33,11 +33,7 @@ class AutomatonGraph:
     transitions: tuple[tuple[tuple[int, int], ...], ...]
 
     def state_index(self, braid: SimpleBraid) -> int:
-        return self._index()[braid.perm]
-
-    def _index(self) -> dict:
-        # Rebuilt on demand; the table is tiny compared to the transitions.
-        return {state.perm: k for k, state in enumerate(self.states)}
+        return self.states.index(braid)
 
     def transition_count(self) -> int:
         return sum(len(row) for row in self.transitions)

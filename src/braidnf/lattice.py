@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 from .perms import (
     PairSet,
     _pair_of_slot,
+    _same_strands,
     act_on_pairs,
     check_permutation,
     compose,
@@ -153,8 +154,7 @@ def meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     The greatest lower bound in the weak order: the unique maximal
     inversion set contained in the intersection of r1 and r2.
     """
-    if r1.n != r2.n:
-        raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
+    _same_strands("inversion sets", r1.n, r2.n)
     return InversionSet(PairSet(r1.n, _interval_closed_fixpoint(r1.n, r1.bits & r2.bits)))
 
 
@@ -165,8 +165,7 @@ def join(r1: InversionSet, r2: InversionSet) -> InversionSet:
 
 def leq(r1: InversionSet, r2: InversionSet) -> bool:
     """The weak order itself: containment of inversion sets."""
-    if r1.n != r2.n:
-        raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
+    _same_strands("inversion sets", r1.n, r2.n)
     return r1.bits & ~r2.bits == 0
 
 
@@ -181,8 +180,7 @@ def deglex_key(r: InversionSet) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def deglex_compare(r1: InversionSet, r2: InversionSet) -> int:
     """Three-way degree-lexicographic comparison: -1, 0 or 1."""
-    if r1.n != r2.n:
-        raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
+    _same_strands("inversion sets", r1.n, r2.n)
     k1, k2 = deglex_key(r1), deglex_key(r2)
     return (k1 > k2) - (k1 < k2)
 
@@ -205,8 +203,7 @@ def _meet_reads(u: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     longer, never different.  A near-top u against a sparse b then takes
     O(n) comparisons instead of O(n^2).
     """
-    if len(u) != len(b):
-        raise ValueError(f"permutations on {len(u)} and {len(b)} strands")
+    _same_strands("permutations", len(u), len(b))
     n = len(u)
     us: list[int] = []
     bs: list[int] = []
@@ -244,8 +241,7 @@ def meet_permutations(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     u in that order, m^-1*u, so m = u * (m^-1*u)^-1.  The tests check this
     function against meet.
     """
-    if len(u) != len(v):
-        raise ValueError(f"permutations on {len(u)} and {len(v)} strands")
+    _same_strands("permutations", len(u), len(v))
     n = len(v)
     reads, _ = _meet_reads(u, [n + 1 - x for x in v])
     return compose(u, inverse(reads))

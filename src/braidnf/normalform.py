@@ -47,7 +47,7 @@ import dataclasses
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import all_permutations, compose, flip, identity, inverse, omega
+from .perms import _same_strands, all_permutations, compose, flip, identity, inverse, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
@@ -80,9 +80,7 @@ class PositiveWord:
     letters: tuple[SimpleBraid, ...]
 
     def __post_init__(self):
-        bad = _off_strand(self.n, self.letters)
-        if bad is not None:
-            raise ValueError(f"letter on {bad.n} strands in a word on {self.n}")
+        _perms_on(self.n, self.letters, "letter", "word")
 
     @classmethod
     def from_generator_indices(cls, n: int, indices: Sequence[int]) -> PositiveWord:
@@ -100,15 +98,18 @@ class PositiveWord:
         return len(self.letters)
 
 
-def _off_strand(n: int, braids: Sequence[SimpleBraid]) -> Optional[SimpleBraid]:
+def _perms_on(n: int, braids: Sequence[SimpleBraid], part: str, whole: str) -> list:
     """
-    The first braid not on n strands, or None.  The lengths of all the
-    permutations are tested in one C-level pass, and the first offender
-    is looked for only when that pass fails.
+    The braids' one-line words, or ValueError naming the first braid not
+    on n strands as a part of the whole.  The lengths of all the words are
+    tested in one C-level pass, and the first offender is looked for only
+    when that pass fails.
     """
-    if not {n}.issuperset(map(len, [b.perm for b in braids])):
-        return next(b for b in braids if b.n != n)
-    return None
+    perms = [b.perm for b in braids]
+    if not {n}.issuperset(map(len, perms)):
+        bad = next(b for b in braids if b.n != n)
+        raise ValueError(f"{part} on {bad.n} strands in a {whole} on {n}")
+    return perms
 
 
 def is_normal(factors: Sequence[SimpleBraid]) -> bool:
@@ -120,10 +121,8 @@ def is_normal(factors: Sequence[SimpleBraid]) -> bool:
     """
     if not factors:
         return True
-    n, perms = factors[0].n, [f.perm for f in factors]
-    if not {n}.issuperset(map(len, perms)):
-        raise ValueError(f"factor on {_off_strand(n, factors).n} strands in a sequence on {n}")
-    return _is_normal_perms(n, perms)
+    n = factors[0].n
+    return _is_normal_perms(n, _perms_on(n, factors, "factor", "sequence"))
 
 
 def _is_normal_perms(n: int, perms: list) -> bool:
@@ -142,9 +141,7 @@ def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
     Raise ValueError unless the factors are on n strands and form a normal
     form; returns their one-line words, read once for both checks.
     """
-    perms = [f.perm for f in factors]
-    if not {n}.issuperset(map(len, perms)):
-        raise ValueError(f"factor on {_off_strand(n, factors).n} strands in a form on {n}")
+    perms = _perms_on(n, factors, "factor", "form")
     if perms and not _is_normal_perms(n, perms):
         raise ValueError("factor sequence is not a greedy normal form")
     return perms
@@ -529,21 +526,6 @@ def normalize_group(word) -> GroupNormalForm:
 
 def equal(w1, w2) -> bool:
     """Whether two signed words represent the same braid group element."""
-    if w1.n != w2.n:
-        raise ValueError(f"words on {w1.n} and {w2.n} strands")
+    _same_strands("words", w1.n, w2.n)
     return normalize_group(w1) == normalize_group(w2)
 
-
-__all__ = [
-    "PositiveWord",
-    "PositiveNormalForm",
-    "GroupNormalForm",
-    "is_normal",
-    "rewrite_pair_at",
-    "prepend_simple",
-    "normalize_positive",
-    "gs_rewrite_to_fixpoint",
-    "rewrite_potential",
-    "normalize_group",
-    "equal",
-]

@@ -46,6 +46,7 @@ from .normalform import (
 )
 from .perms import (
     PairSet,
+    _same_strands,
     all_permutations,
     compose,
     identity,
@@ -94,7 +95,13 @@ class VerificationReport:
 
 @functools.cache
 def _inversion_groups(n: int) -> tuple:
-    """All inversion-set bit arrays of S_n, one frozenset per cardinality."""
+    """
+    All inversion-set bit arrays of S_n, one frozenset per cardinality.
+    Raises past BRUTE_MAX_STRANDS, the enumeration bound of brute_meet and
+    brute_validity.
+    """
+    if n > BRUTE_MAX_STRANDS:
+        raise ValueError(f"enumeration of S_{n} is too large; need n <= {BRUTE_MAX_STRANDS}")
     groups: list[set] = [set() for _ in range(pair_count(n) + 1)]
     for p in all_permutations(n):
         bits = inversion_bits(p)
@@ -110,11 +117,8 @@ def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     it.  Raises if the maximum is not unique, which would contradict the
     lattice structure.
     """
-    if r1.n != r2.n:
-        raise ValueError(f"inversion sets on {r1.n} and {r2.n} strands")
+    _same_strands("inversion sets", r1.n, r2.n)
     n = r1.n
-    if n > BRUTE_MAX_STRANDS:
-        raise ValueError(f"enumeration of S_{n} is too large; need n <= {BRUTE_MAX_STRANDS}")
     target = r1.bits & r2.bits
     not_target = ~target
     groups = _inversion_groups(n)
@@ -131,8 +135,6 @@ def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
 
 def brute_validity(s: PairSet) -> bool:
     """Whether s is an inversion set: one of S_n's, enumerated, of its cardinality."""
-    if s.n > BRUTE_MAX_STRANDS:
-        raise ValueError(f"enumeration of S_{s.n} is too large; need n <= {BRUTE_MAX_STRANDS}")
     return s.bits in _inversion_groups(s.n)[s.bits.bit_count()]
 
 
@@ -406,12 +408,15 @@ def _sample(n: int, rng: random.Random) -> tuple[int, ...]:
 
 
 def _triples(n: int, samples: Optional[int], seed: int):
-    """Triples of S_n, all of them or seeded samples; checks its arguments eagerly."""
+    """
+    Triples of S_n: all of them for n <= 5, by rows (3), else seeded
+    samples; checks its arguments eagerly.
+    """
     _check_samples(samples)
     if samples is None:
         if n > 5:
             raise ValueError("exhaustive triples need n <= 5; pass samples for larger n")
-        return itertools.product(all_permutations(n), repeat=3)
+        return 3
     if n > MAX_STRANDS:
         raise ValueError(f"sampled triples need n <= {MAX_STRANDS}, got {n}")
     rng = random.Random(seed)
@@ -448,7 +453,7 @@ def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> Verific
     flush-pair clauses sometimes quoted alongside them are refuted by small
     counterexamples; they live in verify_gsb_strict as a documented divergence.
     """
-    triples = 3 if samples is None and n <= 5 else _triples(n, samples, seed)  # 3: by rows
+    triples = _triples(n, samples, seed)
     return _sweep("gsb", n, ("pair", _pairs(n, samples, seed)), ("exchange", triples))
 
 
@@ -485,8 +490,7 @@ def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     sufficient: normality survives on the appropriate flanks of a triple
     rewrite, unconditionally for the two inner pairs.
     """
-    triples = 3 if samples is None and n <= 5 else _triples(n, samples, seed)  # 3: by rows
-    return _sweep("stop", n, ("stop", triples))
+    return _sweep("stop", n, ("stop", _triples(n, samples, seed)))
 
 
 def verify_confluence(

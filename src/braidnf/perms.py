@@ -93,12 +93,17 @@ def adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
     return tuple(word)
 
 
+def _same_strands(kind: str, m: int, n: int) -> None:
+    """Raise ValueError unless two operands, kind on m and n strands, have m == n."""
+    if m != n:
+        raise ValueError(f"{kind} on {m} and {n} strands")
+
+
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """
     The product p*q with the left factor applied first: (p*q)(i) = q(p(i)).
     """
-    if len(p) != len(q):
-        raise ValueError(f"cannot compose permutations on {len(p)} and {len(q)} strands")
+    _same_strands("cannot compose permutations", len(p), len(q))
     return tuple(q[v - 1] for v in p)
 
 
@@ -232,28 +237,12 @@ class PairSet:
             return False
         return bool(self.bits >> pair_slot(i, j) & 1)
 
-    def _check_same_n(self, other: PairSet) -> None:
-        if self.n != other.n:
-            raise ValueError(f"pair sets on {self.n} and {other.n} strands")
-
     def __and__(self, other: PairSet) -> PairSet:
-        self._check_same_n(other)
+        _same_strands("pair sets", self.n, other.n)
         return PairSet(self.n, self.bits & other.bits)
 
-    def __or__(self, other: PairSet) -> PairSet:
-        self._check_same_n(other)
-        return PairSet(self.n, self.bits | other.bits)
-
-    def __xor__(self, other: PairSet) -> PairSet:
-        self._check_same_n(other)
-        return PairSet(self.n, self.bits ^ other.bits)
-
-    def __sub__(self, other: PairSet) -> PairSet:
-        self._check_same_n(other)
-        return PairSet(self.n, self.bits & ~other.bits)
-
     def issubset(self, other: PairSet) -> bool:
-        self._check_same_n(other)
+        _same_strands("pair sets", self.n, other.n)
         return self.bits & ~other.bits == 0
 
 

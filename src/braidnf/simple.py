@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from .lattice import InversionSet, _meet_reads, leq, star
 from .perms import (
     PairSet,
+    _same_strands,
     adjacent_transposition,
     check_permutation,
     compose,
@@ -122,8 +123,7 @@ def product_in_D(a: SimpleBraid, b: SimpleBraid) -> Optional[SimpleBraid]:
     The product stays simple exactly when no pair of strands would cross
     twice, i.e. star(a) misses the inversion set of b.
     """
-    if a.n != b.n:
-        raise ValueError(f"braids on {a.n} and {b.n} strands")
+    _same_strands("braids", a.n, b.n)
     if inversion_bits(inverse(a.perm)) & b.inv.bits:
         return None
     return SimpleBraid(compose(a.perm, b.perm))
@@ -191,8 +191,7 @@ def transfer(a: SimpleBraid, b: SimpleBraid) -> Transfer:
     with crossings(head) = crossings(a) - crossings(m) and
     crossings(tail) = crossings(b) + crossings(m).
     """
-    if a.n != b.n:
-        raise ValueError(f"braids on {a.n} and {b.n} strands")
+    _same_strands("braids", a.n, b.n)
     head, tail = _transfer_words(a.perm, b.perm)
     return Transfer(compose(inverse(a.perm), head), SimpleBraid(head), SimpleBraid(tail))
 
@@ -213,8 +212,7 @@ def is_normal_pair(a: SimpleBraid, b: SimpleBraid) -> bool:
     is empty.  This is the adjacency condition of the right-greedy normal
     form.
     """
-    if a.n != b.n:
-        raise ValueError(f"braids on {a.n} and {b.n} strands")
+    _same_strands("braids", a.n, b.n)
     return _is_normal_words(a.perm, b.perm)
 
 
@@ -232,39 +230,18 @@ def is_clean_transfer(a: SimpleBraid, b: SimpleBraid) -> bool:
     the strand lemma (oracle.verify_strand_lemma) applies; it fails when
     the intersection is nonempty and not an inversion set.
     """
-    if a.n != b.n:
-        raise ValueError(f"braids on {a.n} and {b.n} strands")
+    _same_strands("braids", a.n, b.n)
     return _is_clean_words(a.perm, b.perm)
 
 
 def is_head(x: SimpleBraid, a: SimpleBraid) -> bool:
     """Whether a factors as x*y with crossing counts adding."""
-    if x.n != a.n:
-        raise ValueError(f"braids on {x.n} and {a.n} strands")
+    _same_strands("braids", x.n, a.n)
     return leq(x.inv, a.inv)
 
 
 def is_tail(x: SimpleBraid, a: SimpleBraid) -> bool:
     """Whether a factors as y*x with crossing counts adding."""
-    if x.n != a.n:
-        raise ValueError(f"braids on {x.n} and {a.n} strands")
+    _same_strands("braids", x.n, a.n)
     return leq(star_set(x), star_set(a))
 
-
-__all__ = [
-    "SimpleBraid",
-    "Transfer",
-    "identity_braid",
-    "omega_braid",
-    "generator_braid",
-    "flip_braid",
-    "star_set",
-    "product_in_D",
-    "transfer",
-    "head_op",
-    "tail_op",
-    "is_normal_pair",
-    "is_clean_transfer",
-    "is_head",
-    "is_tail",
-]

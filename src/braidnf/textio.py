@@ -220,13 +220,19 @@ def format_normal_form(form: GroupNormalForm, style: str = "text") -> str:
 
 
 def parse_normal_form_json(text: str) -> GroupNormalForm:
+    """
+    The inverse of format_normal_form(form, "json").  n, delta_power and
+    every factor entry must be JSON integers; a float, string or boolean is
+    rejected, not coerced.
+    """
     try:
         payload = json.loads(text)
-        return GroupNormalForm(
-            int(payload["n"]),
-            int(payload["delta_power"]),
-            tuple(SimpleBraid(tuple(f)) for f in payload["factors"]),
-        )
+        n, power = payload["n"], payload["delta_power"]
+        factors = [tuple(f) for f in payload["factors"]]
+        for x in (n, power, *[v for f in factors for v in f]):
+            if type(x) is not int:  # bool is a subclass of int
+                raise ValueError(f"not an integer: {x!r}")
+        return GroupNormalForm(n, power, tuple(map(SimpleBraid, factors)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad serialized normal form: {exc}") from None
 

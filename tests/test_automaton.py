@@ -34,6 +34,8 @@ def test_fixed_transitions():
     assert g.states[nxt] == generator_braid(3, 1) and g.states[emitted] == identity_braid(3)
     nxt, emitted = g.transitions[s1][0]
     assert g.states[nxt] == generator_braid(3, 1) and g.states[emitted] == generator_braid(3, 1)
+    with pytest.raises(ValueError):
+        g.state_index(identity_braid(4))  # not a state of the three-strand automaton
 
 
 def test_transition_consistency():

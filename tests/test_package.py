@@ -1,0 +1,92 @@
+"""
+The package surface: the public namespace, and the one strand-count check
+every binary operation shares, with its messages pinned site by site.
+"""
+import types
+
+import pytest
+
+import braidnf
+from braidnf import lattice, normalform, oracle, perms, simple
+from braidnf.lattice import InversionSet
+from braidnf.perms import PairSet, identity
+from braidnf.simple import identity_braid
+from braidnf.textio import parse_word
+
+PUBLIC_NAMES = [
+    "ArtinWord", "GroupNormalForm", "InversionSet", "PairSet", "ParseError",
+    "PositiveNormalForm", "PositiveWord", "SimpleBraid", "Transfer", "VerificationReport",
+    "act_on_pairs", "adjacent_transposition", "brute_meet", "brute_validity", "complement",
+    "compose", "deglex_compare", "deglex_key", "equal", "flip", "flip_braid",
+    "format_normal_form", "format_permutation", "format_word", "generator_braid",
+    "gs_rewrite_to_fixpoint", "head_op", "identity", "identity_braid", "inverse",
+    "inversion_set", "is_clean_transfer", "is_head", "is_inversion_set", "is_normal",
+    "is_normal_pair", "is_tail", "join", "leq", "meet", "meet_permutations",
+    "normalize_group", "normalize_positive", "omega", "omega_braid", "parse_permutation",
+    "parse_word", "permutation_from_inversions", "prepend_simple", "product_in_D",
+    "render_diagram", "rewrite_pair_at", "simple_to_artin", "star", "star_set",
+    "strand_crossings", "tail_op", "transfer", "verify_confluence", "verify_gsb",
+    "verify_gsb_strict", "verify_meet", "verify_stop", "verify_strand_lemma",
+    "verify_validity", "word_to_simple_letters",
+]
+
+
+def test_namespace():
+    assert len(PUBLIC_NAMES) == 66
+    assert sorted(braidnf.__all__) == PUBLIC_NAMES
+    for name in braidnf.__all__:
+        assert not isinstance(getattr(braidnf, name), types.ModuleType), name
+    namespace: dict = {}
+    exec("from braidnf import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+
+
+def _braids():
+    return identity_braid(3), identity_braid(4)
+
+
+def _inversion_sets():
+    return InversionSet.from_permutation(identity(3)), InversionSet.from_permutation(identity(4))
+
+
+def _permutations():
+    return identity(3), identity(4)
+
+
+def _pair_sets():
+    return PairSet.empty(3), PairSet.empty(4)
+
+
+def _words():
+    return parse_word("n=3; 1"), parse_word("n=4; 1")
+
+
+STRAND_CHECKS = [
+    (simple.product_in_D, _braids, "braids"),
+    (simple.transfer, _braids, "braids"),
+    (simple.is_normal_pair, _braids, "braids"),
+    (simple.is_clean_transfer, _braids, "braids"),
+    (simple.is_head, _braids, "braids"),
+    (simple.is_tail, _braids, "braids"),
+    (lattice.meet, _inversion_sets, "inversion sets"),
+    (lattice.leq, _inversion_sets, "inversion sets"),
+    (lattice.deglex_compare, _inversion_sets, "inversion sets"),
+    (lattice._meet_reads, _permutations, "permutations"),
+    (lattice.meet_permutations, _permutations, "permutations"),
+    (oracle.brute_meet, _inversion_sets, "inversion sets"),
+    (normalform.equal, _words, "words"),
+    (perms.compose, _permutations, "cannot compose permutations"),
+    (PairSet.__and__, _pair_sets, "pair sets"),
+    (PairSet.issubset, _pair_sets, "pair sets"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, operands, kind", STRAND_CHECKS, ids=[call.__qualname__ for call, _, _ in STRAND_CHECKS]
+)
+def test_strand_mismatch_message(call, operands, kind):
+    left, right = operands()
+    with pytest.raises(ValueError) as caught:
+        call(left, right)
+    assert str(caught.value) == f"{kind} on 3 and 4 strands"

@@ -91,10 +91,7 @@ def test_pair_set_basics():
     assert (1, 2) in s and (2, 4) in s and (1, 3) not in s
     assert len(s) == 2
     assert s.pairs() == ((1, 2), (2, 4))
-    assert (s | PairSet.from_pairs(4, [(3, 4)])).pairs() == ((1, 2), (2, 4), (3, 4))
     assert (s & PairSet.from_pairs(4, [(2, 4)])).pairs() == ((2, 4),)
-    assert (s ^ s).bits == 0
-    assert (s - s).bits == 0
     assert s.issubset(PairSet.full(4))
     with pytest.raises(ValueError):
         PairSet.from_pairs(3, [(2, 2)])

@@ -165,6 +165,22 @@ def test_format_normal_form_json_roundtrip():
         parse_normal_form_json('{"n": 3}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "delta_power": 1.5, "factors": []}',
+        '{"n": 3.9, "delta_power": 0, "factors": []}',
+        '{"n": true, "delta_power": "2", "factors": []}',
+        '{"n": 3, "delta_power": 0, "factors": [[2.0, 1, 3]]}',
+        '{"n": 2, "delta_power": 0, "factors": [[2.0, 1]]}',
+        '{"n": 2, "delta_power": 0, "factors": [[true, 2]]}',
+    ],
+)
+def test_parse_normal_form_json_rejects_non_integers(text):
+    with pytest.raises(ParseError, match="not an integer"):
+        parse_normal_form_json(text)
+
+
 def test_formal_inverse_and_concat():
     w = parse_word("n=3; 1 -2 D")
     wi = formal_inverse(w)
