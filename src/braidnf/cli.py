@@ -20,6 +20,7 @@ import time
 from .automaton import build, export_dot
 from .normalform import PositiveWord, equal, normalize_group, normalize_positive
 from .oracle import (
+    EXHAUSTIVE_MAX_STRANDS,
     verify_commuting,
     verify_confluence,
     verify_gsb,
@@ -87,8 +88,8 @@ ALL_SIZES = {"gsb": 4, "stop": 4, "strands": 4, "meet": 5, "validity": 5, "confl
 def _suite_reports(suite: str, n: int, args) -> list:
     """The reports of one suite at n, in print order."""
     if suite == "gsb":
-        gating = verify_gsb(n, args.samples, args.seed)  # first: it rejects n > 5 unsampled
-        small = min(n, 5)  # the diagnostics are exhaustive
+        gating = verify_gsb(n, args.samples, args.seed)  # first: it rejects large n unsampled
+        small = min(n, EXHAUSTIVE_MAX_STRANDS)  # the diagnostics are exhaustive
         return [verify_commuting(small), verify_gsb_strict(small), gating]
     if suite == "stop":
         return [verify_stop(n, args.samples, args.seed)]
@@ -199,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         help="sampled cases, at least 1: triples for gsb and stop, pairs for meet, words for"
-        " confluence; gsb's pairs at n <= 5, its diagnostics, strands and validity stay exhaustive",
+        f" confluence; gsb's pairs at n <= {EXHAUSTIVE_MAX_STRANDS}, its diagnostics, strands and"
+        " validity stay exhaustive",
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--length", type=int, help="word length bound (confluence), default 20")

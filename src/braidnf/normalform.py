@@ -148,23 +148,19 @@ def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
 
 
 @dataclasses.dataclass(frozen=True)
-class PositiveNormalForm:
-    """A validated right-greedy normal form of a positive braid."""
-
-    n: int
-    factors: tuple[SimpleBraid, ...]
+class PositiveNormalForm(PositiveWord):
+    """
+    A validated right-greedy normal form of a positive braid: a positive
+    word whose letters, read as factors, pass the normal-form check
+    (_check_form) instead of the word's.
+    """
 
     def __post_init__(self):
-        _check_form(self.n, self.factors)
+        _check_form(self.n, self.letters)
 
-    def permutation(self) -> tuple[int, ...]:
-        return _product(self.n, self.factors)
-
-    def crossing_number(self) -> int:
-        return sum(f.crossings() for f in self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
+    @property
+    def factors(self) -> tuple[SimpleBraid, ...]:
+        return self.letters
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,17 +5,20 @@ Everything fast in this package has a slow twin here: the lattice meet is
 checked against enumeration of the whole symmetric group, the inversion-set
 criterion against enumeration of all pair subsets, and the transfer
 operations against the laws they must satisfy, one table (LAWS) that one
-sweep evaluates.  Each verification call interns its own states in one
-pair table (_PairTable); only verify_meet reads the engine's rank tables
-(normalform.RankTables), to check their STEP entries against the
-normality test and the transfer.
+sweep evaluates.  Both enumeration twins read one cached table of S_n in
+the weak order (_weak_order): each element's down-set is an int bitset
+over the ranks, built from its lower covers, so a meet is the top bit of
+two down-sets, and an inversion set is a key of the table's index.  Each
+verification call interns its own states in one pair table (_PairTable);
+only verify_meet reads the engine's rank tables (normalform.RankTables),
+to check their STEP entries against the normality test and the transfer.
 
 The sweep has two paths through the same law statements.  Exhaustive
-sweeps up to five strands take the row path (_dense): S_n is interned
-first, every pair's head, tail and verdict are filled once into flat rows,
-and for each fixed prefix of a case, say (a, b), a law is evaluated over
-the whole row of last entries c at once, with C-level maps, translations
-and comparisons on bytes rows (_Row).  Only a row that a law fails on is
+sweeps up to EXHAUSTIVE_MAX_STRANDS take the row path (_dense): S_n is
+interned first, every pair's head, tail and verdict are filled once into
+flat rows, and for each fixed prefix of a case, say (a, b), a law is
+evaluated over the whole row of last entries c at once, with C-level
+maps, translations and comparisons on bytes rows (_Row).  Only a row that a law fails on is
 evaluated again case by case, so failure records and their order are the
 scalar path's.  The scalar path evaluates one case at a time; it runs the
 sampled sweeps, the strand lemma and those re-runs, and it is the row
@@ -60,6 +63,8 @@ from .simple import SimpleBraid, _is_clean_words, _is_normal_words, _transfer_wo
 from .textio import MAX_LETTERS, MAX_STRANDS
 
 BRUTE_MAX_STRANDS = 7
+# Exhaustive sweeps run over every pair or triple of S_n up to this n.
+EXHAUSTIVE_MAX_STRANDS = 5
 
 
 @dataclasses.dataclass
@@ -93,49 +98,62 @@ class VerificationReport:
 # Enumerations
 
 
-@functools.cache
-def _inversion_groups(n: int) -> tuple:
+def _lower_covers(p: Sequence[int]):
     """
-    All inversion-set bit arrays of S_n, one frozenset per cardinality.
-    Raises past BRUTE_MAX_STRANDS, the enumeration bound of brute_meet and
-    brute_validity.
+    The elements p covers in the weak order: p with an inverted pair of
+    adjacent values, v + 1 placed before v, swapped back.  No value lies
+    between the two, so the swap drops exactly their pair of positions
+    from inversion_bits(p).
+    """
+    for v in range(1, len(p)):
+        i, j = p.index(v + 1), p.index(v)
+        if i < j:
+            yield p[:i] + (v,) + p[i + 1 : j] + (v + 1,) + p[j + 1 :]
+
+
+@functools.cache
+def _weak_order(n: int) -> tuple[tuple, dict, tuple]:
+    """
+    S_n in the weak order, the inclusion of inversion sets, a lattice
+    graded by length.  Returns (bits, rank, down): bits[r] is the inversion
+    bit array of rank r, ranked in order of length; rank reads it back;
+    down[r] is its down-set, an int with bit s set for each rank s at or
+    below r: bit r and the down-sets of its lower covers (_lower_covers),
+    which are shorter and so come first.  Raises past BRUTE_MAX_STRANDS,
+    the enumeration bound of brute_meet, brute_validity and verify_meet:
+    at n = 8 the down-sets alone would take about 200 MB.
     """
     if n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration of S_{n} is too large; need n <= {BRUTE_MAX_STRANDS}")
-    groups: list[set] = [set() for _ in range(pair_count(n) + 1)]
-    for p in all_permutations(n):
-        bits = inversion_bits(p)
-        groups[bits.bit_count()].add(bits)
-    return tuple(map(frozenset, groups))
+    perms, down = sorted(all_permutations(n), key=length), {}
+    for r, p in enumerate(perms):
+        down[p] = functools.reduce(operator.or_, map(down.__getitem__, _lower_covers(p)), 1 << r)
+    bits = tuple(map(inversion_bits, perms))
+    return bits, {b: r for r, b in enumerate(bits)}, tuple(down.values())
 
 
 def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     """
-    The weak-order meet by enumeration: among all inversion sets contained
-    in the intersection, the unique one of maximal cardinality.  The scan
-    starts at the size of the intersection, since no larger set fits in
-    it.  Raises if the maximum is not unique, which would contradict the
-    lattice structure.
+    The weak-order meet by enumeration: the greatest common lower bound,
+    the top rank m in both down-sets.  Raises unless m's own down-set is
+    their intersection, that is unless every common lower bound lies
+    under m, which would contradict the lattice structure.  The result is
+    read from the table, so the twin calls none of the fast code, the
+    inversion-set criterion (is_inversion_set) included.
     """
     _same_strands("inversion sets", r1.n, r2.n)
-    n = r1.n
-    target = r1.bits & r2.bits
-    not_target = ~target
-    groups = _inversion_groups(n)
-    for size in range(target.bit_count(), -1, -1):
-        hits = [bits for bits in groups[size] if not bits & not_target]
-        if hits:
-            if len(hits) > 1:
-                raise AssertionError(
-                    f"non-unique maximal lower bound at n={n}: {hits!r}"
-                )
-            return InversionSet(PairSet(n, hits[0]))
-    raise AssertionError("unreachable: the empty set is always a lower bound")
+    bits, rank, down = _weak_order(r1.n)
+    common = down[rank[r1.bits]] & down[rank[r2.bits]]
+    m = common.bit_length() - 1
+    if down[m] != common:
+        stray = [b for r, b in enumerate(bits) if (common & ~down[m]) >> r & 1]
+        raise AssertionError(f"non-unique maximal lower bound at n={r1.n}: {[bits[m], *stray]}")
+    return InversionSet._trusted(PairSet(r1.n, bits[m]))
 
 
 def brute_validity(s: PairSet) -> bool:
-    """Whether s is an inversion set: one of S_n's, enumerated, of its cardinality."""
-    return s.bits in _inversion_groups(s.n)[s.bits.bit_count()]
+    """Whether s is an inversion set: one of S_n's, enumerated."""
+    return s.bits in _weak_order(s.n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +427,15 @@ def _sample(n: int, rng: random.Random) -> tuple[int, ...]:
 
 def _triples(n: int, samples: Optional[int], seed: int):
     """
-    Triples of S_n: all of them for n <= 5, by rows (3), else seeded
-    samples; checks its arguments eagerly.
+    Triples of S_n: all of them up to EXHAUSTIVE_MAX_STRANDS, by rows (3),
+    else seeded samples; checks its arguments eagerly.
     """
     _check_samples(samples)
     if samples is None:
-        if n > 5:
-            raise ValueError("exhaustive triples need n <= 5; pass samples for larger n")
+        if n > EXHAUSTIVE_MAX_STRANDS:
+            raise ValueError(
+                f"exhaustive triples need n <= {EXHAUSTIVE_MAX_STRANDS}; pass samples for larger n"
+            )
         return 3
     if n > MAX_STRANDS:
         raise ValueError(f"sampled triples need n <= {MAX_STRANDS}, got {n}")
@@ -424,8 +444,11 @@ def _triples(n: int, samples: Optional[int], seed: int):
 
 
 def _pairs(n: int, samples: Optional[int] = None, seed: int = 42):
-    """Pairs of S_n: all of them for n <= 5, by rows (2), else the first two of sampled triples."""
-    if n <= 5:
+    """
+    Pairs of S_n: all of them up to EXHAUSTIVE_MAX_STRANDS, by rows (2),
+    else the first two of sampled triples.
+    """
+    if n <= EXHAUSTIVE_MAX_STRANDS:
         return 2
     return ((x, y) for x, y, _ in _triples(n, samples, seed))
 
@@ -449,7 +472,7 @@ def verify_strand_lemma(n: int) -> VerificationReport:
 def verify_gsb(n: int, samples: Optional[int] = None, seed: int = 42) -> VerificationReport:
     """
     The pair laws over pairs and the exchange laws over triples, exhaustive
-    for n <= 5 and sampled above.  The unconditional idempotence and
+    up to EXHAUSTIVE_MAX_STRANDS and sampled above.  The unconditional idempotence and
     flush-pair clauses sometimes quoted alongside them are refuted by small
     counterexamples; they live in verify_gsb_strict as a documented divergence.
     """
@@ -479,8 +502,8 @@ def verify_gsb_strict(n: int, samples: Optional[int] = None, seed: int = 42) -> 
 
 def verify_commuting(n: int) -> VerificationReport:
     """The commuting characterisation of head_op(a, b) == b != a over all pairs of S_n."""
-    if n > 5:
-        raise ValueError("diagnostic sweep is exhaustive; keep n <= 5")
+    if n > EXHAUSTIVE_MAX_STRANDS:
+        raise ValueError(f"diagnostic sweep is exhaustive; keep n <= {EXHAUSTIVE_MAX_STRANDS}")
     return _sweep("gsb-commuting-diagnostic", n, ("commuting", _pairs(n)), diagnostic=True)
 
 
@@ -543,27 +566,25 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     """
     Both meets against the enumeration meet: the lattice meet on inversion
     sets and meet_permutations, a view of the insertion pass the
-    normaliser runs (lattice._meet_reads).  Exhaustive
-    over ordered pairs for n <= 5, sampled for larger n (still within the
-    enumeration bound).  Up to TABLE_MAX_STRANDS each pair's engine step,
+    normaliser runs (lattice._meet_reads).  Exhaustive over ordered pairs
+    up to EXHAUSTIVE_MAX_STRANDS, sampled for larger n, within the
+    enumeration bound of the weak-order table (_weak_order), which is
+    checked first.  Up to TABLE_MAX_STRANDS each pair's engine step,
     its entry of the rank automaton's STEP table (normalform.RankTables), is
     also checked against the normality test and the meet-based transfer;
     a disagreement is reported in one-line notation.
     """
-    if n > BRUTE_MAX_STRANDS:
-        raise ValueError(f"enumeration bound is n <= {BRUTE_MAX_STRANDS}")
+    _weak_order(n)  # the enumeration bound, checked before the samples
     _check_samples(samples)
+    if samples is None and n > EXHAUSTIVE_MAX_STRANDS:
+        raise ValueError(f"exhaustive meet sweep needs n <= {EXHAUSTIVE_MAX_STRANDS}; pass samples")
     failures: list = []
     elements = [(p, InversionSet.from_permutation(p)) for p in all_permutations(n)]
     if samples is None:
-        if n > 5:
-            raise ValueError("exhaustive meet sweep needs n <= 5; pass samples")
         pairs = itertools.product(elements, elements)
-        cases = len(elements) ** 2
     else:
         rng = random.Random(seed)
         pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(samples))
-        cases = samples
     tables = rank_tables(n) if n <= TABLE_MAX_STRANDS else None
     for (p, r1), (q, r2) in pairs:
         try:
@@ -587,7 +608,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
             want = None if _is_normal_words(p, q) else _transfer_words(p, q)
             if step != want:
                 failures.append(["table", p, q, step, want])
-    return VerificationReport("meet", n, cases, failures)
+    return VerificationReport("meet", n, samples or len(elements) ** 2, failures)
 
 
 def verify_validity(n: int) -> VerificationReport:

@@ -227,8 +227,9 @@ def test_verify_bounds_error(capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "verify", "--suite", "strands", "--n", "7")
     assert code == 2 and "error:" in err
-    code, _, err = run_cli(capsys, "verify", "--suite", "meet", "--n", "9")
-    assert code == 2 and "error:" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "meet", "--n", "9")
+    assert code == 2 and out == ""
+    assert err == "error: enumeration of S_9 is too large; need n <= 7\n"
     code, out, err = run_cli(capsys, "verify", "--suite", "confluence", "--n", "7")
     assert code == 2 and out == "" and "error:" in err
     with pytest.raises(SystemExit) as exc:

@@ -130,6 +130,23 @@ def test_normal_form_validation():
     assert nf.permutation() == (2, 1, 3)
 
 
+def test_normal_form_is_a_validated_positive_word():
+    factors = (generator_braid(4, 1), generator_braid(4, 1))
+    nf, word = PositiveNormalForm(4, factors), PositiveWord(4, factors)
+    assert isinstance(nf, PositiveWord) and nf.factors is nf.letters == factors
+    assert (len(nf), nf.crossing_number(), nf.permutation()) == (2, 2, (1, 2, 3, 4))
+    assert (len(word), word.crossing_number(), word.permutation()) == (2, 2, (1, 2, 3, 4))
+    assert nf != word and nf == PositiveNormalForm(4, factors)
+    assert repr(nf).startswith("PositiveNormalForm(n=4, letters=(")
+    with pytest.raises(AttributeError):
+        nf.factors = ()
+    # the word's check is replaced by the form's, messages included
+    with pytest.raises(ValueError, match="^factor on 3 strands in a form on 4$"):
+        PositiveNormalForm(4, (generator_braid(3, 1),))
+    with pytest.raises(ValueError, match="^factor sequence is not a greedy normal form$"):
+        PositiveNormalForm(4, factors + (identity_braid(4),))
+
+
 def test_group_form_validation():
     with pytest.raises(ValueError):
         GroupNormalForm(3, 0, (omega_braid(3),))

@@ -30,6 +30,7 @@ from braidnf.perms import (
     compose,
     identity,
     inverse,
+    inversion_bits,
     is_inversion_set,
     omega,
 )
@@ -48,7 +49,7 @@ def test_brute_meet_values():
     assert brute_meet(r, r).bits == r.bits
     gap = brute_meet(inv(inverse((3, 5, 4, 2, 6, 1))), complement(inv((2, 1, 5, 6, 3, 4))))
     assert (2, 3) in gap and len(gap) > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^enumeration of S_8 is too large; need n <= 7$"):
         big = inv(tuple(range(1, 9)))
         brute_meet(big, big)
 
@@ -57,6 +58,74 @@ def test_brute_validity():
     assert brute_validity(PairSet.empty(3))
     assert not brute_validity(PairSet.from_pairs(3, [(1, 2), (2, 3)]))
     assert brute_validity(PairSet.full(4))
+
+
+def _position_swaps(p):
+    """The wrong cover rule: swap back an inverted pair of adjacent positions."""
+    for i in range(len(p) - 1):
+        if p[i] > p[i + 1]:
+            yield p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
+
+
+def _table_is_inclusion(n):
+    """
+    Whether each lower cover drops exactly one inversion, and whether the
+    weak-order table, built afresh from oracle._lower_covers, puts p in
+    down[q] exactly when p's inversion set is a subset of q's.
+    """
+    covers_drop_one = all(
+        inversion_bits(c) | bit == inversion_bits(p) and bit.bit_count() == 1
+        for p in all_permutations(n)
+        for c in oracle._lower_covers(p)
+        for bit in [inversion_bits(p) & ~inversion_bits(c)]
+    )
+    bits, rank, down = oracle._weak_order.__wrapped__(n)
+    pairs = itertools.product(range(len(bits)), repeat=2)
+    inclusion = all((down[q] >> p & 1) == (bits[p] & ~bits[q] == 0) for p, q in pairs)
+    return covers_drop_one, inclusion
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weak_order_table_is_inclusion_of_inversion_sets(n, monkeypatch):
+    bits, rank, down = oracle._weak_order(n)
+    assert len(bits) == len(set(bits)) == math.factorial(n)
+    assert [b.bit_count() for b in bits] == sorted(b.bit_count() for b in bits)
+    assert all(rank[b] == r for r, b in enumerate(bits))
+    assert _table_is_inclusion(n) == (True, True)
+    # swapping adjacent positions instead of values breaks both from three strands
+    monkeypatch.setattr(oracle, "_lower_covers", _position_swaps)
+    assert _table_is_inclusion(n) == ((True, True) if n < 3 else (False, False))
+
+
+def test_a_corrupt_down_set_fails_the_meet_twin(monkeypatch):
+    bits, rank, down = oracle._weak_order(4)
+    mutants = []
+    for q, r in itertools.product(range(len(bits)), repeat=2):
+        mutant = list(down)
+        mutant[q] ^= 1 << r  # clear or set one bit
+        monkeypatch.setattr(oracle, "_weak_order", lambda n: (bits, rank, mutant))
+        r1, r2 = (InversionSet(PairSet(4, bits[x])) for x in (q, r))
+        try:
+            slow = brute_meet(r1, r2).bits
+        except AssertionError as exc:
+            assert str(exc).startswith("non-unique maximal lower bound at n=4: ")
+        else:
+            assert slow != lattice.meet(r1, r2).bits, (q, r)
+        mutants.append(mutant)
+    for mutant in random.Random(23).sample(mutants, 8):
+        monkeypatch.setattr(oracle, "_weak_order", lambda n: (bits, rank, mutant))
+        report = verify_meet(4)
+        assert report.cases == 576 and report.failures
+        assert {f[0] for f in report.failures} <= {"uniqueness", "meet", "meet-permutations"}
+
+
+def test_a_missing_index_entry_flips_brute_validity(monkeypatch):
+    bits, rank, down = oracle._weak_order(3)
+    for b in bits:
+        index = {k: r for k, r in rank.items() if k != b}
+        monkeypatch.setattr(oracle, "_weak_order", lambda n: (bits, index, down))
+        assert not brute_validity(PairSet(3, b))
+        assert verify_validity(3).failures == [["validity", PairSet(3, b).pairs()]]
 
 
 # Three six-strand factors whose per-strand-pair crossing log was read off
@@ -263,6 +332,19 @@ def test_triples_are_exhaustive_up_to_five_strands():
         oracle._triples(6, None, 42)
 
 
+def test_exhaustive_bound_is_one_constant(monkeypatch):
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_MAX_STRANDS", 3)
+    assert oracle._pairs(3) == 2 and oracle._triples(3, None, 42) == 3
+    for sweep, message in [
+        (verify_gsb, "exhaustive triples need n <= 3; pass samples for larger n"),
+        (verify_stop, "exhaustive triples need n <= 3; pass samples for larger n"),
+        (oracle.verify_commuting, "diagnostic sweep is exhaustive; keep n <= 3"),
+        (verify_meet, "exhaustive meet sweep needs n <= 3; pass samples"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(4)
+
+
 def test_gsb_and_stop_run_every_triple_at_five_strands():
     # the row path makes the exhaustive n = 5 sweeps cheap enough for tier-1:
     # 1.9-2.5 s together on a 2-core VM; the bound leaves room for its swings
@@ -404,7 +486,7 @@ def test_verify_meet_exhaustive_small():
     assert report.cases == 24 * 24
     sampled = verify_meet(6, samples=500, seed=9)
     assert sampled.passed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^enumeration of S_8 is too large; need n <= 7$"):
         verify_meet(8)
     with pytest.raises(ValueError):
         verify_meet(6)  # needs samples above the exhaustive bound
