@@ -21,6 +21,7 @@ from .automaton import build, export_dot
 from .normalform import PositiveWord, equal, normalize_group, normalize_positive
 from .oracle import (
     EXHAUSTIVE_MAX_STRANDS,
+    _one_fill,
     verify_commuting,
     verify_confluence,
     verify_gsb,
@@ -119,7 +120,8 @@ def _cmd_verify(args) -> int:
         runs = [(args.suite, args.n)]
     else:
         raise ParseError("pass --suite <name> or --all")
-    reports = [report for suite, n in runs for report in _suite_reports(suite, n, args)]
+    with _one_fill():  # the row sweeps at one n share one pair table and its fill
+        reports = [report for suite, n in runs for report in _suite_reports(suite, n, args)]
     for report in reports:
         print(report.to_json())
     return 0 if all(r.passed or r.diagnostic for r in reports) else 1

@@ -449,17 +449,20 @@ def _rewrite_to_fixpoint(
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     letters = [x for x in letters if x != ident]
-    forward = 1 if strategy == "leftmost" else -1
-    i = 0 if forward == 1 else len(letters) - 2
-    while 0 <= i < len(letters) - 1:
+    last = len(letters) - 2  # the index of the last pair
+    forward, i = (1, 0) if strategy == "leftmost" else (-1, last)
+    while 0 <= i <= last:
         rewrite = step(letters[i], letters[i + 1])
         if rewrite is None:
             i += forward
             continue
+        head, tail = rewrite
         if hook is not None:
-            hook(i, letters[i], letters[i + 1], *rewrite)
-        letters[i : i + 2] = rewrite[1:] if rewrite[0] == ident else rewrite
-        i = min(max(i - forward, 0), len(letters) - 2)
+            hook(i, letters[i], letters[i + 1], head, tail)
+        if head == ident:
+            rewrite, last = (tail,), last - 1
+        letters[i : i + 2] = rewrite
+        i = 0 if i < forward else last if i - forward > last else i - forward  # one pair back
     return letters
 
 

@@ -9,25 +9,27 @@ sweep evaluates.  Both enumeration twins read one cached table of S_n in
 the weak order (_weak_order): each element's down-set is an int bitset
 over the ranks, built from its lower covers, so a meet is the top bit of
 two down-sets, and an inversion set is a key of the table's index.  Each
-verification call interns its own states in one pair table (_PairTable);
-only verify_meet reads the engine's rank tables (normalform.RankTables),
-to check their STEP entries against the normality test and the transfer.
+verification call interns its own states in one pair table (_PairTable),
+which the row sweeps of one verify command share (_one_fill); only
+verify_meet reads the engine's rank tables (normalform.RankTables), to
+check their STEP entries against the normality test and the transfer.
 
 The sweep has two paths through the same law statements.  Exhaustive
 sweeps up to EXHAUSTIVE_MAX_STRANDS take the row path (_dense): S_n is
 interned first, every pair's head, tail and verdict are filled once into
 flat rows, and for each fixed prefix of a case, say (a, b), a law is
 evaluated over the whole row of last entries c at once, with C-level
-maps, translations and comparisons on bytes rows (_Row).  Only a row that a law fails on is
-evaluated again case by case, so failure records and their order are the
-scalar path's.  The scalar path evaluates one case at a time; it runs the
-sampled sweeps, the strand lemma and those re-runs, and it is the row
-path's twin in the tests.  The sweeps return VerificationReport values; a
-report with no failures is a pass, and reports serialise to JSON lines
-for archiving.
+maps, translations and comparisons on bytes rows (_Row).  Only the laws
+that fail on a row are evaluated again on it, case by case, so failure
+records and their order are the scalar path's.  The scalar path
+evaluates one case at a time; it runs the sampled sweeps, the strand
+lemma and those re-runs, and it is the row path's twin in the tests.
+The sweeps return VerificationReport values; a report with no failures
+is a pass, and reports serialise to JSON lines for archiving.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -50,6 +52,7 @@ from .normalform import (
 from .perms import (
     PairSet,
     _same_strands,
+    adjacent_transposition,
     all_permutations,
     compose,
     identity,
@@ -112,6 +115,12 @@ def _lower_covers(p: Sequence[int]):
 
 
 @functools.cache
+def _listing(n: int) -> dict:
+    """S_n in all_permutations order, each one-line word with its inversion set."""
+    return {p: InversionSet.from_permutation(p) for p in all_permutations(n)}
+
+
+@functools.cache
 def _weak_order(n: int) -> tuple[tuple, dict, tuple]:
     """
     S_n in the weak order, the inclusion of inversion sets, a lattice
@@ -125,10 +134,10 @@ def _weak_order(n: int) -> tuple[tuple, dict, tuple]:
     """
     if n > BRUTE_MAX_STRANDS:
         raise ValueError(f"enumeration of S_{n} is too large; need n <= {BRUTE_MAX_STRANDS}")
-    perms, down = sorted(all_permutations(n), key=length), {}
-    for r, p in enumerate(perms):
+    listing, down = _listing(n), {}
+    for r, p in enumerate(sorted(listing, key=lambda p: len(listing[p]))):
         down[p] = functools.reduce(operator.or_, map(down.__getitem__, _lower_covers(p)), 1 << r)
-    bits = tuple(map(inversion_bits, perms))
+    bits = tuple(listing[p].bits for p in down)
     return bits, {b: r for r, b in enumerate(bits)}, tuple(down.values())
 
 
@@ -190,11 +199,16 @@ def conserves_crossings(x, y, h, t) -> bool:
     compare the pairs crossing in both bands of the window: those crossing
     in the first band and not in the product.
     """
+    return _conserves(inversion_bits, x, y, h, t)
+
+
+def _conserves(bits, x, y, h, t) -> bool:
+    """conserves_crossings reading the first band's bits, of x and of h, through bits."""
     product = compose(x, y)
     if product != compose(h, t):
         return False
     once = inversion_bits(product)
-    return inversion_bits(x) & ~once == inversion_bits(h) & ~once
+    return bits(x) & ~once == bits(h) & ~once
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +317,35 @@ class _PairTable(dict):
     checked then; a pair that breaks it goes into broken, and into
     failures as ["crossing-conservation", x, y] with x and y its one-line
     words.  Both functions are looked up in this module when a pair is
-    first used; the engine's tables are never built or read.  h, t and N
-    are the laws' head, tail and normality test on ints, and N.perm is
-    perm; step is the rewriting step on ints: None for a normal pair, else
-    (head, tail).
+    first used; the engine's tables are never built or read.  Each word's
+    inversion bits for those checks are computed once per table too.
+    broken maps each broken pair to its record, in the order found.  h, t
+    and N are the laws' head, tail and normality test on ints, and N.perm
+    is perm; step is the rewriting step on ints, one cached call: None for
+    a normal pair, else (head, tail).
     """
 
     def __init__(self):
         perm = self.perm = []
-        self.broken, self.failures = set(), []
+        self.broken, self.failures = {}, []
+        bits = functools.cache(inversion_bits)
 
         @functools.cache
         def move(a, b) -> tuple[int, int]:
             x, y = perm[a], perm[b]
             head, tail = _transfer_words(x, y)
             # an unchanged window conserves everything
-            if (head, tail) != (x, y) and not conserves_crossings(x, y, head, tail):
-                self.broken.add((a, b))
-                self.failures.append(["crossing-conservation", x, y])
+            if (head, tail) != (x, y) and not _conserves(bits, x, y, head, tail):
+                self.broken[a, b] = record = ["crossing-conservation", x, y]
+                self.failures.append(record)
             return self[head], self[tail]
 
         @functools.cache
         def N(a, b) -> bool:
             return _is_normal_words(perm[a], perm[b])
 
-        N.perm, self.N, self.step = perm, N, lambda a, b: None if N(a, b) else move(a, b)
+        N.perm, self.N = perm, N
+        self.step = functools.cache(lambda a, b: None if N(a, b) else move(a, b))
         self.h, self.t = (lambda a, b: move(a, b)[0]), (lambda a, b: move(a, b)[1])
 
     def __missing__(self, p) -> int:
@@ -335,20 +353,22 @@ class _PairTable(dict):
         return self.setdefault(p, len(self))
 
 
-def _dense(table: _PairTable, n: int):
+def _dense(n: int):
     """
-    The row path over S_n: returns failing(laws, k), which yields, in sweep
-    order, the cases of every row of k-tuples that some law fails on, in
-    one-line words.  S_n is interned in all_permutations order, the ints
-    0, 1, ... of the call's fresh table, and the row variable is the row
-    (_Row) of them.  Each pair's head, tail and verdict are then filled
-    once, through the table's own h, t and N, into a flat row per left
-    int, padded to a translation table: a read of two ints is an entry, a
-    read of an int and a row is a translation, and a read with a row on
-    the left goes entry by entry.  A row of cases, the row variable as its
-    last entry, fails when a law returns neither True nor a row of true
+    The row path over S_n: returns a fresh pair table and failing(laws, k),
+    which yields, in sweep order, the cases of every row of k-tuples that
+    some law fails on, in one-line words, each with the laws that failed
+    on its row.  S_n is interned in all_permutations order, the ints
+    0, 1, ... of the table, and the row variable is the row (_Row) of
+    them.  Each pair's head, tail and verdict are then filled once,
+    through the table's own h, t and N, into a flat row per left int,
+    padded to a translation table: a read of two ints is an entry, a read
+    of an int and a row is a translation, and a read with a row on the
+    left goes entry by entry.  A row of cases, the row variable as its
+    last entry, fails a law that returns neither True nor a row of true
     entries.
     """
+    table = _PairTable()
     ids = _Row(map(table.__getitem__, all_permutations(n)))
 
     def reader(op):
@@ -366,40 +386,64 @@ def _dense(table: _PairTable, n: int):
 
     def failing(laws, arity: int):
         for prefix in itertools.product(ids, repeat=arity - 1):
-            verdicts = (law(h, t, N, *prefix, ids) for _, law in laws)
-            if not all(v is True or type(v) is _Row and all(v) for v in verdicts):
-                yield from itertools.product(*([words[x]] for x in prefix), words)
+            verdicts = ((row, row[1](h, t, N, *prefix, ids)) for row in laws)
+            failed = [row for row, v in verdicts if not (v is True or type(v) is _Row and all(v))]
+            cases = itertools.product(*([words[x]] for x in prefix), words) if failed else ()
+            yield from zip(cases, itertools.repeat(failed))
 
-    return failing
+    return table, failing
+
+
+# Inside _one_fill, the row path's fill: _dense, cached per n.
+_fills: list = []
+
+
+@contextlib.contextmanager
+def _one_fill():
+    """
+    The row sweeps made inside share, at each n, one pair table and one
+    dense fill; each report still starts with every crossing-conservation
+    record of its table, as a report of its own table would.
+    """
+    _fills.append(functools.cache(_dense))
+    try:
+        yield
+    finally:
+        _fills.pop()
 
 
 def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> VerificationReport:
     """
     For each part (group, cases), evaluate every law of LAWS[group] on every
     case.  The entries of each case are interned to the ints of one pair
-    table built for this call (_PairTable), and the laws read head, tail
-    and normality from it, so each distinct pair is transferred once, its
+    table built for this call (_PairTable), or inside _one_fill shared
+    with the other row sweeps at n, and the laws read head, tail and
+    normality from it, so each distinct pair is transferred once, its
     crossing conservation checked then, and tested for normality once.
+    The report's failures start with the table's crossing-conservation
+    records so far.
     A part whose cases are an int k stands for every k-tuple of S_n, and
     takes the row path: the laws run over the rows of the dense table
-    (_dense), and only the rows they fail on are evaluated case by case,
-    so the failure records and their order are the scalar sweep's.
-    Failure records read the ints back as the case's one-line words.
+    (_dense), and only the laws that fail on a row are evaluated again,
+    case by case, on it, so the failure records and their order are the
+    scalar sweep's.  Failure records read the ints back as the case's
+    one-line words.
     """
     if n < 1:
         raise ValueError("need at least one strand")
-    table = _PairTable()
-    failures, h, t, N, perm = table.failures, table.h, table.t, table.N, table.perm.__getitem__
-    cases, failing = 0, any(type(c) is int for _, c in parts) and _dense(table, n)
+    dense = any(type(c) is int for _, c in parts)
+    table, failing = (_fills[-1] if _fills else _dense)(n) if dense else (_PairTable(), None)
+    failures = table.failures = list(table.broken.values())
+    cases, h, t, N, perm = 0, table.h, table.t, table.N, table.perm.__getitem__
     for group, group_cases in parts:
         laws, rows = LAWS[group], type(group_cases) is int
         if rows:
             cases += math.factorial(n) ** group_cases
-            group_cases = failing(laws, group_cases)
-        for case in group_cases:
+        runs = failing(laws, group_cases) if rows else zip(group_cases, itertools.repeat(laws))
+        for case, case_laws in runs:
             cases += not rows  # a row's cases were counted with it
             case = tuple(map(table.__getitem__, case))
-            for name, law in laws:
+            for name, law in case_laws:
                 verdict = law(h, t, N, *case)
                 if verdict is not True:
                     failures.append([name, *map(perm, verdict or case)])
@@ -528,7 +572,9 @@ def verify_confluence(
     is tested for normality once and, when it rewrites, transferred and
     checked for conservation once; a word fails conservation when one of
     its rewrites is a broken pair.  Each strategy's result is validated as
-    a PositiveNormalForm before the comparison.
+    a PositiveNormalForm before the comparison.  Each int of the table has
+    one SimpleBraid, built on first use: the words and the forms share
+    them, so a generator's crossings are counted from one inversion set.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
@@ -541,18 +587,20 @@ def verify_confluence(
     failures: list = []
     table = _PairTable()
     ident, perm, step = table[identity(n)], table.perm, table.step
+    braid = functools.cache(lambda x: SimpleBraid(perm[x]))  # one braid per int
+    letter = {i: table[adjacent_transposition(n, i)] for i in range(1, n)}
     for case in range(samples):
         ell = rng.randint(0, length)
-        idxs = [rng.randint(1, n - 1) for _ in range(ell)]
-        word = PositiveWord.from_generator_indices(n, idxs)
+        idxs = [rng.randrange(1, n) for _ in range(ell)]  # rng.randint(1, n - 1), one call
+        letters, outcomes = list(map(letter.__getitem__, idxs)), []
+        word = PositiveWord(n, tuple(map(braid, letters)))
         bound = rewrite_potential(word)
-        letters, outcomes = [table[letter.perm] for letter in word.letters], []
         for strategy in ("leftmost", "rightmost"):
             steps = []  # the (position, left, right, head, tail) of every rewrite step
             form = _rewrite_to_fixpoint(letters, strategy, ident, step, lambda *s: steps.append(s))
-            nf = PositiveNormalForm(n, tuple(SimpleBraid(perm[x]) for x in form))
-            outcomes.append(tuple(f.perm for f in nf.factors))
-            if not table.broken.isdisjoint(s[1:3] for s in steps):
+            PositiveNormalForm(n, tuple(map(braid, form)))  # validates the form
+            outcomes.append(tuple(map(perm.__getitem__, form)))
+            if table.broken and not table.broken.keys().isdisjoint(s[1:3] for s in steps):
                 failures.append(["crossing-conservation", strategy, idxs])
             if len(steps) > bound:
                 failures.append(["termination-bound", strategy, idxs, len(steps), bound])
@@ -569,7 +617,8 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     normaliser runs (lattice._meet_reads).  Exhaustive over ordered pairs
     up to EXHAUSTIVE_MAX_STRANDS, sampled for larger n, within the
     enumeration bound of the weak-order table (_weak_order), which is
-    checked first.  Up to TABLE_MAX_STRANDS each pair's engine step,
+    checked first; the pairs are drawn from the listing that table is
+    built from (_listing).  Up to TABLE_MAX_STRANDS each pair's engine step,
     its entry of the rank automaton's STEP table (normalform.RankTables), is
     also checked against the normality test and the meet-based transfer;
     a disagreement is reported in one-line notation.
@@ -579,7 +628,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     if samples is None and n > EXHAUSTIVE_MAX_STRANDS:
         raise ValueError(f"exhaustive meet sweep needs n <= {EXHAUSTIVE_MAX_STRANDS}; pass samples")
     failures: list = []
-    elements = [(p, InversionSet.from_permutation(p)) for p in all_permutations(n)]
+    elements = list(_listing(n).items())  # the weak-order table's listing
     if samples is None:
         pairs = itertools.product(elements, elements)
     else:

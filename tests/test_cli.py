@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import io
 import json
 import os
@@ -158,6 +160,43 @@ def test_verify_gsb_has_diagnostics(capsys):
     assert commuting["diagnostic"] and commuting["cases"] == 36
 
 
+@pytest.mark.parametrize("sizes", [("--n", "3"), ("--n", "3", "--samples", "40")])
+def test_verify_gsb_fills_one_pair_table(capsys, monkeypatch, sizes):
+    # the three sweeps of the suite share one pair table and one fill, so a
+    # pair is transferred once per command; each report still lists the one
+    # broken pair, byte for byte as a call of its own reports it
+    real = oracle._transfer_words
+    victim, calls = (2, 3, 1), collections.Counter()
+
+    def swapped(a, b):
+        calls[a, b] += 1
+        head, tail = real(a, b)
+        return (tail, head) if a == b == victim else (head, tail)
+
+    monkeypatch.setattr(oracle, "_transfer_words", swapped)
+    samples = int(sizes[-1]) if "--samples" in sizes else None
+    alone = [oracle.verify_commuting(3), oracle.verify_gsb_strict(3), oracle.verify_gsb(3, samples)]
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gsb", *sizes)
+    assert code == 1 and out.splitlines() == [report.to_json() for report in alone]
+    assert len(calls) == 36 and set(calls.values()) == {1}
+    for line in out.splitlines():
+        assert ["crossing-conservation", list(victim), list(victim)] in json.loads(line)["failures"]
+
+
+def test_verify_all_fills_s_n_once_per_strand_count(capsys, monkeypatch):
+    # gsb's three row sweeps and stop's run at n = 3 under --all: one fill
+    fills, dense = [], oracle._dense
+
+    def counted(n):
+        fills.append(n)
+        return dense(n)
+
+    monkeypatch.setattr(oracle, "_dense", counted)
+    code, _, _ = run_cli(capsys, "verify", "--all", "--n", "3")
+    assert code == 0 and fills == [3]
+
+
 def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--n", "3", "--samples", "100")
     assert code == 0
@@ -220,6 +259,15 @@ def test_verify_meet_sampled(capsys):
     )
     assert code == 0
     assert json.loads(out.strip())["failure_count"] == 0
+
+
+def test_verify_meet_sampled_output_is_pinned(capsys):
+    # the seeded sample of S_7 and the report, as printed before the sweep
+    # read S_n from the weak-order table
+    code, out, _ = run_cli(capsys, "verify", "--suite", "meet", "--n", "7", "--samples", "200")
+    assert code == 0
+    digest = "00787bf34d276f66757fdad31550852ad76d8c1142f0af5fc40327d032db6655"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_bounds_error(capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from braidnf import normalform, simple
+from braidnf import normalform, oracle, simple
 from braidnf.normalform import (
     GroupNormalForm,
     PositiveNormalForm,
@@ -27,7 +27,7 @@ from braidnf.textio import (
     parse_word,
     simple_to_artin,
 )
-from twins import lifted_group_twin
+from twins import lifted_group_twin, rewrite_twin
 
 
 def gen_word(n, indices):
@@ -242,6 +242,30 @@ def test_already_normal_word_is_untouched():
     again = gs_rewrite_to_fixpoint(w, "leftmost", hook)
     assert steps == 0
     assert again.factors == nf.factors
+
+
+def test_rewriting_loop_is_its_plain_twin():
+    # on seeded random words of pair-table ints, the loop gives the letters
+    # and the rewrites, in order, of the plainly written loop, under the
+    # transfer and under a step that merges or swaps the pair
+    rng = random.Random(53)
+    for n in (2, 3, 4, 5):
+        table = oracle._PairTable()
+        ident = table[tuple(range(1, n + 1))]
+        ints = [table[tuple(rng.sample(range(1, n + 1), n))] for _ in range(40)]
+
+        def scramble(a, b):
+            return None if a <= b else (ident, a) if (a + b) % 3 else (b, a)
+
+        for _ in range(60):
+            letters = rng.choices(ints + [ident], k=rng.randint(0, 16))
+            for strategy in ("leftmost", "rightmost"):
+                for step in (table.step, scramble):
+                    hooks = []
+                    got = normalform._rewrite_to_fixpoint(
+                        letters, strategy, ident, step, lambda *s: hooks.append(s)
+                    )
+                    assert (got, hooks) == rewrite_twin(letters, strategy, ident, step)
 
 
 def test_normalize_group_values():

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from braidnf import lattice, normalform, oracle, simple
+from braidnf import lattice, normalform, oracle, perms, simple
 from braidnf.lattice import InversionSet, complement
 from braidnf.normalform import PositiveWord, gs_rewrite_to_fixpoint, rewrite_pair_at
 from braidnf.oracle import (
@@ -309,6 +310,26 @@ def test_sweep_caches_live_for_one_call(monkeypatch):
     assert len(calls) == 36 and set(calls.values()) == {2}
 
 
+def test_conservation_reads_each_words_bits_once_per_table(monkeypatch):
+    # a moved pair costs one inversion_bits call, for its product; the bits
+    # of its first factor and of its new head are read once per word
+    calls = 0
+    real = oracle.inversion_bits
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    perms = list(all_permutations(4))
+    moves = {(a, b): oracle._transfer_words(a, b) for a in perms for b in perms}
+    moved = [(a, b, head) for (a, b), (head, tail) in moves.items() if (head, tail) != (a, b)]
+    words = {a for a, _, _ in moved} | {head for _, _, head in moved}
+    monkeypatch.setattr(oracle, "inversion_bits", counting)
+    assert verify_gsb(4).passed
+    assert calls == len(moved) + len(words)
+
+
 def test_verify_gsb_checks_arguments_before_any_transfer(monkeypatch):
     transfers = 0
     real = oracle._transfer_words
@@ -376,6 +397,29 @@ def test_row_path_is_the_scalar_sweep():
             assert rows == scalar, (n, group)
             assert rows.cases == math.factorial(n) ** ARITY[group]
             assert len(rows.failures) == failing.get((n, group), 0), (n, group)
+
+
+def test_row_path_reruns_only_the_laws_a_row_fails(monkeypatch):
+    # a failing row is evaluated again case by case for the laws it fails
+    # only: at n = 4 the strict group's idempotence fails on 14 of the 24
+    # rows and flush-pair-normal on 19
+    for group in ("strict", "commuting"):
+        scalar = collections.Counter()
+
+        def counted(name, law):
+            def run(h, t, N, *case):
+                scalar[name] += type(case[-1]) is int
+                return law(h, t, N, *case)
+
+            return name, run
+
+        laws = oracle.LAWS[group]
+        monkeypatch.setitem(oracle.LAWS, group, tuple(counted(*row) for row in laws))
+        report = oracle._sweep(group, 4, (group, 2))
+        rows = {name: {f[1] for f in report.failures if f[0] == name} for name, _ in laws}
+        assert scalar == {name: 24 * len(firsts) for name, firsts in rows.items()}, group
+        if group == "strict":
+            assert [len(rows["idempotence"]), len(rows["flush-pair-normal"])] == [14, 19]
 
 
 def test_row_path_is_the_scalar_sweep_under_a_broken_transfer(monkeypatch):
@@ -457,6 +501,42 @@ def test_confluence_twin_rewrites_with_the_oracle_transfer(monkeypatch):
     assert kinds == {"crossing-conservation": 35, "confluence": 20}
 
 
+# sha256 of verify_confluence(n, 20, 1000, seed).to_json(), as reported by the
+# per-word implementation the call replaced: passing, and under a transfer
+# that moves all of a into b, whose failure records carry the seeded words
+CONFLUENCE_SHA256 = {
+    3: "3085954630fcdd7da83569004605f5eaf90bf6f6e123d7e02604abdeea01487b",
+    4: "2c4a3d194c94a42396fc078ab1135055aa474ddcbe7d34869ed676049accbd2b",
+    5: "2885f373eb031732f5dbfd29f8d0e5c694891b17cfc2f6a9e97f82e2d203588a",
+    6: "7e0c2dc72189ef9bba21d0ba0ed01423f15c34f3fd3103a2b51f125f18dcc4f2",
+}
+BROKEN_CONFLUENCE_SHA256 = {
+    (3, 42): "93b69aa0fb809062a43505f19de7fd134878c043f151ed7bcd6e70f712b65954",
+    (3, 577975213): "a3a2efe2e7c50eac5beb26146fa7559a4a3507f6c85e6bbd3b46f00c4c80a1f0",
+    (4, 42): "9124e46300f845b94cab03c425c02090623fdbc70729d09a06e6660ab17fd52f",
+    (4, 577975213): "432762094d5b0f44a728ce2d9f96a6482bb841ec6a5945238e1bb4dca42a3e53",
+    (5, 42): "51572aefbfd855605450165b6d6810a43bc66c3ff8c1405f67c4cfe5de09be58",
+    (5, 577975213): "673f243ddfc38bb283a0e62072762f705a703009b73105f0b55244d72adf6ec8",
+    (6, 42): "2079637d254804e1502c91c168c860f0cbec246252d17aa1dfcefbade069e95e",
+    (6, 577975213): "ad7182cefd3802482931a59e33a8b17daa590c68e9d0d719c2e9d757dc2658fa",
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_confluence_reports_are_pinned(n, monkeypatch):
+    def sha256(report):
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    def move_everything(a, b):
+        return identity(len(a)), compose(a, b)
+
+    for seed in (42, 577975213):
+        assert sha256(verify_confluence(n, 20, 1000, seed)) == CONFLUENCE_SHA256[n]
+    monkeypatch.setattr(oracle, "_transfer_words", move_everything)
+    for seed in (42, 577975213):
+        assert sha256(verify_confluence(n, 20, 1000, seed)) == BROKEN_CONFLUENCE_SHA256[n, seed]
+
+
 def test_verify_confluence_small():
     report = verify_confluence(3, length=10, samples=300, seed=42)
     assert report.passed, report.failures[:3]
@@ -492,6 +572,32 @@ def test_verify_meet_exhaustive_small():
         verify_meet(6)  # needs samples above the exhaustive bound
     with pytest.raises(ValueError, match="samples must be at least 1"):
         verify_meet(6, samples=-3)
+
+
+def test_verify_meet_reads_s_n_from_the_weak_order_table(monkeypatch):
+    # the seeded pairs are rng.choice draws from S_n listed in
+    # all_permutations order, and their inversion sets come from the table:
+    # with it built, the only inversion_bits calls are the engine meets'
+    oracle._weak_order(7)
+    listed, rng = list(all_permutations(7)), random.Random(42)
+    draws = [(rng.choice(listed), rng.choice(listed)) for _ in range(200)]
+    seen, calls = [], collections.Counter()
+    real_meet, real_bits = oracle.brute_meet, oracle.inversion_bits
+
+    def recording(r1, r2):
+        seen.append((r1.bits, r2.bits))
+        return real_meet(r1, r2)
+
+    def counting(p):
+        calls[p] += 1
+        return real_bits(p)
+
+    monkeypatch.setattr(oracle, "brute_meet", recording)
+    monkeypatch.setattr(oracle, "inversion_bits", counting)
+    monkeypatch.setattr(perms, "inversion_bits", counting)  # under from_permutation
+    assert verify_meet(7, samples=200).passed
+    assert seen == [(real_bits(p), real_bits(q)) for p, q in draws]
+    assert calls == collections.Counter(lattice.meet_permutations(p, q) for p, q in draws)
 
 
 def test_verify_meet_reports_broken_meets(monkeypatch):

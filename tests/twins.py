@@ -46,3 +46,24 @@ def near_top(rng, n):
         i = rng.randrange(n - 1)
         w[i], w[i + 1] = w[i + 1], w[i]
     return tuple(w)
+
+
+def rewrite_twin(letters, strategy, ident, step):
+    """
+    The pairwise rewriting loop written plainly: rewrite the leftmost or
+    rightmost non-normal pair, merge a vanished head into its tail, step
+    back one pair and clamp to the word.  Returns the letters and the
+    (position, left, right, head, tail) of every rewrite, in order.
+    """
+    letters, hooks = [x for x in letters if x != ident], []
+    forward = 1 if strategy == "leftmost" else -1
+    i = 0 if forward == 1 else len(letters) - 2
+    while 0 <= i < len(letters) - 1:
+        rewrite = step(letters[i], letters[i + 1])
+        if rewrite is None:
+            i += forward
+            continue
+        hooks.append((i, letters[i], letters[i + 1], *rewrite))
+        letters[i : i + 2] = rewrite[1:] if rewrite[0] == ident else rewrite
+        i = min(max(i - forward, 0), len(letters) - 2)
+    return letters, hooks
