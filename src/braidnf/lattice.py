@@ -3,10 +3,10 @@ The weak-order lattice on inversion sets.
 
 Permutations ordered by inclusion of inversion sets form a lattice: the
 empty set at the bottom, the full pair set (the reversing permutation) at
-the top.  This module provides the validated InversionSet type together
-with the lattice structure: complement, star, meet, join, the partial
-order, and the degree-lexicographic total order used to rank simple
-braids.
+the top.  This module provides InversionSet, a PairSet validated as the
+inversion set of some permutation, together with the lattice structure:
+complement, star, meet, join, the partial order, and the
+degree-lexicographic total order used to rank simple braids.
 
 The meet also has a fast form on one-line words, an insertion pass that
 never builds a pair set.  The transfer runs it directly: it carries
@@ -17,7 +17,7 @@ meet_permutations is a view of the same pass.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .perms import (
     PairSet,
@@ -28,7 +28,6 @@ from .perms import (
     compose,
     full_bits,
     inversion_bits,
-    inversion_set,
     inverse,
     is_inversion_set,
     permutation_from_inversions,
@@ -36,52 +35,29 @@ from .perms import (
 
 
 @dataclasses.dataclass(frozen=True)
-class InversionSet:
+class InversionSet(PairSet):
     """A pair set that is the inversion set of some permutation."""
 
-    pairs: PairSet
-
     def __post_init__(self):
-        if not is_inversion_set(self.pairs):
-            raise ValueError(f"not an inversion set: {self.pairs.pairs()}")
+        super().__post_init__()
+        if not is_inversion_set(self):
+            raise ValueError(f"not an inversion set: {self.pairs()}")
 
     @classmethod
-    def _trusted(cls, pairs: PairSet) -> InversionSet:
-        """Wrap a pair set that is an inversion set by construction, unchecked."""
+    def _trusted(cls, n: int, bits: int) -> InversionSet:
+        """An inversion set by construction: PairSet's checks, not the inversion-set test."""
         r = object.__new__(cls)
-        object.__setattr__(r, "pairs", pairs)
+        object.__setattr__(r, "n", n)
+        object.__setattr__(r, "bits", bits)
+        PairSet.__post_init__(r)
         return r
 
     @classmethod
     def from_permutation(cls, p: Sequence[int]) -> InversionSet:
-        return cls._trusted(inversion_set(p))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> InversionSet:
-        return cls(PairSet.from_pairs(n, pairs))
-
-    @property
-    def n(self) -> int:
-        return self.pairs.n
-
-    @property
-    def bits(self) -> int:
-        return self.pairs.bits
-
-    def listing(self) -> tuple[tuple[int, int], ...]:
-        return self.pairs.pairs()
+        return cls._trusted(len(p), inversion_bits(p))
 
     def permutation(self) -> tuple[int, ...]:
-        return permutation_from_inversions(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self.pairs
+        return permutation_from_inversions(self)
 
 
 def complement(r: InversionSet) -> InversionSet:
@@ -90,7 +66,7 @@ def complement(r: InversionSet) -> InversionSet:
     to p*omega when r belongs to p, because appending the reversing
     permutation inverts exactly the previously non-inverted pairs.
     """
-    return InversionSet._trusted(PairSet(r.n, full_bits(r.n) ^ r.bits))
+    return InversionSet._trusted(r.n, full_bits(r.n) ^ r.bits)
 
 
 def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
@@ -102,7 +78,7 @@ def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
     p = check_permutation(p)
     if inversion_bits(p) != r.bits:
         raise ValueError("pair set is not the inversion set of the given permutation")
-    return InversionSet._trusted(act_on_pairs(p, r.pairs))
+    return InversionSet._trusted(r.n, act_on_pairs(p, r).bits)
 
 
 def _between_mask(i: int, k: int) -> int:
@@ -155,7 +131,7 @@ def meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     inversion set contained in the intersection of r1 and r2.
     """
     _same_strands("inversion sets", r1.n, r2.n)
-    return InversionSet(PairSet(r1.n, _interval_closed_fixpoint(r1.n, r1.bits & r2.bits)))
+    return InversionSet(r1.n, _interval_closed_fixpoint(r1.n, r1.bits & r2.bits))
 
 
 def join(r1: InversionSet, r2: InversionSet) -> InversionSet:
@@ -175,7 +151,7 @@ def deglex_key(r: InversionSet) -> tuple[int, tuple[tuple[int, int], ...]]:
     the pair listing sorted by (first, second) coordinate, compared
     pairwise the same way.
     """
-    return (len(r), r.listing())
+    return (len(r), r.pairs())
 
 
 def deglex_compare(r1: InversionSet, r2: InversionSet) -> int:

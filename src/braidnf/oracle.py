@@ -157,7 +157,7 @@ def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     if down[m] != common:
         stray = [b for r, b in enumerate(bits) if (common & ~down[m]) >> r & 1]
         raise AssertionError(f"non-unique maximal lower bound at n={r1.n}: {[bits[m], *stray]}")
-    return InversionSet._trusted(PairSet(r1.n, bits[m]))
+    return InversionSet._trusted(r1.n, bits[m])
 
 
 def brute_validity(s: PairSet) -> bool:
@@ -191,19 +191,16 @@ def strand_crossings(word: PositiveWord, s: int, t: int) -> tuple[bool, ...]:
     return tuple(out)
 
 
-def conserves_crossings(x, y, h, t) -> bool:
+def _conserves(bits, x, y, h, t) -> bool:
     """
     Whether replacing the two-factor window (x, y) by (h, t) preserves the
     per-strand-pair crossing counts.  The products being equal pins the
     set of pairs crossing an odd number of times, so it is enough to also
     compare the pairs crossing in both bands of the window: those crossing
-    in the first band and not in the product.
+    in the first band and not in the product.  The first band's bit
+    arrays, of x and of h, are read through bits (inversion_bits or a memo
+    of it).
     """
-    return _conserves(inversion_bits, x, y, h, t)
-
-
-def _conserves(bits, x, y, h, t) -> bool:
-    """conserves_crossings reading the first band's bits, of x and of h, through bits."""
     product = compose(x, y)
     if product != compose(h, t):
         return False
@@ -639,7 +636,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
         try:
             slow = brute_meet(r1, r2)
         except AssertionError as exc:
-            failures.append(["uniqueness", r1.listing(), r2.listing(), str(exc)])
+            failures.append(["uniqueness", r1.pairs(), r2.pairs(), str(exc)])
             continue
         try:
             fast = meet(r1, r2).bits
@@ -649,7 +646,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
         for kind, bits in (("meet", fast), ("meet-permutations", engine)):
             if bits != slow.bits:
                 got = None if bits is None else PairSet(n, bits).pairs()
-                failures.append([kind, r1.listing(), r2.listing(), got, slow.listing()])
+                failures.append([kind, r1.pairs(), r2.pairs(), got, slow.pairs()])
         if tables is not None:
             step = tables.step(tables.RANK[p], tables.RANK[q])
             if step is not None:

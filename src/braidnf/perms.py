@@ -241,10 +241,6 @@ class PairSet:
         _same_strands("pair sets", self.n, other.n)
         return PairSet(self.n, self.bits & other.bits)
 
-    def issubset(self, other: PairSet) -> bool:
-        _same_strands("pair sets", self.n, other.n)
-        return self.bits & ~other.bits == 0
-
 
 # ---------------------------------------------------------------------------
 # Between permutations and pair sets

@@ -71,7 +71,7 @@ def test_criterion_02_six_strand_transfer():
         InversionSet.from_permutation(inverse(a)),
         InversionSet.from_permutation(compose(b, omega(6))),
     )
-    assert meet_set.listing() == ((1, 3), (2, 3), (2, 5), (4, 5))
+    assert meet_set.pairs() == ((1, 3), (2, 3), (2, 5), (4, 5))
     tr = transfer(SimpleBraid(a), SimpleBraid(b))
     assert tr.m == (2, 4, 1, 5, 3, 6)
     assert tr.head.perm == (1, 3, 5, 4, 6, 2)
@@ -83,15 +83,15 @@ def test_criterion_03_inversion_sets_of_a_six_strand_braid():
     started = time.perf_counter()
     pi = (4, 2, 6, 1, 5, 3)
     r = InversionSet.from_permutation(pi)
-    assert r.listing() == (
+    assert r.pairs() == (
         (1, 2), (1, 4), (1, 6), (2, 4), (3, 4), (3, 5), (3, 6), (5, 6),
     )
-    assert complement(r).listing() == (
+    assert complement(r).pairs() == (
         (1, 3), (1, 5), (2, 3), (2, 5), (2, 6), (4, 5), (4, 6),
     )
     from braidnf.perms import act_on_pairs
 
-    assert act_on_pairs(pi, r.pairs).pairs() == r.listing()
+    assert act_on_pairs(pi, r).pairs() == r.pairs()
     _announce(3, "inversion set, complement and star of a six-strand braid", started)
 
 

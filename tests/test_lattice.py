@@ -24,6 +24,7 @@ from braidnf.perms import (
     full_bits,
     identity,
     inverse,
+    inversion_bits,
     inversion_set,
     is_inversion_set,
     omega,
@@ -45,15 +46,44 @@ def inv(p):
 
 def test_inversion_set_validation():
     with pytest.raises(ValueError):
-        InversionSet(PairSet.from_pairs(3, [(1, 2), (2, 3)]))
+        InversionSet.from_pairs(3, [(1, 2), (2, 3)])
     r = inv(PI6)
     assert len(r) == 8
     assert (1, 2) in r
 
 
+def test_inversion_set_is_a_validated_pair_set():
+    r = inv(PI6)
+    assert isinstance(r, PairSet)
+    gapped = PairSet.from_pairs(3, [(1, 2), (2, 3)]).bits
+    with pytest.raises(ValueError) as caught:
+        InversionSet(3, gapped)
+    assert str(caught.value) == "not an inversion set: ((1, 2), (2, 3))"
+    with pytest.raises(ValueError) as caught:
+        InversionSet(3, full_bits(3) + 1)
+    assert str(caught.value) == "bit array out of range for n=3"
+    with pytest.raises(ValueError) as caught:
+        InversionSet(0, 0)
+    assert str(caught.value) == "need at least one strand"
+    # _trusted skips the inversion-set test but keeps PairSet's; from_pairs runs both
+    assert InversionSet._trusted(3, gapped).bits == gapped
+    with pytest.raises(ValueError, match="need at least one strand"):
+        InversionSet.from_permutation(())
+    with pytest.raises(ValueError, match="not an inversion set"):
+        InversionSet.from_pairs(3, [(1, 2), (2, 3)])
+    assert type(InversionSet.from_pairs(3, [(1, 2)])) is InversionSet
+    # an intersection need not be an inversion set
+    assert type(r & complement(r)) is PairSet
+    plain = PairSet(r.n, r.bits)
+    assert r != plain and plain != r
+    assert len({r, plain}) == 2
+    for p in all_permutations(4):
+        assert InversionSet.from_permutation(p) == InversionSet(4, inversion_bits(p))
+
+
 def test_complement():
     got = complement(inv(PI6))
-    assert got.listing() == ((1, 3), (1, 5), (2, 3), (2, 5), (2, 6), (4, 5), (4, 6))
+    assert got.pairs() == ((1, 3), (1, 5), (2, 3), (2, 5), (2, 6), (4, 5), (4, 6))
     assert complement(inv(identity(5))).bits == full_bits(5)
     for p in all_permutations(4):
         r = inv(p)
@@ -65,11 +95,11 @@ def test_complement():
 def test_star():
     a = (3, 5, 4, 2, 6, 1)
     got = star(inv(a), a)
-    assert got.listing() == (
+    assert got.pairs() == (
         (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (4, 5),
     )
     assert star(inv(identity(4)), identity(4)).bits == 0
-    assert star(inv(PI6), PI6).listing() == inv(PI6).listing()
+    assert star(inv(PI6), PI6).pairs() == inv(PI6).pairs()
     for p in all_permutations(4):
         s = star(inv(p), p)
         assert s.bits == inversion_set(inverse(p)).bits
@@ -82,7 +112,7 @@ def test_meet_fixed_values():
     # transfer meet of a six-strand pair: intersection already valid
     a, b = (3, 5, 4, 2, 6, 1), (5, 3, 6, 1, 4, 2)
     got = meet(inv(inverse(a)), inv(compose(b, omega(6))))
-    assert got.listing() == ((1, 3), (2, 3), (2, 5), (4, 5))
+    assert got.pairs() == ((1, 3), (2, 3), (2, 5), (4, 5))
     for p in all_permutations(4):
         assert meet(inv(p), inv(identity(4))).bits == 0
 
@@ -90,12 +120,12 @@ def test_meet_fixed_values():
 def test_meet_on_gapped_intersection():
     r1 = inv(inverse(A_GAP))
     r2 = complement(inv(B_GAP))
-    inter = r1.pairs & r2.pairs
+    inter = r1 & r2
     assert not is_inversion_set(inter)
     got = meet(r1, r2)
     assert got.bits == brute_meet(r1, r2).bits
     assert (2, 3) in got
-    assert got.listing() == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
+    assert got.pairs() == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
 
 
 def test_meet_has_no_fallback(monkeypatch):
@@ -111,7 +141,7 @@ def test_meet_is_greatest_lower_bound_s4():
     invs = {p: inv(p) for p in perms}
     for p, q in itertools.product(perms, perms):
         m = meet(invs[p], invs[q])
-        assert is_inversion_set(m.pairs)
+        assert is_inversion_set(m)
         assert leq(m, invs[p]) and leq(m, invs[q])
         # contains every common lower bound
         for r in perms:
@@ -133,7 +163,7 @@ def test_fixpoint_deletion_order_is_irrelevant():
     for _ in range(150):
         p, q = rng.choice(perms6), rng.choice(perms6)
         r1, r2 = inv(p), inv(q)
-        bits = {pair for pair in r1.pairs & r2.pairs}
+        bits = {pair for pair in r1 & r2}
         while True:
             violating = [
                 (i, k)
@@ -152,7 +182,7 @@ def test_fixpoint_deletion_order_is_irrelevant():
 def test_join():
     s1, s2 = adjacent_transposition(3, 1), adjacent_transposition(3, 2)
     assert join(inv(s1), inv(s2)).bits == full_bits(3)
-    top = InversionSet(PairSet.full(4))
+    top = InversionSet(4, full_bits(4))
     for p in all_permutations(4):
         assert join(inv(p), top).bits == top.bits
         assert join(inv(p), inv(p)).bits == inv(p).bits

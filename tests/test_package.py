@@ -78,7 +78,6 @@ STRAND_CHECKS = [
     (normalform.equal, _words, "words"),
     (perms.compose, _permutations, "cannot compose permutations"),
     (PairSet.__and__, _pair_sets, "pair sets"),
-    (PairSet.issubset, _pair_sets, "pair sets"),
 ]
 
 
