@@ -32,12 +32,6 @@ class AutomatonGraph:
     states: tuple[SimpleBraid, ...]
     transitions: tuple[tuple[tuple[int, int], ...], ...]
 
-    def state_index(self, braid: SimpleBraid) -> int:
-        return self.states.index(braid)
-
-    def transition_count(self) -> int:
-        return sum(len(row) for row in self.transitions)
-
 
 def build(n: int) -> AutomatonGraph:
     """Materialise the automaton; guarded because the state set is n!."""

@@ -30,7 +30,6 @@ from .perms import (
     inversion_bits,
     inverse,
     is_inversion_set,
-    permutation_from_inversions,
 )
 
 
@@ -55,9 +54,6 @@ class InversionSet(PairSet):
     @classmethod
     def from_permutation(cls, p: Sequence[int]) -> InversionSet:
         return cls._trusted(len(p), inversion_bits(p))
-
-    def permutation(self) -> tuple[int, ...]:
-        return permutation_from_inversions(self)
 
 
 def complement(r: InversionSet) -> InversionSet:

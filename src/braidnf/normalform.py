@@ -47,7 +47,7 @@ import dataclasses
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import _same_strands, all_permutations, compose, flip, identity, inverse, omega
+from .perms import _same_strands, all_permutations, compose, flip, identity, inverse, length, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
@@ -62,14 +62,6 @@ from .simple import (
 # watch crossing conservation and termination without slowing the plain
 # code path.
 StepHook = Optional[Callable[[int, object, object, object, object], None]]
-
-
-def _product(n: int, braids: Iterable[SimpleBraid]) -> tuple[int, ...]:
-    """The permutation of a product of simple braids, left factor first."""
-    word = identity(n)
-    for b in braids:
-        word = compose(word, b.perm)
-    return word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,10 +81,22 @@ class PositiveWord:
         return cls(n, tuple(map(braids.__getitem__, indices)))
 
     def permutation(self) -> tuple[int, ...]:
-        return _product(self.n, self.letters)
+        """The permutation of the product of the letters, left letter first."""
+        word = identity(self.n)
+        for b in self.letters:
+            word = compose(word, b.perm)
+        return word
 
     def crossing_number(self) -> int:
-        return sum(letter.crossings() for letter in self.letters)
+        """
+        The total number of crossings.  Each letter object's count is taken
+        once, as the Coxeter length of its permutation: at 1,024 strands,
+        hashing a letter costs a pass over it, and building its inversion
+        set takes seconds.
+        """
+        letters = {id(letter): letter for letter in self.letters}
+        crossings = {key: length(letter.perm) for key, letter in letters.items()}
+        return sum(crossings[id(letter)] for letter in self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

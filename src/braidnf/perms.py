@@ -209,14 +209,6 @@ class PairSet:
             bits |= 1 << pair_slot(i, j)
         return cls(n, bits)
 
-    @classmethod
-    def empty(cls, n: int) -> PairSet:
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> PairSet:
-        return cls(n, full_bits(n))
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The members sorted by (first coordinate, second coordinate)."""
         return tuple(sorted(self))

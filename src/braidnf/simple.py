@@ -77,9 +77,6 @@ class SimpleBraid:
     def crossings(self) -> int:
         return len(self.inv)
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.perm))
-
     def __len__(self) -> int:
         return self.crossings()
 

@@ -13,7 +13,7 @@ def test_build_sizes():
     for n in (3, 4):
         g = build(n)
         assert len(g.states) == math.factorial(n)
-        assert g.transition_count() == (n - 1) * math.factorial(n)
+        assert sum(map(len, g.transitions)) == (n - 1) * math.factorial(n)
     with pytest.raises(ValueError):
         build(9)
     with pytest.raises(ValueError):
@@ -28,14 +28,14 @@ def test_states_ranked_identity_first():
 
 def test_fixed_transitions():
     g = build(3)
-    e = g.state_index(identity_braid(3))
-    s1 = g.state_index(generator_braid(3, 1))
+    e = g.states.index(identity_braid(3))
+    s1 = g.states.index(generator_braid(3, 1))
     nxt, emitted = g.transitions[e][0]
     assert g.states[nxt] == generator_braid(3, 1) and g.states[emitted] == identity_braid(3)
     nxt, emitted = g.transitions[s1][0]
     assert g.states[nxt] == generator_braid(3, 1) and g.states[emitted] == generator_braid(3, 1)
     with pytest.raises(ValueError):
-        g.state_index(identity_braid(4))  # not a state of the three-strand automaton
+        g.states.index(identity_braid(4))  # not a state of the three-strand automaton
 
 
 def test_transition_consistency():
@@ -73,7 +73,7 @@ def test_run_is_last_normal_form_factor():
 
 def test_every_state_reachable():
     g = build(3)
-    seen = {g.state_index(identity_braid(3))}
+    seen = {g.states.index(identity_braid(3))}
     frontier = list(seen)
     while frontier:
         k = frontier.pop()

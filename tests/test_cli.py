@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -360,6 +361,20 @@ def test_render(capsys):
     assert code == 0 and out2.startswith("<svg ")
     code, _, err = run_cli(capsys, "render", "n=3; -1")
     assert code == 2 and "error:" in err
+
+
+def test_render_drawing_bound(capsys):
+    # n=1024 would be some 6 GB of ASCII or 50 GB of SVG; it is refused at once
+    for flags in ([], ["--svg"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "render", "n=1024; D", *flags)
+        assert time.perf_counter() - start < 1, flags
+        assert (code, out) == (2, ""), flags
+        assert err == "error: drawing of 536346624 cells (crossings x strands) over 262144\n"
+    code, out, err = run_cli(capsys, "render", "n=64; D")
+    assert (code, len(out), err) == (0, 1_536_696, "")
+    code, out, err = run_cli(capsys, "render", "n=64; D", "--svg")
+    assert (code, len(out), err) == (0, 12_950_374, "")
 
 
 def test_bench_small(capsys):

@@ -29,6 +29,7 @@ from braidnf.perms import (
     adjacent_transposition,
     all_permutations,
     compose,
+    full_bits,
     identity,
     inverse,
     inversion_bits,
@@ -56,9 +57,9 @@ def test_brute_meet_values():
 
 
 def test_brute_validity():
-    assert brute_validity(PairSet.empty(3))
+    assert brute_validity(PairSet(3, 0))
     assert not brute_validity(PairSet.from_pairs(3, [(1, 2), (2, 3)]))
-    assert brute_validity(PairSet.full(4))
+    assert brute_validity(PairSet(4, full_bits(4)))
 
 
 def _position_swaps(p):

@@ -55,7 +55,7 @@ def _permutations():
 
 
 def _pair_sets():
-    return PairSet.empty(3), PairSet.empty(4)
+    return PairSet(3, 0), PairSet(4, 0)
 
 
 def _words():

@@ -1,11 +1,16 @@
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from braidnf import textio
 from braidnf.normalform import GroupNormalForm, PositiveWord, normalize_group, normalize_positive
+from braidnf.perms import all_permutations
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import (
+    MAX_DRAWING_CELLS,
     ArtinWord,
     ParseError,
     concat,
@@ -137,7 +142,7 @@ def test_simple_to_artin():
         w = simple_to_artin(a)
         assert len(w.symbols) == a.crossings()
         back = normalize_positive(word_to_simple_letters(w))
-        if a.is_identity():
+        if a == identity_braid(a.n):
             assert back.factors == ()
         else:
             assert back.factors == (a,)
@@ -216,6 +221,54 @@ def test_render_svg():
     assert empty.count('class="strand"') == 3
     with pytest.raises(ValueError):
         render_diagram(word, "png")
+
+
+def _reference_words():
+    """
+    Seeded positive words at n = 1..9 with 0-6 letters each, drawn from the
+    first 300 permutations of S_n (the identity among them) and the half
+    twist; the empty word comes up at every n.
+    """
+    rng = random.Random(11)
+    for n in range(1, 10):
+        pool = [*itertools.islice(all_permutations(n), 300), omega_braid(n).perm]
+        for length in range(7):
+            for _ in range(20):
+                yield PositiveWord(n, tuple(SimpleBraid(rng.choice(pool)) for _ in range(length)))
+
+
+def test_render_bytes_match_reference():
+    # the digest pins every byte of both formats over 1,260 words
+    digest = hashlib.sha256()
+    for word in _reference_words():
+        for format in ("ascii", "svg"):
+            digest.update(render_diagram(word, format).encode())
+            digest.update(b"\0")
+    assert digest.hexdigest() == "66968bbf01cdc1775a732814f40a6e0afcc3c17a11f251ff4963e06d437db9b0"
+
+
+def test_drawing_bound(monkeypatch):
+    assert MAX_DRAWING_CELLS == 2**18
+    # the half twist on 64 strands has 2,016 crossings, 129,024 cells, and draws
+    half_twist = word_to_simple_letters(parse_word("n=64; D"))
+    assert half_twist.crossing_number() * half_twist.n == 129_024
+    assert len(render_diagram(half_twist, "ascii").splitlines()) == 3 * 2016 + 2
+    assert render_diagram(half_twist, "svg").count('class="over"') == 2016
+    huge = word_to_simple_letters(parse_word("n=1024; D"))
+    for format in ("ascii", "svg"):
+        with pytest.raises(ValueError, match="drawing of 536346624 cells .* over 262144"):
+            render_diagram(huge, format)
+    # a shared letter counts at each of its places; identity letters count 0
+    monkeypatch.setattr(textio, "MAX_DRAWING_CELLS", 48)
+    twice = PositiveWord(4, (omega_braid(4), identity_braid(4)) * 2)
+    assert render_diagram(twice, "ascii").count("\\") == 2 * 12
+    assert render_diagram(twice, "svg").count('class="over"') == 12
+    monkeypatch.setattr(textio, "MAX_DRAWING_CELLS", 47)
+    for format in ("ascii", "svg"):
+        with pytest.raises(ValueError, match="drawing of 48 cells"):
+            render_diagram(twice, format)
+    with pytest.raises(ValueError, match="unknown format"):
+        render_diagram(huge, "png")
 
 
 def test_artin_word_validation():
