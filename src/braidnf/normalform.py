@@ -17,19 +17,21 @@ never flipped while letters arrive: each incoming letter is flipped
 instead, and the core once at the end.  Each rewrite is one step of
 Thurston's automaton over pairs of simple braids.
 
-The engine's alphabet is chosen once per call.  Its rules are stated
-once, on one-line words (_word_alphabet): a letter is its one-line word
-and a step is one transfer (simple._step_words).  Up to five strands
-(TABLE_MAX_STRANDS) RankTables tabulates that alphabet over S_n, so a
-letter is the rank of its simple braid and the whole run is integer
-table reads: each step, flip and run extension is one list read, and
-each output factor is a shared SimpleBraid.  The loop is the same for
-both.
+The engine is one loop (_normalize_letters) over an alphabet chosen
+once per call, which it reads as tables: step[a][b] and extend[j][p]
+by subscription, the other rules by C-level calls.  The rules are
+stated once, on one-line words (_word_alphabet): a letter is its
+one-line word and a step is one transfer (simple._step_words), computed
+on each read.  Up to five strands (TABLE_MAX_STRANDS) RankTables
+tabulates that alphabet over S_n, so a letter is the rank of its simple
+braid and the whole run is integer table reads: each step is a read of
+its left factor's row, filled on first read, each flip and run
+extension a list read, and each output factor a shared SimpleBraid.
 
-Generators do not enter the engine one at a time.  Each maximal run of
-same-sign generators whose product is still a simple braid is folded
-into one letter first, so a run costs one transfer chain, not one per
-generator.  A positive run enters as its product B; an inverse run
+Generators do not enter the engine's core one at a time.  Each maximal
+run of same-sign generators whose product is still a simple braid is
+folded into one letter first, so a run costs one transfer chain, not
+one per generator.  A positive run enters as its product B; an inverse run
 C^-1 enters as Omega^-1 * (Omega * C^-1), an inverse half twist followed
 by the simple complement of C.  A run is folded in the word's own frame:
 flip is an automorphism, so flipping the folded letter on arrival is the
@@ -44,8 +46,10 @@ module check the engine against.
 from __future__ import annotations
 
 import dataclasses
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+import functools
+from itertools import chain
+from operator import getitem
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .perms import _same_strands, all_permutations, compose, flip, identity, inverse, length, omega
 from .simple import (
@@ -132,12 +136,13 @@ def is_normal(factors: Sequence[SimpleBraid]) -> bool:
 def _is_normal_perms(n: int, perms: list) -> bool:
     """
     is_normal on the factors' one-line words, all on n strands.  The pairs
-    are stepped in order until one rewrites: step gives None or a
-    non-empty tuple, so any() finds it.
+    are stepped in order, step[a][b] read through C-level maps, until one
+    rewrites: a step is None or a non-empty tuple, so any() finds it.
     """
     alphabet = _alphabet(n)
     word = list(map(alphabet.letter, perms))
-    return alphabet.ident not in word and not any(map(alphabet.step, word, islice(word, 1, None)))
+    rows = map(alphabet.step.__getitem__, word)
+    return alphabet.ident not in word and not any(map(getitem, rows, word[1:]))
 
 
 def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
@@ -196,31 +201,78 @@ class _Alphabet(NamedTuple):
     letter: Callable  # one-line word -> letter
     braid: Callable  # letter -> SimpleBraid
     flip: Callable
-    step: Callable  # (a, b) -> None when normal, else (head, tail)
-    extend: Callable  # (run, j) -> s_j * run, or -1 when not simple
+    step: object  # step[a][b]: None when (a, b) is normal, else (head, tail)
+    extend: object  # extend[j][run]: s_j * run, or -1 when not simple
     close_pos: Callable  # positive run P -> P^-1
     close_neg: Callable  # inverse run P -> Omega * P^-1
+
+
+class _Rule(functools.partial):
+    """
+    A partial application read by subscription: rule[x] is rule(x), a
+    C-level call.  The word alphabet reads its rules like the rank tables
+    but computes them on each read and stores nothing: its step is a rule
+    of rules, step[a][b], and its extend a tuple of rules, one per
+    generator, extend[j][p].
+    """
+
+    __getitem__ = functools.partial.__call__
+
+
+def _extend_run(j: int, p: tuple) -> object:
+    """s_j * p for a run p of the word alphabet, or -1 when it is not simple."""
+    if p[j - 1] > p[j]:
+        return -1
+    grown = list(p)
+    grown[j - 1], grown[j] = p[j], p[j - 1]
+    return tuple(grown)
+
+
+@functools.lru_cache(maxsize=8)
+def _extensions(n: int) -> tuple:
+    """
+    The word alphabet's extend on n strands: entry j is the rule of
+    generator j (_extend_run), entry 0 unused.  The n - 1 rules take
+    about 20 us to build at n = 64, more than the rest of the alphabet,
+    so those of the last few strand counts are kept; they store nothing.
+    """
+    return (None, *(_Rule(_extend_run, j) for j in range(1, n)))
 
 
 def _word_alphabet(n: int) -> _Alphabet:
     """
     The engine's alphabet on one-line words, where every rule is stated
     once: a step is one transfer (simple._step_words), and a run of
-    generators (_fold_runs) grows by one swap and closes by inversion.
+    generators grows by one swap (_extend_run) and closes by inversion.
     """
-
-    def extend(p, j):
-        return p[: j - 1] + (p[j], p[j - 1]) + p[j + 1 :] if p[j - 1] < p[j] else -1
-
     return _Alphabet(
-        identity(n), omega(n), tuple, SimpleBraid, flip, _step_words,
-        extend, inverse, lambda p: inverse(p)[::-1],
+        identity(n), omega(n), tuple, SimpleBraid, flip, _Rule(_Rule, _step_words),
+        _extensions(n), inverse, lambda p: inverse(p)[::-1],
     )
 
 
 # Thurston's transitions number (n!)^2: 576 at n = 4 and 14,400 at n = 5, but
 # 518,400 at n = 6, so rank tables stop at five strands.
 TABLE_MAX_STRANDS = 5
+
+
+class _StepRow(dict):
+    """
+    The row of RankTables.STEP for one left factor, its one-line word
+    left: the entry of rank b is None when the pair is normal, else the
+    ranks (head, tail).  An entry is filled by one transfer
+    (_step_words) on its first read, and is a dict read ever after.
+    """
+
+    __slots__ = ("left", "perms", "rank")
+
+    def __init__(self, left: tuple, perms: list, rank: dict):
+        self.left, self.perms, self.rank = left, perms, rank
+
+    def __missing__(self, b: int) -> Optional[tuple[int, int]]:
+        rewrite = _step_words(self.left, self.perms[b])
+        step = self[b] = rewrite and (self.rank[rewrite[0]], self.rank[rewrite[1]])
+        return step
 
 
 class RankTables:
@@ -230,12 +282,12 @@ class RankTables:
     simple braid's rank is its index in S_n listed in itertools
     (lexicographic) order, so the identity is 0 and the half twist N - 1;
     PERM[a] is its one-line word, inverted by RANK.  alphabet reads every
-    rule of the word alphabet through ranks, as flat list reads: the flip,
-    the run extensions (-1 where a run stops being simple), the run
-    closings and one SimpleBraid per rank, checked once and shared.  Its
-    step reads STEP[a*N + b]: None for a normal pair, else (head, tail),
-    and False until first asked for.  Only STEP grows with use, as a memo
-    of the transfer; the rest is O(n!).
+    rule of the word alphabet through ranks, as list reads: the flip, the
+    run extensions extend[j][a] (-1 where a run stops being simple), the
+    run closings and one SimpleBraid per rank, checked once and shared.
+    Its step is STEP, one row per left rank (_StepRow), read as
+    STEP[a][b]; only the rows grow with use, as a memo of the transfer,
+    and the rest is O(n!).
     """
 
     def __init__(self, n: int):
@@ -244,27 +296,18 @@ class RankTables:
         perms = list(all_permutations(n))
         rank = {p: r for r, p in enumerate(perms)}
         self.n, self.N, self.PERM, self.RANK = n, len(perms), perms, rank
-        self.STEP: list = [False] * (self.N * self.N)
+        self.STEP = [_StepRow(p, perms, rank) for p in perms]
         words = _word_alphabet(n)
-        ext = [rank.get(words.extend(p, j), -1) if j else -1 for p in perms for j in range(n)]
+        ext = [None] + [[rank.get(words.extend[j][p], -1) for p in perms] for j in range(1, n)]
 
         def tabulate(rule: Callable) -> Callable:
             return [rank[rule(p)] for p in perms].__getitem__
 
         self.alphabet = _Alphabet(
             rank[words.ident], rank[words.top], rank.__getitem__,
-            list(map(words.braid, perms)).__getitem__, tabulate(words.flip), self.step,
-            lambda a, j: ext[a * n + j], tabulate(words.close_pos), tabulate(words.close_neg),
+            list(map(words.braid, perms)).__getitem__, tabulate(words.flip), self.STEP,
+            ext, tabulate(words.close_pos), tabulate(words.close_neg),
         )
-
-    def step(self, a: int, b: int) -> Optional[tuple[int, int]]:
-        """STEP[a*N + b], computed by one transfer (_step_words) on first use."""
-        k = a * self.N + b
-        step = self.STEP[k]
-        if step is False:
-            rewrite = _step_words(self.PERM[a], self.PERM[b])
-            step = self.STEP[k] = rewrite and (self.RANK[rewrite[0]], self.RANK[rewrite[1]])
-        return step
 
 
 _TABLES: dict[int, RankTables] = {}
@@ -287,107 +330,91 @@ def _alphabet(n: int) -> _Alphabet:
     return rank_tables(n).alphabet if n <= TABLE_MAX_STRANDS else _word_alphabet(n)
 
 
-def _append_word(core: list, x, ident, step: Callable) -> None:
-    """
-    Append one non-identity letter to a normal factor list, in place.
-
-    The letter bubbles leftwards: rewrite the last pair, then the pair to
-    its left, and so on until a pair is already normal.  Everything to the
-    right of the current position stays normal throughout: along the
-    unbroken chain of rewrites this is the left-normality stopping
-    implication.  When a head vanishes the pair merges into the single
-    factor a*b, and the loop ends there: a tail y of the left neighbour
-    with y*a*b simple would make y*a simple, so a nontrivial y would
-    already have moved into a.
-    """
-    core.append(x)
-    i = len(core) - 2
-    while i >= 0:
-        rewrite = step(core[i], core[i + 1])
-        if rewrite is None:
-            break
-        head, tail = rewrite
-        if head == ident:
-            core[i : i + 2] = [tail]
-            break
-        core[i] = head
-        core[i + 1] = tail
-        i -= 1
-
-
-def _fold_runs(alphabet: _Alphabet, symbols: Iterable) -> Iterator:
-    """
-    The engine letters of a stream of symbols: signed generator indices
-    (i for sigma_i, -i for its inverse, as ArtinWord holds them) and
-    one-line words (or None for the inverse half twist), which pass
-    through as letters and end the pending run of generators.
-
-    A run is carried as one permutation P, a letter of the alphabet: B^-1
-    for a positive run B, and C for an inverse run
-    C^-1 = sigma_i1^-1 ... sigma_ik^-1, C = s_ik ... s_i1.  Either way the
-    next generator s_j multiplies P on the left, which swaps P[j-1] and
-    P[j], and the run stays simple exactly when P[j-1] < P[j].
-    A positive run enters the engine as B, an inverse run as None followed
-    by Omega * C^-1, which is C^-1 reversed in one-line notation.
-    """
-    ident, letter, extend = alphabet.ident, alphabet.letter, alphabet.extend
-    close_pos, close_neg = alphabet.close_pos, alphabet.close_neg
-    run = None
-    positive = True
-
-    def close():
-        return (close_pos(run),) if positive else (None, close_neg(run))
-
-    for s in symbols:
-        if s.__class__ is int:
-            j = s if s > 0 else -s
-            if run is not None and (s > 0) is positive and (grown := extend(run, j)) != -1:
-                run = grown
-                continue
-            if run is not None:
-                yield from close()
-            run = extend(ident, j)
-            positive = s > 0
-            continue
-        if run is not None:
-            yield from close()
-            run = None
-        yield None if s is None else letter(s)
-    if run is not None:
-        yield from close()
+_END = object()  # closes the symbol stream of an engine call
 
 
 def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int, int, list]:
     """
-    Run the engine over the letters _fold_runs makes of a stream of
-    symbols; None stands for the inverse half twist.  Returns
+    Run the engine over a stream of symbols: signed generator indices (i
+    for sigma_i, -i for its inverse, as ArtinWord holds them), one-line
+    words, and None for the inverse half twist.  Returns
     (m, parity, trail, core) with the product equal to
     Omega^m * flip^parity(core) * Omega^trail, core a normal form free of
-    half twists.
+    half twists.  It is one loop: the alphabet's rules are read by
+    subscription or C-level calls, with no Python call per symbol, letter
+    or step.
+
+    Generators are folded into runs.  A run is carried as one permutation
+    P, a letter of the alphabet: B^-1 for a positive run B, and C for an
+    inverse run C^-1 = sigma_i1^-1 ... sigma_ik^-1, C = s_ik ... s_i1.
+    Either way the next generator s_j multiplies P on the left, which
+    swaps P[j-1] and P[j], and the run stays simple exactly when
+    P[j-1] < P[j].  A run closes at a sign change, a generator that does
+    not extend it, any other symbol and the end of the stream; the
+    pending run is empty (the identity, positive) after any other symbol.
+    A positive run enters as the letter B, an inverse run as None followed
+    by Omega * C^-1, which is C^-1 reversed in one-line notation.
+
+    A letter bubbles leftwards from the right end of the core: rewrite the
+    last pair, then the pair to its left, and so on until a pair is
+    already normal.  Everything to the right of the current position
+    stays normal throughout: along the unbroken chain of rewrites this is
+    the left-normality stopping implication.  When a head vanishes the
+    pair merges into the single factor a*b, and the bubble ends there: a
+    tail y of the left neighbour with y*a*b simple would make y*a simple,
+    so a nontrivial y would already have moved into a.
     """
-    ident, top, flip_letter, step = alphabet.ident, alphabet.top, alphabet.flip, alphabet.step
+    ident, top, letter, flip_letter = alphabet.ident, alphabet.top, alphabet.letter, alphabet.flip
+    step, extend = alphabet.step, alphabet.extend
+    close_pos, close_neg = alphabet.close_pos, alphabet.close_neg
     m = parity = trail = 0
     core: list = []
-    for x in _fold_runs(alphabet, symbols):
-        if x is None:
-            if trail:
-                trail -= 1
-            else:
-                m -= 1
-                parity ^= 1
-            continue
-        # identity and half twist are fixed by flip, so test them first
-        if x == ident:
-            continue
-        if x == top:
-            trail += 1
-            continue
-        if (trail + parity) & 1:
-            x = flip_letter(x)
-        _append_word(core, x, ident, step)
-        while core and core[-1] == top:
-            core.pop()
-            trail += 1
+    run, positive = ident, True
+    for s in chain(symbols, (_END,)):
+        if s.__class__ is int:
+            j = s if s > 0 else -s
+            if (s > 0) is positive and (grown := extend[j][run]) != -1:
+                run = grown
+                continue
+        letters = [close_pos(run)] if positive else [None, close_neg(run)]
+        if s.__class__ is int:
+            run, positive = extend[j][ident], s > 0
+        else:
+            run, positive = ident, True
+            if s is not _END:
+                letters.append(None if s is None else letter(s))
+        for x in letters:
+            if x is None:
+                if trail:
+                    trail -= 1
+                else:
+                    m -= 1
+                    parity ^= 1
+                continue
+            # identity and half twist are fixed by flip, so test them first
+            if x == ident:
+                continue
+            if x == top:
+                trail += 1
+                continue
+            if (trail + parity) & 1:
+                x = flip_letter(x)
+            # x bubbles leftwards; core[i] is x, its pair is (core[i-1], x)
+            i = len(core)
+            core.append(x)
+            while i:
+                rewrite = step[core[i - 1]][x]
+                if rewrite is None:
+                    break
+                x, core[i] = rewrite  # the head bubbles on, the tail stays
+                if x == ident:
+                    del core[i - 1]
+                    break
+                i -= 1
+                core[i] = x
+            while core and core[-1] == top:
+                core.pop()
+                trail += 1
     return m, parity, trail, core
 
 
@@ -445,7 +472,7 @@ def _rewrite_to_fixpoint(
     """
     The letters, identity dropped, after rewriting one non-normal adjacent
     pair at a time, the leftmost or the rightmost one.  step(a, b) is None
-    for a normal pair, else (head, tail), as _append_word takes it; a
+    for a normal pair, else (head, tail), as the engine reads its step; a
     vanished head merges the pair into its tail.  After a rewrite the
     scan steps back one pair, since only the pairs next to the rewritten
     one can have changed.  hook, when given, sees every rewrite.
@@ -518,8 +545,8 @@ def normalize_group(word) -> GroupNormalForm:
     if n == 1:
         # one strand: every symbol is trivial
         return GroupNormalForm(1, 0, ())
-    top = omega(n)
-    symbols = (s if -n < s < n else top if s > 0 else None for s in word.symbols)
+    # D and -D become the half twist and None; a generator stays an int
+    symbols = map({n: omega(n), -n: None}.get, word.symbols, word.symbols)
     alphabet = _alphabet(n)
     m, parity, trail, core = _normalize_letters(alphabet, symbols)
     if (trail + parity) & 1:

@@ -616,7 +616,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     enumeration bound of the weak-order table (_weak_order), which is
     checked first; the pairs are drawn from the listing that table is
     built from (_listing).  Up to TABLE_MAX_STRANDS each pair's engine step,
-    its entry of the rank automaton's STEP table (normalform.RankTables), is
+    its entry of the rank automaton's STEP rows (normalform.RankTables), is
     also checked against the normality test and the meet-based transfer;
     a disagreement is reported in one-line notation.
     """
@@ -648,7 +648,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
                 got = None if bits is None else PairSet(n, bits).pairs()
                 failures.append([kind, r1.pairs(), r2.pairs(), got, slow.pairs()])
         if tables is not None:
-            step = tables.step(tables.RANK[p], tables.RANK[q])
+            step = tables.STEP[tables.RANK[p]][tables.RANK[q]]
             if step is not None:
                 step = (tables.PERM[step[0]], tables.PERM[step[1]])
             want = None if _is_normal_words(p, q) else _transfer_words(p, q)

@@ -128,8 +128,7 @@ def flip(p: Sequence[int]) -> tuple[int, ...]:
     This is the involutive automorphism induced by turning a braid diagram
     over, sending the i-th Artin generator to the (n-i)-th one.
     """
-    n = len(p)
-    return tuple(n + 1 - p[n - i] for i in range(1, n + 1))
+    return tuple(map((len(p) + 1).__sub__, reversed(p)))
 
 
 def length(p: Sequence[int]) -> int:
@@ -239,14 +238,21 @@ class PairSet:
 
 
 def inversion_bits(p: Sequence[int]) -> int:
-    """Bit array of the inversion set of p."""
-    bits = 0
+    """
+    Bit array of the inversion set of p.  The pairs (i, j) of one j fill
+    j - 1 consecutive slots, so each such row is built as a small int and
+    ORed in once: OR-ing single bits into the whole array would copy its
+    n(n-1)/2 bits per inversion.
+    """
+    bits = base = 0  # base: the slot of the pair (1, j + 1), p[j] its right end
     for j in range(1, len(p)):
-        vj = p[j]
-        base = j * (j - 1) // 2
+        vj, row = p[j], 0
         for i in range(j):
             if p[i] > vj:
-                bits |= 1 << (base + i)
+                row |= 1 << i
+        if row:
+            bits |= row << base
+        base += j
     return bits
 
 

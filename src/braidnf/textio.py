@@ -20,7 +20,8 @@ up into its canonical reduced word; the front strand of a positive
 crossing is the one of positive slope.  ASCII output uses only ``|``,
 ``\\``, ``/``, spaces and newlines; SVG output is a small SVG 1.1 subset
 with cubic strand curves.  A drawing has at most MAX_DRAWING_CELLS cells,
-its crossings times its strands.
+its rows times its strands: one row per crossing and one bar row per
+letter.
 """
 from __future__ import annotations
 
@@ -87,11 +88,12 @@ MAX_STRANDS = 1024
 # token is converted.
 MAX_LETTERS = 1_000_000
 
-# A drawing has one row per crossing and one path per strand on each row,
-# so its size grows with crossings x strands, its cells.  The half twist
-# on 80 strands has 252,800 cells and draws in 0.26 s as 25 MB of SVG, or
-# in 0.012 s as 3.0 MB of ASCII (CPython 3.11.7, shared 2-core VM); on
-# 1,024 strands it would be some 50 GB of SVG.
+# A drawing has one row per crossing, one bar row per letter and one path
+# or column per strand on each row, so its size grows with rows x strands,
+# its cells; a letter without crossings still draws its bar row.  The half
+# twist on 80 strands has 252,880 cells and draws in 0.26 s as 25 MB of
+# SVG, or in 0.012 s as 3.0 MB of ASCII (CPython 3.11.7, shared 2-core
+# VM); on 1,024 strands it would be some 50 GB of SVG.
 MAX_DRAWING_CELLS = 2**18
 
 _HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
@@ -252,14 +254,15 @@ def parse_normal_form_json(text: str) -> GroupNormalForm:
 def render_diagram(word: PositiveWord, format: str = "ascii") -> str:
     """
     Draw a positive word strands-down; format 'ascii' or 'svg'.  A word
-    with more than MAX_DRAWING_CELLS crossings times strands is a
-    ValueError, raised before any factor is opened into its reduced word.
+    with more than MAX_DRAWING_CELLS rows (its crossings and its letters)
+    times strands is a ValueError, raised before any factor is opened
+    into its reduced word.
     """
     if format not in ("ascii", "svg"):
         raise ValueError(f"unknown format {format!r}")
-    cells = word.crossing_number() * word.n
+    cells = (word.crossing_number() + len(word)) * word.n
     if cells > MAX_DRAWING_CELLS:
-        raise ValueError(f"drawing of {cells} cells (crossings x strands) over {MAX_DRAWING_CELLS}")
+        raise ValueError(f"drawing of {cells} cells (rows x strands) over {MAX_DRAWING_CELLS}")
     return _render_ascii(word) if format == "ascii" else _render_svg(word)
 
 

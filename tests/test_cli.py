@@ -370,7 +370,7 @@ def test_render_drawing_bound(capsys):
         code, out, err = run_cli(capsys, "render", "n=1024; D", *flags)
         assert time.perf_counter() - start < 1, flags
         assert (code, out) == (2, ""), flags
-        assert err == "error: drawing of 536346624 cells (crossings x strands) over 262144\n"
+        assert err == "error: drawing of 536347648 cells (rows x strands) over 262144\n"
     code, out, err = run_cli(capsys, "render", "n=64; D")
     assert (code, len(out), err) == (0, 1_536_696, "")
     code, out, err = run_cli(capsys, "render", "n=64; D", "--svg")

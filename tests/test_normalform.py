@@ -18,7 +18,7 @@ from braidnf.normalform import (
     rewrite_pair_at,
     rewrite_potential,
 )
-from braidnf.perms import omega
+from braidnf.perms import flip, omega
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import (
     ArtinWord,
@@ -410,12 +410,10 @@ def test_half_twist_equals_staircase_expansion():
 
 
 def test_append_matches_fold_reference():
-    # the engine's in-place right-append, and the engine itself, against
-    # the rightmost rewriting twin (a fold from the right), with arbitrary
-    # simple-braid letters
-    from braidnf.normalform import _append_word
+    # the engine's right-append of one letter to a normal form, on the word
+    # alphabet, and the engine itself, against the rightmost rewriting twin
+    # (a fold from the right), with arbitrary simple-braid letters
     from braidnf.perms import identity
-    from braidnf.simple import _step_words
 
     def rightmost(n, perms):
         word = PositiveWord(n, tuple(SimpleBraid(p) for p in perms))
@@ -433,10 +431,74 @@ def test_append_matches_fold_reference():
         if x == ident:
             continue
         expected = rightmost(n, core + [x])
-        _append_word(core, x, ident, _step_words)
-        assert core == expected
+        words = normalform._word_alphabet(n)
+        m, parity, trail, appended = normalform._normalize_letters(words, core + [x])
+        assert (m, parity) == (0, 0)
+        assert appended + [words.top] * trail == expected
         engine = normalize_positive(PositiveWord(n, tuple(SimpleBraid(p) for p in base + [x])))
         assert [f.perm for f in engine.factors] == expected
+
+
+def _cut_stream(rng, n, positive):
+    """
+    A seeded engine symbol stream whose runs of generators end in every
+    way a run can end: at a sign change, at a generator that does not
+    extend it (its last generator again), at D or -D (the half twist or
+    None), at a one-line letter and at the end of the stream.  Positive
+    streams hold no inverse symbol, and their one-line letters include
+    the identity and the half twist.
+    """
+    top = omega(n)
+    cuts = ("square", "D", "letter") if positive else ("sign", "square", "D", "-D")
+    symbols = []
+    for _ in range(rng.randint(1, 10)):
+        sign = 1 if positive else rng.choice((1, -1))
+        run = [sign * rng.randint(1, n - 1) for _ in range(rng.randint(1, 4))]
+        cut = rng.choice(cuts)
+        if cut == "sign":
+            run.append(-sign * rng.randint(1, n - 1))
+        elif cut == "square":
+            run.append(run[-1])
+        elif cut == "D":
+            run.append(top)
+        elif cut == "-D":
+            run.append(None)
+        else:
+            run.append(rng.choice((tuple(range(1, n + 1)), top, random_simple(rng, n).perm)))
+        symbols += run
+    return symbols + [sign * rng.randint(1, n - 1) for _ in range(rng.randint(1, 3))]
+
+
+def test_engine_cuts_runs_alike_on_both_alphabets():
+    # the one engine loop on the rank alphabet and on the word alphabet:
+    # the same (m, parity, trail, core) once ranks are read through PERM,
+    # and the right element, against the rightmost rewriting twin on the
+    # positive path and the lifted group twin on the signed one
+    rng = random.Random(2711)
+    for n in (3, 4, 5):
+        tables, words, top = normalform.rank_tables(n), normalform._word_alphabet(n), omega(n)
+        for positive in (True, False):
+            for _ in range(150):
+                symbols = _cut_stream(rng, n, positive)
+                m, parity, trail, core = normalform._normalize_letters(tables.alphabet, symbols)
+                core = [tables.PERM[a] for a in core]
+                assert normalform._normalize_letters(words, symbols) == (m, parity, trail, core)
+                if positive:
+                    letters = tuple(
+                        generator_braid(n, s) if s.__class__ is int else SimpleBraid(s)
+                        for s in symbols
+                    )
+                    twin = gs_rewrite_to_fixpoint(PositiveWord(n, letters), "rightmost")
+                    assert (m, parity) == (0, 0)
+                    assert core + [top] * trail == [f.perm for f in twin.factors]
+                    continue
+                signed = ArtinWord(n, tuple(
+                    -n if s is None else n if s == top else s for s in symbols
+                ))
+                if (trail + parity) & 1:
+                    core = list(map(flip, core))
+                form = GroupNormalForm(n, m + trail, tuple(map(SimpleBraid, core)))
+                assert form == lifted_group_twin(signed)
 
 
 def test_half_twist_factors_collect_at_the_tail():
@@ -457,27 +519,39 @@ def engine_counts(monkeypatch):
     """
     Count the engine's flips and its transfers.  Every engine call takes
     its flip and step from normalform._alphabet, so that one function is
-    wrapped, whatever the alphabet.  A transfer is a step that rewrites
-    its pair, whether a table entry or the meet served it, so the counts
-    do not depend on how warm the table is; the rank tables start fresh.
+    wrapped, whatever the alphabet: the flip as a callable and the step
+    as rows, read step[a][b].  A transfer is a step that rewrites its
+    pair, whether a table entry or the meet served it, so the counts do
+    not depend on how warm the table is; the rank tables start fresh.
     """
     counts = collections.Counter()
     alphabet = normalform._alphabet
 
+    class CountedRow:
+        def __init__(self, row):
+            self.row = row
+
+        def __getitem__(self, b):
+            result = self.row[b]
+            counts["transfer"] += result is not None
+            return result
+
+    class CountedRows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, a):
+            return CountedRow(self.rows[a])
+
     def counted_alphabet(n):
         letters = alphabet(n)
-        flip, step = letters.flip, letters.step
+        flip = letters.flip
 
         def counted_flip(a):
             counts["flip"] += 1
             return flip(a)
 
-        def counted_step(a, b):
-            result = step(a, b)
-            counts["transfer"] += result is not None
-            return result
-
-        return letters._replace(flip=counted_flip, step=counted_step)
+        return letters._replace(flip=counted_flip, step=CountedRows(letters.step))
 
     monkeypatch.setattr(normalform, "_TABLES", {})
     monkeypatch.setattr(normalform, "_alphabet", counted_alphabet)
@@ -588,7 +662,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     # fresh table the engine computes at most that many meets however many
     # transfers the words take; on six strands no table is built.
     tables = normalform.rank_tables(4)
-    assert set(tables.STEP) == {False}  # the fixture's tables are fresh
+    assert not any(tables.STEP)  # the fixture's tables are fresh: every row is empty
     meets = 0
     meet = simple._meet_reads
 
@@ -612,7 +686,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     for w in inverse:
         normalize_group(w)
     assert 0 < meets <= 576 < engine_counts["transfer"]
-    assert 0 < sum(step is not False for step in tables.STEP) <= 576
+    assert 0 < sum(map(len, tables.STEP)) <= 576
     built = set(normalform._TABLES)
     before = meets
     for _ in range(count):
@@ -631,7 +705,7 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
     word = ArtinWord(5, tuple(rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(100)))
     form = normalize_group(word)
     assert normalize_group(concat(word, formal_inverse(word))) == GroupNormalForm(5, 0, ())
-    filled = sum(step is not False for step in normalform.rank_tables(5).STEP)
+    filled = sum(map(len, normalform.rank_tables(5).STEP))  # entries, not rows
     assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
     for n in (6, 64):
         signed = ArtinWord(n, tuple(
@@ -651,13 +725,13 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
 def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
     # the rank tables state no rule of their own: each rule of the rank
     # alphabet is the word alphabet's, read through RANK and PERM, and its
-    # step, filled from an empty STEP, agrees on every pair of ranks
+    # step, filled from empty STEP rows, agrees on every pair of ranks
     monkeypatch.setattr(normalform, "_TABLES", {})
     for n in range(1, 6):
         tables = normalform.rank_tables(n)
         ranks, words = tables.alphabet, normalform._word_alphabet(n)
         perm, rank = tables.PERM, tables.RANK
-        assert set(tables.STEP) == {False}
+        assert len(tables.STEP) == tables.N and not any(tables.STEP)
         assert (perm[ranks.ident], perm[ranks.top]) == (words.ident, words.top)
         for a, p in enumerate(perm):
             assert ranks.letter(p) == a and ranks.braid(a) == words.braid(p)
@@ -665,10 +739,10 @@ def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
             assert perm[ranks.close_pos(a)] == words.close_pos(p)
             assert perm[ranks.close_neg(a)] == words.close_neg(p)
             for j in range(1, n):
-                grown = words.extend(p, j)
-                assert ranks.extend(a, j) == (-1 if grown == -1 else rank[grown])
+                grown = words.extend[j][p]
+                assert ranks.extend[j][a] == (-1 if grown == -1 else rank[grown])
             for b, q in enumerate(perm):
-                step = words.step(p, q)
+                step = words.step[p][q]
                 want = None if step is None else (rank[step[0]], rank[step[1]])
-                assert ranks.step(a, b) == want
-        assert False not in tables.STEP
+                assert ranks.step[a][b] == want
+        assert all(len(row) == tables.N for row in tables.STEP)

@@ -616,13 +616,16 @@ def test_verify_meet_reports_broken_meets(monkeypatch):
 
 
 def test_verify_meet_checks_the_transition_table(monkeypatch):
-    # a STEP table with head and tail swapped is caught on every pair it
-    # rewrites into two different factors, and only there
+    # STEP rows with head and tail swapped are caught on every pair they
+    # rewrite into two different factors, and only there
     monkeypatch.setattr(normalform, "_TABLES", {})
     tables = normalform.rank_tables(3)
     pairs = list(itertools.product(range(tables.N), repeat=2))
-    steps = {(a, b): tables.step(a, b) for a, b in pairs}
-    swapped = [None if step is None else step[::-1] for step in tables.STEP]
+    steps = {(a, b): tables.STEP[a][b] for a, b in pairs}
+    swapped = [
+        {b: None if step is None else step[::-1] for b, step in row.items()}
+        for row in tables.STEP
+    ]
     monkeypatch.setattr(tables, "STEP", swapped)
     report = verify_meet(3)
     assert report.cases == 36

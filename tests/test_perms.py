@@ -13,12 +13,14 @@ from braidnf.perms import (
     full_bits,
     identity,
     inverse,
+    inversion_bits,
     inversion_set,
     is_inversion_set,
     is_permutation,
     length,
     omega,
     pair_count,
+    pair_slot,
     permutation_from_inversions,
 )
 
@@ -109,6 +111,20 @@ def test_inversion_set_values():
     assert inversion_set(omega(4)).bits == full_bits(4)
     for n in range(1, 7):
         assert len(inversion_set(omega(n))) == n * (n - 1) // 2
+
+
+def test_inversion_bits_match_the_pair_by_pair_definition():
+    # one bit per inversion (i, j), i < j and p(i) > p(j), at pair_slot(i, j)
+    rng = random.Random(211)
+    for n in range(1, 41):
+        for p in [identity(n), omega(n)] + [tuple(rng.sample(range(1, n + 1), n)) for _ in range(5)]:
+            want = sum(
+                1 << pair_slot(i, j)
+                for j in range(2, n + 1)
+                for i in range(1, j)
+                if p[i - 1] > p[j - 1]
+            )
+            assert inversion_bits(p) == want, p
 
 
 def test_act_on_pairs():

@@ -249,26 +249,39 @@ def test_render_bytes_match_reference():
 
 def test_drawing_bound(monkeypatch):
     assert MAX_DRAWING_CELLS == 2**18
-    # the half twist on 64 strands has 2,016 crossings, 129,024 cells, and draws
+    # the half twist on 64 strands has 2,016 crossing rows and one bar row,
+    # 129,088 cells, and draws
     half_twist = word_to_simple_letters(parse_word("n=64; D"))
-    assert half_twist.crossing_number() * half_twist.n == 129_024
+    assert (half_twist.crossing_number() + len(half_twist)) * half_twist.n == 129_088
     assert len(render_diagram(half_twist, "ascii").splitlines()) == 3 * 2016 + 2
     assert render_diagram(half_twist, "svg").count('class="over"') == 2016
     huge = word_to_simple_letters(parse_word("n=1024; D"))
     for format in ("ascii", "svg"):
-        with pytest.raises(ValueError, match="drawing of 536346624 cells .* over 262144"):
+        with pytest.raises(ValueError, match="drawing of 536347648 cells .* over 262144"):
             render_diagram(huge, format)
-    # a shared letter counts at each of its places; identity letters count 0
-    monkeypatch.setattr(textio, "MAX_DRAWING_CELLS", 48)
+    # a shared letter counts at each of its places, and an identity letter
+    # counts its bar row: 12 crossings and 4 letters on 4 strands
+    monkeypatch.setattr(textio, "MAX_DRAWING_CELLS", 64)
     twice = PositiveWord(4, (omega_braid(4), identity_braid(4)) * 2)
     assert render_diagram(twice, "ascii").count("\\") == 2 * 12
     assert render_diagram(twice, "svg").count('class="over"') == 12
-    monkeypatch.setattr(textio, "MAX_DRAWING_CELLS", 47)
+    monkeypatch.setattr(textio, "MAX_DRAWING_CELLS", 63)
     for format in ("ascii", "svg"):
-        with pytest.raises(ValueError, match="drawing of 48 cells"):
+        with pytest.raises(ValueError, match="drawing of 64 cells"):
             render_diagram(twice, format)
     with pytest.raises(ValueError, match="unknown format"):
         render_diagram(huge, "png")
+
+
+def test_drawing_bound_counts_bands_without_crossings():
+    # 1,000 identity letters on 1,024 strands have no crossings, but would
+    # draw 1,001 bar rows, 4,098,094 bytes of ASCII; they are refused
+    blank = PositiveWord(1024, (identity_braid(1024),) * 1000)
+    for format in ("ascii", "svg"):
+        with pytest.raises(ValueError, match="drawing of 1024000 cells .* over 262144"):
+            render_diagram(blank, format)
+    # a band of identity letters under the bound draws its bar rows
+    assert render_diagram(PositiveWord(3, (identity_braid(3),) * 2), "ascii") == "|   |   |\n" * 3
 
 
 def test_artin_word_validation():
