@@ -4,6 +4,7 @@ simple-braid (permutation) generators, with inversion-set calculus, the
 weak-order lattice, a confluent rewriting system, an explicit small-n
 normal-form automaton, and brute-force verification sweeps.
 """
+import importlib
 import types
 
 from .lattice import (
@@ -42,19 +43,6 @@ from .perms import (
     omega,
     permutation_from_inversions,
 )
-from .oracle import (
-    VerificationReport,
-    brute_meet,
-    brute_validity,
-    strand_crossings,
-    verify_confluence,
-    verify_gsb,
-    verify_gsb_strict,
-    verify_meet,
-    verify_stop,
-    verify_strand_lemma,
-    verify_validity,
-)
 from .simple import (
     SimpleBraid,
     Transfer,
@@ -87,9 +75,36 @@ from .textio import (
 
 __version__ = "0.1.0"
 
-# The imports above are the one listing of the public namespace.
+
+def _lazy_getattr(namespace: dict, lazy: dict):
+    """
+    A module __getattr__ (PEP 562) for lazy, a map from name to the
+    submodule of this package that defines it: the first access imports the
+    submodule and keeps the name in namespace, where later reads find it.
+    """
+
+    def __getattr__(name):
+        if name not in lazy:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        namespace[name] = getattr(importlib.import_module(f"{__name__}.{lazy[name]}"), name)
+        return namespace[name]
+
+    return __getattr__
+
+
+# The oracle loads on first use: the normal forms and the commands that
+# print them never run the brute-force twins.
+_LAZY = dict.fromkeys(
+    ["VerificationReport", "brute_meet", "brute_validity", "strand_crossings",
+     "verify_confluence", "verify_gsb", "verify_gsb_strict", "verify_meet", "verify_stop",
+     "verify_strand_lemma", "verify_validity"],
+    "oracle",
+)
+__getattr__ = _lazy_getattr(globals(), _LAZY)
+
+# The imports above and _LAZY are the one listing of the public namespace.
 __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, types.ModuleType)
-]
+] + list(_LAZY)

@@ -17,22 +17,11 @@ import random
 import sys
 import time
 
-from .automaton import build, export_dot
+from . import _lazy_getattr
 from .normalform import PositiveWord, equal, normalize_group, normalize_positive
-from .oracle import (
-    EXHAUSTIVE_MAX_STRANDS,
-    _one_fill,
-    verify_commuting,
-    verify_confluence,
-    verify_gsb,
-    verify_gsb_strict,
-    verify_meet,
-    verify_stop,
-    verify_strand_lemma,
-    verify_validity,
-)
 from .simple import SimpleBraid, transfer
 from .textio import (
+    EXHAUSTIVE_MAX_STRANDS,
     MAX_LETTERS,
     MAX_STRANDS,
     ParseError,
@@ -43,6 +32,18 @@ from .textio import (
     render_diagram,
     word_to_simple_letters,
 )
+
+# The names of verify and automaton load when those commands first use
+# them.  They stay attributes of this module, and the commands call them
+# through it (_cli.name), so a wrapper set here is what runs.
+_LAZY = dict.fromkeys(["build", "export_dot"], "automaton") | dict.fromkeys(
+    ["_check_confluence_strands", "_check_samples", "_one_fill", "verify_commuting",
+     "verify_confluence", "verify_gsb", "verify_gsb_strict", "verify_meet", "verify_stop",
+     "verify_strand_lemma", "verify_validity"],
+    "oracle",
+)
+__getattr__ = _lazy_getattr(globals(), _LAZY)
+_cli = sys.modules[__name__]
 
 
 def _read_word_text(text: str) -> str:
@@ -89,20 +90,20 @@ ALL_SIZES = {"gsb": 4, "stop": 4, "strands": 4, "meet": 5, "validity": 5, "confl
 def _suite_reports(suite: str, n: int, args) -> list:
     """The reports of one suite at n, in print order."""
     if suite == "gsb":
-        gating = verify_gsb(n, args.samples, args.seed)  # first: it rejects large n unsampled
+        gating = _cli.verify_gsb(n, args.samples, args.seed)  # first: it rejects large n unsampled
         small = min(n, EXHAUSTIVE_MAX_STRANDS)  # the diagnostics are exhaustive
-        return [verify_commuting(small), verify_gsb_strict(small), gating]
+        return [_cli.verify_commuting(small), _cli.verify_gsb_strict(small), gating]
     if suite == "stop":
-        return [verify_stop(n, args.samples, args.seed)]
+        return [_cli.verify_stop(n, args.samples, args.seed)]
     if suite == "strands":
-        return [verify_strand_lemma(n)]
+        return [_cli.verify_strand_lemma(n)]
     if suite == "meet":
-        return [verify_meet(n, args.samples, args.seed)]
+        return [_cli.verify_meet(n, args.samples, args.seed)]
     if suite == "validity":
-        return [verify_validity(n)]
+        return [_cli.verify_validity(n)]
     samples = 1000 if args.samples is None else args.samples
     length = 20 if args.length is None else args.length
-    return [verify_confluence(n, length, samples, args.seed)]
+    return [_cli.verify_confluence(n, length, samples, args.seed)]
 
 
 def _cmd_verify(args) -> int:
@@ -112,6 +113,11 @@ def _cmd_verify(args) -> int:
         raise ParseError(f"length must be at most {MAX_LETTERS}, got {args.length}")
     if args.all:
         runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
+        # before any sweep: the first check of gsb, the first suite, then
+        # confluence's size, which refuses n = 1; gsb refuses n < 1 itself
+        _cli._check_samples(args.samples)
+        if args.n >= 1:
+            _cli._check_confluence_strands(min(args.n, ALL_SIZES["confluence"]))
     elif args.suite:
         if args.suite in ("strands", "validity") and args.samples is not None:
             raise ParseError(f"--samples: suite {args.suite} is exhaustive")
@@ -120,7 +126,7 @@ def _cmd_verify(args) -> int:
         runs = [(args.suite, args.n)]
     else:
         raise ParseError("pass --suite <name> or --all")
-    with _one_fill():  # the row sweeps at one n share one pair table and its fill
+    with _cli._one_fill():  # the row sweeps at one n share one pair table and its fill
         reports = [report for suite, n in runs for report in _suite_reports(suite, n, args)]
     for report in reports:
         print(report.to_json())
@@ -128,8 +134,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
-    graph = build(args.n)
-    text = export_dot(graph)
+    text = _cli.export_dot(_cli.build(args.n))
     if args.dot == "-":
         sys.stdout.write(text)
     else:

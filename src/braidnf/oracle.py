@@ -63,11 +63,9 @@ from .perms import (
     pair_count,
 )
 from .simple import SimpleBraid, _is_clean_words, _is_normal_words, _transfer_words
-from .textio import MAX_LETTERS, MAX_STRANDS
+from .textio import EXHAUSTIVE_MAX_STRANDS, MAX_LETTERS, MAX_STRANDS
 
 BRUTE_MAX_STRANDS = 7
-# Exhaustive sweeps run over every pair or triple of S_n up to this n.
-EXHAUSTIVE_MAX_STRANDS = 5
 
 
 @dataclasses.dataclass
@@ -557,6 +555,11 @@ def verify_stop(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     return _sweep("stop", n, ("stop", _triples(n, samples, seed)))
 
 
+def _check_confluence_strands(n: int) -> None:
+    if not 2 <= n <= 6:
+        raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
+
+
 def verify_confluence(
     n: int, length: int = 20, samples: int = 1000, seed: int = 42
 ) -> VerificationReport:
@@ -573,8 +576,7 @@ def verify_confluence(
     one SimpleBraid, built on first use: the words and the forms share
     them, so a generator's crossings are counted from one inversion set.
     """
-    if not 2 <= n <= 6:
-        raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
+    _check_confluence_strands(n)
     if length < 0:
         raise ValueError(f"length must be at least 0, got {length}")
     if length > MAX_LETTERS:

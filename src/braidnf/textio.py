@@ -26,7 +26,6 @@ letter.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 
 from .normalform import GroupNormalForm, PositiveWord
@@ -87,6 +86,11 @@ MAX_STRANDS = 1024
 # unbounded work.  It is caught by one bounded split per word, before any
 # token is converted.
 MAX_LETTERS = 1_000_000
+
+# Exhaustive sweeps run over every pair or triple of S_n up to this n.  It
+# sits with the bounds the CLI checks, so that its help text can state it
+# without loading the oracle.
+EXHAUSTIVE_MAX_STRANDS = 5
 
 # A drawing has one row per crossing, one bar row per letter and one path
 # or column per strand on each row, so its size grows with rows x strands,
@@ -220,6 +224,8 @@ def format_normal_form(form: GroupNormalForm, style: str = "text") -> str:
         text = {p: "[" + " ".join(map(str, p)) + "]" for p in set(perms)}
         return " ".join([f"D^{form.delta_power} :", *map(text.__getitem__, perms)])
     if style == "json":
+        import json  # only JSON output pays for this import
+
         payload = {
             "n": form.n,
             "delta_power": form.delta_power,
@@ -235,6 +241,8 @@ def parse_normal_form_json(text: str) -> GroupNormalForm:
     every factor entry must be JSON integers; a float, string or boolean is
     rejected, not coerced.
     """
+    import json
+
     try:
         payload = json.loads(text)
         n, power = payload["n"], payload["delta_power"]

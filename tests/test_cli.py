@@ -228,6 +228,50 @@ def test_verify_all_samples_only_where_a_suite_samples(capsys):
     }
 
 
+SWEEPS = [
+    "verify_gsb", "verify_commuting", "verify_gsb_strict", "verify_stop",
+    "verify_strand_lemma", "verify_meet", "verify_validity", "verify_confluence",
+]
+
+
+def count_calls(monkeypatch, names):
+    """Wrap names of the cli module, as the benchmark's tracer does; counts calls per name."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(cli, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_a_wrapper_set_on_cli_is_what_the_command_calls(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, ["verify_validity", "build"])
+    code, out, _ = run_cli(capsys, "verify", "--suite", "validity", "--n", "3")
+    assert code == 0 and json.loads(out)["suite"] == "validity"
+    code, out, _ = run_cli(capsys, "automaton", "--n", "3")
+    assert code == 0 and out.startswith("digraph braid_automaton_n3 {")
+    assert calls == {"verify_validity": 1, "build": 1}
+
+
+def test_verify_all_refuses_one_strand_before_any_sweep(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, SWEEPS)
+    code, out, err = run_cli(capsys, "verify", "--all", "--n", "1")
+    assert (code, out, err) == (2, "", "error: confluence sweep is sized for 2 <= n <= 6, got 1\n")
+    assert not calls
+    # the first suite's own refusals keep their order and messages
+    for argv, message in [
+        (["--n", "1", "--samples", "0"], "samples must be at least 1, got 0"),
+        (["--n", "0"], "need at least one strand"),
+        (["--n", "-3", "--samples", "0"], "samples must be at least 1, got 0"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", "--all", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_verify_requires_a_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3")
     assert code == 2 and "error:" in err

@@ -1,13 +1,18 @@
 """
-The package surface: the public namespace, and the one strand-count check
-every binary operation shares, with its messages pinned site by site.
+The package surface: the public namespace, the modules each command
+loads, and the one strand-count check every binary operation shares, with
+its messages pinned site by site.
 """
+import importlib
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
 import braidnf
-from braidnf import lattice, normalform, oracle, perms, simple
+from braidnf import cli, lattice, normalform, oracle, perms, simple
 from braidnf.lattice import InversionSet
 from braidnf.perms import PairSet, identity
 from braidnf.simple import identity_braid
@@ -40,6 +45,52 @@ def test_namespace():
     exec("from braidnf import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module", [braidnf, cli], ids=lambda module: module.__name__)
+def test_lazy_names_are_the_defining_modules_names(module):
+    for name, home in module._LAZY.items():
+        assert getattr(module, name) is getattr(importlib.import_module(f"braidnf.{home}"), name)
+    message = f"^module '{module.__name__}' has no attribute 'no_such_name'$"
+    with pytest.raises(AttributeError, match=message):
+        getattr(module, "no_such_name")
+
+
+# A fresh interpreter without site, so that neither the tests run before
+# nor the site packages have filled sys.modules.
+STARTUP_PROBE = """\
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from braidnf import cli, normalform, textio
+with contextlib.redirect_stdout(io.StringIO()):
+    {call}
+print(" ".join(m for m in ("braidnf.oracle", "braidnf.automaton", "json") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "call, loaded",
+    [
+        ("cli.main(['normalize', 'n=4; 1 -2 D 3'])", ""),
+        ("cli.main(['eq', 'n=3; 1 2 1', 'n=3; 2 1 2'])", ""),
+        (
+            "normalform.normalize_positive("
+            "textio.word_to_simple_letters(textio.parse_word('n=4; 1 2 3 1')))",
+            "",
+        ),
+        ("cli.main(['normalize', '--json', 'n=3; 1 2'])", "json"),
+        ("cli.main(['verify', '--suite', 'validity', '--n', '3'])", "braidnf.oracle json"),
+        ("cli.main(['automaton', '--n', '3'])", "braidnf.automaton"),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(call, loaded):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = STARTUP_PROBE.format(src=str(src), call=call)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == loaded + "\n"
 
 
 def _braids():
