@@ -11,7 +11,6 @@ exports are stable.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Sequence
 
 from .lattice import deglex_key
@@ -41,7 +40,6 @@ def build(n: int) -> AutomatonGraph:
         sorted((SimpleBraid(p) for p in all_permutations(n)), key=lambda b: deglex_key(b.inv))
     )
     index = {state.perm: k for k, state in enumerate(states)}
-    assert len(states) == math.factorial(n)
     transitions = []
     gens = [adjacent_transposition(n, i) for i in range(1, n)]
     for state in states:

@@ -37,9 +37,9 @@ from .textio import (
 # them.  They stay attributes of this module, and the commands call them
 # through it (_cli.name), so a wrapper set here is what runs.
 _LAZY = dict.fromkeys(["build", "export_dot"], "automaton") | dict.fromkeys(
-    ["_check_confluence_strands", "_check_samples", "_one_fill", "verify_commuting",
-     "verify_confluence", "verify_gsb", "verify_gsb_strict", "verify_meet", "verify_stop",
-     "verify_strand_lemma", "verify_validity"],
+    ["_check_confluence_strands", "_check_length", "_check_samples", "_one_fill",
+     "verify_commuting", "verify_confluence", "verify_gsb", "verify_gsb_strict", "verify_meet",
+     "verify_stop", "verify_strand_lemma", "verify_validity"],
     "oracle",
 )
 __getattr__ = _lazy_getattr(globals(), _LAZY)
@@ -107,10 +107,7 @@ def _suite_reports(suite: str, n: int, args) -> list:
 
 
 def _cmd_verify(args) -> int:
-    if args.length is not None and args.length < 0:  # before any suite runs
-        raise ParseError(f"length must be at least 0, got {args.length}")
-    if args.length is not None and args.length > MAX_LETTERS:
-        raise ParseError(f"length must be at most {MAX_LETTERS}, got {args.length}")
+    _cli._check_length(args.length)  # before any suite runs
     if args.all:
         runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
         # before any sweep: the first check of gsb, the first suite, then

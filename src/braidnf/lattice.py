@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .perms import (
     PairSet,
-    _pair_of_slot,
+    _pairs,
     _same_strands,
     act_on_pairs,
     check_permutation,
@@ -79,7 +79,7 @@ def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
 
 def _between_mask(i: int, k: int) -> int:
     """Strand-index bits j with i < j < k (bit j set for strand j)."""
-    return ((1 << k) - 1) & ~((1 << (i + 1)) - 1)
+    return (1 << k) - (1 << (i + 1))
 
 
 def _interval_closed_fixpoint(n: int, bits: int) -> int:
@@ -100,25 +100,16 @@ def _interval_closed_fixpoint(n: int, bits: int) -> int:
     validates the result, so a broken fixpoint raises instead of passing.
     """
     while True:
-        rows = [0] * (n + 1)
-        b = bits
-        while b:
-            low = b & -b
-            i, j = _pair_of_slot(low.bit_length() - 1)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            b ^= low
-        removed = 0
-        b = bits
-        while b:
-            low = b & -b
-            i, k = _pair_of_slot(low.bit_length() - 1)
-            if ~rows[i] & ~rows[k] & _between_mask(i, k):
-                removed |= low
-            b ^= low
-        if not removed:
+        partners = [0] * (n + 1)  # partners[i]: bit j set for each pair holding i and j
+        for i, j in _pairs(bits):
+            partners[i] |= 1 << j
+            partners[j] |= 1 << i
+        broken = [
+            (i, k) for i, k in _pairs(bits) if _between_mask(i, k) & ~(partners[i] | partners[k])
+        ]
+        if not broken:
             return bits
-        bits &= ~removed
+        bits &= ~PairSet.from_pairs(n, broken).bits
 
 
 def meet(r1: InversionSet, r2: InversionSet) -> InversionSet:

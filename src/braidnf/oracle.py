@@ -560,6 +560,13 @@ def _check_confluence_strands(n: int) -> None:
         raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
 
 
+def _check_length(length: Optional[int]) -> None:
+    if length is not None and length < 0:
+        raise ValueError(f"length must be at least 0, got {length}")
+    if length is not None and length > MAX_LETTERS:
+        raise ValueError(f"length must be at most {MAX_LETTERS}, got {length}")
+
+
 def verify_confluence(
     n: int, length: int = 20, samples: int = 1000, seed: int = 42
 ) -> VerificationReport:
@@ -577,10 +584,7 @@ def verify_confluence(
     them, so a generator's crossings are counted from one inversion set.
     """
     _check_confluence_strands(n)
-    if length < 0:
-        raise ValueError(f"length must be at least 0, got {length}")
-    if length > MAX_LETTERS:
-        raise ValueError(f"length must be at most {MAX_LETTERS}, got {length}")
+    _check_length(length)
     _check_samples(samples)
     rng = random.Random(seed)
     failures: list = []

@@ -10,7 +10,10 @@ other module in this package relies on.
 A pair set holds pairs ``(i, j)`` with ``1 <= i < j <= n`` in a fixed bit
 array: pair ``(i, j)`` lives in slot ``(j-1)(j-2)/2 + (i-1)``.  Set algebra
 on pair sets is then plain integer bit arithmetic, which keeps the lattice
-operations and the brute-force sweeps cheap.
+operations and the brute-force sweeps cheap.  The pairs of one ``j`` fill
+``j - 1`` consecutive slots, a row; pair sets are read and written row by
+row (``_pairs``, ``_join_rows``), so no step per pair touches the whole
+array.
 
 The inversion set of a permutation ``p`` is the pair set
 ``{(i, j) : i < j, p(i) > p(j)}``.  It determines ``p``, and a pair set is
@@ -157,8 +160,6 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
 # (1,2), (1,3), (2,3), (1,4), ...; the slot of (i, j) is (j-1)(j-2)/2 + (i-1).
 # This order is internal; user-facing listings sort by (i, j) instead.
 
-_PAIR_OF_SLOT: list[tuple[int, int]] = []
-
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
@@ -169,11 +170,29 @@ def pair_slot(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + (i - 1)
 
 
-def _pair_of_slot(k: int) -> tuple[int, int]:
-    while len(_PAIR_OF_SLOT) <= k:
-        j = 2 if not _PAIR_OF_SLOT else _PAIR_OF_SLOT[-1][1] + 1
-        _PAIR_OF_SLOT.extend((i, j) for i in range(1, j))
-    return _PAIR_OF_SLOT[k]
+def _pairs(bits: int) -> Iterator[tuple[int, int]]:
+    """
+    The pairs of a bit array in slot order.  Rows are cut off the low end
+    while bits remain: row j holds the pairs (i, j) in j - 1 slots, pair
+    (i, j) at bit i - 1, and only that small int is walked pair by pair.
+    """
+    j = 1
+    while bits:
+        row, bits = bits & ((1 << j) - 1), bits >> j
+        j += 1
+        while row:
+            low = row & -row
+            yield low.bit_length(), j
+            row ^= low
+
+
+def _join_rows(rows: Sequence[int]) -> int:
+    """The bit array whose row k is rows[k - 1] (so rows[0] is 0); the inverse of _pairs."""
+    bits = base = 0
+    for k, row in enumerate(rows):
+        bits |= row << base
+        base += k
+    return bits
 
 
 def full_bits(n: int) -> int:
@@ -201,23 +220,19 @@ class PairSet:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> PairSet:
-        bits = 0
+        rows = [0] * n
         for i, j in pairs:
             if not 1 <= i < j <= n:
                 raise ValueError(f"pair {(i, j)} out of range for n={n}")
-            bits |= 1 << pair_slot(i, j)
-        return cls(n, bits)
+            rows[j - 1] |= 1 << (i - 1)
+        return cls(n, _join_rows(rows))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The members sorted by (first coordinate, second coordinate)."""
         return tuple(sorted(self))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield _pair_of_slot(low.bit_length() - 1)
-            bits ^= low
+        return _pairs(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -269,16 +284,13 @@ def act_on_bits(p: Sequence[int], bits: int) -> int:
     Apply p to both components of every pair in a bit array, reordering
     each image pair so the smaller number comes first.
     """
-    out = 0
-    while bits:
-        low = bits & -bits
-        i, j = _pair_of_slot(low.bit_length() - 1)
+    rows = [0] * len(p)
+    for i, j in _pairs(bits):
         a, b = p[i - 1], p[j - 1]
         if a > b:
             a, b = b, a
-        out |= 1 << pair_slot(a, b)
-        bits ^= low
-    return out
+        rows[b - 1] |= 1 << (a - 1)
+    return _join_rows(rows)
 
 
 def act_on_pairs(p: Sequence[int], s: PairSet) -> PairSet:
@@ -316,18 +328,15 @@ def permutation_from_inversions(s: PairSet) -> tuple[int, ...]:
     """
     The unique permutation whose inversion set is s.
 
-    Uses the closed formula p(i) = 1 + #{j > i : (i,j) in s}
-    + #{j < i : (j,i) not in s}: everything i must pass plus everything
-    that already sits below it.  Raises ValueError when s is not an
-    inversion set.
+    Uses the closed formula p(i) = i + #{j > i : (i,j) in s}
+    - #{j < i : (j,i) in s}: everything i must pass, less everything that
+    passes it, counted in one pass over the pairs.  Raises ValueError when
+    s is not an inversion set.
     """
     if not is_inversion_set(s):
         raise ValueError(f"not an inversion set: {s.pairs()}")
-    n = s.n
-    bits = s.bits
-    word = []
-    for i in range(1, n + 1):
-        above = sum(bits >> pair_slot(i, j) & 1 for j in range(i + 1, n + 1))
-        below = sum(1 - (bits >> pair_slot(j, i) & 1) for j in range(1, i))
-        word.append(1 + above + below)
+    word = list(range(1, s.n + 1))
+    for i, j in s:
+        word[i - 1] += 1
+        word[j - 1] -= 1
     return tuple(word)

@@ -198,19 +198,23 @@ def simple_to_artin(a: SimpleBraid) -> ArtinWord:
 
 
 def _reduced_word(perm) -> list[int]:
+    """
+    Peel the leftmost descent off until none is left.  A swap at i leaves
+    no descent before i - 1, so the scan resumes there: O(n + crossings).
+    """
     current = list(perm)
-    n = len(current)
     out = []
-    while True:
-        for i in range(n - 1):
-            if current[i] > current[i + 1]:
-                out.append(i + 1)
-                # peel s_{i+1} off the left: the remainder sends i+1 where
-                # current sends i+2 and vice versa
-                current[i], current[i + 1] = current[i + 1], current[i]
-                break
+    i = 0
+    while i < len(current) - 1:
+        if current[i] > current[i + 1]:
+            out.append(i + 1)
+            # peel s_{i+1} off the left: the remainder sends i+1 where
+            # current sends i+2 and vice versa
+            current[i], current[i + 1] = current[i + 1], current[i]
+            i = max(i - 1, 0)
         else:
-            return out
+            i += 1
+    return out
 
 
 def format_normal_form(form: GroupNormalForm, style: str = "text") -> str:

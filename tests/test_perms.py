@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -183,3 +184,58 @@ def test_length():
     assert length(omega(6)) == 15
     for p in all_permutations(5):
         assert length(p) == len(inversion_set(p))
+
+
+def _slot_pairs(n, bits):
+    """The slot-formula twin: each set bit decoded through pair_slot, in slot order."""
+    pair_at = {pair_slot(i, j): (i, j) for j in range(2, n + 1) for i in range(1, j)}
+    return [pair_at[k] for k in range(pair_count(n)) if bits >> k & 1]
+
+
+def _bit_arrays():
+    """(n, bits): every array at n <= 5, then 200 seeded arrays at each of n = 6, 8, 16, 64."""
+    for n in range(1, 6):
+        for bits in range(1 << pair_count(n)):
+            yield n, bits
+    rng = random.Random(291)
+    for n in (6, 8, 16, 64):
+        for _ in range(200):
+            yield n, rng.getrandbits(pair_count(n))
+
+
+def test_row_reader_matches_the_slot_formula():
+    rng = random.Random(292)
+    for n, bits in _bit_arrays():
+        s = PairSet(n, bits)
+        want = _slot_pairs(n, bits)
+        assert list(s) == want, (n, bits)
+        assert s.pairs() == tuple(sorted(want))
+        p = tuple(rng.sample(range(1, n + 1), n))
+        image = sum(1 << pair_slot(*sorted((p[i - 1], p[j - 1]))) for i, j in want)
+        assert act_on_pairs(p, s).bits == image, (p, bits)
+        shuffled = rng.sample(want, len(want))
+        assert PairSet.from_pairs(n, shuffled).bits == bits
+
+
+def test_permutation_from_inversions_roundtrip_seeded():
+    rng = random.Random(293)
+    for n in (6, 8, 16, 64):
+        seeded = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(200)]
+        for p in [identity(n), omega(n), *seeded]:
+            assert permutation_from_inversions(inversion_set(p)) == p
+
+
+def test_pair_sets_of_the_half_twist_scale_at_the_strand_limit():
+    # read and written by rows, so no step per pair copies the whole array
+    n = 1024
+    w = omega(n)
+    r = inversion_set(w)
+    started = time.perf_counter()
+    listing = r.pairs()
+    image = act_on_pairs(w, r)
+    back = permutation_from_inversions(r)
+    elapsed = time.perf_counter() - started
+    assert len(listing) == pair_count(n) and listing[-1] == (n - 1, n)
+    assert image.bits == r.bits
+    assert back == w
+    assert elapsed < 3.0, elapsed
