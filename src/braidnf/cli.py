@@ -18,12 +18,13 @@ import sys
 import time
 
 from . import _lazy_getattr
-from .normalform import PositiveWord, equal, normalize_group, normalize_positive
+from .normalform import equal, normalize_group, normalize_positive
 from .simple import SimpleBraid, transfer
 from .textio import (
     EXHAUSTIVE_MAX_STRANDS,
     MAX_LETTERS,
     MAX_STRANDS,
+    ArtinWord,
     ParseError,
     format_normal_form,
     format_permutation,
@@ -101,9 +102,9 @@ def _suite_reports(suite: str, n: int, args) -> list:
         return [_cli.verify_meet(n, args.samples, args.seed)]
     if suite == "validity":
         return [_cli.verify_validity(n)]
-    samples = 1000 if args.samples is None else args.samples
-    length = 20 if args.length is None else args.length
-    return [_cli.verify_confluence(n, length, samples, args.seed)]
+    given = {"length": args.length, "samples": args.samples}  # unset: the oracle's defaults
+    given = {name: value for name, value in given.items() if value is not None}
+    return [_cli.verify_confluence(n, seed=args.seed, **given)]
 
 
 def _cmd_verify(args) -> int:
@@ -161,7 +162,7 @@ def _cmd_bench(args) -> int:
         raise ParseError(f"--len must be at most {MAX_LETTERS}, got {args.len}")
     rng = random.Random(args.seed)
     indices = [rng.randint(1, args.n - 1) for _ in range(args.len)]
-    word = PositiveWord.from_generator_indices(args.n, indices)
+    word = word_to_simple_letters(ArtinWord(args.n, tuple(indices)))
     start = time.perf_counter()
     form = normalize_positive(word)
     elapsed = time.perf_counter() - start

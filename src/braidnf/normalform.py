@@ -18,11 +18,11 @@ instead, and the core once at the end.  Each rewrite is one step of
 Thurston's automaton over pairs of simple braids.
 
 The engine is one loop (_normalize_letters) over an alphabet chosen
-once per call, which it reads as tables: step[a][b] and extend[j][p]
+once per call, which it reads as tables: step[a][b] and extend[s][p]
 by subscription, the other rules by C-level calls.  The rules are
 stated once, on one-line words (_word_alphabet): a letter is its
 one-line word and a step is one transfer (simple._step_words), computed
-on each read.  Up to five strands (TABLE_MAX_STRANDS) RankTables
+on each read.  Up to five strands (TABLE_MAX_STRANDS) rank_tables
 tabulates that alphabet over S_n, so a letter is the rank of its simple
 braid and the whole run is integer table reads: each step is a read of
 its left factor's row, filled on first read, each flip and run
@@ -33,9 +33,11 @@ run of same-sign generators whose product is still a simple braid is
 folded into one letter first, so a run costs one transfer chain, not
 one per generator.  A positive run enters as its product B; an inverse run
 C^-1 enters as Omega^-1 * (Omega * C^-1), an inverse half twist followed
-by the simple complement of C.  A run is folded in the word's own frame:
-flip is an automorphism, so flipping the folded letter on arrival is the
-same as flipping each of its generators.
+by the simple complement of C.  The run is carried as the letter it
+enters as, B or Omega * C^-1, and each generator grows it by one rule
+on that letter, so a run closes with no further work.  A run is folded
+in the word's own frame: flip is an automorphism, so flipping the
+folded letter on arrival is the same as flipping each of its generators.
 
 The same rewriting step (replace an adjacent pair by its head and tail)
 applied at arbitrary non-normal positions is confluent and terminating,
@@ -51,13 +53,12 @@ from itertools import chain
 from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .perms import _same_strands, all_permutations, compose, flip, identity, inverse, length, omega
+from .perms import _same_strands, all_permutations, compose, flip, identity, length, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
     _step_words,
     _transfer_words,
-    generator_braid,
 )
 
 # A rewrite-step observer: receives (position, left, right, head, tail) as
@@ -77,12 +78,6 @@ class PositiveWord:
 
     def __post_init__(self):
         _perms_on(self.n, self.letters, "letter", "word")
-
-    @classmethod
-    def from_generator_indices(cls, n: int, indices: Sequence[int]) -> PositiveWord:
-        """The word of Artin generators; each distinct one is built once and shared."""
-        braids = {i: generator_braid(n, i) for i in set(indices)}
-        return cls(n, tuple(map(braids.__getitem__, indices)))
 
     def permutation(self) -> tuple[int, ...]:
         """The permutation of the product of the letters, left letter first."""
@@ -202,9 +197,7 @@ class _Alphabet(NamedTuple):
     braid: Callable  # letter -> SimpleBraid
     flip: Callable
     step: object  # step[a][b]: None when (a, b) is normal, else (head, tail)
-    extend: object  # extend[j][run]: s_j * run, or -1 when not simple
-    close_pos: Callable  # positive run P -> P^-1
-    close_neg: Callable  # inverse run P -> Omega * P^-1
+    extend: object  # extend[s][run]: the run grown by generator s, or -1 when not simple
 
 
 class _Rule(functools.partial):
@@ -212,42 +205,49 @@ class _Rule(functools.partial):
     A partial application read by subscription: rule[x] is rule(x), a
     C-level call.  The word alphabet reads its rules like the rank tables
     but computes them on each read and stores nothing: its step is a rule
-    of rules, step[a][b], and its extend a tuple of rules, one per
-    generator, extend[j][p].
+    of rules, step[a][b], and its extend a tuple of rules, one per signed
+    generator, extend[s][p].
     """
 
     __getitem__ = functools.partial.__call__
 
 
-def _extend_run(j: int, p: tuple) -> object:
-    """s_j * p for a run p of the word alphabet, or -1 when it is not simple."""
-    if p[j - 1] > p[j]:
+def _extend_run(s: int, p: tuple) -> object:
+    """
+    p * s_|s| for a run p of the word alphabet, the values |s| and |s| + 1
+    swapped, when that adds a crossing (s > 0) or removes one (s < 0);
+    else -1, the run would not stay simple.
+    """
+    j = abs(s)
+    a, b = p.index(j), p.index(j + 1)
+    if (a < b) is not (s > 0):
         return -1
     grown = list(p)
-    grown[j - 1], grown[j] = p[j], p[j - 1]
+    grown[a], grown[b] = j + 1, j
     return tuple(grown)
 
 
 @functools.lru_cache(maxsize=8)
 def _extensions(n: int) -> tuple:
     """
-    The word alphabet's extend on n strands: entry j is the rule of
-    generator j (_extend_run), entry 0 unused.  The n - 1 rules take
-    about 20 us to build at n = 64, more than the rest of the alphabet,
-    so those of the last few strand counts are kept; they store nothing.
+    The word alphabet's extend on n strands: entry s is the rule of the
+    signed generator s (_extend_run), listed as None, +1 .. +(n - 1),
+    -(n - 1) .. -1, so extend[-j] is the rule of generator j's inverse.
+    The 2(n - 1) rules take about 30 us to build at n = 64, more than the
+    rest of the alphabet, so those of the last few strand counts are kept;
+    they store nothing.
     """
-    return (None, *(_Rule(_extend_run, j) for j in range(1, n)))
+    return (None, *(_Rule(_extend_run, s) for s in chain(range(1, n), range(1 - n, 0))))
 
 
 def _word_alphabet(n: int) -> _Alphabet:
     """
     The engine's alphabet on one-line words, where every rule is stated
     once: a step is one transfer (simple._step_words), and a run of
-    generators grows by one swap (_extend_run) and closes by inversion.
+    generators grows by one swap (_extend_run).
     """
     return _Alphabet(
-        identity(n), omega(n), tuple, SimpleBraid, flip, _Rule(_Rule, _step_words),
-        _extensions(n), inverse, lambda p: inverse(p)[::-1],
+        identity(n), omega(n), tuple, SimpleBraid, flip, _Rule(_Rule, _step_words), _extensions(n)
     )
 
 
@@ -258,9 +258,9 @@ TABLE_MAX_STRANDS = 5
 
 class _StepRow(dict):
     """
-    The row of RankTables.STEP for one left factor, its one-line word
-    left: the entry of rank b is None when the pair is normal, else the
-    ranks (head, tail).  An entry is filled by one transfer
+    The row of the rank tables' step for one left factor, its one-line
+    word left: the entry of rank b is None when the pair is normal, else
+    the ranks (head, tail).  An entry is filled by one transfer
     (_step_words) on its first read, and is a dict read ever after.
     """
 
@@ -275,59 +275,46 @@ class _StepRow(dict):
         return step
 
 
-class RankTables:
+_TABLES: dict[int, _Alphabet] = {}
+
+
+def rank_tables(n: int) -> _Alphabet:
     """
     Thurston's automaton on n <= TABLE_MAX_STRANDS strands, on integer
-    states: the word alphabet (_word_alphabet) tabulated over S_n.  A
-    simple braid's rank is its index in S_n listed in itertools
-    (lexicographic) order, so the identity is 0 and the half twist N - 1;
-    PERM[a] is its one-line word, inverted by RANK.  alphabet reads every
-    rule of the word alphabet through ranks, as list reads: the flip, the
-    run extensions extend[j][a] (-1 where a run stops being simple), the
-    run closings and one SimpleBraid per rank, checked once and shared.
-    Its step is STEP, one row per left rank (_StepRow), read as
-    STEP[a][b]; only the rows grow with use, as a memo of the transfer,
-    and the rest is O(n!).
+    states: the word alphabet (_word_alphabet) tabulated over S_n, built
+    when n is first seen.  A simple braid's rank is its index in S_n
+    listed in itertools (lexicographic) order, so the identity is 0 and
+    the half twist n! - 1.  Every rule of the word alphabet is read
+    through ranks, as list reads: the flip, the run extensions
+    extend[s][a] (-1 where a run stops being simple) and one SimpleBraid
+    per rank, checked once and shared.  The step has one row per left
+    rank (_StepRow), read as step[a][b]; only the rows grow with use, as
+    a memo of the transfer, and the rest is O(n!).
     """
-
-    def __init__(self, n: int):
-        if not 1 <= n <= TABLE_MAX_STRANDS:
-            raise ValueError(f"rank tables need 1 <= n <= {TABLE_MAX_STRANDS}, got {n}")
-        perms = list(all_permutations(n))
-        rank = {p: r for r, p in enumerate(perms)}
-        self.n, self.N, self.PERM, self.RANK = n, len(perms), perms, rank
-        self.STEP = [_StepRow(p, perms, rank) for p in perms]
-        words = _word_alphabet(n)
-        ext = [None] + [[rank.get(words.extend[j][p], -1) for p in perms] for j in range(1, n)]
-
-        def tabulate(rule: Callable) -> Callable:
-            return [rank[rule(p)] for p in perms].__getitem__
-
-        self.alphabet = _Alphabet(
-            rank[words.ident], rank[words.top], rank.__getitem__,
-            list(map(words.braid, perms)).__getitem__, tabulate(words.flip), self.STEP,
-            ext, tabulate(words.close_pos), tabulate(words.close_neg),
-        )
-
-
-_TABLES: dict[int, RankTables] = {}
-
-
-def rank_tables(n: int) -> RankTables:
-    """The rank tables on n strands, built when n is first seen."""
-    if n not in _TABLES:
-        _TABLES[n] = RankTables(n)
-    return _TABLES[n]
+    if n in _TABLES:
+        return _TABLES[n]
+    if not 1 <= n <= TABLE_MAX_STRANDS:
+        raise ValueError(f"rank tables need 1 <= n <= {TABLE_MAX_STRANDS}, got {n}")
+    perms = list(all_permutations(n))
+    rank = {p: r for r, p in enumerate(perms)}
+    words = _word_alphabet(n)
+    tables = _TABLES[n] = _Alphabet(
+        rank[words.ident], rank[words.top], rank.__getitem__,
+        list(map(words.braid, perms)).__getitem__, [rank[words.flip(p)] for p in perms].__getitem__,
+        [_StepRow(p, perms, rank) for p in perms],
+        [None, *([rank.get(rule[p], -1) for p in perms] for rule in words.extend[1:])],
+    )
+    return tables
 
 
 def _alphabet(n: int) -> _Alphabet:
     """
     The alphabet of one engine call or normality test, chosen once per
-    call: that of the rank tables up to TABLE_MAX_STRANDS, where every
-    operation is a table read, and the word alphabet above, where a step
-    is one transfer.
+    call: the rank tables up to TABLE_MAX_STRANDS, where every operation
+    is a table read, and the word alphabet above, where a step is one
+    transfer.
     """
-    return rank_tables(n).alphabet if n <= TABLE_MAX_STRANDS else _word_alphabet(n)
+    return rank_tables(n) if n <= TABLE_MAX_STRANDS else _word_alphabet(n)
 
 
 _END = object()  # closes the symbol stream of an engine call
@@ -344,16 +331,17 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
     subscription or C-level calls, with no Python call per symbol, letter
     or step.
 
-    Generators are folded into runs.  A run is carried as one permutation
-    P, a letter of the alphabet: B^-1 for a positive run B, and C for an
-    inverse run C^-1 = sigma_i1^-1 ... sigma_ik^-1, C = s_ik ... s_i1.
-    Either way the next generator s_j multiplies P on the left, which
-    swaps P[j-1] and P[j], and the run stays simple exactly when
-    P[j-1] < P[j].  A run closes at a sign change, a generator that does
-    not extend it, any other symbol and the end of the stream; the
-    pending run is empty (the identity, positive) after any other symbol.
-    A positive run enters as the letter B, an inverse run as None followed
-    by Omega * C^-1, which is C^-1 reversed in one-line notation.
+    Generators are folded into runs.  A run is carried as the letter it
+    enters the core as: B for a positive run B, which enters as itself,
+    and Omega * C^-1 for an inverse run C^-1, which enters as None
+    followed by that letter.  Either way the next generator, read with its
+    sign s, multiplies the letter on the right by s_|s|, and the run stays
+    simple exactly when that adds a crossing (s > 0) or removes one
+    (s < 0): one read, extend[s][run], which is -1 otherwise.  A positive
+    run starts from the identity, an inverse run from Omega.  A run closes
+    at a sign change, a generator that does not extend it, any other
+    symbol and the end of the stream; the pending run is empty (the
+    identity, positive) after any other symbol.
 
     A letter bubbles leftwards from the right end of the core: rewrite the
     last pair, then the pair to its left, and so on until a pair is
@@ -366,19 +354,18 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
     """
     ident, top, letter, flip_letter = alphabet.ident, alphabet.top, alphabet.letter, alphabet.flip
     step, extend = alphabet.step, alphabet.extend
-    close_pos, close_neg = alphabet.close_pos, alphabet.close_neg
     m = parity = trail = 0
     core: list = []
     run, positive = ident, True
     for s in chain(symbols, (_END,)):
         if s.__class__ is int:
-            j = s if s > 0 else -s
-            if (s > 0) is positive and (grown := extend[j][run]) != -1:
+            if (s > 0) is positive and (grown := extend[s][run]) != -1:
                 run = grown
                 continue
-        letters = [close_pos(run)] if positive else [None, close_neg(run)]
+        letters = [run] if positive else [None, run]
         if s.__class__ is int:
-            run, positive = extend[j][ident], s > 0
+            positive = s > 0
+            run = extend[s][ident if positive else top]
         else:
             run, positive = ident, True
             if s is not _END:

@@ -11,8 +11,8 @@ over the ranks, built from its lower covers, so a meet is the top bit of
 two down-sets, and an inversion set is a key of the table's index.  Each
 verification call interns its own states in one pair table (_PairTable),
 which the row sweeps of one verify command share (_one_fill); only
-verify_meet reads the engine's rank tables (normalform.RankTables), to
-check their STEP entries against the normality test and the transfer.
+verify_meet reads the engine's rank tables (normalform.rank_tables), to
+check their step entries against the normality test and the transfer.
 
 The sweep has two paths through the same law statements.  Exhaustive
 sweeps up to EXHAUSTIVE_MAX_STRANDS take the row path (_dense): S_n is
@@ -622,7 +622,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     enumeration bound of the weak-order table (_weak_order), which is
     checked first; the pairs are drawn from the listing that table is
     built from (_listing).  Up to TABLE_MAX_STRANDS each pair's engine step,
-    its entry of the rank automaton's STEP rows (normalform.RankTables), is
+    its entry of the rank automaton's step rows (normalform.rank_tables), is
     also checked against the normality test and the meet-based transfer;
     a disagreement is reported in one-line notation.
     """
@@ -654,9 +654,9 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
                 got = None if bits is None else PairSet(n, bits).pairs()
                 failures.append([kind, r1.pairs(), r2.pairs(), got, slow.pairs()])
         if tables is not None:
-            step = tables.STEP[tables.RANK[p]][tables.RANK[q]]
+            step = tables.step[tables.letter(p)][tables.letter(q)]
             if step is not None:
-                step = (tables.PERM[step[0]], tables.PERM[step[1]])
+                step = (tables.braid(step[0]).perm, tables.braid(step[1]).perm)
             want = None if _is_normal_words(p, q) else _transfer_words(p, q)
             if step != want:
                 failures.append(["table", p, q, step, want])

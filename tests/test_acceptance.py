@@ -39,7 +39,7 @@ from braidnf.simple import (
     identity_braid,
     transfer,
 )
-from braidnf.textio import ArtinWord, concat, formal_inverse, parse_word
+from braidnf.textio import ArtinWord, concat, formal_inverse, parse_word, word_to_simple_letters
 
 _REPORTS = {}
 
@@ -296,7 +296,7 @@ def test_criterion_11_automaton_state_is_maximal_tail():
         for _ in range(1000):
             idxs = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 25))]
             state = run(graph, idxs)
-            nf = normalize_positive(PositiveWord.from_generator_indices(n, idxs))
+            nf = normalize_positive(word_to_simple_letters(ArtinWord(n, tuple(idxs))))
             expected = nf.factors[-1] if nf.factors else identity_braid(n)
             assert state == expected
     _announce(11, "automaton state equals the last normal-form factor", started)
@@ -334,7 +334,7 @@ def test_criterion_13_performance_smoke():
     started = time.perf_counter()
     rng = random.Random(42)
     indices = [rng.randint(1, 15) for _ in range(10_000)]
-    word = PositiveWord.from_generator_indices(16, indices)
+    word = word_to_simple_letters(ArtinWord(16, tuple(indices)))
     t0 = time.perf_counter()
     form = normalize_positive(word)
     elapsed = time.perf_counter() - t0

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from braidnf.automaton import build, export_dot, run
-from braidnf.normalform import PositiveWord, normalize_positive
+from braidnf.normalform import normalize_positive
 from braidnf.perms import compose, length
 from braidnf.simple import generator_braid, identity_braid, omega_braid
+from braidnf.textio import ArtinWord, word_to_simple_letters
 
 
 def test_build_sizes():
@@ -66,7 +67,7 @@ def test_run_is_last_normal_form_factor():
         for _ in range(300):
             idxs = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 20))]
             state = run(g, idxs)
-            nf = normalize_positive(PositiveWord.from_generator_indices(n, idxs))
+            nf = normalize_positive(word_to_simple_letters(ArtinWord(n, tuple(idxs))))
             expect = nf.factors[-1] if nf.factors else identity_braid(n)
             assert state == expect
 

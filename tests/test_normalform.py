@@ -18,7 +18,7 @@ from braidnf.normalform import (
     rewrite_pair_at,
     rewrite_potential,
 )
-from braidnf.perms import flip, omega
+from braidnf.perms import adjacent_transposition, all_permutations, compose, flip, length, omega
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import (
     ArtinWord,
@@ -26,12 +26,13 @@ from braidnf.textio import (
     formal_inverse,
     parse_word,
     simple_to_artin,
+    word_to_simple_letters,
 )
 from twins import lifted_group_twin, rewrite_twin
 
 
 def gen_word(n, indices):
-    return PositiveWord.from_generator_indices(n, indices)
+    return word_to_simple_letters(ArtinWord(n, tuple(indices)))
 
 
 def random_simple(rng, n):
@@ -471,18 +472,21 @@ def _cut_stream(rng, n, positive):
 
 def test_engine_cuts_runs_alike_on_both_alphabets():
     # the one engine loop on the rank alphabet and on the word alphabet:
-    # the same (m, parity, trail, core) once ranks are read through PERM,
-    # and the right element, against the rightmost rewriting twin on the
-    # positive path and the lifted group twin on the signed one
+    # the same (m, parity, trail, core) once ranks are read as braids, and
+    # the right element, against the rightmost rewriting twin on the
+    # positive path and the lifted group twin on the signed one; above
+    # five strands the word alphabet alone, against the same twins
     rng = random.Random(2711)
-    for n in (3, 4, 5):
-        tables, words, top = normalform.rank_tables(n), normalform._word_alphabet(n), omega(n)
+    for n in (3, 4, 5, 6, 8):
+        words, top = normalform._word_alphabet(n), omega(n)
         for positive in (True, False):
             for _ in range(150):
                 symbols = _cut_stream(rng, n, positive)
-                m, parity, trail, core = normalform._normalize_letters(tables.alphabet, symbols)
-                core = [tables.PERM[a] for a in core]
-                assert normalform._normalize_letters(words, symbols) == (m, parity, trail, core)
+                m, parity, trail, core = normalform._normalize_letters(words, symbols)
+                if n <= normalform.TABLE_MAX_STRANDS:
+                    tables = normalform.rank_tables(n)
+                    ranked = (m, parity, trail, list(map(tables.letter, core)))
+                    assert normalform._normalize_letters(tables, symbols) == ranked
                 if positive:
                     letters = tuple(
                         generator_braid(n, s) if s.__class__ is int else SimpleBraid(s)
@@ -662,7 +666,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     # fresh table the engine computes at most that many meets however many
     # transfers the words take; on six strands no table is built.
     tables = normalform.rank_tables(4)
-    assert not any(tables.STEP)  # the fixture's tables are fresh: every row is empty
+    assert not any(tables.step)  # the fixture's tables are fresh: every row is empty
     meets = 0
     meet = simple._meet_reads
 
@@ -686,7 +690,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     for w in inverse:
         normalize_group(w)
     assert 0 < meets <= 576 < engine_counts["transfer"]
-    assert 0 < sum(map(len, tables.STEP)) <= 576
+    assert 0 < sum(map(len, tables.step)) <= 576
     built = set(normalform._TABLES)
     before = meets
     for _ in range(count):
@@ -705,7 +709,7 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
     word = ArtinWord(5, tuple(rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(100)))
     form = normalize_group(word)
     assert normalize_group(concat(word, formal_inverse(word))) == GroupNormalForm(5, 0, ())
-    filled = sum(map(len, normalform.rank_tables(5).STEP))  # entries, not rows
+    filled = sum(map(len, normalform.rank_tables(5).step))  # entries, not rows
     assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
     for n in (6, 64):
         signed = ArtinWord(n, tuple(
@@ -722,27 +726,48 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
     assert set(normalform._TABLES) == {5}
 
 
+def test_signed_run_rule_matches_the_product_twin():
+    # extend[s][p] is p * s_|s| exactly when that product adds a crossing
+    # (s > 0) or removes one (s < 0), else -1; the twin forms the product
+    # and counts its crossings, on every letter up to five strands and on
+    # seeded letters above
+    rng = random.Random(3001)
+    seeded = {6: 30, 16: 10, 64: 3, 1024: 1}  # letters drawn per strand count
+    for n in [1, 2, 3, 4, 5, *seeded]:
+        extend = normalform._word_alphabet(n).extend
+        assert len(extend) == 2 * n - 1
+        letters = all_permutations(n) if n <= 5 else (
+            tuple(rng.sample(range(1, n + 1), n)) for _ in range(seeded[n])
+        )
+        for p in letters:
+            crossings = length(p)
+            for s in [*range(1, n), *range(1 - n, 0)]:
+                grown = compose(p, adjacent_transposition(n, abs(s)))
+                sign = 1 if s > 0 else -1
+                want = grown if length(grown) == crossings + sign else -1
+                assert extend[s][p] == want, (n, p, s)
+
+
 def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
     # the rank tables state no rule of their own: each rule of the rank
-    # alphabet is the word alphabet's, read through RANK and PERM, and its
-    # step, filled from empty STEP rows, agrees on every pair of ranks
+    # alphabet is the word alphabet's, read through letter and braid, and
+    # its step, filled from empty step rows, agrees on every pair of ranks
     monkeypatch.setattr(normalform, "_TABLES", {})
     for n in range(1, 6):
-        tables = normalform.rank_tables(n)
-        ranks, words = tables.alphabet, normalform._word_alphabet(n)
-        perm, rank = tables.PERM, tables.RANK
-        assert len(tables.STEP) == tables.N and not any(tables.STEP)
+        ranks, words = normalform.rank_tables(n), normalform._word_alphabet(n)
+        perm = [ranks.braid(a).perm for a in range(len(ranks.step))]
+        rank = ranks.letter
+        assert not any(ranks.step)
         assert (perm[ranks.ident], perm[ranks.top]) == (words.ident, words.top)
+        assert sorted(perm) == sorted(all_permutations(n))
         for a, p in enumerate(perm):
-            assert ranks.letter(p) == a and ranks.braid(a) == words.braid(p)
+            assert rank(p) == a and ranks.braid(a) == words.braid(p)
             assert perm[ranks.flip(a)] == words.flip(p)
-            assert perm[ranks.close_pos(a)] == words.close_pos(p)
-            assert perm[ranks.close_neg(a)] == words.close_neg(p)
-            for j in range(1, n):
-                grown = words.extend[j][p]
-                assert ranks.extend[j][a] == (-1 if grown == -1 else rank[grown])
+            for s in [*range(1, n), *range(1 - n, 0)]:
+                grown = words.extend[s][p]
+                assert ranks.extend[s][a] == (-1 if grown == -1 else rank(grown))
             for b, q in enumerate(perm):
                 step = words.step[p][q]
-                want = None if step is None else (rank[step[0]], rank[step[1]])
+                want = None if step is None else (rank(step[0]), rank(step[1]))
                 assert ranks.step[a][b] == want
-        assert all(len(row) == tables.N for row in tables.STEP)
+        assert all(len(row) == len(perm) for row in ranks.step)

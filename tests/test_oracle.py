@@ -616,24 +616,24 @@ def test_verify_meet_reports_broken_meets(monkeypatch):
 
 
 def test_verify_meet_checks_the_transition_table(monkeypatch):
-    # STEP rows with head and tail swapped are caught on every pair they
+    # step rows with head and tail swapped are caught on every pair they
     # rewrite into two different factors, and only there
     monkeypatch.setattr(normalform, "_TABLES", {})
     tables = normalform.rank_tables(3)
-    pairs = list(itertools.product(range(tables.N), repeat=2))
-    steps = {(a, b): tables.STEP[a][b] for a, b in pairs}
+    pairs = list(itertools.product(range(len(tables.step)), repeat=2))
+    steps = {(a, b): tables.step[a][b] for a, b in pairs}
     swapped = [
         {b: None if step is None else step[::-1] for b, step in row.items()}
-        for row in tables.STEP
+        for row in tables.step
     ]
-    monkeypatch.setattr(tables, "STEP", swapped)
+    monkeypatch.setitem(normalform._TABLES, 3, tables._replace(step=swapped))
     report = verify_meet(3)
     assert report.cases == 36
     assert {f[0] for f in report.failures} == {"table"}
     differ = set()
     for (a, b), step in steps.items():
         if step is not None and step[0] != step[1]:
-            differ.add((tables.PERM[a], tables.PERM[b]))
+            differ.add((tables.braid(a).perm, tables.braid(b).perm))
     assert {(f[1], f[2]) for f in report.failures} == differ and differ
     # failure records stay in one-line notation
     assert all(len(p) == 3 for f in report.failures for p in (f[1], f[2], *f[3], *f[4]))
