@@ -11,7 +11,6 @@ exports are stable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 from .lattice import deglex_key
 from .perms import adjacent_transposition, all_permutations
@@ -25,6 +24,9 @@ class AutomatonGraph:
     """
     Complete transition table: transitions[s][i-1] is the pair
     (index of tail_op(state s, generator i), index of the emitted head).
+    State 0 is the identity (its inversion set is empty), so the state
+    after a positive word is read off by following transitions[s][i-1][0]
+    from state 0, letter by letter.
     """
 
     n: int
@@ -49,19 +51,6 @@ def build(n: int) -> AutomatonGraph:
             row.append((index[tail], index[head]))
         transitions.append(tuple(row))
     return AutomatonGraph(n, states, tuple(transitions))
-
-
-def run(g: AutomatonGraph, word: Sequence[int]) -> SimpleBraid:
-    """
-    Feed a word of generator indices through the automaton, starting at
-    the identity state; the final state is the word's maximal simple tail.
-    """
-    index = 0  # the identity has the empty inversion set, hence rank 0
-    for i in word:
-        if not 1 <= i <= g.n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{g.n - 1}")
-        index = g.transitions[index][i - 1][0]
-    return g.states[index]
 
 
 def export_dot(g: AutomatonGraph) -> str:

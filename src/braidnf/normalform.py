@@ -180,7 +180,7 @@ class GroupNormalForm:
 
     def __post_init__(self):
         perms = _check_form(self.n, self.factors)
-        if omega(self.n) in perms and self.n > 1:
+        if omega(self.n) in perms:
             raise ValueError("half-twist factors belong in delta_power")
 
 

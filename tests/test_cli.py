@@ -240,21 +240,24 @@ def count_calls(monkeypatch, names):
     for name in names:
         real = getattr(cli, name)
 
-        def counted(*args, _name=name, _real=real):
+        def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
     return calls
 
 
 def test_a_wrapper_set_on_cli_is_what_the_command_calls(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, ["verify_validity", "build"])
+    calls = count_calls(monkeypatch, ["verify_validity", "verify_confluence", "build"])
     code, out, _ = run_cli(capsys, "verify", "--suite", "validity", "--n", "3")
     assert code == 0 and json.loads(out)["suite"] == "validity"
+    # the confluence suite is called with keyword arguments
+    code, out, _ = run_cli(capsys, "verify", "--suite", "confluence", "--n", "3", "--samples", "2")
+    assert code == 0 and json.loads(out)["suite"] == "confluence"
     code, out, _ = run_cli(capsys, "automaton", "--n", "3")
     assert code == 0 and out.startswith("digraph braid_automaton_n3 {")
-    assert calls == {"verify_validity": 1, "build": 1}
+    assert calls == {"verify_validity": 1, "verify_confluence": 1, "build": 1}
 
 
 def test_verify_all_refuses_one_strand_before_any_sweep(capsys, monkeypatch):

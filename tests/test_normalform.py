@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 import tracemalloc
 
@@ -20,15 +21,15 @@ from braidnf.normalform import (
 )
 from braidnf.perms import adjacent_transposition, all_permutations, compose, flip, length, omega
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
-from braidnf.textio import (
-    ArtinWord,
-    concat,
+from braidnf.textio import ArtinWord, parse_word, simple_to_artin, word_to_simple_letters
+from twins import (
+    artin_letters,
     formal_inverse,
-    parse_word,
-    simple_to_artin,
-    word_to_simple_letters,
+    half_twist_letters,
+    handle_reduce,
+    lifted_group_twin,
+    rewrite_twin,
 )
-from twins import lifted_group_twin, rewrite_twin
 
 
 def gen_word(n, indices):
@@ -76,6 +77,10 @@ def test_group_form_half_twist_check():
             GroupNormalForm(n, 0, factors)
         assert str(exc.value) == "half-twist factors belong in delta_power"
     assert GroupNormalForm(1, 0, ()).factors == ()
+    # on one strand the half twist is the identity, which no form holds
+    with pytest.raises(ValueError) as exc:
+        GroupNormalForm(1, 0, (omega_braid(1),))
+    assert str(exc.value) == "factor sequence is not a greedy normal form"
     assert GroupNormalForm(1, -3, ()).delta_power == -3
 
 
@@ -355,7 +360,8 @@ def test_group_round_trip_small():
             else:
                 symbols.append(rng.randint(1, n - 1) * rng.choice((1, -1)))
         w = ArtinWord(n, tuple(symbols))
-        assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(n, 0, ())
+        w_inv = ArtinWord(n, w.symbols + formal_inverse(w).symbols)
+        assert normalize_group(w_inv) == GroupNormalForm(n, 0, ())
 
 
 def test_equal():
@@ -365,14 +371,6 @@ def test_equal():
     assert equal(parse_word("n=3; D"), parse_word("n=3; 1 2 1"))
     with pytest.raises(ValueError):
         equal(parse_word("n=3; 1"), parse_word("n=4; 1"))
-
-
-def _half_twist_staircase(n):
-    # sigma_1, sigma_2 sigma_1, ..., sigma_{n-1} ... sigma_1
-    out = []
-    for top in range(1, n):
-        out.extend(range(top, 0, -1))
-    return out
 
 
 def test_equal_under_identity_preserving_edits():
@@ -404,10 +402,68 @@ def test_equal_under_identity_preserving_edits():
 
 def test_half_twist_equals_staircase_expansion():
     for n in range(2, 8):
-        stair = ArtinWord(n, tuple(_half_twist_staircase(n)))
+        stair = ArtinWord(n, tuple(half_twist_letters(n)))
         assert normalize_group(stair) == GroupNormalForm(n, 1, ())
         twist = ArtinWord(n, (n,))
         assert equal(stair, twist)
+
+
+def test_handle_reduction_twin():
+    for n in (3, 4, 6, 16):
+        for i in range(1, n - 1):  # the braid relation, as a loop, either way round
+            assert handle_reduce([i, i + 1, i, -(i + 1), -i, -(i + 1)]) == []
+            assert handle_reduce([-i, -(i + 1), -i, i + 1, i, i + 1]) == []
+        for i, j in itertools.combinations(range(1, n), 2):
+            if j > i + 1:  # far generators commute
+                assert handle_reduce([i, j, -i, -j]) == []
+                assert handle_reduce([-j, i, j, -i]) == []
+        assert len(half_twist_letters(n)) == n * (n - 1) // 2
+        for i in range(1, n):
+            # conjugation by the half twist sends sigma_i to sigma_{n-i};
+            # read as a generator sigma_n, D would leave sigma_i sigma_{n-i}^-1
+            word = ArtinWord(n, (n, i, -n, -(n - i)))
+            assert all(0 < abs(s) < n for s in artin_letters(word))
+            assert handle_reduce(artin_letters(word)) == []
+            assert (handle_reduce(word.symbols) == []) == (2 * i == n)
+            assert handle_reduce(artin_letters(ArtinWord(n, (-n, -n, i, n, n, -i)))) == []
+    assert handle_reduce([1, 2, -1, -2]) == [-2, 1]
+    assert handle_reduce([1, 3, 1, -2]) == [1, 3, 1, -2]  # handle-free: kept as it is
+
+
+def test_equal_agrees_with_handle_reduction():
+    # three kinds of pair: w with one s s^-1 inserted (equal), w times one
+    # generator (unequal) and w with two adjacent letters swapped (either);
+    # at 64 strands the words hold no half twist, whose 2,016 letters
+    # would dominate the twin's time
+    rng = random.Random(191)
+    swaps = []
+    for n, length, count in [(6, 60, 10), (8, 80, 10), (16, 120, 10), (64, 128, 3)]:
+        share = 0.02 if n < 64 else 0.0
+        for kind in ("insert", "append", "swap"):
+            for _ in range(count):
+                symbols = [
+                    rng.choice((n, -n)) if rng.random() < share
+                    else rng.randint(1, n - 1) * rng.choice((1, -1))
+                    for _ in range(length)
+                ]
+                edited = list(symbols)
+                g = rng.randint(1, n - 1) * rng.choice((1, -1))
+                if kind == "insert":
+                    pos = rng.randint(0, length)
+                    edited[pos:pos] = [g, -g]
+                elif kind == "append":
+                    edited.append(g)
+                else:
+                    pos = rng.randrange(length - 1)
+                    edited[pos : pos + 2] = edited[pos + 1], edited[pos]
+                a, b = ArtinWord(n, tuple(symbols)), ArtinWord(n, tuple(edited))
+                twin = handle_reduce(artin_letters(a) + artin_letters(formal_inverse(b))) == []
+                assert equal(a, b) == twin
+                if kind == "swap":
+                    swaps.append(twin)
+                else:
+                    assert twin == (kind == "insert")
+    assert 0 < sum(swaps) < len(swaps)
 
 
 def test_append_matches_fold_reference():
@@ -591,7 +647,8 @@ def test_engine_work_per_letter_stays_flat(engine_counts):
         _forms, flips, transfers = per_letter(normalize_group, words, length)
         rates.append((flips, transfers))
         for w in words:
-            assert normalize_group(concat(w, formal_inverse(w))) == GroupNormalForm(4, 0, ())
+            w_inv = ArtinWord(4, w.symbols + formal_inverse(w).symbols)
+            assert normalize_group(w_inv) == GroupNormalForm(4, 0, ())
     (flips_short, transfers_short), (flips_long, transfers_long) = rates
     assert flips_short > 0 and transfers_short > 0
     assert flips_long <= 1.5 * flips_short
@@ -708,7 +765,8 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
     rng = random.Random(131)
     word = ArtinWord(5, tuple(rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(100)))
     form = normalize_group(word)
-    assert normalize_group(concat(word, formal_inverse(word))) == GroupNormalForm(5, 0, ())
+    word_inv = ArtinWord(5, word.symbols + formal_inverse(word).symbols)
+    assert normalize_group(word_inv) == GroupNormalForm(5, 0, ())
     filled = sum(map(len, normalform.rank_tables(5).step))  # entries, not rows
     assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
     for n in (6, 64):
@@ -716,7 +774,8 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
             rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(100)
         ))
         nf = normalize_group(signed)
-        assert normalize_group(concat(signed, formal_inverse(signed))) == GroupNormalForm(n, 0, ())
+        signed_inv = ArtinWord(n, signed.symbols + formal_inverse(signed).symbols)
+        assert normalize_group(signed_inv) == GroupNormalForm(n, 0, ())
         assert is_normal(nf.factors)
         normalize_positive(gen_word(n, [rng.randint(1, n - 1) for _ in range(100)]))
     assert set(normalform._TABLES) == {5}

@@ -3,6 +3,7 @@ The package surface: the public namespace, the modules each command
 loads, and the one strand-count check every binary operation shares, with
 its messages pinned site by site.
 """
+import ast
 import importlib
 import pathlib
 import subprocess
@@ -140,3 +141,37 @@ def test_strand_mismatch_message(call, operands, kind):
     with pytest.raises(ValueError) as caught:
         call(left, right)
     assert str(caught.value) == f"{kind} on 3 and 4 strands"
+
+
+def test_src_keeps_no_test_only_names():
+    """
+    Every public module-level function or class of the package is public
+    API, a lazy name loaded from its own module, imported by another
+    module, or used by name in its own module; none exists only for tests.
+    The sources are read as syntax trees, so a local variable elsewhere
+    that shares a name does not count as a use.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(pathlib.Path(braidnf.__file__).parent.glob("*.py"))
+    }
+    imported = {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    lazy = set(braidnf._LAZY.items()) | set(cli._LAZY.items())
+    unused = []
+    for module, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in braidnf.__all__ or name in used:
+                continue
+            if (name, module) not in lazy and (module, name) not in imported:
+                unused.append(f"{module}.{name}")
+    assert not unused, "only tests use " + ", ".join(unused)

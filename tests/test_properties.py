@@ -1,4 +1,5 @@
 """Property tests of the group normal form on short signed words."""
+import json
 import operator
 import re
 
@@ -9,16 +10,13 @@ from braidnf.normalform import GroupNormalForm, normalize_group
 from braidnf.simple import SimpleBraid, flip_braid
 from braidnf.textio import (
     ArtinWord,
-    concat,
     format_normal_form,
     format_word,
-    formal_inverse,
-    parse_normal_form_json,
     parse_permutation,
     parse_word,
     simple_to_artin,
 )
-from twins import lifted_group_twin
+from twins import formal_inverse, lifted_group_twin
 
 # A fixed, derandomised example budget keeps this file to a few seconds.
 BUDGET = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -41,7 +39,7 @@ def signed_words(draw, max_strands=8):
 @BUDGET
 @given(signed_words())
 def test_word_times_its_inverse_is_trivial(word):
-    form = normalize_group(concat(word, formal_inverse(word)))
+    form = normalize_group(ArtinWord(word.n, word.symbols + formal_inverse(word).symbols))
     assert form == GroupNormalForm(word.n, 0, ())
 
 
@@ -66,7 +64,11 @@ def test_printed_form_reads_back(word):
         symbols += simple_to_artin(SimpleBraid(parse_permutation(perm))).symbols
     text = format_word(ArtinWord(word.n, tuple(symbols)))
     assert normalize_group(parse_word(text)) == form
-    assert parse_normal_form_json(format_normal_form(form, "json")) == form
+    assert json.loads(format_normal_form(form, "json")) == {
+        "n": word.n,
+        "delta_power": form.delta_power,
+        "factors": [list(f.perm) for f in form.factors],
+    }
 
 
 @BUDGET

@@ -2,6 +2,71 @@
 from braidnf.normalform import GroupNormalForm, PositiveWord, gs_rewrite_to_fixpoint
 from braidnf.perms import adjacent_transposition, compose, flip, omega
 from braidnf.simple import SimpleBraid
+from braidnf.textio import ArtinWord
+
+
+def formal_inverse(word) -> ArtinWord:
+    """The reversed word with every exponent negated."""
+    return ArtinWord(word.n, tuple(-s for s in reversed(word.symbols)))
+
+
+def state_after(graph, indices) -> SimpleBraid:
+    """
+    The automaton's state after a word of generator indices: start at
+    state 0, the identity, and follow graph.transitions[state][i - 1][0].
+    """
+    state = 0
+    for i in indices:
+        state = graph.transitions[state][i - 1][0]
+    return graph.states[state]
+
+
+def half_twist_letters(n) -> list:
+    """The half twist on n strands as sigma_1, sigma_2 sigma_1, ..., sigma_{n-1} ... sigma_1."""
+    return [i for top in range(1, n) for i in range(top, 0, -1)]
+
+
+def artin_letters(word) -> list:
+    """
+    The symbols of a word with each D and -D spelled out in generators, so
+    that every letter is a k with 0 < |k| < n; the symbols n and -n are
+    never read as a generator sigma_n.
+    """
+    delta = half_twist_letters(word.n)
+    spelled = {word.n: delta, -word.n: [-s for s in reversed(delta)]}
+    return [x for s in word.symbols for x in spelled.get(s, (s,))]
+
+
+def handle_reduce(symbols) -> list:
+    """
+    Dehornoy's handle reduction ("A fast method for comparing braids",
+    Adv. Math. 125, 1997) of a word of generators, k for sigma_|k|^sign(k);
+    it reads Artin letters only, with no permutation, meet or half twist.
+    A sigma_i-handle is sigma_i^e w sigma_i^-e with every letter of w above
+    i.  The handle whose right end comes first is reduced: its ends are
+    dropped and each sigma_{i+1}^d in w becomes
+    sigma_{i+1}^-e sigma_i^d sigma_{i+1}^e.  The prefix before the handle
+    held no handle, so the scan resumes at its left end.  The handle-free
+    word left is empty exactly when the braid is trivial.
+    """
+    word = list(symbols)
+    j = 0
+    while j < len(word):
+        i = abs(word[j])
+        k = j - 1
+        while k >= 0 and abs(word[k]) > i:
+            k -= 1
+        if k < 0 or word[k] != -word[j]:
+            j += 1
+            continue
+        e = 1 if word[k] > 0 else -1
+        inner = [
+            [-e * (i + 1), i if s > 0 else -i, e * (i + 1)] if abs(s) == i + 1 else [s]
+            for s in word[k + 1 : j]
+        ]
+        word[k : j + 1] = [x for letters in inner for x in letters]
+        j = k
+    return word
 
 
 def lifted_group_twin(word) -> GroupNormalForm:
