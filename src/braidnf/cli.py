@@ -12,6 +12,7 @@ reader closes standard output early, with nothing on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -175,6 +176,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidnf",
@@ -185,21 +187,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="print the canonical form of a signed word")
     p.add_argument("word", help="word text, or - to read standard input")
     p.add_argument("--json", action="store_true", help="emit the JSON form")
-    p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("eq", help="compare two words; exits 0 when equal, 1 when not")
     p.add_argument("word1")
     p.add_argument("word2")
-    p.set_defaults(func=_cmd_eq)
 
     p = sub.add_parser("transfer", help="move the maximal tail between two simple braids")
     p.add_argument("perm_a", help="left factor in one-line notation, e.g. '[3 1 2]'")
     p.add_argument("perm_b", help="right factor in one-line notation")
-    p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("verify", help="run a verification suite; JSON-line reports")
-    p.add_argument("--suite", choices=list(ALL_SIZES))
-    p.add_argument("--all", action="store_true", help="run every suite at safe sizes")
+    group = p.add_mutually_exclusive_group()  # not required: _cmd_verify refuses a bare verify
+    group.add_argument("--suite", choices=list(ALL_SIZES))
+    group.add_argument("--all", action="store_true", help="run every suite at safe sizes")
     p.add_argument("--n", type=int, default=4)
     p.add_argument(
         "--samples",
@@ -210,25 +210,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--length", type=int, help="word length bound (confluence), default 20")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("automaton", help="build the explicit automaton and export DOT")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dot", default="-", help="output path, - for standard output")
-    p.set_defaults(func=_cmd_automaton)
 
     p = sub.add_parser("render", help="draw a positive word")
     p.add_argument("word")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--svg", action="store_true")
     group.add_argument("--ascii", action="store_true")
-    p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("bench", help="time the normalisation of a random positive word")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--len", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -236,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # by name, through the module: a wrapper set on cli is what runs
+        return getattr(_cli, "_cmd_" + args.command)(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import hashlib
 import io
@@ -258,6 +259,12 @@ def test_a_wrapper_set_on_cli_is_what_the_command_calls(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "automaton", "--n", "3")
     assert code == 0 and out.startswith("digraph braid_automaton_n3 {")
     assert calls == {"verify_validity": 1, "verify_confluence": 1, "build": 1}
+    # commands are looked up by name on each call, so a wrapper set after
+    # the parser exists is still what runs
+    assert run_cli(capsys, "eq", "n=3; 1 2 1", "n=3; 2 1 2") == (0, "equal\n", "")
+    commands = count_calls(monkeypatch, ["_cmd_eq"])
+    assert run_cli(capsys, "eq", "n=3; 1 2 1", "n=3; 2 1 2") == (0, "equal\n", "")
+    assert commands == {"_cmd_eq": 1}
 
 
 def test_verify_all_refuses_one_strand_before_any_sweep(capsys, monkeypatch):
@@ -278,6 +285,14 @@ def test_verify_all_refuses_one_strand_before_any_sweep(capsys, monkeypatch):
 def test_verify_requires_a_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("flags", [["--all", "--suite", "meet"], ["--suite", "meet", "--all"]])
+def test_verify_refuses_a_suite_with_all(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags, "--n", "3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "not allowed with argument" in err
 
 
 def test_sampled_suites_draw_without_listing_s_n(capsys, monkeypatch):
@@ -487,3 +502,65 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    per_call = []
+    for argv, code in [
+        (["normalize", "n=3; 1 2"], 0),
+        (["eq", "n=3; 1 2 1", "n=3; 2 1 2"], 0),
+        (["verify", "--suite", "validity", "--n", "3"], 0),
+        (["normalize"], 2),  # an argparse usage error
+        (["normalize", "n=3; 1 2"], 0),
+    ]:
+        before = len(built)
+        assert exit_code(argv) == code, argv
+        per_call.append(len(built) - before)
+    capsys.readouterr()
+    # the first call builds the parser unless an earlier test already did
+    assert per_call[1:] == [0, 0, 0, 0], per_call
+
+
+def test_calls_do_not_leak_state_through_the_shared_parser(capsys, monkeypatch):
+    first = run_cli(capsys, "normalize", "n=3; 1 2")
+    assert first == (0, "D^0 : [3 1 2]\n", "")
+    code, out, _ = run_cli(capsys, "normalize", "--json", "n=3; 1 2")
+    assert code == 0 and json.loads(out)["factors"] == [[3, 1, 2]]
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--frobnicate", "n=3; 1 2"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "normalize", "n=3; 7")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+    def broken(word):
+        raise RuntimeError("boom")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "normalize_group", broken)
+        assert run_cli(capsys, "normalize", "n=3; 1") == (
+            3, "", "internal error: RuntimeError: boom\n"
+        )
+    assert run_cli(capsys, "normalize", "n=3; 1 2") == first
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith("usage: braidnf normalize")

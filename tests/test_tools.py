@@ -1,0 +1,23 @@
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_pairs  # noqa: E402
+
+
+@pytest.mark.parametrize("name", ["BENCH_pr30.json", "BENCH_pr31.json"])
+def test_bench_pairs_summary_matches_the_checked_in_files(name):
+    # both files were written with inclusive quartiles and strict pair wins
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    report = json.loads((ROOT / name).read_text())
+    assert report["quartiles"] == bench_pairs.QUARTILES and report["order"] == bench_pairs.ORDER
+    for workload, body in report["workloads"].items():
+        assert list(body) == ["seeds", "medians", "summary", "failed_runs", "runs"], workload
+        summary = bench_pairs.summarize(body["runs"], better)
+        assert {"seeds": body["seeds"], **summary, "runs": body["runs"]} == body, workload
