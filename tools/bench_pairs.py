@@ -12,10 +12,10 @@ run is
 from that directory, so neither side reads the other's files or a bytecode
 cache.  Pair i uses seed first_seed + i on both sides and runs the parent
 first when i is even, the change first when i is odd.  The workloads, the
-end-to-end metrics and which way each is better come from the change's
-BENCHMARK.json.  The file is rewritten after every run, so an interrupted
-run keeps what it measured.  It reads the commits of the repository it
-sits in; standard library and git only.
+run length (`run_seconds`), the end-to-end metrics and which way each is
+better come from the change's BENCHMARK.json.  The file is rewritten
+after every run, so an interrupted run keeps what it measured.  It reads
+the commits of the repository it sits in; standard library and git only.
 """
 from __future__ import annotations
 
@@ -83,8 +83,9 @@ def _value(run: dict, metric: str) -> float | None:
 
 
 def _failed(run: dict) -> bool:
+    """A run fails when it exits non-zero, prints no result, or reports a wrong or failed call."""
     result = run["result"]
-    return run["exit"] != 0 or result is None or not result.get("correct") or result.get("failed")
+    return run["exit"] != 0 or result is None or not result.get("correct") or result["failed"] != 0
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -126,12 +127,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the commit the change is measured against")
     parser.add_argument("--change", default="HEAD", help="the commit measured (default HEAD)")
     parser.add_argument("--first-seed", type=int, required=True, help="pair i uses this seed + i")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default every one in BENCHMARK.json)")
     parser.add_argument("--claim", default="none", help="what the change claims, in one line")
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -139,12 +139,12 @@ def main(argv=None) -> int:
             for side, rev in zip(SIDES, (args.parent, args.change))}
     benchmark = json.loads(_git("show", f"{revs['change']}:BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    out = args.out if args.out.is_absolute() else Path.cwd() / args.out
     report = {
         "what": f"Final JSON line of every perfbench/run.py run, {args.pairs} alternating"
                 " parent/change pairs per workload",
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND.format(seconds=seconds),
         "parent": revs["parent"],
         "order": ORDER,
         "machine": f"{os.cpu_count()}-core {platform.system()} machine,"
@@ -166,14 +166,14 @@ def main(argv=None) -> int:
             for pair, seed in enumerate(seeds):
                 first = SIDES[pair % 2]
                 for side in (first, SIDES[1 - pair % 2]):
-                    code, result = run_once(trees[side], workload, seed, args.seconds)
+                    code, result = run_once(trees[side], workload, seed, seconds)
                     runs.append({"pair": pair, "seed": seed, "side": side, "first": first,
                                  "exit": code, "result": result})
                     print(f"{workload} pair {pair} seed {seed} {side}: exit {code}",
                           file=sys.stderr)
                     report["workloads"][workload] = {"seeds": seeds, **summarize(runs, better),
                                                      "runs": runs}
-                    out.write_text(json.dumps(report, indent=1) + "\n")
+                    args.out.write_text(json.dumps(report, indent=1) + "\n")
     failed = sum(w["failed_runs"] for w in report["workloads"].values())
     return 1 if failed else 0
 
