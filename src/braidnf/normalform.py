@@ -53,20 +53,13 @@ from itertools import chain
 from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .perms import _same_strands, all_permutations, compose, flip, identity, length, omega
+from .perms import _same_strands, all_permutations, flip, identity, length, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
     _step_words,
     _transfer_words,
 )
-
-# A rewrite-step observer: receives (position, left, right, head, tail) as
-# the rewriting's letters, bare one-line words from gs_rewrite_to_fixpoint
-# and ints of the oracle's pair table in oracle.verify_confluence.  Used to
-# watch crossing conservation and termination without slowing the plain
-# code path.
-StepHook = Optional[Callable[[int, object, object, object, object], None]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,13 +71,6 @@ class PositiveWord:
 
     def __post_init__(self):
         _perms_on(self.n, self.letters, "letter", "word")
-
-    def permutation(self) -> tuple[int, ...]:
-        """The permutation of the product of the letters, left letter first."""
-        word = identity(self.n)
-        for b in self.letters:
-            word = compose(word, b.perm)
-        return word
 
     def crossing_number(self) -> int:
         """
@@ -454,7 +440,7 @@ def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
 
 
 def _rewrite_to_fixpoint(
-    letters: Iterable, strategy: str, ident, step: Callable, hook: StepHook
+    letters: Iterable, strategy: str, ident, step: Callable, hook: Optional[Callable]
 ) -> list:
     """
     The letters, identity dropped, after rewriting one non-normal adjacent
@@ -462,7 +448,10 @@ def _rewrite_to_fixpoint(
     for a normal pair, else (head, tail), as the engine reads its step; a
     vanished head merges the pair into its tail.  After a rewrite the
     scan steps back one pair, since only the pairs next to the rewritten
-    one can have changed.  hook, when given, sees every rewrite.
+    one can have changed.  hook, when given, is called on every rewrite
+    with its (position, left, right, head, tail) as letters;
+    oracle.verify_confluence watches termination and crossing
+    conservation through it.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -484,9 +473,7 @@ def _rewrite_to_fixpoint(
     return letters
 
 
-def gs_rewrite_to_fixpoint(
-    w: PositiveWord, strategy: str = "leftmost", step_hook: StepHook = None
-) -> PositiveNormalForm:
+def gs_rewrite_to_fixpoint(w: PositiveWord, strategy: str = "leftmost") -> PositiveNormalForm:
     """
     Normalise by repeatedly rewriting one non-normal adjacent pair chosen
     by the given strategy, dropping identity factors as they appear.
@@ -500,7 +487,7 @@ def gs_rewrite_to_fixpoint(
         return None if _is_normal_words(a, b) else _transfer_words(a, b)
 
     perms = [letter.perm for letter in w.letters]
-    perms = _rewrite_to_fixpoint(perms, strategy, identity(w.n), step, step_hook)
+    perms = _rewrite_to_fixpoint(perms, strategy, identity(w.n), step, None)
     return PositiveNormalForm(w.n, tuple(map(SimpleBraid, perms)))
 
 

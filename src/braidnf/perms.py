@@ -279,25 +279,21 @@ def inversion_set(p: Sequence[int]) -> PairSet:
     return PairSet(len(p), inversion_bits(p))
 
 
-def act_on_bits(p: Sequence[int], bits: int) -> int:
+def act_on_pairs(p: Sequence[int], s: PairSet) -> PairSet:
     """
-    Apply p to both components of every pair in a bit array, reordering
-    each image pair so the smaller number comes first.
+    The image of a pair set under p: p applied to both components of
+    every pair, each image pair reordered so the smaller number comes
+    first.
     """
-    rows = [0] * len(p)
-    for i, j in _pairs(bits):
+    if len(p) != s.n:
+        raise ValueError(f"permutation on {len(p)} strands, pair set on {s.n}")
+    rows = [0] * s.n
+    for i, j in _pairs(s.bits):
         a, b = p[i - 1], p[j - 1]
         if a > b:
             a, b = b, a
         rows[b - 1] |= 1 << (a - 1)
-    return _join_rows(rows)
-
-
-def act_on_pairs(p: Sequence[int], s: PairSet) -> PairSet:
-    """The image of a pair set under p, pair by pair as in act_on_bits."""
-    if len(p) != s.n:
-        raise ValueError(f"permutation on {len(p)} strands, pair set on {s.n}")
-    return PairSet(s.n, act_on_bits(p, s.bits))
+    return PairSet(s.n, _join_rows(rows))
 
 
 def is_inversion_set(s: PairSet) -> bool:

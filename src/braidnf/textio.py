@@ -34,7 +34,7 @@ from .simple import SimpleBraid, generator_braid, omega_braid
 
 
 class ParseError(ValueError):
-    """Malformed word, permutation or serialized form."""
+    """Malformed word or permutation, or an inverse token in a word lifted letterwise."""
 
 
 @dataclasses.dataclass(frozen=True)

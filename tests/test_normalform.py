@@ -19,7 +19,15 @@ from braidnf.normalform import (
     rewrite_pair_at,
     rewrite_potential,
 )
-from braidnf.perms import adjacent_transposition, all_permutations, compose, flip, length, omega
+from braidnf.perms import (
+    adjacent_transposition,
+    all_permutations,
+    compose,
+    flip,
+    identity,
+    length,
+    omega,
+)
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import ArtinWord, parse_word, simple_to_artin, word_to_simple_letters
 from twins import (
@@ -29,6 +37,7 @@ from twins import (
     handle_reduce,
     lifted_group_twin,
     rewrite_twin,
+    word_permutation,
 )
 
 
@@ -44,7 +53,7 @@ def test_positive_word_validation():
     with pytest.raises(ValueError):
         PositiveWord(3, (generator_braid(4, 1),))
     w = gen_word(3, [1, 2, 1])
-    assert w.permutation() == omega(3)
+    assert word_permutation(w) == omega(3)
     assert w.crossing_number() == 3
     assert len(w) == 3
 
@@ -109,7 +118,7 @@ def test_rewrite_preserves_permutation_and_crossings():
         w = PositiveWord(n, letters)
         i = rng.randrange(len(letters) - 1)
         after = rewrite_pair_at(w, i)
-        assert after.permutation() == w.permutation()
+        assert word_permutation(after) == word_permutation(w)
         assert after.crossing_number() == w.crossing_number()
 
 
@@ -133,15 +142,15 @@ def test_normal_form_validation():
     with pytest.raises(ValueError):
         PositiveNormalForm(3, (identity_braid(3),))
     nf = PositiveNormalForm(3, (generator_braid(3, 1),))
-    assert nf.permutation() == (2, 1, 3)
+    assert word_permutation(nf) == (2, 1, 3)
 
 
 def test_normal_form_is_a_validated_positive_word():
     factors = (generator_braid(4, 1), generator_braid(4, 1))
     nf, word = PositiveNormalForm(4, factors), PositiveWord(4, factors)
     assert isinstance(nf, PositiveWord) and nf.factors is nf.letters == factors
-    assert (len(nf), nf.crossing_number(), nf.permutation()) == (2, 2, (1, 2, 3, 4))
-    assert (len(word), word.crossing_number(), word.permutation()) == (2, 2, (1, 2, 3, 4))
+    assert (len(nf), nf.crossing_number(), word_permutation(nf)) == (2, 2, (1, 2, 3, 4))
+    assert (len(word), word.crossing_number(), word_permutation(word)) == (2, 2, (1, 2, 3, 4))
     assert nf != word and nf == PositiveNormalForm(4, factors)
     assert repr(nf).startswith("PositiveNormalForm(n=4, letters=(")
     with pytest.raises(AttributeError):
@@ -183,7 +192,7 @@ def test_normalize_positive_soundness_random():
         letters = tuple(random_simple(rng, n) for _ in range(rng.randint(0, 10)))
         w = PositiveWord(n, letters)
         nf = normalize_positive(w)
-        assert nf.permutation() == w.permutation()
+        assert word_permutation(nf) == word_permutation(w)
         assert nf.crossing_number() == w.crossing_number()
         assert is_normal(nf.factors)
 
@@ -219,6 +228,25 @@ def test_gs_rewrite_strategies_agree():
         gs_rewrite_to_fixpoint(gen_word(3, [1]), "middle")
 
 
+def rewrite_steps(w, strategy):
+    """
+    The rewrites gs_rewrite_to_fixpoint makes on w: its loop, run with its
+    step on one-line words and a hook that records every rewrite.  The
+    loop's result is checked against gs_rewrite_to_fixpoint's.
+    """
+
+    def step(a, b):
+        return None if simple._is_normal_words(a, b) else simple._transfer_words(a, b)
+
+    steps = []
+    letters = [b.perm for b in w.letters]
+    form = normalform._rewrite_to_fixpoint(
+        letters, strategy, identity(w.n), step, lambda *s: steps.append(s)
+    )
+    assert form == [f.perm for f in gs_rewrite_to_fixpoint(w, strategy).factors]
+    return steps
+
+
 def test_gs_rewrite_termination_bound():
     rng = random.Random(43)
     for _ in range(100):
@@ -226,26 +254,15 @@ def test_gs_rewrite_termination_bound():
         idxs = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 14))]
         w = gen_word(n, idxs)
         bound = rewrite_potential(w)
-        steps = 0
-
-        def hook(i, x, y, h, t):
-            nonlocal steps
-            steps += 1
-
-        gs_rewrite_to_fixpoint(w, "leftmost", hook)
+        steps = len(rewrite_steps(w, "leftmost"))
         assert steps <= bound
 
 
 def test_already_normal_word_is_untouched():
     nf = normalize_positive(gen_word(4, [1, 3, 2, 1, 3]))
     w = PositiveWord(4, nf.factors)
-    steps = 0
-
-    def hook(*args):
-        nonlocal steps
-        steps += 1
-
-    again = gs_rewrite_to_fixpoint(w, "leftmost", hook)
+    steps = len(rewrite_steps(w, "leftmost"))
+    again = gs_rewrite_to_fixpoint(w, "leftmost")
     assert steps == 0
     assert again.factors == nf.factors
 

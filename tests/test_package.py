@@ -143,6 +143,14 @@ def test_strand_mismatch_message(call, operands, kind):
     assert str(caught.value) == f"{kind} on 3 and 4 strands"
 
 
+def _source_trees() -> dict:
+    """The syntax tree of each module of the package, by module name."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(pathlib.Path(braidnf.__file__).parent.glob("*.py"))
+    }
+
+
 def test_src_keeps_no_test_only_names():
     """
     Every public module-level function or class of the package is public
@@ -151,10 +159,7 @@ def test_src_keeps_no_test_only_names():
     The sources are read as syntax trees, so a local variable elsewhere
     that shares a name does not count as a use.
     """
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(pathlib.Path(braidnf.__file__).parent.glob("*.py"))
-    }
+    trees = _source_trees()
     imported = {
         (node.module, alias.name)
         for tree in trees.values()
@@ -174,4 +179,32 @@ def test_src_keeps_no_test_only_names():
                 continue
             if (name, module) not in lazy and (module, name) not in imported:
                 unused.append(f"{module}.{name}")
+    assert not unused, "only tests use " + ", ".join(unused)
+
+
+def test_src_keeps_no_test_only_members():
+    """
+    Every public method or property of a class in the package is read by
+    attribute name (x.name) somewhere in the package; none exists only
+    for tests.  Dunder and private methods are not checked, and dataclass
+    fields are not methods.  A read of any object's attribute of that name
+    counts, so the pin catches a member no source names at all.
+    """
+    trees = _source_trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unused = [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
     assert not unused, "only tests use " + ", ".join(unused)

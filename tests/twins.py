@@ -1,6 +1,8 @@
 """Slow twins, and inputs that stress the fast paths, shared by the test modules."""
+import functools
+
 from braidnf.normalform import GroupNormalForm, PositiveWord, gs_rewrite_to_fixpoint
-from braidnf.perms import adjacent_transposition, compose, flip, omega
+from braidnf.perms import adjacent_transposition, compose, flip, identity, omega
 from braidnf.simple import SimpleBraid
 from braidnf.textio import ArtinWord
 
@@ -8,6 +10,11 @@ from braidnf.textio import ArtinWord
 def formal_inverse(word) -> ArtinWord:
     """The reversed word with every exponent negated."""
     return ArtinWord(word.n, tuple(-s for s in reversed(word.symbols)))
+
+
+def word_permutation(w) -> tuple:
+    """The permutation of a positive word's product, left letter first."""
+    return functools.reduce(compose, (b.perm for b in w.letters), identity(w.n))
 
 
 def state_after(graph, indices) -> SimpleBraid:
