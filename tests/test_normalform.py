@@ -1,5 +1,7 @@
 import collections
+import importlib.util
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -29,7 +31,13 @@ from braidnf.perms import (
     omega,
 )
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
-from braidnf.textio import ArtinWord, parse_word, simple_to_artin, word_to_simple_letters
+from braidnf.textio import (
+    ArtinWord,
+    format_word,
+    parse_word,
+    simple_to_artin,
+    word_to_simple_letters,
+)
 from twins import (
     artin_letters,
     formal_inverse,
@@ -37,8 +45,16 @@ from twins import (
     handle_reduce,
     lifted_group_twin,
     rewrite_twin,
+    spelled_form,
     word_permutation,
 )
+
+# The benchmark's seeded word generator, loaded from its file, since
+# perfbench is a directory of scripts and not a package.
+_WORDS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "words.py"
+_WORDS_SPEC = importlib.util.spec_from_file_location("perfbench_words", _WORDS_PATH)
+bench_words = importlib.util.module_from_spec(_WORDS_SPEC)
+_WORDS_SPEC.loader.exec_module(bench_words)
 
 
 def gen_word(n, indices):
@@ -482,6 +498,20 @@ def test_equal_agrees_with_handle_reduction():
                     assert twin == (kind == "insert")
     assert 0 < sum(swaps) < len(swaps)
 
+
+
+def test_group_form_round_trips_through_handle_reduction():
+    # the normal form of a benchmark word, spelled as D^m and each factor's
+    # reduced word, printed and read back, is the word's braid: the word
+    # times its inverse reduces to empty under the handle-reduction twin,
+    # which shares no step with the engine
+    rng = random.Random(197)
+    for n in (6, 8, 12, 16):
+        for _ in range(5):
+            tokens = bench_words.signed_word(rng, n, rng.randint(40, 60), 0.5, 0.02)
+            w = parse_word(bench_words.text(n, tokens))
+            back = parse_word(format_word(spelled_form(normalize_group(w))))
+            assert handle_reduce(artin_letters(w) + artin_letters(formal_inverse(back))) == []
 
 def test_append_matches_fold_reference():
     # the engine's right-append of one letter to a normal form, on the word

@@ -16,19 +16,30 @@ from braidnf.textio import (
     parse_word,
     simple_to_artin,
 )
-from twins import formal_inverse, lifted_group_twin
+from twins import (
+    artin_letters,
+    formal_inverse,
+    handle_reduce,
+    lifted_group_twin,
+    spelled_form,
+)
 
 # A fixed, derandomised example budget keeps this file to a few seconds.
 BUDGET = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# Above eight strands each example spells its half twists in n(n-1)/2
+# letters for the handle-reduction twin, so those words get a budget of
+# their own.
+WIDE_BUDGET = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def signed_words(draw, max_strands=8):
+def signed_words(draw, max_strands=8, min_strands=2):
     """
-    Words on 2..max_strands strands over signed generators, with a few D
-    and -D: symbols in -n..n without 0, where n and -n are the half twists.
+    Words on min_strands..max_strands strands over signed generators, with
+    a few D and -D: symbols in -n..n without 0, where n and -n are the half
+    twists.
     """
-    n = draw(st.integers(2, max_strands))
+    n = draw(st.integers(min_strands, max_strands))
     symbol = st.one_of(
         st.builds(operator.mul, st.integers(1, n - 1), st.sampled_from((1, -1))),
         st.sampled_from((n, -n)),
@@ -47,6 +58,16 @@ def test_word_times_its_inverse_is_trivial(word):
 @given(signed_words(32))
 def test_agrees_with_the_rightmost_twin(word):
     assert normalize_group(word) == lifted_group_twin(word)
+
+
+@WIDE_BUDGET
+@given(signed_words(16, min_strands=9))
+def test_printed_form_is_the_word_by_handle_reduction(word):
+    # on 9..16 strands, the word times the inverse of its printed form,
+    # read back, reduces to empty under the handle-reduction twin, which
+    # shares no step with the engine
+    back = parse_word(format_word(spelled_form(normalize_group(word))))
+    assert handle_reduce(artin_letters(word) + artin_letters(formal_inverse(back))) == []
 
 
 @BUDGET

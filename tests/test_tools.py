@@ -10,9 +10,11 @@ sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["BENCH_pr30.json", "BENCH_pr31.json"])
+@pytest.mark.parametrize(
+    "name", ["BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json"]
+)
 def test_bench_pairs_summary_matches_the_checked_in_files(name):
-    # both files were written with inclusive quartiles and strict pair wins
+    # each file was written with inclusive quartiles and strict pair wins
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     report = json.loads((ROOT / name).read_text())

@@ -4,7 +4,7 @@ import functools
 from braidnf.normalform import GroupNormalForm, PositiveWord, gs_rewrite_to_fixpoint
 from braidnf.perms import adjacent_transposition, compose, flip, identity, omega
 from braidnf.simple import SimpleBraid
-from braidnf.textio import ArtinWord
+from braidnf.textio import ArtinWord, simple_to_artin
 
 
 def formal_inverse(word) -> ArtinWord:
@@ -15,6 +15,18 @@ def formal_inverse(word) -> ArtinWord:
 def word_permutation(w) -> tuple:
     """The permutation of a positive word's product, left letter first."""
     return functools.reduce(compose, (b.perm for b in w.letters), identity(w.n))
+
+
+def spelled_form(form) -> ArtinWord:
+    """
+    A group normal form D^m a_1 ... a_k as a word: |m| symbols D, or -D
+    when m < 0, then the reduced word of each factor.
+    """
+    n = form.n
+    symbols = [n if form.delta_power > 0 else -n] * abs(form.delta_power)
+    for factor in form.factors:
+        symbols += simple_to_artin(factor).symbols
+    return ArtinWord(n, tuple(symbols))
 
 
 def state_after(graph, indices) -> SimpleBraid:
