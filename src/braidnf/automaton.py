@@ -7,14 +7,21 @@ positive word the state is the maximal simple tail of the word, i.e. the
 last factor of its greedy normal form.  States are ranked by the
 degree-lexicographic order of their inversion sets so node identifiers in
 exports are stable.
+
+The graph is a view of the engine's alphabet (normalform._alphabet): each
+transition is one step read, step[a][s_i].  Up to six strands that is a
+read of the rank tables, filled on first read and kept, so a second
+build of the same automaton takes no transfer; above six it is one
+transfer per read.
 """
 from __future__ import annotations
 
 import dataclasses
 
+from . import normalform
 from .lattice import deglex_key
 from .perms import adjacent_transposition, all_permutations
-from .simple import SimpleBraid, _transfer_words
+from .simple import SimpleBraid
 
 MAX_STATE_STRANDS = 8
 
@@ -35,22 +42,26 @@ class AutomatonGraph:
 
 
 def build(n: int) -> AutomatonGraph:
-    """Materialise the automaton; guarded because the state set is n!."""
+    """
+    Materialise the automaton; guarded because the state set is n!.  The
+    states are the alphabet's letters, sorted by the inversion sets of
+    their braids, and a step None means the pair (state, generator) is
+    normal: it moves to the generator and emits the state.  Each state's
+    step row is read once.
+    """
     if not 2 <= n <= MAX_STATE_STRANDS:
         raise ValueError(f"state table has n! entries; need 2 <= n <= {MAX_STATE_STRANDS}")
-    states = tuple(
-        sorted((SimpleBraid(p) for p in all_permutations(n)), key=lambda b: deglex_key(b.inv))
-    )
-    index = {state.perm: k for k, state in enumerate(states)}
+    alphabet = normalform._alphabet(n)
+    braids = {x: alphabet.braid(x) for x in map(alphabet.letter, all_permutations(n))}
+    states = sorted(braids, key=lambda x: deglex_key(braids[x].inv))
+    index = {x: k for k, x in enumerate(states)}
+    gens = [alphabet.letter(adjacent_transposition(n, i)) for i in range(1, n)]
     transitions = []
-    gens = [adjacent_transposition(n, i) for i in range(1, n)]
-    for state in states:
-        row = []
-        for gen in gens:
-            head, tail = _transfer_words(state.perm, gen)
-            row.append((index[tail], index[head]))
-        transitions.append(tuple(row))
-    return AutomatonGraph(n, states, tuple(transitions))
+    for x in states:
+        row = alphabet.step[x]
+        steps = [row[g] or (x, g) for g in gens]
+        transitions.append(tuple((index[tail], index[head]) for head, tail in steps))
+    return AutomatonGraph(n, tuple(map(braids.__getitem__, states)), tuple(transitions))
 
 
 def export_dot(g: AutomatonGraph) -> str:

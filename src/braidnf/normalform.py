@@ -22,7 +22,7 @@ once per call, which it reads as tables: step[a][b] and extend[s][p]
 by subscription, the other rules by C-level calls.  The rules are
 stated once, on one-line words (_word_alphabet): a letter is its
 one-line word and a step is one transfer (simple._step_words), computed
-on each read.  Up to five strands (TABLE_MAX_STRANDS) rank_tables
+on each read.  Up to six strands (TABLE_MAX_STRANDS) rank_tables
 tabulates that alphabet over S_n, so a letter is the rank of its simple
 braid and the whole run is integer table reads: each step is a read of
 its left factor's row, filled on first read, each flip and run
@@ -237,9 +237,12 @@ def _word_alphabet(n: int) -> _Alphabet:
     )
 
 
-# Thurston's transitions number (n!)^2: 576 at n = 4 and 14,400 at n = 5, but
-# 518,400 at n = 6, so rank tables stop at five strands.
-TABLE_MAX_STRANDS = 5
+# Thurston's transitions number (n!)^2: 14,400 at n = 5, 518,400 at n = 6 and
+# 25.4M at n = 7, so rank tables stop at six strands.  rank_tables(6) builds
+# in 12-13 ms with a tracemalloc peak of 0.3 MB before any step row fills
+# (2-core VM, CPython 3.11.7); rows fill lazily, and a full fill, the
+# ceiling, takes about 2 s and 61 MB of RSS.
+TABLE_MAX_STRANDS = 6
 
 
 class _StepRow(dict):

@@ -17,7 +17,7 @@ factorisations all of whose adjacent pairs are normal.
 
 The transfer is the transition function of Thurston's automaton, whose
 states are the simple braids: _step_words is one transition on one-line
-words, and the engine (normalform.rank_tables) tabulates it up to five
+words, and the engine (normalform.rank_tables) tabulates it up to six
 strands.  The normality test stays as its independent slow twin.  A
 transfer is one insertion pass of the weak-order meet that lists a^-1
 and b in the meet's order: those lists are head^-1 and the tail, so

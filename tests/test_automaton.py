@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from braidnf import normalform
 from braidnf.automaton import build, export_dot
 from braidnf.normalform import normalize_positive
 from braidnf.perms import compose, length
 from braidnf.simple import generator_braid, identity_braid, omega_braid
 from braidnf.textio import ArtinWord, word_to_simple_letters
-from twins import state_after
+from twins import automaton_twin, state_after
 
 
 def test_build_sizes():
@@ -20,6 +21,33 @@ def test_build_sizes():
         build(9)
     with pytest.raises(ValueError):
         build(1)
+
+
+def test_build_matches_the_transfer_twin():
+    # states, their order and every transition, against one transfer per
+    # state and generator; n = 2..6 read the rank tables
+    for n in range(2, 7):
+        assert build(n) == automaton_twin(n)
+
+
+def test_second_build_reads_the_filled_step_rows(monkeypatch):
+    # the first build(6) fills (n - 1) * n! = 3,600 entries of fresh rank
+    # tables; a second build in the same process takes no transfer
+    monkeypatch.setattr(normalform, "_TABLES", {})
+    calls = 0
+    step_words = normalform._step_words
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return step_words(a, b)
+
+    monkeypatch.setattr(normalform, "_step_words", counted)
+    first = build(6)
+    assert calls == 5 * 720
+    assert build(6) == first and calls == 5 * 720
+    shared = normalform.rank_tables(6)
+    assert all(state is shared.braid(shared.letter(state.perm)) for state in first.states)
 
 
 def test_states_ranked_identity_first():

@@ -768,7 +768,7 @@ def test_runs_cut_transfers_per_letter(engine_counts):
 def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     # Four strands have 24 * 24 = 576 pairs of simple braids, so from a
     # fresh table the engine computes at most that many meets however many
-    # transfers the words take; on six strands no table is built.
+    # transfers the words take; on seven strands no table is built.
     tables = normalform.rank_tables(4)
     assert not any(tables.step)  # the fixture's tables are fresh: every row is empty
     meets = 0
@@ -798,25 +798,28 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     built = set(normalform._TABLES)
     before = meets
     for _ in range(count):
-        normalize_group(ArtinWord(6, tuple(
-            rng.randint(1, 5) * rng.choice((1, -1)) for _ in range(100)
+        normalize_group(ArtinWord(7, tuple(
+            rng.randint(1, 6) * rng.choice((1, -1)) for _ in range(100)
         )))
-    assert set(normalform._TABLES) == built and 6 not in built and meets > before
+    assert set(normalform._TABLES) == built and 7 not in built and meets > before
 
 
-def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
+def test_rank_tables_fill_lazily_and_stop_at_six_strands(monkeypatch):
     # a short word on five strands asks for a small part of its 14,400
-    # transitions, and no rank table is ever built above five strands,
-    # where S_n would be too large to list
+    # transitions, and one on six strands of its 518,400; no rank table is
+    # ever built above six strands, where S_n would be too large to list
     monkeypatch.setattr(normalform, "_TABLES", {})
     rng = random.Random(131)
-    word = ArtinWord(5, tuple(rng.randint(1, 4) * rng.choice((1, -1)) for _ in range(100)))
-    form = normalize_group(word)
-    word_inv = ArtinWord(5, word.symbols + formal_inverse(word).symbols)
-    assert normalize_group(word_inv) == GroupNormalForm(5, 0, ())
-    filled = sum(map(len, normalform.rank_tables(5).step))  # entries, not rows
-    assert len(form.factors) > 0 and 0 < filled <= 14_400 // 10
-    for n in (6, 64):
+    for n, transitions in ((5, 14_400), (6, 518_400)):
+        word = ArtinWord(n, tuple(
+            rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(100)
+        ))
+        form = normalize_group(word)
+        word_inv = ArtinWord(n, word.symbols + formal_inverse(word).symbols)
+        assert normalize_group(word_inv) == GroupNormalForm(n, 0, ())
+        filled = sum(map(len, normalform.rank_tables(n).step))  # entries, not rows
+        assert len(form.factors) > 0 and 0 < filled <= transitions // 10
+    for n in (7, 64):
         signed = ArtinWord(n, tuple(
             rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(100)
         ))
@@ -825,11 +828,11 @@ def test_rank_tables_fill_lazily_and_stop_at_five_strands(monkeypatch):
         assert normalize_group(signed_inv) == GroupNormalForm(n, 0, ())
         assert is_normal(nf.factors)
         normalize_positive(gen_word(n, [rng.randint(1, n - 1) for _ in range(100)]))
-    assert set(normalform._TABLES) == {5}
-    for n in (0, 6, 64):
+    assert set(normalform._TABLES) == {5, 6}
+    for n in (0, 7, 64):
         with pytest.raises(ValueError, match="rank tables need"):
             normalform.rank_tables(n)
-    assert set(normalform._TABLES) == {5}
+    assert set(normalform._TABLES) == {5, 6}
 
 
 def test_signed_run_rule_matches_the_product_twin():

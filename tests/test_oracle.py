@@ -639,6 +639,38 @@ def test_verify_meet_checks_the_transition_table(monkeypatch):
     assert all(len(p) == 3 for f in report.failures for p in (f[1], f[2], *f[3], *f[4]))
 
 
+def test_verify_meet_checks_the_transition_table_at_six_strands(monkeypatch):
+    # six strands have rank tables too, so the sampled sweep reads the step
+    # rows; rows with head and tail swapped are caught on every drawn pair
+    # they rewrite into two different factors, in draw order, and only there
+    monkeypatch.setattr(normalform, "_TABLES", {})
+    tables = normalform.rank_tables(6)
+
+    class SwappedRow(dict):
+        def __init__(self, row):
+            self.row = row
+
+        def __missing__(self, b):
+            step = self.row[b]
+            return None if step is None else step[::-1]
+
+    swapped = [SwappedRow(row) for row in tables.step]
+    monkeypatch.setitem(normalform._TABLES, 6, tables._replace(step=swapped))
+    report = verify_meet(6, samples=300, seed=17)
+    assert report.cases == 300
+    assert {f[0] for f in report.failures} == {"table"}
+    listed, rng = list(all_permutations(6)), random.Random(17)
+    draws = [(rng.choice(listed), rng.choice(listed)) for _ in range(300)]
+
+    def differ(p, q):
+        step = tables.step[tables.letter(p)][tables.letter(q)]
+        return step is not None and step[0] != step[1]
+
+    expected = [(p, q) for p, q in draws if differ(p, q)]
+    assert [(f[1], f[2]) for f in report.failures] == expected and expected
+    assert all(len(p) == 6 for f in report.failures for p in (f[1], f[2], *f[3], *f[4]))
+
+
 def test_verify_validity():
     for n in (3, 4):
         report = verify_validity(n)

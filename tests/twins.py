@@ -1,9 +1,11 @@
 """Slow twins, and inputs that stress the fast paths, shared by the test modules."""
 import functools
 
+from braidnf.automaton import AutomatonGraph
+from braidnf.lattice import deglex_key
 from braidnf.normalform import GroupNormalForm, PositiveWord, gs_rewrite_to_fixpoint
-from braidnf.perms import adjacent_transposition, compose, flip, identity, omega
-from braidnf.simple import SimpleBraid
+from braidnf.perms import adjacent_transposition, all_permutations, compose, flip, identity, omega
+from braidnf.simple import SimpleBraid, _transfer_words
 from braidnf.textio import ArtinWord, simple_to_artin
 
 
@@ -38,6 +40,28 @@ def state_after(graph, indices) -> SimpleBraid:
     for i in indices:
         state = graph.transitions[state][i - 1][0]
     return graph.states[state]
+
+
+def automaton_twin(n) -> AutomatonGraph:
+    """
+    The automaton built the direct way: every simple braid a state, sorted
+    by the degree-lexicographic order of its inversion set, and one
+    transfer (simple._transfer_words) per state and generator, which moves
+    to the tail and emits the head.
+    """
+    states = tuple(
+        sorted((SimpleBraid(p) for p in all_permutations(n)), key=lambda b: deglex_key(b.inv))
+    )
+    index = {state.perm: k for k, state in enumerate(states)}
+    gens = [adjacent_transposition(n, i) for i in range(1, n)]
+    transitions = []
+    for state in states:
+        row = []
+        for gen in gens:
+            head, tail = _transfer_words(state.perm, gen)
+            row.append((index[tail], index[head]))
+        transitions.append(tuple(row))
+    return AutomatonGraph(n, states, tuple(transitions))
 
 
 def half_twist_letters(n) -> list:
