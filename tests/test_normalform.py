@@ -578,7 +578,7 @@ def test_engine_cuts_runs_alike_on_both_alphabets():
     # the same (m, parity, trail, core) once ranks are read as braids, and
     # the right element, against the rightmost rewriting twin on the
     # positive path and the lifted group twin on the signed one; above
-    # five strands the word alphabet alone, against the same twins
+    # six strands the word alphabet alone, against the same twins
     rng = random.Random(2711)
     for n in (3, 4, 5, 6, 8):
         words, top = normalform._word_alphabet(n), omega(n)
