@@ -16,29 +16,24 @@ transfer per read.
 """
 from __future__ import annotations
 
-import dataclasses
-
 from . import normalform
 from .lattice import deglex_key
-from .perms import adjacent_transposition, all_permutations
-from .simple import SimpleBraid
+from .perms import _Value, adjacent_transposition, all_permutations
 
 MAX_STATE_STRANDS = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class AutomatonGraph:
+class AutomatonGraph(_Value):
     """
-    Complete transition table: transitions[s][i-1] is the pair
+    Complete transition table over the states, the simple braids on n
+    strands in rank order: transitions[s][i-1] is the pair
     (index of tail_op(state s, generator i), index of the emitted head).
     State 0 is the identity (its inversion set is empty), so the state
     after a positive word is read off by following transitions[s][i-1][0]
     from state 0, letter by letter.
     """
 
-    n: int
-    states: tuple[SimpleBraid, ...]
-    transitions: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = _fields = ("n", "states", "transitions")
 
 
 def build(n: int) -> AutomatonGraph:

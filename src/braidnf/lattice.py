@@ -16,7 +16,6 @@ meet_permutations is a view of the same pass.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 from .perms import (
@@ -33,9 +32,10 @@ from .perms import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
 class InversionSet(PairSet):
     """A pair set that is the inversion set of some permutation."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()

@@ -47,13 +47,12 @@ module check the engine against.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from itertools import chain
 from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .perms import _same_strands, all_permutations, flip, identity, length, omega
+from .perms import _same_strands, _Value, all_permutations, flip, identity, length, omega
 from .simple import (
     SimpleBraid,
     _is_normal_words,
@@ -62,12 +61,16 @@ from .simple import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class PositiveWord:
-    """A word over simple braids; letters may include the identity."""
+class PositiveWord(_Value):
+    """
+    A word over simple braids on n strands, its letters kept as a tuple;
+    letters may include the identity.
+    """
 
-    n: int
-    letters: tuple[SimpleBraid, ...]
+    __slots__ = _fields = ("n", "letters")
+
+    def __init__(self, n: int, letters: Iterable[SimpleBraid]):
+        super().__init__(n, tuple(letters))
 
     def __post_init__(self):
         _perms_on(self.n, self.letters, "letter", "word")
@@ -137,13 +140,14 @@ def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
     return perms
 
 
-@dataclasses.dataclass(frozen=True)
 class PositiveNormalForm(PositiveWord):
     """
     A validated right-greedy normal form of a positive braid: a positive
     word whose letters, read as factors, pass the normal-form check
     (_check_form) instead of the word's.
     """
+
+    __slots__ = ()
 
     def __post_init__(self):
         _check_form(self.n, self.letters)
@@ -153,16 +157,17 @@ class PositiveNormalForm(PositiveWord):
         return self.letters
 
 
-@dataclasses.dataclass(frozen=True)
-class GroupNormalForm:
+class GroupNormalForm(_Value):
     """
     Canonical form of a braid group element: delta_power copies of the
-    half twist followed by a positive normal form containing none.
+    half twist followed by a positive normal form containing none, its
+    factors kept as a tuple.
     """
 
-    n: int
-    delta_power: int
-    factors: tuple[SimpleBraid, ...]
+    __slots__ = _fields = ("n", "delta_power", "factors")
+
+    def __init__(self, n: int, delta_power: int, factors: Iterable[SimpleBraid]):
+        super().__init__(n, delta_power, tuple(factors))
 
     def __post_init__(self):
         perms = _check_form(self.n, self.factors)

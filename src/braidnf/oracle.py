@@ -30,7 +30,6 @@ is a pass, and reports serialise to JSON lines for archiving.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
@@ -52,6 +51,7 @@ from .normalform import (
 from .perms import (
     PairSet,
     _same_strands,
+    _Value,
     adjacent_transposition,
     all_permutations,
     compose,
@@ -68,15 +68,13 @@ from .textio import EXHAUSTIVE_MAX_STRANDS, MAX_LETTERS, MAX_STRANDS
 BRUTE_MAX_STRANDS = 7
 
 
-@dataclasses.dataclass
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of one verification sweep; a diagnostic one never gates."""
 
-    suite: str
-    n: int
-    cases: int
-    failures: list
-    diagnostic: bool = False
+    __slots__ = _fields = ("suite", "n", "cases", "failures", "diagnostic")
+
+    def __init__(self, suite: str, n: int, cases: int, failures: list, diagnostic: bool = False):
+        super().__init__(suite, n, cases, failures, diagnostic)
 
     @property
     def passed(self) -> bool:

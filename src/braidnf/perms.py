@@ -19,13 +19,81 @@ The inversion set of a permutation ``p`` is the pair set
 ``{(i, j) : i < j, p(i) > p(j)}``.  It determines ``p``, and a pair set is
 an inversion set of some permutation exactly when it is transitive and has
 the betweenness property (``is_inversion_set``).
+
+The package's value types share one base, ``_Value``, here because every
+other module imports this one.
 """
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
+
+
+# ---------------------------------------------------------------------------
+# Values
+
+
+class _Value:
+    """
+    Base of the package's value types.  A subclass names its fields once,
+    ``__slots__ = _fields = ("n", "bits")``, or declares ``__slots__ = ()``
+    when it adds none, and gets:
+
+    - positional construction, which sets the fields and then calls
+      ``self.__post_init__()``, the subclass's validation, looked up on the
+      instance so that a wrapper set on the class runs;
+    - equality only between values of the same class, field by field, and
+      the hash of the tuple of fields;
+    - the repr ``Name(field=value, ...)``;
+    - AttributeError on any assignment or deletion;
+    - copying and pickling through the constructor, so a copy is validated.
+
+    The fields are set through the class's slot descriptors, whose setters
+    are looked up once per class; they bypass ``__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._astuple = attrgetter(*cls._fields)  # the fields' tuple, given two or more
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} values, got {len(values)}")
+        for k, value in enumerate(values):
+            setters[k](self, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = self._astuple
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        values = zip(self._fields, self._astuple(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in values)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +268,7 @@ def full_bits(n: int) -> int:
     return (1 << pair_count(n)) - 1
 
 
-@dataclasses.dataclass(frozen=True)
-class PairSet:
+class PairSet(_Value):
     """
     A set of pairs (i, j), 1 <= i < j <= n, as a fixed-width bit array.
 
@@ -209,8 +276,7 @@ class PairSet:
     InversionSet for the pair sets that come from permutations.
     """
 
-    n: int
-    bits: int
+    __slots__ = _fields = ("n", "bits")
 
     def __post_init__(self):
         if self.n < 1:

@@ -25,13 +25,13 @@ neither the meet nor a product of permutations is formed.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Sequence
 
 from .lattice import InversionSet, _meet_reads, leq, star
 from .perms import (
     PairSet,
     _same_strands,
+    _Value,
     adjacent_transposition,
     check_permutation,
     compose,
@@ -60,6 +60,9 @@ class SimpleBraid:
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleBraid is immutable")
+
+    def __reduce__(self):
+        return SimpleBraid, (self.perm,)
 
     @property
     def n(self) -> int:
@@ -170,13 +173,13 @@ def _is_normal_words(a: Sequence[int], b: Sequence[int]) -> bool:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class Transfer:
-    """Result of moving the maximal tail of a into b."""
+class Transfer(_Value):
+    """
+    Result of moving the maximal tail of a into b: the moved piece m as a
+    one-line word, and the head and tail as simple braids.
+    """
 
-    m: tuple[int, ...]
-    head: SimpleBraid
-    tail: SimpleBraid
+    __slots__ = _fields = ("m", "head", "tail")
 
 
 def transfer(a: SimpleBraid, b: SimpleBraid) -> Transfer:

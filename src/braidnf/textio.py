@@ -25,11 +25,11 @@ letter.
 """
 from __future__ import annotations
 
-import dataclasses
 import re
+from typing import Iterable
 
 from .normalform import GroupNormalForm, PositiveWord
-from .perms import check_permutation, is_permutation
+from .perms import _Value, check_permutation, is_permutation
 from .simple import SimpleBraid, generator_braid, omega_braid
 
 
@@ -37,16 +37,17 @@ class ParseError(ValueError):
     """Malformed word or permutation, or an inverse token in a word lifted letterwise."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ArtinWord:
+class ArtinWord(_Value):
     """
     A word over Artin generators and half twists on n strands, one nonzero
-    int per symbol: k with |k| < n is sigma_|k|^sign(k), and n and -n are
-    the half twist D and its inverse.
+    int per symbol, kept as a tuple: k with |k| < n is sigma_|k|^sign(k),
+    and n and -n are the half twist D and its inverse.
     """
 
-    n: int
-    symbols: tuple[int, ...]
+    __slots__ = _fields = ("n", "symbols")
+
+    def __init__(self, n: int, symbols: Iterable[int]):
+        super().__init__(n, tuple(symbols))
 
     def __post_init__(self):
         n, symbols = self.n, self.symbols

@@ -1,11 +1,13 @@
 """
 The package surface: the public namespace, the modules each command
-loads, and the one strand-count check every binary operation shares, with
-its messages pinned site by site.
+loads, the value types' shared semantics, and the one strand-count check
+every binary operation shares, with its messages pinned site by site.
 """
 import ast
+import copy
 import importlib
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
@@ -14,10 +16,13 @@ import pytest
 
 import braidnf
 from braidnf import cli, lattice, normalform, oracle, perms, simple
+from braidnf.automaton import AutomatonGraph
 from braidnf.lattice import InversionSet
+from braidnf.normalform import GroupNormalForm, PositiveNormalForm, PositiveWord
+from braidnf.oracle import VerificationReport
 from braidnf.perms import PairSet, identity
-from braidnf.simple import identity_braid
-from braidnf.textio import parse_word
+from braidnf.simple import SimpleBraid, Transfer, generator_braid, identity_braid
+from braidnf.textio import ArtinWord, parse_word
 
 PUBLIC_NAMES = [
     "ArtinWord", "GroupNormalForm", "InversionSet", "PairSet", "ParseError",
@@ -65,7 +70,8 @@ sys.path.insert(0, {src!r})
 from braidnf import cli, normalform, textio
 with contextlib.redirect_stdout(io.StringIO()):
     {call}
-print(" ".join(m for m in ("braidnf.oracle", "braidnf.automaton", "json") if m in sys.modules))
+MODULES = ("braidnf.oracle", "braidnf.automaton", "json", "dataclasses", "inspect")
+print(" ".join(m for m in MODULES if m in sys.modules))
 """
 
 
@@ -92,6 +98,121 @@ def test_a_command_loads_only_the_layers_it_runs(call, loaded):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == loaded + "\n"
+
+
+# One value of each of the nine value types, its fields in order, and its repr.
+E, S1, S2 = identity_braid(3), generator_braid(3, 1), generator_braid(3, 2)
+VALUES = [
+    (PairSet, (3, 0b101), "PairSet(n=3, bits=5)"),
+    (InversionSet, (3, 0b001), "InversionSet(n=3, bits=1)"),
+    (
+        Transfer,
+        ((2, 1, 3), E, SimpleBraid((3, 1, 2))),
+        "Transfer(m=(2, 1, 3), head=SimpleBraid([1, 2, 3]), tail=SimpleBraid([3, 1, 2]))",
+    ),
+    (
+        PositiveWord,
+        (3, (S1, E)),
+        "PositiveWord(n=3, letters=(SimpleBraid([2, 1, 3]), SimpleBraid([1, 2, 3])))",
+    ),
+    (
+        PositiveNormalForm,
+        (3, (S1, S1)),
+        "PositiveNormalForm(n=3, letters=(SimpleBraid([2, 1, 3]), SimpleBraid([2, 1, 3])))",
+    ),
+    (
+        GroupNormalForm,
+        (3, -1, (S2,)),
+        "GroupNormalForm(n=3, delta_power=-1, factors=(SimpleBraid([1, 3, 2]),))",
+    ),
+    (ArtinWord, (3, (1, -2, 3)), "ArtinWord(n=3, symbols=(1, -2, 3))"),
+    (
+        AutomatonGraph,
+        (2, (identity_braid(2), generator_braid(2, 1)), (((1, 0),), ((1, 1),))),
+        "AutomatonGraph(n=2, states=(SimpleBraid([1, 2]), SimpleBraid([2, 1])),"
+        " transitions=(((1, 0),), ((1, 1),)))",
+    ),
+    (
+        VerificationReport,
+        ("demo", 3, 10, [["item"]], True),
+        "VerificationReport(suite='demo', n=3, cases=10, failures=[['item']], diagnostic=True)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=[cls.__name__ for cls, _, _ in VALUES])
+def test_value_semantics(cls, fields, text, monkeypatch):
+    checked = []
+    validate = cls.__post_init__
+
+    def wrapped(self):
+        checked.append(self)
+        validate(self)
+
+    monkeypatch.setattr(cls, "__post_init__", wrapped)
+    value = cls(*fields)
+    assert checked == [value]  # construction runs the validation set on the class
+    assert tuple(getattr(value, name) for name in cls._fields) == fields
+    assert value == cls(*fields) and value != fields
+    monkeypatch.setattr(cls, "__post_init__", lambda self: None)
+    assert value != cls(*fields[:-1], ())
+    if cls is VerificationReport:  # its failures are a list, so its fields have no hash
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(fields)
+    assert repr(value) == text
+    assert value.__reduce__() == (cls, fields)
+    for name in (cls._fields[0], "other"):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+
+
+def test_values_of_different_classes_differ():
+    assert InversionSet(3, 1) != PairSet(3, 1) and PairSet(3, 1) != InversionSet(3, 1)
+    assert PositiveNormalForm(3, (S1,)) != PositiveWord(3, (S1,))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [cls(*fields) for cls, fields, _ in VALUES] + [S1],
+    ids=[cls.__name__ for cls, _, _ in VALUES] + ["SimpleBraid"],
+)
+def test_values_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+
+
+def test_a_copy_is_validated(monkeypatch):
+    calls = []
+    monkeypatch.setattr(GroupNormalForm, "__post_init__", lambda self: calls.append(self))
+    form = normalform.normalize_group(parse_word("n=3; 1 -2 2"))
+    pickle.loads(pickle.dumps(form))
+    copy.deepcopy(form)
+    assert calls == [form, form, form]
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    letters, symbols, factors = [S1, S1], [1, 2], [S2]
+    values = [
+        PositiveWord(3, letters),
+        PositiveNormalForm(3, letters),
+        ArtinWord(3, symbols),
+        GroupNormalForm(3, 0, factors),
+    ]
+    letters[1] = E
+    symbols.append(0)
+    factors.append(E)
+    assert values[0].letters == values[1].letters == (S1, S1)
+    assert values[2].symbols == (1, 2) and values[3].factors == (S2,)
+    assert normalform.is_normal(values[1].factors) and normalform.is_normal(values[3].factors)
+    assert len({*values}) == 4  # tuples, so every value hashes
+    word = (S1, S1)
+    assert PositiveNormalForm(3, word).letters is word
 
 
 def _braids():
@@ -186,8 +307,8 @@ def test_src_keeps_no_test_only_members():
     """
     Every public method or property of a class in the package is read by
     attribute name (x.name) somewhere in the package; none exists only
-    for tests.  Dunder and private methods are not checked, and dataclass
-    fields are not methods.  A read of any object's attribute of that name
+    for tests.  Dunder and private methods are not checked, and the fields
+    a class names in `_fields` are not methods.  A read of any object's attribute of that name
     counts, so the pin catches a member no source names at all.
     """
     trees = _source_trees()
