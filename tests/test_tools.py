@@ -12,7 +12,10 @@ import bench_pairs  # noqa: E402
 
 @pytest.mark.parametrize(
     "name",
-    ["BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json", "BENCH_pr34.json"],
+    [
+        "BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json",
+        "BENCH_pr34.json", "BENCH_pr35.json",
+    ],
 )
 def test_bench_pairs_summary_matches_the_checked_in_files(name):
     # each file was written with inclusive quartiles and strict pair wins
