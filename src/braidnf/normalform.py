@@ -52,7 +52,9 @@ from itertools import chain
 from operator import getitem
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .perms import _same_strands, _Value, all_permutations, flip, identity, length, omega
+from .perms import (
+    _check_strands, _same_strands, _Value, all_permutations, flip, identity, length, omega
+)
 from .simple import (
     SimpleBraid,
     _is_normal_words,
@@ -97,6 +99,7 @@ def _perms_on(n: int, braids: Sequence[SimpleBraid], part: str, whole: str) -> l
     tested in one C-level pass, and the first offender is looked for only
     when that pass fails.
     """
+    _check_strands(n)
     perms = [b.perm for b in braids]
     if not {n}.issuperset(map(len, perms)):
         bad = next(b for b in braids if b.n != n)

@@ -50,6 +50,7 @@ from .normalform import (
 )
 from .perms import (
     PairSet,
+    _check_strands,
     _same_strands,
     _Value,
     adjacent_transposition,
@@ -422,8 +423,7 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
     scalar sweep's.  Failure records read the ints back as the case's
     one-line words.
     """
-    if n < 1:
-        raise ValueError("need at least one strand")
+    _check_strands(n)
     dense = any(type(c) is int for _, c in parts)
     table, failing = (_fills[-1] if _fills else _dense)(n) if dense else (_PairTable(), None)
     failures = table.failures = list(table.broken.values())

@@ -45,13 +45,15 @@ class _Value:
       ``self.__post_init__()``, the subclass's validation, looked up on the
       instance so that a wrapper set on the class runs;
     - equality only between values of the same class, field by field, and
-      the hash of the tuple of fields;
+      the hash of the tuple of fields, or of the field when there is one;
     - the repr ``Name(field=value, ...)``;
     - AttributeError on any assignment or deletion;
     - copying and pickling through the constructor, so a copy is validated.
 
     The fields are set through the class's slot descriptors, whose setters
-    are looked up once per class; they bypass ``__setattr__``.
+    are looked up once per class; they bypass ``__setattr__``.  Equality
+    and the hash read the fields through one C-level getter per class,
+    ``_key``: the fields' tuple, or the field itself when there is one.
     """
 
     __slots__ = ()
@@ -60,7 +62,7 @@ class _Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-        cls._astuple = attrgetter(*cls._fields)  # the fields' tuple, given two or more
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *values):
         setters = self._setters
@@ -76,15 +78,15 @@ class _Value:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        fields = self._astuple
-        return fields(self) == fields(other)
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
-        return hash(self._astuple(self))
+        return hash(self._key(self))
 
     def __repr__(self):
-        values = zip(self._fields, self._astuple(self))
-        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in values)})"
+        values = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({values})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -93,7 +95,7 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), self._astuple(self)
+        return type(self), tuple(map(self.__getattribute__, self._fields))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,12 @@ def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
     return p
 
 
+def _check_strands(n: int) -> None:
+    """Raise ValueError unless n, a strand count, is at least 1."""
+    if n < 1:
+        raise ValueError("need at least one strand")
+
+
 def identity(n: int) -> tuple[int, ...]:
     """
     The identity permutation on n strands.
@@ -133,8 +141,7 @@ def identity(n: int) -> tuple[int, ...]:
     >>> identity(3)
     (1, 2, 3)
     """
-    if n < 1:
-        raise ValueError("need at least one strand")
+    _check_strands(n)
     return tuple(range(1, n + 1))
 
 
@@ -145,8 +152,7 @@ def omega(n: int) -> tuple[int, ...]:
     >>> omega(6)
     (6, 5, 4, 3, 2, 1)
     """
-    if n < 1:
-        raise ValueError("need at least one strand")
+    _check_strands(n)
     return tuple(range(n, 0, -1))
 
 
@@ -279,8 +285,7 @@ class PairSet(_Value):
     __slots__ = _fields = ("n", "bits")
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one strand")
+        _check_strands(self.n)
         if not 0 <= self.bits <= full_bits(self.n):
             raise ValueError(f"bit array out of range for n={self.n}")
 

@@ -2,14 +2,18 @@
 Parsing, formatting and diagram rendering.
 
 Word grammar: a header ``n=<int>;`` followed by whitespace-separated
-tokens.  A nonzero signed integer k stands for the |k|-th Artin generator
-with sign(k) as exponent; ``D`` and ``-D`` stand for the half twist and
-its inverse.  Words are ASCII: integers are runs of the digits 0-9, with
-no underscores, after an optional ``-`` or ``+`` (``+1`` is ``1``; ``+D``
-is not a token).  The strand count is at most MAX_STRANDS, and a word
-has at most MAX_LETTERS tokens.  Permutations read and print in
-bracketed one-line notation ``[3 5 4 2 6 1]``.  All emitted text is
-deterministic.
+tokens.  Whitespace, in the header and between tokens, is the six ASCII
+characters space, tab, newline, carriage return, form feed and vertical
+tab; the separators ``\\x1c``-``\\x1f``, which ``str.split`` would also
+split at, are refused as bad characters.  A nonzero signed integer k
+stands for the |k|-th Artin generator with sign(k) as exponent; ``D``
+and ``-D`` stand for the half twist and its inverse.  Words are ASCII:
+integers are runs of the digits 0-9, with no underscores, after an
+optional ``-`` or ``+`` (``+1`` is ``1``; ``+D`` is not a token).  The
+strand count is at most MAX_STRANDS, and a word has at most MAX_LETTERS
+tokens.  Permutations read and print in bracketed one-line notation
+``[3 5 4 2 6 1]``, and a bad one is printed as given.  All emitted text
+is deterministic.
 
 A parsed word (ArtinWord) holds one nonzero int per token, the signed
 symbols the normalisation engine reads: k for the generator token k, and
@@ -29,7 +33,7 @@ import re
 from typing import Iterable
 
 from .normalform import GroupNormalForm, PositiveWord
-from .perms import _Value, check_permutation, is_permutation
+from .perms import _check_strands, _Value, check_permutation, is_permutation
 from .simple import SimpleBraid, generator_braid, omega_braid
 
 
@@ -51,8 +55,7 @@ class ArtinWord(_Value):
 
     def __post_init__(self):
         n, symbols = self.n, self.symbols
-        if n < 1:
-            raise ValueError("need at least one strand")
+        _check_strands(n)
         # one C-level pass each; the type test comes first, so min and max
         # only ever compare ints (bool and str are rejected)
         if symbols and not (
@@ -91,6 +94,7 @@ EXHAUSTIVE_MAX_STRANDS = 5
 MAX_DRAWING_CELLS = 2**18
 
 _HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
+_REFUSED = "_\x1c\x1d\x1e\x1f"  # the ASCII characters refused in a word body
 
 
 def parse_word(text: str) -> ArtinWord:
@@ -106,12 +110,14 @@ def parse_word(text: str) -> ArtinWord:
         raise ParseError("missing 'n=<int>;' header")
     match = _HEADER.match(head)
     if not match:
-        raise ParseError(f"bad header {head.strip()!r}; expected 'n=<int>;'")
+        raise ParseError(f"bad header {head!r}; expected 'n=<int>;'")
     n = int(match.group(1))
     if not 1 <= n <= MAX_STRANDS:
         raise ParseError(f"strand count {n} out of range 1..{MAX_STRANDS}")
-    if not rest.isascii() or "_" in rest:  # int() takes other scripts' digits and "_"
-        bad = next(c for c in rest if not c.isascii() or c == "_")
+    # int() takes other scripts' digits and "_", and split() splits at the
+    # separators too; each refused character is one C-level search
+    if not rest.isascii() or any(map(rest.__contains__, _REFUSED)):
+        bad = next(c for c in rest if not c.isascii() or c in _REFUSED)
         raise ParseError(f"bad character {bad!r} in word")
     tokens = rest.split(maxsplit=MAX_LETTERS)  # one extra entry when too long
     if len(tokens) > MAX_LETTERS:
@@ -150,11 +156,11 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse bracketed one-line notation like '[3 5 4 2 6 1]'."""
     match = re.match(r"^\s*\[([-0-9\s]*)\]\s*$", text, re.ASCII)
     if not match:
-        raise ParseError(f"expected '[v1 v2 ... vn]', got {text.strip()!r}")
+        raise ParseError(f"expected '[v1 v2 ... vn]', got {text!r}")
     try:
         values = tuple(int(v) for v in match.group(1).split())
     except ValueError:
-        raise ParseError(f"bad permutation entries in {text.strip()!r}") from None
+        raise ParseError(f"bad permutation entries in {text!r}") from None
     if not values or not is_permutation(values):
         raise ParseError(f"not a permutation of 1..{len(values)}: {values}")
     return values

@@ -41,6 +41,7 @@ from braidnf.textio import (
 from twins import (
     artin_letters,
     formal_inverse,
+    growth_series,
     half_twist_letters,
     handle_reduce,
     lifted_group_twin,
@@ -880,3 +881,40 @@ def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
                 want = None if step is None else (rank(step[0]), rank(step[1]))
                 assert ranks.step[a][b] == want
         assert all(len(row) == len(perm) for row in ranks.step)
+
+
+def test_normal_forms_are_counted_by_the_growth_series(monkeypatch):
+    # Every positive braid has exactly one normal form, so both counts of
+    # the forms with L crossings must be the coefficient of t^L in
+    # Deligne's series, which knows nothing of transfers.  The table count
+    # chains factors whose step entries are None (normal pairs); the engine
+    # count normalises every generator word of length L and counts the
+    # distinct results, so it also checks heads and tails: two forms for
+    # one braid raise it, one form for two braids lowers it.  Six strands'
+    # table count fills all 518,400 entries and stays out of this test.
+    monkeypatch.setattr(normalform, "_TABLES", {})
+    assert growth_series(3, 8) == [1, 2, 4, 7, 12, 20, 33, 54, 88]
+    assert growth_series(4, 6) == [1, 3, 8, 19, 43, 94, 202]
+    assert growth_series(7, 4) == [1, 6, 26, 95, 316]
+    top = 20
+    for n in (2, 3, 4, 5):
+        tables = normalform.rank_tables(n)
+        lengths = [length(p) for p in all_permutations(n)]
+        states = [x for x in range(len(lengths)) if x != tables.ident]
+        normal_after = {b: [a for a in states if tables.step[a][b] is None] for b in states}
+        ends = [[0] * len(lengths) for _ in range(top + 1)]  # ends[L][b]: forms ending in b
+        for total in range(1, top + 1):
+            for b in states:
+                rest = total - lengths[b]
+                if rest == 0:
+                    ends[total][b] = 1  # b alone
+                elif rest > 0:
+                    ends[total][b] = sum(ends[rest][a] for a in normal_after[b])
+        assert [1] + [sum(row) for row in ends[1:]] == growth_series(n, top), n
+    for n, total in ((3, 14), (4, 10), (5, 8), (6, 6), (7, 5), (9, 4)):
+        alphabet = normalform._alphabet(n)
+        forms = set()
+        for word in itertools.product(range(1, n), repeat=total):
+            _m, _parity, trail, core = normalform._normalize_letters(alphabet, word)
+            forms.add((trail, tuple(core)))
+        assert len(forms) == growth_series(n, total)[total], n

@@ -100,9 +100,10 @@ def test_a_command_loads_only_the_layers_it_runs(call, loaded):
     assert done.stdout == loaded + "\n"
 
 
-# One value of each of the nine value types, its fields in order, and its repr.
+# One value of each of the ten value types, its fields in order, and its repr.
 E, S1, S2 = identity_braid(3), generator_braid(3, 1), generator_braid(3, 2)
 VALUES = [
+    (SimpleBraid, ((2, 1, 3),), "SimpleBraid([2, 1, 3])"),
     (PairSet, (3, 0b101), "PairSet(n=3, bits=5)"),
     (InversionSet, (3, 0b001), "InversionSet(n=3, bits=1)"),
     (
@@ -152,6 +153,8 @@ def test_value_semantics(cls, fields, text, monkeypatch):
     monkeypatch.setattr(cls, "__post_init__", wrapped)
     value = cls(*fields)
     assert checked == [value]  # construction runs the validation set on the class
+    copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+    assert checked == [value] * 4  # and so does every copy
     assert tuple(getattr(value, name) for name in cls._fields) == fields
     assert value == cls(*fields) and value != fields
     monkeypatch.setattr(cls, "__post_init__", lambda self: None)
@@ -159,11 +162,11 @@ def test_value_semantics(cls, fields, text, monkeypatch):
     if cls is VerificationReport:  # its failures are a list, so its fields have no hash
         with pytest.raises(TypeError):
             hash(value)
-    else:
-        assert hash(value) == hash(fields)
+    else:  # a value of one field hashes as that field
+        assert hash(value) == hash(fields if len(fields) > 1 else fields[0])
     assert repr(value) == text
     assert value.__reduce__() == (cls, fields)
-    for name in (cls._fields[0], "other"):
+    for name in (cls._fields[0], "_inv", "other"):  # _inv: the braid's cache slot
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -178,13 +181,28 @@ def test_values_of_different_classes_differ():
 
 
 @pytest.mark.parametrize(
-    "value",
-    [cls(*fields) for cls, fields, _ in VALUES] + [S1],
-    ids=[cls.__name__ for cls, _, _ in VALUES] + ["SimpleBraid"],
+    "value", [cls(*fields) for cls, fields, _ in VALUES], ids=[cls.__name__ for cls, _, _ in VALUES]
 )
 def test_values_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SimpleBraid([]),
+        lambda: PositiveWord(0, ()),
+        lambda: PositiveNormalForm(-2, ()),
+        lambda: GroupNormalForm(0, 0, ()),
+        lambda: normalform.is_normal([SimpleBraid([])]),
+    ],
+    ids=["SimpleBraid", "PositiveWord", "PositiveNormalForm", "GroupNormalForm", "is_normal"],
+)
+def test_values_on_no_strands_are_refused(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == "need at least one strand"
 
 
 def test_a_copy_is_validated(monkeypatch):

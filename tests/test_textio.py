@@ -53,6 +53,19 @@ def test_parse_word_errors():
         with pytest.raises(ParseError):
             parse_permutation(bad)
     assert parse_word("n=3; -1 D -D").symbols == (-1, 3, -3)
+    # whitespace is the six characters of ASCII \s; str.split()'s other
+    # separators, \x1c-\x1f, are refused, and a header prints as given
+    assert parse_word("n=3;\t1\n2\r1\x0b2\x0c1 2").symbols == (1, 2, 1, 2, 1, 2)
+    for sep in "\x1c\x1d\x1e\x1f":
+        with pytest.raises(ParseError) as caught:
+            parse_word(f"n=3;1{sep}2")
+        assert str(caught.value) == f"bad character {sep!r} in word"
+        with pytest.raises(ParseError) as caught:
+            parse_word(f"{sep}n=3;1")
+        assert str(caught.value) == f"bad header {sep + 'n=3'!r}; expected 'n=<int>;'"
+    with pytest.raises(ParseError) as caught:
+        parse_word(" m = 3 ; 1")
+    assert str(caught.value) == "bad header ' m = 3 '; expected 'n=<int>;'"
 
 
 @pytest.mark.parametrize(
@@ -117,6 +130,14 @@ def test_parse_permutation():
     for bad in ["[1 1 3]", "[0 1]", "3 5 4", "[]", "[1 2", "[a b]"]:
         with pytest.raises(ParseError):
             parse_permutation(bad)
+    # the text prints as given, separators and padding included
+    for bad in ["[1 2]\x1c", "[1\x1f2]", " [1 2 "]:
+        with pytest.raises(ParseError) as caught:
+            parse_permutation(bad)
+        assert str(caught.value) == f"expected '[v1 v2 ... vn]', got {bad!r}"
+    with pytest.raises(ParseError) as caught:
+        parse_permutation(" [1-2] ")
+    assert str(caught.value) == "bad permutation entries in ' [1-2] '"
     for p in [(1,), (2, 1), (3, 5, 4, 2, 6, 1)]:
         assert parse_permutation(format_permutation(p)) == p
 

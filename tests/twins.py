@@ -175,3 +175,25 @@ def rewrite_twin(letters, strategy, ident, step):
         letters[i : i + 2] = rewrite[1:] if rewrite[0] == ident else rewrite
         i = min(max(i - forward, 0), len(letters) - 2)
     return letters, hooks
+
+
+def growth_series(n, length) -> list:
+    """
+    The numbers of positive braids on n strands with 0, 1, ..., length
+    crossings: the coefficients of Deligne's growth series ("Les immeubles
+    des groupes de tresses generalises", Invent. Math. 17, 1972),
+    1 / sum over J of (-1)^|J| t^l(Delta_J), J running over the subsets of
+    the n - 1 generators and Delta_J the longest element of the subgroup
+    J generates.  l(Delta_J) is the sum of r(r+1)/2 over the maximal runs
+    of r consecutive generators in J.
+    """
+    denominator = [0] * (length + 1)
+    for subset in range(1 << (n - 1)):
+        runs = [len(run) for run in f"{subset:b}".split("0")]
+        top = sum(r * (r + 1) // 2 for r in runs)
+        if top <= length:
+            denominator[top] += (-1) ** sum(runs)
+    counts = [1]  # denominator[0] is 1, from the empty set alone
+    for total in range(1, length + 1):
+        counts.append(-sum(denominator[k] * counts[total - k] for k in range(1, total + 1)))
+    return counts
