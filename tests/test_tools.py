@@ -14,7 +14,7 @@ import bench_pairs  # noqa: E402
     "name",
     [
         "BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json",
-        "BENCH_pr34.json", "BENCH_pr35.json",
+        "BENCH_pr34.json", "BENCH_pr35.json", "BENCH_pr36.json",
     ],
 )
 def test_bench_pairs_summary_matches_the_checked_in_files(name):
