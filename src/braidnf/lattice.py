@@ -46,8 +46,8 @@ class InversionSet(PairSet):
     def _trusted(cls, n: int, bits: int) -> InversionSet:
         """An inversion set by construction: PairSet's checks, not the inversion-set test."""
         r = object.__new__(cls)
-        object.__setattr__(r, "n", n)
-        object.__setattr__(r, "bits", bits)
+        cls._setters[0](r, n)
+        cls._setters[1](r, bits)
         PairSet.__post_init__(r)
         return r
 

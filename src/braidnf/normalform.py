@@ -423,8 +423,6 @@ def rewrite_pair_at(w: PositiveWord, i: int) -> PositiveWord:
 
 def prepend_simple(a: SimpleBraid, nf: PositiveNormalForm) -> PositiveNormalForm:
     """The normal form of a * nf: the engine appends a, f1, ..., fk in turn."""
-    if a.n != nf.n:
-        raise ValueError(f"braid on {a.n} strands, form on {nf.n}")
     return normalize_positive(PositiveWord(nf.n, (a,) + nf.factors))
 
 

@@ -120,18 +120,22 @@ def is_permutation(word: Sequence[int]) -> bool:
     return mask == (1 << (n + 1)) - 2
 
 
-def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
-    """Return word as a tuple, raising ValueError if it is not a permutation."""
-    p = tuple(word)
-    if not is_permutation(p):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
-    return p
-
-
 def _check_strands(n: int) -> None:
     """Raise ValueError unless n, a strand count, is at least 1."""
     if n < 1:
         raise ValueError("need at least one strand")
+
+
+def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
+    """
+    Return word as a tuple, raising ValueError unless it is a permutation
+    on at least one strand.
+    """
+    p = tuple(word)
+    _check_strands(len(p))
+    if not is_permutation(p):
+        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
+    return p
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -356,8 +360,7 @@ def act_on_pairs(p: Sequence[int], s: PairSet) -> PairSet:
     every pair, each image pair reordered so the smaller number comes
     first.
     """
-    if len(p) != s.n:
-        raise ValueError(f"permutation on {len(p)} strands, pair set on {s.n}")
+    _same_strands("permutation and pair set", len(p), s.n)
     rows = [0] * s.n
     for i, j in _pairs(s.bits):
         a, b = p[i - 1], p[j - 1]

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 from .lattice import InversionSet, _meet_reads, leq, star
 from .perms import (
     PairSet,
-    _check_strands,
     _same_strands,
     _Value,
     adjacent_transposition,
@@ -56,13 +55,15 @@ class SimpleBraid(_Value):
     _fields = ("perm",)
 
     def __init__(self, perm: Sequence[int]):
-        # _Value.__init__ for one field, without its loop: a braid is built
-        # per output factor, and this saves about 0.35 us a braid at n = 4
+        # _Value.__init__ for one field, without its loop.  Up to six strands
+        # the engine's factors are shared rank-table braids and none is
+        # built; above six one braid is built per output factor, and this
+        # saves about 0.27 us a braid at n = 7 (0.99 against 1.26 us), some
+        # 1% of `bench --n 7 --len 20000`
         self._setters[0](self, tuple(perm))
         self.__post_init__()
 
     def __post_init__(self):
-        _check_strands(len(self.perm))
         check_permutation(self.perm)
 
     @property

@@ -33,7 +33,7 @@ import re
 from typing import Iterable
 
 from .normalform import GroupNormalForm, PositiveWord
-from .perms import _check_strands, _Value, check_permutation, is_permutation
+from .perms import _check_strands, _Value, check_permutation
 from .simple import SimpleBraid, generator_braid, omega_braid
 
 
@@ -161,9 +161,10 @@ def parse_permutation(text: str) -> tuple[int, ...]:
         values = tuple(int(v) for v in match.group(1).split())
     except ValueError:
         raise ParseError(f"bad permutation entries in {text!r}") from None
-    if not values or not is_permutation(values):
-        raise ParseError(f"not a permutation of 1..{len(values)}: {values}")
-    return values
+    try:
+        return check_permutation(values)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_permutation(p) -> str:
