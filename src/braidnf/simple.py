@@ -58,7 +58,7 @@ class SimpleBraid(_Value):
         # _Value.__init__ for one field, without its loop.  Up to six strands
         # the engine's factors are shared rank-table braids and none is
         # built; above six one braid is built per output factor, and this
-        # saves about 0.27 us a braid at n = 7 (0.99 against 1.26 us), some
+        # saves about 0.2-0.3 us a braid at n = 7 (timeit, best of 5), some
         # 1% of `bench --n 7 --len 20000`
         self._setters[0](self, tuple(perm))
         self.__post_init__()

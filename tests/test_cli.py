@@ -1,5 +1,6 @@
 import argparse
 import collections
+import contextlib
 import hashlib
 import io
 import json
@@ -7,9 +8,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidnf import cli, oracle
 from braidnf.cli import main
@@ -105,8 +110,7 @@ def test_eq(capsys):
     assert code == 0 and out == "equal\n"
     code, out, _ = run_cli(capsys, "eq", "n=3; 1", "n=3; 2")
     assert code == 1 and out == "not-equal\n"
-    code, _, err = run_cli(capsys, "eq", "n=3; 1", "n=4; 1")
-    assert code == 2 and "error:" in err
+    assert run_cli(capsys, "eq", "n=3; 1", "n=4; 1") == (2, "", "error: words on 3 and 4 strands\n")
 
 
 def test_eq_reads_standard_input_once(capsys, monkeypatch):
@@ -137,6 +141,10 @@ def test_transfer(capsys):
     assert out.splitlines()[0] == "x=[1 2 3]"
     code, _, err = run_cli(capsys, "transfer", "[2 1]", "[1 1]")
     assert code == 2 and "error:" in err
+    assert run_cli(capsys, "transfer", "[2 1]", "[1 3 2]") == (
+        2, "", "error: braids on 2 and 3 strands\n"
+    )
+    assert run_cli(capsys, "transfer", "[]", "[1]") == (2, "", "error: need at least one strand\n")
 
 
 def test_verify_validity(capsys):
@@ -564,3 +572,109 @@ def test_calls_do_not_leak_state_through_the_shared_parser(capsys, monkeypatch):
         assert exc.value.code == 0
         helps.append(capsys.readouterr())
     assert helps[0] == helps[1] and helps[0].out.startswith("usage: braidnf normalize")
+
+
+# The command-line property's own budget: about 1 s of tier-1.
+CLI_BUDGET = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def _good_or_bad(good, bad):
+    """A value drawn from good twice as often as from bad."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
+
+
+_WORD_TEXTS = st.one_of(
+    st.just("-"),  # standard input, which reads "n=3; 1 2"
+    st.builds(
+        "{} {}".format,
+        _good_or_bad(["n=2;", "n=3;", " n = 4 ;"], ["n=0;", "n=1;", "n=1025;", "m=3;", "n=x;", "3"]),
+        st.lists(
+            _good_or_bad(["1", "2", "-1", "-2", "+1", "D", "-D"],
+                         ["3", "0", "-0", "x", "--D", "1_0", "\x1c", "\u0661"]),
+            max_size=8,
+        ).map(" ".join),
+    ),
+)
+
+
+def _permutation_texts(n):
+    return st.permutations(range(1, n + 1)).map(lambda p: "[" + " ".join(map(str, p)) + "]")
+
+
+_PERMUTATION_TEXTS = st.one_of(
+    st.integers(1, 5).flatmap(_permutation_texts),
+    st.sampled_from(["[]", "[1 1]", "[0 1]", "[2 3]", "[2 1", "[a]", "[1-2]", " [3 1 2] "]),
+)
+# a pair on one strand count, or two texts drawn apart
+_PERMUTATION_PAIRS = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(_permutation_texts(n), _permutation_texts(n))),
+    st.tuples(_PERMUTATION_TEXTS, _PERMUTATION_TEXTS),
+)
+
+
+def _option(flag, good, bad):
+    """Nothing, or the flag with a good or a bad value; "x" is not an int."""
+    return st.one_of(st.just([]), _good_or_bad(good, bad).map(lambda v: [flag, str(v)]))
+
+
+@st.composite
+def _verify_argvs(draw):
+    mode = draw(_good_or_bad([["--suite", s] for s in cli.ALL_SIZES] + [["--all"]],
+                             [[], ["--suite", "nope"], ["--all", "--suite", "gsb"]]))
+    # n <= 3; above that, only sizes refused before any sweep
+    large = "--all" not in mode and draw(st.booleans())
+    if large:
+        n = draw(st.sampled_from([9, 50]))
+        samples = draw(st.sampled_from([[], ["--samples", "0"], ["--samples", "-1"]]))
+    else:
+        n = draw(_good_or_bad([1, 2, 3], [-1, 0, "x"]))
+        samples = draw(_option("--samples", [1, 3], [-1, 0]))
+    return ["verify", *mode, "--n", str(n), *samples,
+            *draw(_option("--length", [0, 4], [-1, 2_000_000])),
+            *draw(_option("--seed", [0, -3], ["x"]))]
+
+
+_ARGVS = st.one_of(
+    st.builds(lambda flag, w: ["normalize", *flag, w], st.sampled_from([[], ["--json"]]), _WORD_TEXTS),
+    st.builds(lambda a, b: ["eq", a, b], _WORD_TEXTS, _WORD_TEXTS),
+    _PERMUTATION_PAIRS.map(lambda pair: ["transfer", *pair]),
+    _verify_argvs(),
+    st.builds(
+        lambda n, dot: ["automaton", *n, *dot],
+        _option("--n", [2, 3, 4], [-1, 0, 1, 9, "x"]),
+        _option("--dot", ["-", "<tmp>/out.dot"], ["<tmp>/missing/out.dot"]),
+    ),
+    st.builds(
+        lambda flags, w: ["render", *flags, w],
+        _good_or_bad([[], ["--svg"], ["--ascii"]], [["--svg", "--ascii"]]),
+        _WORD_TEXTS,
+    ),
+    st.builds(
+        lambda n, length, seed: ["bench", *n, "--len", str(length), *seed],
+        _option("--n", [2, 4, 16], [-1, 1, 2000, "x"]),
+        _good_or_bad([1, 50], [-5, 0, 2_000_000, "x"]),
+        _option("--seed", [0, -1], ["x"]),
+    ),
+    st.sampled_from([[], ["bogus"], ["eq", "n=3; 1"], ["normalize", "--bogus", "n=3;"]]),
+)
+
+
+@CLI_BUDGET
+@given(_ARGVS)
+def test_every_command_line_keeps_the_exit_code_contract(argv):
+    """
+    Exit code 0, 1 or 2 and no traceback for any command line; a usage
+    error caught by main itself is one stderr line starting "error: ".
+    argparse's own refusals exit through SystemExit(2).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), mock.patch("sys.stdin", io.StringIO("n=3; 1 2")):
+        try:
+            code, by_main = main([arg.replace("<tmp>", tmp) for arg in argv]), True
+        except SystemExit as exc:
+            code, by_main = exc.code, False
+    err = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
+    if code == 2 and by_main:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -229,6 +229,10 @@ def test_prepend_simple():
         a = random_simple(rng, n)
         expect = gs_rewrite_to_fixpoint(PositiveWord(n, (a,) + nf.factors), "rightmost")
         assert prepend_simple(a, nf) == expect
+    # the word it builds refuses a braid on another strand count
+    with pytest.raises(ValueError) as caught:
+        prepend_simple(generator_braid(2, 1), nf1)
+    assert str(caught.value) == "letter on 2 strands in a word on 3"
 
 
 def test_gs_rewrite_strategies_agree():

@@ -538,6 +538,15 @@ def test_confluence_reports_are_pinned(n, monkeypatch):
         assert sha256(verify_confluence(n, 20, 1000, seed)) == BROKEN_CONFLUENCE_SHA256[n, seed]
 
 
+def test_confluence_reports_a_rewrite_count_over_the_bound(monkeypatch):
+    # with a bound of 0 every word that rewrites at all is over it
+    monkeypatch.setattr(oracle, "rewrite_potential", lambda word: 0)
+    report = verify_confluence(3, length=6, samples=5, seed=1)
+    assert not report.passed and len(report.failures) == 6
+    assert report.failures[0] == ["termination-bound", "leftmost", [1, 2], 1, 0]
+    assert {f[0] for f in report.failures} == {"termination-bound"}
+
+
 def test_verify_confluence_small():
     report = verify_confluence(3, length=10, samples=300, seed=42)
     assert report.passed, report.failures[:3]

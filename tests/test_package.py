@@ -8,6 +8,7 @@ import copy
 import importlib
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -253,6 +254,10 @@ def _words():
     return parse_word("n=3; 1"), parse_word("n=4; 1")
 
 
+def _permutation_and_pair_set():
+    return identity(3), PairSet(4, 0)
+
+
 STRAND_CHECKS = [
     (simple.product_in_D, _braids, "braids"),
     (simple.transfer, _braids, "braids"),
@@ -269,6 +274,7 @@ STRAND_CHECKS = [
     (normalform.equal, _words, "words"),
     (perms.compose, _permutations, "cannot compose permutations"),
     (PairSet.__and__, _pair_sets, "pair sets"),
+    (perms.act_on_pairs, _permutation_and_pair_set, "permutation and pair set"),
 ]
 
 
@@ -347,3 +353,40 @@ def test_src_keeps_no_test_only_members():
         and node.name not in read
     ]
     assert not unused, "only tests use " + ", ".join(unused)
+
+
+def test_src_sets_no_field_through_object_setattr():
+    """Value fields are set only through the value base's slot setters."""
+    calls = [
+        f"{module}:{node.lineno}"
+        for module, tree in _source_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__setattr__"
+    ]
+    assert not calls, calls
+
+
+def test_readme_names_resolve():
+    """
+    Every backticked `<module>.<name>` of a package module in README.md
+    names something that exists, attribute chains included.  A name
+    followed by `<`, such as `cli._cmd_<command>`, is a placeholder.
+    """
+    modules = ["braidnf", *(name for name in _source_trees() if name[0] != "_")]
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)  # code blocks
+    dotted = re.compile(
+        rf"(?<![\w./])({'|'.join(modules)})((?:\.[A-Za-z_]\w*)+)(?!\w*<)"
+    )
+    missing, checked = [], 0
+    for span in re.findall(r"`([^`]+)`", readme):
+        for module, chain in dotted.findall(span):
+            target = braidnf if module == "braidnf" else importlib.import_module(f"braidnf.{module}")
+            for name in chain[1:].split("."):
+                target = getattr(target, name, None)
+                if target is None:
+                    missing.append(module + chain)
+                    break
+            checked += 1
+    assert checked > 50 and not missing, missing

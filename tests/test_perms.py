@@ -103,6 +103,10 @@ def test_pair_set_basics():
         PairSet.from_pairs(3, [(1, 4)])
     with pytest.raises(ValueError):
         s & PairSet(5, 0)
+    # a pair out of range is not a member, even with every bit set
+    full = PairSet(3, 0b111)
+    assert (1, 2) in full
+    assert (0, 1) not in full and (2, 1) not in full and (1, 4) not in full
 
 
 def test_inversion_set_values():

@@ -140,6 +140,8 @@ def test_parse_permutation():
     assert str(caught.value) == "bad permutation entries in ' [1-2] '"
     for p in [(1,), (2, 1), (3, 5, 4, 2, 6, 1)]:
         assert parse_permutation(format_permutation(p)) == p
+    with pytest.raises(ValueError, match="^need at least one strand$"):
+        format_permutation(())  # "[]", which parse_permutation refuses
 
 
 def test_word_to_simple_letters():

@@ -8,13 +8,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
+import code_lines  # noqa: E402
 
 
 @pytest.mark.parametrize(
     "name",
     [
         "BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json",
-        "BENCH_pr34.json", "BENCH_pr35.json", "BENCH_pr36.json",
+        "BENCH_pr34.json", "BENCH_pr35.json", "BENCH_pr36.json", "BENCH_pr37.json",
     ],
 )
 def test_bench_pairs_summary_matches_the_checked_in_files(name):
@@ -27,3 +28,41 @@ def test_bench_pairs_summary_matches_the_checked_in_files(name):
         assert list(body) == ["seeds", "medians", "summary", "failed_runs", "runs"], workload
         summary = bench_pairs.summarize(body["runs"], better)
         assert {"seeds": body["seeds"], **summary, "runs": body["runs"]} == body, workload
+
+
+FIXTURE = '''"""
+Module docstring,
+over three lines.
+"""
+# a comment line
+
+import os  # a trailing comment does not hide code
+
+
+class Box:
+    """Class docstring."""
+
+    # an indented comment line
+    def total(self):
+        """
+        Function docstring.
+        """
+
+        return (1 +
+                2 +
+                os.sep.count("/"))
+'''
+
+
+def test_code_lines_counts_code_tokens_outside_docstrings(tmp_path, capsys):
+    # counted: the import, the class and def lines, and the three lines
+    # of the return statement; docstrings, comments and blanks are not
+    (tmp_path / "box.py").write_text(FIXTURE, encoding="utf-8")
+    (tmp_path / "empty.py").write_text("# only a comment\n\n", encoding="utf-8")
+    assert code_lines.code_lines(FIXTURE) == 6
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "box.py                6",
+        "empty.py              0",
+        "total                 6",
+    ]
