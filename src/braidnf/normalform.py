@@ -28,6 +28,13 @@ braid and the whole run is integer table reads: each step is a read of
 its left factor's row, filled on first read, each flip and run
 extension a list read, and each output factor a shared SimpleBraid.
 
+equal compares two words with shared work.  Their common prefix and
+suffix cancel, so only the middles are normalised, both through one
+alphabet.  Above the table bound that alphabet's step is a memo
+(_StepMemo) that lives for the one call and stores at most a fixed
+budget of entries, so the second middle reads the steps it shares with
+the first instead of taking their transfers again.
+
 Generators do not enter the engine's core one at a time.  Each maximal
 run of same-sign generators whose product is still a simple braid is
 folded into one letter first, so a run costs one transfer chain, not
@@ -48,8 +55,8 @@ module check the engine against.
 from __future__ import annotations
 
 import functools
-from itertools import chain
-from operator import getitem
+from itertools import chain, compress, count
+from operator import getitem, ne
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .perms import (
@@ -524,21 +531,105 @@ def normalize_group(word) -> GroupNormalForm:
     end, together with the pending parity, so the core is flipped at most
     once.
     """
-    n = word.n
+    return _group_form(word.n, word.symbols, _alphabet(word.n))
+
+
+def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNormalForm:
+    """normalize_group on the symbols of a word on n strands, through the given alphabet."""
     if n == 1:
         # one strand: every symbol is trivial
         return GroupNormalForm(1, 0, ())
     # D and -D become the half twist and None; a generator stays an int
-    symbols = map({n: omega(n), -n: None}.get, word.symbols, word.symbols)
-    alphabet = _alphabet(n)
+    symbols = map({n: omega(n), -n: None}.get, symbols, symbols)
     m, parity, trail, core = _normalize_letters(alphabet, symbols)
     if (trail + parity) & 1:
         core = map(alphabet.flip, core)
     return GroupNormalForm(n, m + trail, tuple(map(alphabet.braid, core)))
 
 
+# The step memo of one equal call above the table bound stores at most
+# _MEMO_BUDGET // n entries, step rows counted as entries, whatever the
+# words' length.  An entry keeps up to three one-line words of n ints
+# alive: a full memo measured about 290, 500, 1,100 and 3,500 bytes per
+# entry at n = 7, 16, 64 and 256, so 10, 8, 4.5 and 3.6 MB in all
+# (tracemalloc peak of one eq of two 20,000-letter words, CPython 3.11.7).
+# An eq of the benchmark's n = 64 words of up to 256 letters stores at
+# most about 930 of its 4,096 entries.
+_MEMO_BUDGET = 2**18
+
+
+class _MemoRow(dict):
+    """
+    One left factor's row of a _StepMemo, filled like _StepRow: entry b
+    is the base row's, read on the first read of b and kept while the
+    memo has room.  room is a one-item list, shared by the memo and all
+    its rows, of the rows and entries the memo may still store; nothing
+    points back to the memo, so it is no reference cycle and is freed as
+    soon as its call returns.
+    """
+
+    __slots__ = ("base", "room")
+
+    def __init__(self, base, room: list):
+        self.base, self.room = base, room
+
+    def __missing__(self, key):
+        value = self._read(key)
+        if self.room[0]:
+            self.room[0] -= 1
+            self[key] = value
+        return value
+
+    def _read(self, b):
+        return self.base[b]
+
+
+class _StepMemo(_MemoRow):
+    """
+    The step of one equal call above the table bound, over the base
+    alphabet's step: memo[a] is the row (_MemoRow) over base[a], so
+    memo[a][b] reads base[a][b] once per pair while the memo has room.
+    """
+
+    __slots__ = ()
+
+    def _read(self, a):
+        return _MemoRow(self.base[a], self.room)
+
+
+def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
+    """
+    The lengths of the longest common prefix of a and b, and of the
+    longest common suffix of what follows it, each found by one C-level
+    pass over the symbols.
+    """
+    short = min(len(a), len(b))
+    head = next(compress(count(), map(ne, a, b)), short)
+    tail = next(compress(count(), map(ne, reversed(a[head:]), reversed(b[head:]))), short - head)
+    return head, tail
+
+
 def equal(w1, w2) -> bool:
-    """Whether two signed words represent the same braid group element."""
-    _same_strands("words", w1.n, w2.n)
-    return normalize_group(w1) == normalize_group(w2)
+    """
+    Whether two signed words represent the same braid group element.
+
+    The two words share work.  Their longest common prefix Q and then
+    their longest common suffix S are cancelled first, exactly, since
+    Q * R1 * S = Q * R2 * S if and only if R1 = R2; only the middles R1
+    and R2 are normalised, as symbol sequences.  Both run through one
+    alphabet: the rank tables up to TABLE_MAX_STRANDS, and above it the
+    word alphabet behind a step memo (_StepMemo) that lives for this call
+    only and stores at most _MEMO_BUDGET // n entries.  Words that differ
+    by local moves pass the same (factor, letter) pairs away from the
+    moves, so the second middle reads much of its steps from the first.
+    """
+    n = w1.n
+    _same_strands("words", n, w2.n)
+    a, b = w1.symbols, w2.symbols
+    head, tail = _common_ends(a, b)
+    alphabet = _alphabet(n)
+    if n > TABLE_MAX_STRANDS:
+        alphabet = alphabet._replace(step=_StepMemo(alphabet.step, [_MEMO_BUDGET // n]))
+    forms = [_group_form(n, w[head : len(w) - tail], alphabet) for w in (a, b)]
+    return forms[0] == forms[1]
 

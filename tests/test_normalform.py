@@ -1,4 +1,5 @@
 import collections
+import gc
 import importlib.util
 import itertools
 import pathlib
@@ -504,6 +505,168 @@ def test_equal_agrees_with_handle_reduction():
     assert 0 < sum(swaps) < len(swaps)
 
 
+# The five moves that keep a braid, on a list of symbols (k for
+# sigma_|k|^sign(k), n and -n for D and -D), each made at a seeded place.
+
+
+def _is_generator(n, s):
+    return abs(s) < n
+
+
+def _cancelling_pair(rng, n, w):
+    g = rng.randint(1, n - 1) * rng.choice((1, -1))
+    at = rng.randint(0, len(w))
+    w[at:at] = [g, -g]
+
+
+def _delta_pair(rng, n, w):
+    e = rng.choice((1, -1))
+    at = rng.randint(0, len(w))
+    w[at:at] = [e * n, -e * n]
+
+
+def _braid_relation(rng, n, w):
+    # i j i -> j i j for a same-sign triple with |i| and |j| adjacent, or
+    # the relator (i i+1 i)(i+1 i i+1)^-1 inserted when the word has none
+    triples = [
+        at for at in range(len(w) - 2)
+        if w[at] == w[at + 2] and _is_generator(n, w[at]) and _is_generator(n, w[at + 1])
+        and (w[at] > 0) == (w[at + 1] > 0) and abs(abs(w[at]) - abs(w[at + 1])) == 1
+    ]
+    if triples:
+        at = rng.choice(triples)
+        w[at : at + 3] = [w[at + 1], w[at], w[at + 1]]
+        return
+    i = rng.randint(1, n - 2)
+    at = rng.randint(0, len(w))
+    w[at:at] = [i, i + 1, i, -(i + 1), -i, -(i + 1)]
+
+
+def _far_commutation(rng, n, w):
+    # swap two adjacent generators at distance two or more, or insert the
+    # commutator of two such generators when the word has no such pair
+    pairs = [
+        at for at in range(len(w) - 1)
+        if _is_generator(n, w[at]) and _is_generator(n, w[at + 1])
+        and abs(abs(w[at]) - abs(w[at + 1])) >= 2
+    ]
+    if pairs:
+        at = rng.choice(pairs)
+        w[at], w[at + 1] = w[at + 1], w[at]
+        return
+    i = rng.randint(1, n - 3)
+    j = rng.randint(i + 2, n - 1)
+    at = rng.randint(0, len(w))
+    w[at:at] = [i, j, -i, -j]
+
+
+def _delta_conjugation(rng, n, w):
+    # D^e sigma_i^f = sigma_(n-i)^f D^e: move a half twist across a
+    # generator beside it, or write a generator as its flip conjugated by
+    # D^e; a word without generators gets a D -D pair
+    def flipped(s):
+        return (n - abs(s)) * (1 if s > 0 else -1)
+
+    beside = [
+        at for at in range(len(w) - 1)
+        if _is_generator(n, w[at]) != _is_generator(n, w[at + 1])
+    ]
+    if beside:
+        at = rng.choice(beside)
+        x, y = w[at], w[at + 1]
+        w[at], w[at + 1] = (y, flipped(x)) if _is_generator(n, x) else (flipped(y), x)
+        return
+    generators = [at for at, s in enumerate(w) if _is_generator(n, s)]
+    if not generators:
+        _delta_pair(rng, n, w)
+        return
+    at = rng.choice(generators)
+    e = rng.choice((1, -1))
+    w[at : at + 1] = [e * n, flipped(w[at]), -e * n]
+
+
+IDENTITY_MOVES = (
+    _cancelling_pair, _delta_pair, _braid_relation, _far_commutation, _delta_conjugation
+)
+
+
+def equal_partner(rng, n, symbols, rounds=2):
+    """The symbols after every identity-preserving move, rounds times each, in seeded order."""
+    w = list(symbols)
+    moves = list(IDENTITY_MOVES) * rounds
+    rng.shuffle(moves)
+    for move in moves:
+        move(rng, n, w)
+    return w
+
+
+def signed_symbols(rng, n, length, delta_share=0.0):
+    """A random signed word's symbols: generators of either sign, and D or -D at delta_share."""
+    return [
+        rng.choice((n, -n)) if rng.random() < delta_share
+        else rng.randint(1, n - 1) * rng.choice((1, -1))
+        for _ in range(length)
+    ]
+
+
+def check_equal(n, a, b):
+    """equal on two symbol lists, checked against handle reduction and two normalize_group calls."""
+    w1, w2 = ArtinWord(n, tuple(a)), ArtinWord(n, tuple(b))
+    twin = handle_reduce(artin_letters(w1) + artin_letters(formal_inverse(w2))) == []
+    assert equal(w1, w2) == twin == (normalize_group(w1) == normalize_group(w2)), (n, a, b)
+    return twin
+
+
+def test_identity_moves_keep_the_braid():
+    # each move alone, on a word with and without the windows it looks for
+    rng = random.Random(2203)
+    for n in (7, 8):
+        for move in IDENTITY_MOVES:
+            for symbols in ([], [1], [1, 2, 1], [n, 3], [2, 5], signed_symbols(rng, n, 12, 0.1)):
+                for _ in range(5):
+                    edited = list(symbols)
+                    move(rng, n, edited)
+                    assert edited != symbols or move is _far_commutation
+                    assert check_equal(n, symbols, edited), move.__name__
+
+
+def test_equal_above_the_table_bound_under_identity_moves():
+    # seeded pairs on 7, 8, 16 and 64 strands: an equal partner made by
+    # the five moves, and an unequal one, that partner with one more
+    # generator; the n = 64 words are short, since the handle-reduction
+    # twin spells each half twist in 2,016 letters
+    rng = random.Random(2207)
+    for n, length, count, delta_share in [(7, 60, 12, 0.03), (8, 60, 12, 0.03),
+                                          (16, 60, 8, 0.03), (64, 40, 4, 0.0)]:
+        for _ in range(count):
+            symbols = signed_symbols(rng, n, length, delta_share)
+            partner = equal_partner(rng, n, symbols)
+            assert check_equal(n, symbols, partner)
+            g = rng.randint(1, n - 1) * rng.choice((1, -1))
+            at = rng.randint(0, len(partner))
+            assert not check_equal(n, symbols, partner[:at] + [g] + partner[at:])
+
+
+def test_equal_on_pairs_with_common_ends():
+    # w against itself, against w g and g w, against w with a cancelling
+    # pair at either end, and pairs whose middles are both empty or whose
+    # common prefix and suffix would overlap
+    rng = random.Random(2213)
+    for n in (7, 8, 16, 64):
+        for _ in range(4):
+            w = signed_symbols(rng, n, rng.randint(0, 20), 0.05 if n < 64 else 0.0)
+            g = rng.randint(1, n - 1) * rng.choice((1, -1))
+            assert check_equal(n, w, w)
+            assert check_equal(n, [], [])
+            assert not check_equal(n, w, w + [g])
+            assert not check_equal(n, [g] + w, w)
+            assert check_equal(n, w + [g, -g], w)
+            assert check_equal(n, w, [-g, g] + w)
+            assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
+            assert not check_equal(n, [g] * 2, [g] * 3)
+            assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
+
+
 
 def test_group_form_round_trips_through_handle_reduction():
     # the normal form of a benchmark word, spelled as D^m and each factor's
@@ -768,6 +931,89 @@ def test_runs_cut_transfers_per_letter(engine_counts):
         for w in words:
             run(w)
         assert 0 < engine_counts["transfer"] / (count * length) <= 1.0, run.__name__
+
+
+def memo_entries(memo):
+    """The entries an equal call's step memo stores, its rows counted."""
+    return len(memo) + sum(map(len, memo.values()))
+
+
+def test_equal_shares_work_between_its_words(engine_counts):
+    # an equal pair on 64 strands: equal computes at most 60% of the
+    # transfers of two normalize_group calls, the same count each time it
+    # is called, and leaves nothing behind; no memo survives the call even
+    # without the garbage collector, and no rank table is built
+    rng = random.Random(2221)
+    w1 = ArtinWord(64, tuple(signed_symbols(rng, 64, 256)))
+    w2 = ArtinWord(64, tuple(equal_partner(rng, 64, w1.symbols)))
+    normalize_group(w1), normalize_group(w2)
+    separate = engine_counts["transfer"]
+    counts = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(2):
+            engine_counts.clear()
+            assert equal(w1, w2)
+            counts.append(engine_counts["transfer"])
+            assert not any(
+                isinstance(o, (normalform._StepMemo, normalform._MemoRow)) for o in gc.get_objects()
+            )
+    finally:
+        if enabled:
+            gc.enable()
+    assert 0 < counts[0] == counts[1] <= 0.6 * separate
+    assert normalform._TABLES == {}
+    # the same word twice cancels whole: no transfer at all
+    engine_counts.clear()
+    assert equal(w1, w1) and engine_counts["transfer"] == 0
+
+
+def test_normalize_group_takes_its_own_transfers(engine_counts):
+    # normalize_group alone shares nothing: its transfer counts on seeded
+    # words at 4, 7 and 64 strands are the ones pinned before equal
+    # shared work between its words
+    rng = random.Random(2237)
+    counts = []
+    for n in (4, 7, 64):
+        engine_counts.clear()
+        normalize_group(ArtinWord(n, tuple(signed_symbols(rng, n, 200, 0.02))))
+        counts.append(engine_counts["transfer"])
+    assert counts == [359, 473, 389]
+
+
+def test_equal_memo_stays_within_its_budget(monkeypatch):
+    # with the budget cut to a few entries, every answer stays the same
+    # and no memo stores more than budget // n entries, rows included
+    memos = []
+
+    class RecordedMemo(normalform._StepMemo):
+        __slots__ = ()
+
+        def __init__(self, base, room):
+            super().__init__(base, room)
+            memos.append(self)
+
+    monkeypatch.setattr(normalform, "_StepMemo", RecordedMemo)
+    rng = random.Random(2239)
+    pairs = []
+    for n in (7, 8, 16, 64):
+        for _ in range(6):
+            symbols = signed_symbols(rng, n, 120, 0.02)
+            partner = equal_partner(rng, n, symbols)
+            if rng.random() < 0.5:
+                partner.insert(rng.randint(0, len(partner)), rng.randint(1, n - 1))
+            pairs.append((ArtinWord(n, tuple(symbols)), ArtinWord(n, tuple(partner))))
+    answers = [equal(a, b) for a, b in pairs]
+    assert 0 < sum(answers) < len(answers)
+    budget = 64 * 16
+    monkeypatch.setattr(normalform, "_MEMO_BUDGET", budget)
+    memos.clear()
+    assert [equal(a, b) for a, b in pairs] == answers
+    assert len(memos) == len(pairs)
+    for memo, (a, _) in zip(memos, pairs):
+        assert memo_entries(memo) + memo.room[0] == budget // a.n
+    assert all(memo.room == [0] for memo in memos)
 
 
 def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):

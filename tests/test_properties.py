@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from braidnf.normalform import GroupNormalForm, normalize_group
 from braidnf.simple import SimpleBraid, flip_braid
 from braidnf.textio import (
+    MAX_LETTERS,
+    MAX_STRANDS,
     ArtinWord,
+    ParseError,
     format_normal_form,
     format_word,
     parse_permutation,
@@ -17,8 +20,10 @@ from braidnf.textio import (
     simple_to_artin,
 )
 from twins import (
+    WHITESPACE,
     artin_letters,
     formal_inverse,
+    grammar_twin,
     handle_reduce,
     lifted_group_twin,
     spelled_form,
@@ -30,6 +35,17 @@ BUDGET = settings(max_examples=150, deadline=None, derandomize=True, database=No
 # letters for the handle-reduction twin, so those words get a budget of
 # their own.
 WIDE_BUDGET = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# Word texts are short and parse in microseconds; the grammar property
+# takes many of them, within about a second.
+GRAMMAR_BUDGET = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# Characters a near-miss puts into a word text: signs, D, digits, the
+# header's own characters, the underscore int() would take, every ASCII
+# control character and DEL, and non-ASCII digits, letters and spaces.
+NEAR_MISSES = (
+    "+-Dd0123456789n=;_ " + "".join(map(chr, range(32))) + "\x7f"
+    + "\u0663\u00a0\u2003\uff11\u00e9\u0085"
+)
 
 
 @st.composite
@@ -105,3 +121,61 @@ def test_flip_equivariance(word):
     assert normalize_group(flipped) == GroupNormalForm(
         n, form.delta_power, tuple(flip_braid(f) for f in form.factors)
     )
+
+
+@st.composite
+def word_texts(draw):
+    """
+    Texts of the word grammar with random whitespace, signs, leading zeros
+    and out-of-range indices, then zero to two near-misses: a character
+    of NEAR_MISSES inserted or put in place of one, or a character
+    deleted.
+    """
+    space = st.text(st.sampled_from(WHITESPACE), max_size=2)
+    zeros = st.sampled_from(("", "0", "00"))
+    n = draw(st.integers(1, 12))
+    header = "".join([
+        draw(space), "n", draw(space), "=", draw(space), draw(zeros), str(n), draw(space), ";"
+    ])
+    generator = st.builds(
+        lambda sign, zeros, k: f"{sign}{zeros}{k}", st.sampled_from(("", "-", "+")), zeros,
+        st.integers(0, n),
+    )
+    tokens = draw(st.lists(st.one_of(st.sampled_from(("D", "-D")), generator), max_size=8))
+    gaps = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2)
+    text = header + "".join(draw(gaps) + token for token in tokens) + draw(space)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        char = "" if edit == "delete" else draw(st.sampled_from(NEAR_MISSES))
+        text = text[:at] + char + text[at + (edit != "insert") :]
+    return text
+
+
+def test_grammar_twin_reads_the_documented_examples():
+    assert grammar_twin("n=3; 1 2 1", 1024, 10) == (3, (1, 2, 1))
+    assert grammar_twin("  n = 4 ;  -D   2  ", 1024, 10) == (4, (-4, 2))
+    assert grammar_twin("n=3; +1 -1 D", 1024, 10) == (3, (1, -1, 3))
+    assert grammar_twin("n=009;\t007\x0b-08", 1024, 10) == (9, (7, -8))
+    assert grammar_twin("n=5;", 1024, 10) == (5, ())
+    assert grammar_twin("n=1; D -D", 1, 10) == (1, (1, -1))
+    for bad in ["n=3; +D", "n=3; +-1", "n=3; 3", "n=3; 0", "n=3; -0", "n=12; 1_0",
+                "n=3; 1\x1c2", "n=3; 1\u00a02", "n=\u0663; 1", "\x1cn=3; 1", "m=3; 1",
+                "n=3 1", "n=0;", "n=3; 1 2 1"]:
+        assert grammar_twin(bad, 1024, 2) is None, bad
+    assert grammar_twin("n=1024;", 1024, 10) == (1024, ())
+    assert grammar_twin("n=1025;", 1024, 10) is None
+
+
+@GRAMMAR_BUDGET
+@given(word_texts())
+def test_parse_word_accepts_exactly_the_documented_grammar(text):
+    # parse_word refuses a text with ParseError exactly when the twin
+    # does, and otherwise reads the same strand count and symbols
+    want = grammar_twin(text, MAX_STRANDS, MAX_LETTERS)
+    try:
+        word = parse_word(text)
+    except ParseError:
+        assert want is None, text
+    else:
+        assert (word.n, word.symbols) == want, text

@@ -197,3 +197,64 @@ def growth_series(n, length) -> list:
     for total in range(1, length + 1):
         counts.append(-sum(denominator[k] * counts[total - k] for k in range(1, total + 1)))
     return counts
+
+
+WHITESPACE = " \t\n\r\x0c\x0b"  # space, tab, newline, carriage return, form feed, vertical tab
+DIGITS = "0123456789"
+
+
+def _natural(digits):
+    """The value of a run of the digits 0-9, or None when it is empty or holds anything else."""
+    if not digits or any(c not in DIGITS for c in digits):
+        return None
+    value = 0
+    for c in digits:
+        value = 10 * value + DIGITS.index(c)
+    return value
+
+
+def grammar_twin(text, max_strands, max_letters):
+    """
+    The word grammar of the textio module docstring, read character by
+    character with no regex, int() or str.split(): (n, symbols) when text
+    is a word, else None.  The header is what comes before the first
+    ``;``: optional whitespace, ``n``, optional whitespace, ``=``,
+    optional whitespace, a run of digits for 1 <= n <= max_strands, and
+    optional whitespace.  The body is tokens separated by whitespace, the
+    six ASCII characters of WHITESPACE and nothing else; a token is ``D``,
+    ``-D``, or an optional ``-`` or ``+`` and a run of digits for k with
+    0 < |k| < n.  Any other character is part of a token, which it spoils,
+    and a word has at most max_letters tokens.
+    """
+    head, sep, body = text.partition(";")
+    if not sep:
+        return None
+    head = head.strip(WHITESPACE)
+    if head[:1] != "n":
+        return None
+    head = head[1:].lstrip(WHITESPACE)
+    if head[:1] != "=":
+        return None
+    n = _natural(head[1:].lstrip(WHITESPACE))
+    if n is None or not 1 <= n <= max_strands:
+        return None
+    tokens, token = [], ""
+    for c in body + " ":
+        if c not in WHITESPACE:
+            token += c
+        elif token:
+            tokens.append(token)
+            token = ""
+    if len(tokens) > max_letters:
+        return None
+    symbols = []
+    for token in tokens:
+        if token in ("D", "-D"):
+            symbols.append(n if token == "D" else -n)
+            continue
+        sign = -1 if token[:1] == "-" else 1
+        k = _natural(token[1:] if token[:1] in "+-" else token)
+        if k is None or not 0 < k < n:
+            return None
+        symbols.append(sign * k)
+    return n, tuple(symbols)
