@@ -46,6 +46,8 @@ NEAR_MISSES = (
     "+-Dd0123456789n=;_ " + "".join(map(chr, range(32))) + "\x7f"
     + "\u0663\u00a0\u2003\uff11\u00e9\u0085"
 )
+# Spaces str.split() or a Unicode \s would split at, and the grammar does not.
+ODD_SPACES = "\x1c\x1d\x1e\x1f\x00\u0085\u00a0\u2003"
 
 
 @st.composite
@@ -123,32 +125,63 @@ def test_flip_equivariance(word):
     )
 
 
+def _spliced(draw, text, places, chars, width):
+    """text with width characters at one drawn place replaced by one drawn from chars."""
+    at = draw(st.sampled_from(places or range(len(text) + 1)))
+    return text[:at] + draw(st.sampled_from(chars)) + text[at + width :]
+
+
 @st.composite
 def word_texts(draw):
     """
-    Texts of the word grammar with random whitespace, signs, leading zeros
-    and out-of-range indices, then zero to two near-misses: a character
-    of NEAR_MISSES inserted or put in place of one, or a character
-    deleted.
+    A text of the word grammar, with random whitespace, signs and leading
+    zeros, and then at most one near-miss, so that the near-miss alone
+    decides whether the text is a word:
+    - sign: a ``+``, ``-`` or ``+-`` put before a token, ``+D`` included;
+    - D: ``d``, ``DD``, ``D1``, ``+D`` or ``-D-`` put in place of a token;
+    - digits: a generator index put at 0, n or n + 7, or with leading zeros;
+    - underscore: a ``_`` put inside a run of digits of the body, where
+      int() takes it;
+    - space: one whitespace character, in the header or between tokens,
+      replaced by one of ODD_SPACES;
+    - char: a character of NEAR_MISSES inserted or put in place of one.
     """
-    space = st.text(st.sampled_from(WHITESPACE), max_size=2)
-    zeros = st.sampled_from(("", "0", "00"))
     n = draw(st.integers(1, 12))
+    space = st.text(st.sampled_from(WHITESPACE), max_size=2)
+    gap = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2)
+    zeros = st.sampled_from(("", "", "0", "00"))
     header = "".join([
         draw(space), "n", draw(space), "=", draw(space), draw(zeros), str(n), draw(space), ";"
     ])
-    generator = st.builds(
-        lambda sign, zeros, k: f"{sign}{zeros}{k}", st.sampled_from(("", "-", "+")), zeros,
-        st.integers(0, n),
-    )
-    tokens = draw(st.lists(st.one_of(st.sampled_from(("D", "-D")), generator), max_size=8))
-    gaps = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2)
-    text = header + "".join(draw(gaps) + token for token in tokens) + draw(space)
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(text)))
-        edit = draw(st.sampled_from(("insert", "replace", "delete")))
-        char = "" if edit == "delete" else draw(st.sampled_from(NEAR_MISSES))
-        text = text[:at] + char + text[at + (edit != "insert") :]
+    token = st.sampled_from(("D", "-D"))
+    if n > 1:
+        token = st.one_of(token, st.builds(
+            "{}{}{}".format, st.sampled_from(("", "-", "+")), zeros, st.integers(1, n - 1)
+        ))
+    tokens = draw(st.lists(token, max_size=6))
+    miss = draw(st.sampled_from(
+        ("none", "sign", "D", "digits", "underscore", "space", "space", "char", "char")
+    ))
+    if tokens and miss in ("sign", "D", "digits"):
+        i = draw(st.integers(0, len(tokens) - 1))
+        if miss == "sign":
+            tokens[i] = draw(st.sampled_from(("+", "-", "+-"))) + tokens[i].lstrip("+")
+        elif miss == "D":
+            tokens[i] = draw(st.sampled_from(("d", "DD", "D1", "+D", "-D-")))
+        else:
+            tokens[i] = draw(st.sampled_from(("", "-"))) + draw(zeros) + str(
+                draw(st.sampled_from((0, n, n + 7)))
+            )
+    text = header + "".join(draw(gap) + t for t in tokens) + draw(space)
+    if miss == "underscore":
+        body = len(header)
+        inner = [at for at in range(body + 1, len(text)) if text[at - 1 : at + 1].isdigit()]
+        text = _spliced(draw, text, inner, "_", 0)
+    elif miss == "space":
+        spaces = [at for at, c in enumerate(text) if c in WHITESPACE]
+        text = _spliced(draw, text, spaces, ODD_SPACES, 1)
+    elif miss == "char":
+        text = _spliced(draw, text, [], NEAR_MISSES, draw(st.integers(0, 1)))
     return text
 
 

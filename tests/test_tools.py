@@ -16,6 +16,7 @@ import code_lines  # noqa: E402
     [
         "BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json",
         "BENCH_pr34.json", "BENCH_pr35.json", "BENCH_pr36.json", "BENCH_pr37.json",
+        "BENCH_pr38.json",
     ],
 )
 def test_bench_pairs_summary_matches_the_checked_in_files(name):
