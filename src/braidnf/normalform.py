@@ -28,12 +28,15 @@ braid and the whole run is integer table reads: each step is a read of
 its left factor's row, filled on first read, each flip and run
 extension a list read, and each output factor a shared SimpleBraid.
 
+A step is memoised by one class, _Memo: a dict whose missing entry is
+computed on its first read and kept while a room shared with the other
+rows lasts.  The rank tables' rows are memos with room for every pair.
 equal compares two words with shared work.  Their common prefix and
 suffix cancel, so only the middles are normalised, both through one
-alphabet.  Above the table bound that alphabet's step is a memo
-(_StepMemo) that lives for the one call and stores at most a fixed
-budget of entries, so the second middle reads the steps it shares with
-the first instead of taking their transfers again.
+alphabet.  Above the table bound that alphabet's step is a memo of
+memos that lives for the one call and stores at most a fixed budget of
+entries, so the second middle reads the steps it shares with the first
+instead of taking their transfers again.
 
 Generators do not enter the engine's core one at a time.  Each maximal
 run of same-sign generators whose product is still a simple braid is
@@ -260,23 +263,36 @@ def _word_alphabet(n: int) -> _Alphabet:
 TABLE_MAX_STRANDS = 6
 
 
-class _StepRow(dict):
+class _Memo(dict):
     """
-    The row of the rank tables' step for one left factor, its one-line
-    word left: the entry of rank b is None when the pair is normal, else
-    the ranks (head, tail).  An entry is filled by one transfer
-    (_step_words) on its first read, and is a dict read ever after.
+    A memo read by subscription: a missing key k is fill(k), stored only
+    while room[0] is non-zero, each store taking one unit of it, and a
+    dict read ever after.  room is a one-item list that a memo shares
+    with the memos in its values, its rows; nothing points back from a
+    row, so a memo and its rows form no reference cycle.
     """
 
-    __slots__ = ("left", "perms", "rank")
+    __slots__ = ("fill", "room")
 
-    def __init__(self, left: tuple, perms: list, rank: dict):
-        self.left, self.perms, self.rank = left, perms, rank
+    def __init__(self, fill: Callable, room: list):
+        self.fill, self.room = fill, room
 
-    def __missing__(self, b: int) -> Optional[tuple[int, int]]:
-        rewrite = _step_words(self.left, self.perms[b])
-        step = self[b] = rewrite and (self.rank[rewrite[0]], self.rank[rewrite[1]])
-        return step
+    def __missing__(self, key):
+        value = self.fill(key)
+        if self.room[0]:
+            self.room[0] -= 1
+            self[key] = value
+        return value
+
+
+def _rank_step(left: tuple, perms: list, rank: dict, b: int) -> Optional[tuple[int, int]]:
+    """
+    The rank tables' step entry of rank b in the row of the one-line word
+    left: None when the pair is normal, else the ranks (head, tail), by
+    one transfer (_step_words).
+    """
+    rewrite = _step_words(left, perms[b])
+    return rewrite and (rank[rewrite[0]], rank[rewrite[1]])
 
 
 _TABLES: dict[int, _Alphabet] = {}
@@ -292,8 +308,10 @@ def rank_tables(n: int) -> _Alphabet:
     through ranks, as list reads: the flip, the run extensions
     extend[s][a] (-1 where a run stops being simple) and one SimpleBraid
     per rank, checked once and shared.  The step has one row per left
-    rank (_StepRow), read as step[a][b]; only the rows grow with use, as
-    a memo of the transfer, and the rest is O(n!).
+    rank, read as step[a][b]: a memo (_Memo) of one transfer per entry
+    (_rank_step), filled on the entry's first read.  The rows share room
+    for every pair, so they never forget; only they grow with use, and
+    the rest is O(n!).
     """
     if n in _TABLES:
         return _TABLES[n]
@@ -302,10 +320,11 @@ def rank_tables(n: int) -> _Alphabet:
     perms = list(all_permutations(n))
     rank = {p: r for r, p in enumerate(perms)}
     words = _word_alphabet(n)
+    room = [len(perms) ** 2]  # every pair: the rows never forget
     tables = _TABLES[n] = _Alphabet(
         rank[words.ident], rank[words.top], rank.__getitem__,
         list(map(words.braid, perms)).__getitem__, [rank[words.flip(p)] for p in perms].__getitem__,
-        [_StepRow(p, perms, rank) for p in perms],
+        [_Memo(functools.partial(_rank_step, p, perms, rank), room) for p in perms],
         [None, *([rank.get(rule[p], -1) for p in perms] for rule in words.extend[1:])],
     )
     return tables
@@ -558,45 +577,6 @@ def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNor
 _MEMO_BUDGET = 2**18
 
 
-class _MemoRow(dict):
-    """
-    One left factor's row of a _StepMemo, filled like _StepRow: entry b
-    is the base row's, read on the first read of b and kept while the
-    memo has room.  room is a one-item list, shared by the memo and all
-    its rows, of the rows and entries the memo may still store; nothing
-    points back to the memo, so it is no reference cycle and is freed as
-    soon as its call returns.
-    """
-
-    __slots__ = ("base", "room")
-
-    def __init__(self, base, room: list):
-        self.base, self.room = base, room
-
-    def __missing__(self, key):
-        value = self._read(key)
-        if self.room[0]:
-            self.room[0] -= 1
-            self[key] = value
-        return value
-
-    def _read(self, b):
-        return self.base[b]
-
-
-class _StepMemo(_MemoRow):
-    """
-    The step of one equal call above the table bound, over the base
-    alphabet's step: memo[a] is the row (_MemoRow) over base[a], so
-    memo[a][b] reads base[a][b] once per pair while the memo has room.
-    """
-
-    __slots__ = ()
-
-    def _read(self, a):
-        return _MemoRow(self.base[a], self.room)
-
-
 def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
     """
     The lengths of the longest common prefix of a and b, and of the
@@ -618,8 +598,9 @@ def equal(w1, w2) -> bool:
     Q * R1 * S = Q * R2 * S if and only if R1 = R2; only the middles R1
     and R2 are normalised, as symbol sequences.  Both run through one
     alphabet: the rank tables up to TABLE_MAX_STRANDS, and above it the
-    word alphabet behind a step memo (_StepMemo) that lives for this call
-    only and stores at most _MEMO_BUDGET // n entries.  Words that differ
+    word alphabet behind a step memo (_Memo, whose rows are memos over the
+    word alphabet's rows) that lives for this call only and stores at
+    most _MEMO_BUDGET // n entries, rows included.  Words that differ
     by local moves pass the same (factor, letter) pairs away from the
     moves, so the second middle reads much of its steps from the first.
     """
@@ -629,7 +610,8 @@ def equal(w1, w2) -> bool:
     head, tail = _common_ends(a, b)
     alphabet = _alphabet(n)
     if n > TABLE_MAX_STRANDS:
-        alphabet = alphabet._replace(step=_StepMemo(alphabet.step, [_MEMO_BUDGET // n]))
+        rows, room = alphabet.step, [_MEMO_BUDGET // n]
+        alphabet = alphabet._replace(step=_Memo(lambda a: _Memo(rows[a].__getitem__, room), room))
     forms = [_group_form(n, w[head : len(w) - tail], alphabet) for w in (a, b)]
     return forms[0] == forms[1]
 

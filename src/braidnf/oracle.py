@@ -11,8 +11,8 @@ over the ranks, built from its lower covers, so a meet is the top bit of
 two down-sets, and an inversion set is a key of the table's index.  Each
 verification call interns its own states in one pair table (_PairTable),
 which the row sweeps of one verify command share (_one_fill); only
-verify_meet reads the engine's rank tables (normalform.rank_tables), to
-check their step entries against the normality test and the transfer.
+verify_meet reads the engine's alphabet (normalform._alphabet), to check
+its step entries against the normality test and the transfer.
 
 The sweep has two paths through the same law statements.  Exhaustive
 sweeps up to EXHAUSTIVE_MAX_STRANDS take the row path (_dense): S_n is
@@ -38,14 +38,13 @@ import operator
 import random
 from typing import Optional, Sequence
 
+from . import normalform
 from .lattice import InversionSet, meet, meet_permutations
 from .normalform import (
-    TABLE_MAX_STRANDS,
     PositiveNormalForm,
     PositiveWord,
     _rewrite_to_fixpoint,
     normalize_positive,
-    rank_tables,
     rewrite_potential,
 )
 from .perms import (
@@ -619,10 +618,11 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     up to EXHAUSTIVE_MAX_STRANDS, sampled for larger n, within the
     enumeration bound of the weak-order table (_weak_order), which is
     checked first; the pairs are drawn from the listing that table is
-    built from (_listing).  Up to TABLE_MAX_STRANDS each pair's engine step,
-    its entry of the rank automaton's step rows (normalform.rank_tables), is
-    also checked against the normality test and the meet-based transfer;
-    a disagreement is reported in one-line notation.
+    built from (_listing).  Each pair's engine step, read from the
+    engine's alphabet (normalform._alphabet: the rank tables' rows up to
+    the table bound, the word alphabet's transfer above), is also checked
+    against the normality test and the meet-based transfer; a
+    disagreement is reported in one-line notation.
     """
     _weak_order(n)  # the enumeration bound, checked before the samples
     _check_samples(samples)
@@ -635,7 +635,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     else:
         rng = random.Random(seed)
         pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(samples))
-    tables = rank_tables(n) if n <= TABLE_MAX_STRANDS else None
+    alphabet = normalform._alphabet(n)
     for (p, r1), (q, r2) in pairs:
         try:
             slow = brute_meet(r1, r2)
@@ -651,13 +651,12 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
             if bits != slow.bits:
                 got = None if bits is None else PairSet(n, bits).pairs()
                 failures.append([kind, r1.pairs(), r2.pairs(), got, slow.pairs()])
-        if tables is not None:
-            step = tables.step[tables.letter(p)][tables.letter(q)]
-            if step is not None:
-                step = (tables.braid(step[0]).perm, tables.braid(step[1]).perm)
-            want = None if _is_normal_words(p, q) else _transfer_words(p, q)
-            if step != want:
-                failures.append(["table", p, q, step, want])
+        step = alphabet.step[alphabet.letter(p)][alphabet.letter(q)]
+        if step is not None:
+            step = (alphabet.braid(step[0]).perm, alphabet.braid(step[1]).perm)
+        want = None if _is_normal_words(p, q) else _transfer_words(p, q)
+        if step != want:
+            failures.append(["table", p, q, step, want])
     return VerificationReport("meet", n, samples or len(elements) ** 2, failures)
 
 

@@ -2,6 +2,7 @@ import collections
 import gc
 import importlib.util
 import itertools
+import math
 import pathlib
 import random
 import tracemalloc
@@ -938,11 +939,17 @@ def memo_entries(memo):
     return len(memo) + sum(map(len, memo.values()))
 
 
+def live_memos():
+    """The count of live normalform._Memo objects, rank-table rows included."""
+    return sum(isinstance(o, normalform._Memo) for o in gc.get_objects())
+
+
 def test_equal_shares_work_between_its_words(engine_counts):
     # an equal pair on 64 strands: equal computes at most 60% of the
     # transfers of two normalize_group calls, the same count each time it
     # is called, and leaves nothing behind; no memo survives the call even
-    # without the garbage collector, and no rank table is built
+    # without the garbage collector (the live memos, rank-table rows among
+    # them, number the same before and after it), and no rank table is built
     rng = random.Random(2221)
     w1 = ArtinWord(64, tuple(signed_symbols(rng, 64, 256)))
     w2 = ArtinWord(64, tuple(equal_partner(rng, 64, w1.symbols)))
@@ -954,11 +961,10 @@ def test_equal_shares_work_between_its_words(engine_counts):
     try:
         for _ in range(2):
             engine_counts.clear()
+            before = live_memos()
             assert equal(w1, w2)
             counts.append(engine_counts["transfer"])
-            assert not any(
-                isinstance(o, (normalform._StepMemo, normalform._MemoRow)) for o in gc.get_objects()
-            )
+            assert live_memos() == before
     finally:
         if enabled:
             gc.enable()
@@ -984,17 +990,20 @@ def test_normalize_group_takes_its_own_transfers(engine_counts):
 
 def test_equal_memo_stays_within_its_budget(monkeypatch):
     # with the budget cut to a few entries, every answer stays the same
-    # and no memo stores more than budget // n entries, rows included
+    # and no memo stores more than budget // n entries, rows included; a
+    # call's step memo is the first _Memo made with a new room, and its
+    # rows share that room
     memos = []
 
-    class RecordedMemo(normalform._StepMemo):
+    class RecordedMemo(normalform._Memo):
         __slots__ = ()
 
-        def __init__(self, base, room):
-            super().__init__(base, room)
-            memos.append(self)
+        def __init__(self, fill, room):
+            super().__init__(fill, room)
+            if not any(memo.room is room for memo in memos):
+                memos.append(self)
 
-    monkeypatch.setattr(normalform, "_StepMemo", RecordedMemo)
+    monkeypatch.setattr(normalform, "_Memo", RecordedMemo)
     rng = random.Random(2239)
     pairs = []
     for n in (7, 8, 16, 64):
@@ -1084,6 +1093,33 @@ def test_rank_tables_fill_lazily_and_stop_at_six_strands(monkeypatch):
         with pytest.raises(ValueError, match="rank tables need"):
             normalform.rank_tables(n)
     assert set(normalform._TABLES) == {5, 6}
+
+
+def test_rank_tables_never_forget(monkeypatch):
+    # the step rows of fresh rank tables share room for every pair of
+    # ranks: a full read takes one transfer per pair, stores all (n!)^2
+    # entries and uses up the room exactly, and a second full read takes
+    # no transfer
+    monkeypatch.setattr(normalform, "_TABLES", {})
+    calls = 0
+    step_words = normalform._step_words
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return step_words(a, b)
+
+    monkeypatch.setattr(normalform, "_step_words", counted)
+    for n in (2, 3, 4, 5):
+        step = normalform.rank_tables(n).step
+        size = math.factorial(n)
+        room = step[0].room
+        assert all(row.room is room for row in step) and room == [size**2]
+        calls = 0
+        first = [[row[b] for b in range(size)] for row in step]
+        assert calls == sum(map(len, step)) == size**2 and room == [0]
+        calls = 0
+        assert [[row[b] for b in range(size)] for row in step] == first and calls == 0
 
 
 def test_signed_run_rule_matches_the_product_twin():

@@ -680,6 +680,33 @@ def test_verify_meet_checks_the_transition_table_at_six_strands(monkeypatch):
     assert all(len(p) == 6 for f in report.failures for p in (f[1], f[2], *f[3], *f[4]))
 
 
+def test_verify_meet_checks_the_transition_table_at_seven_strands(monkeypatch):
+    # above the table bound the sweep reads the word alphabet's step; with
+    # head and tail swapped in its transfer it is caught on every drawn pair
+    # that rewrites into two different factors, in draw order, and only there
+    step_words = normalform._step_words
+
+    def swapped(a, b):
+        step = step_words(a, b)
+        return None if step is None else step[::-1]
+
+    monkeypatch.setattr(normalform, "_step_words", swapped)
+    report = verify_meet(7, samples=300, seed=17)
+    assert report.cases == 300
+    assert {f[0] for f in report.failures} == {"table"}
+    listed, rng = list(all_permutations(7)), random.Random(17)
+    draws = [(rng.choice(listed), rng.choice(listed)) for _ in range(300)]
+
+    def differ(p, q):
+        step = step_words(p, q)
+        return step is not None and step[0] != step[1]
+
+    expected = [(p, q) for p, q in draws if differ(p, q)]
+    assert [(f[1], f[2]) for f in report.failures] == expected and expected
+    assert all(len(p) == 7 for f in report.failures for p in (f[1], f[2], *f[3], *f[4]))
+    assert 7 not in normalform._TABLES
+
+
 def test_verify_validity():
     for n in (3, 4):
         report = verify_validity(n)

@@ -11,14 +11,20 @@ import bench_pairs  # noqa: E402
 import code_lines  # noqa: E402
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "BENCH_pr30.json", "BENCH_pr31.json", "BENCH_pr32.json", "BENCH_pr33.json",
-        "BENCH_pr34.json", "BENCH_pr35.json", "BENCH_pr36.json", "BENCH_pr37.json",
-        "BENCH_pr38.json",
-    ],
-)
+def bench_number(path):
+    """k for a file BENCH_pr<k>.json, else -1."""
+    digits = path.stem.removeprefix("BENCH_pr")
+    return int(digits) if digits.isdigit() else -1
+
+
+# tools/bench_pairs.py wrote every BENCH_pr<k>.json with k >= 30
+BENCH_FILES = [
+    path.name for path in sorted(ROOT.glob("BENCH_pr*.json"), key=bench_number)
+    if bench_number(path) >= 30
+]
+
+
+@pytest.mark.parametrize("name", BENCH_FILES)
 def test_bench_pairs_summary_matches_the_checked_in_files(name):
     # each file was written with inclusive quartiles and strict pair wins
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
