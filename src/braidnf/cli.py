@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     try:
         # by name, through the module: a wrapper set on cli is what runs
         return getattr(_cli, "_cmd_" + args.command)(args)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

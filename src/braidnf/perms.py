@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from operator import attrgetter
+import operator
 from typing import Iterable, Iterator, Sequence
 
 
@@ -62,7 +62,7 @@ class _Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-        cls._key = attrgetter(*cls._fields)
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __init__(self, *values):
         setters = self._setters
@@ -104,20 +104,17 @@ class _Value:
 
 def is_permutation(word: Sequence[int]) -> bool:
     """
-    Check that word is a permutation of {1..n} where n = len(word).
+    Check that word is a permutation of {1..n} where n = len(word): its
+    entries, read as integers through operator.index, sort to 1..n.  An
+    entry that is not an integer, a float or a string, gives False.
 
-    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1, 3), (0, 1)]]
-    [True, True, True, False, False]
+    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1, 3), (0, 1), (1.0, 2.0)]]
+    [True, True, True, False, False, False]
     """
-    n = len(word)
-    if n == 0:
-        return True
-    if min(word) != 1 or max(word) != n:
+    try:
+        return sorted(map(operator.index, word)) == list(range(1, len(word) + 1))
+    except TypeError:
         return False
-    mask = 0
-    for x in word:
-        mask |= 1 << x
-    return mask == (1 << (n + 1)) - 2
 
 
 def _check_strands(n: int) -> None:
@@ -129,7 +126,7 @@ def _check_strands(n: int) -> None:
 def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
     """
     Return word as a tuple, raising ValueError unless it is a permutation
-    on at least one strand.
+    on at least one strand (is_permutation), non-integer entries included.
     """
     p = tuple(word)
     _check_strands(len(p))

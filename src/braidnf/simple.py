@@ -55,13 +55,7 @@ class SimpleBraid(_Value):
     _fields = ("perm",)
 
     def __init__(self, perm: Sequence[int]):
-        # _Value.__init__ for one field, without its loop.  Up to six strands
-        # the engine's factors are shared rank-table braids and none is
-        # built; above six one braid is built per output factor, and this
-        # saves about 0.2-0.3 us a braid at n = 7 (timeit, best of 5), some
-        # 1% of `bench --n 7 --len 20000`
-        self._setters[0](self, tuple(perm))
-        self.__post_init__()
+        super().__init__(tuple(perm))
 
     def __post_init__(self):
         check_permutation(self.perm)

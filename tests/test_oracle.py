@@ -502,6 +502,23 @@ def test_confluence_twin_rewrites_with_the_oracle_transfer(monkeypatch):
     assert kinds == {"crossing-conservation": 35, "confluence": 20}
 
 
+def test_confluence_twin_builds_only_the_engines_forms(monkeypatch):
+    # the strategies' results are judged by comparison alone: one positive
+    # form is built per word, the engine's own, and none for the strategies.
+    # The value base looks __post_init__ up on the instance, so the wrapper
+    # set on the class sees every construction
+    built = []
+    validate = normalform.PositiveNormalForm.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(normalform.PositiveNormalForm, "__post_init__", counted)
+    assert verify_confluence(3, 10, 50, 1).passed
+    assert len(built) == 50
+
+
 # sha256 of verify_confluence(n, 20, 1000, seed).to_json(), as reported by the
 # per-word implementation the call replaced: passing, and under a transfer
 # that moves all of a into b, whose failure records carry the seeded words

@@ -367,6 +367,38 @@ def test_src_sets_no_field_through_object_setattr():
     assert not calls, calls
 
 
+def test_src_reads_slot_setters_only_in_the_value_base():
+    """
+    Values are built through the value base: outside perms._Value only
+    lattice.InversionSet._trusted, which skips the inversion-set test for
+    sets that are one by construction, reads a class's _setters.
+    """
+    allowed = {("perms", "_Value"), ("lattice", "_trusted")}
+
+    def reads(tree) -> set:
+        return {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_setters"
+        }
+
+    stray = [
+        f"{module}:{line}"
+        for module, tree in _source_trees().items()
+        for line in sorted(
+            reads(tree).difference(
+                *(
+                    reads(scope)
+                    for scope in ast.walk(tree)
+                    if isinstance(scope, (ast.ClassDef, ast.FunctionDef))
+                    and (module, scope.name) in allowed
+                )
+            )
+        )
+    ]
+    assert not stray, stray
+
+
 def test_readme_names_resolve():
     """
     Every backticked `<module>.<name>` of a package module in README.md

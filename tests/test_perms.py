@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from braidnf.perms import (
     act_on_pairs,
     adjacent_transposition,
     all_permutations,
+    check_permutation,
     compose,
     flip,
     full_bits,
@@ -39,6 +41,17 @@ def test_is_permutation():
     assert not is_permutation((1, 1, 3))
     assert not is_permutation((0, 1))
     assert not is_permutation((2, 3))
+
+
+@pytest.mark.parametrize("word", [(1.0, 2.0), (2, "1"), ("2", "1")])
+def test_check_permutation_refuses_non_integer_entries(word):
+    with pytest.raises(ValueError, match=rf"^not a permutation of 1\.\.2: {re.escape(repr(word))}$"):
+        check_permutation(word)
+
+
+def test_check_permutation_accepts_index_types():
+    assert check_permutation((True,)) == (True,)
+    assert check_permutation([2, 1]) == (2, 1)
 
 
 def test_identity_and_omega():
