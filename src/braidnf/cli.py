@@ -27,6 +27,7 @@ from .textio import (
     MAX_STRANDS,
     ArtinWord,
     ParseError,
+    _check_count,
     format_normal_form,
     format_permutation,
     parse_permutation,
@@ -39,9 +40,9 @@ from .textio import (
 # them.  They stay attributes of this module, and the commands call them
 # through it (_cli.name), so a wrapper set here is what runs.
 _LAZY = dict.fromkeys(["build", "export_dot"], "automaton") | dict.fromkeys(
-    ["_check_confluence_strands", "_check_length", "_check_samples", "_one_fill",
-     "verify_commuting", "verify_confluence", "verify_gsb", "verify_gsb_strict", "verify_meet",
-     "verify_stop", "verify_strand_lemma", "verify_validity"],
+    ["_check_confluence_strands", "_one_fill", "verify_commuting", "verify_confluence",
+     "verify_gsb", "verify_gsb_strict", "verify_meet", "verify_stop", "verify_strand_lemma",
+     "verify_validity"],
     "oracle",
 )
 __getattr__ = _lazy_getattr(globals(), _LAZY)
@@ -105,12 +106,12 @@ def _suite_reports(suite: str, n: int, args) -> list:
 
 
 def _cmd_verify(args) -> int:
-    _cli._check_length(args.length)  # before any suite runs
+    _check_count("length", args.length, 0, MAX_LETTERS)  # before any suite runs
     if args.all:
         runs = [(suite, min(args.n, size)) for suite, size in ALL_SIZES.items()]
         # before any sweep: the first check of gsb, the first suite, then
         # confluence's size, which refuses n = 1; gsb refuses n < 1 itself
-        _cli._check_samples(args.samples)
+        _check_count("samples", args.samples, 1)
         if args.n >= 1:
             _cli._check_confluence_strands(min(args.n, ALL_SIZES["confluence"]))
     elif args.suite:
@@ -149,14 +150,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.n < 2:
-        raise ParseError(f"--n must be at least 2, got {args.n}")
-    if args.n > MAX_STRANDS:
-        raise ParseError(f"--n must be at most {MAX_STRANDS}, got {args.n}")
-    if args.len < 1:
-        raise ParseError(f"--len must be at least 1, got {args.len}")
-    if args.len > MAX_LETTERS:
-        raise ParseError(f"--len must be at most {MAX_LETTERS}, got {args.len}")
+    _check_count("--n", args.n, 2, MAX_STRANDS)
+    _check_count("--len", args.len, 1, MAX_LETTERS)
     rng = random.Random(args.seed)
     indices = [rng.randint(1, args.n - 1) for _ in range(args.len)]
     word = word_to_simple_letters(ArtinWord(args.n, tuple(indices)))

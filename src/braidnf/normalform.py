@@ -60,7 +60,7 @@ from __future__ import annotations
 import functools
 from itertools import chain, compress, count
 from operator import getitem, ne
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
     _check_strands, _same_strands, _Value, all_permutations, flip, identity, length, omega
@@ -474,23 +474,23 @@ def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     return PositiveNormalForm(n, tuple(map(alphabet.braid, factors)))
 
 
-def _rewrite_to_fixpoint(
-    letters: Iterable, strategy: str, ident, step: Callable, hook: Optional[Callable]
-) -> list:
+def _rewrite_to_fixpoint(letters: list, strategy: str, ident, step: Callable) -> Iterator:
     """
-    The letters, identity dropped, after rewriting one non-normal adjacent
-    pair at a time, the leftmost or the rightmost one.  step(a, b) is None
-    for a normal pair, else (head, tail), as the engine reads its step; a
-    vanished head merges the pair into its tail.  After a rewrite the
-    scan steps back one pair, since only the pairs next to the rewritten
-    one can have changed.  hook, when given, is called on every rewrite
-    with its (position, left, right, head, tail) as letters;
-    oracle.verify_confluence watches termination and crossing
-    conservation through it.
+    Rewrite the list letters in place, identity dropped, one non-normal
+    adjacent pair at a time, the leftmost or the rightmost one, and yield
+    each rewrite as it is made, as (position, left, right, head, tail) in
+    letters; letters is at its fixpoint once the rewrites are exhausted.
+    step(a, b) is None for a normal pair, else (head, tail), as the
+    engine reads its step; a vanished head merges the pair into its tail.
+    After a rewrite the scan steps back one pair, since only the pairs
+    next to the rewritten one can have changed.  The rewrites are yielded,
+    not kept: a 3,000-letter word on four strands takes some 64,000 of
+    them.  oracle.verify_confluence checks termination and crossing
+    conservation on the rewrites it lists.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    letters = [x for x in letters if x != ident]
+    letters[:] = [x for x in letters if x != ident]
     last = len(letters) - 2  # the index of the last pair
     forward, i = (1, 0) if strategy == "leftmost" else (-1, last)
     while 0 <= i <= last:
@@ -499,13 +499,11 @@ def _rewrite_to_fixpoint(
             i += forward
             continue
         head, tail = rewrite
-        if hook is not None:
-            hook(i, letters[i], letters[i + 1], head, tail)
+        yield i, letters[i], letters[i + 1], head, tail
         if head == ident:
             rewrite, last = (tail,), last - 1
         letters[i : i + 2] = rewrite
         i = 0 if i < forward else last if i - forward > last else i - forward  # one pair back
-    return letters
 
 
 def gs_rewrite_to_fixpoint(w: PositiveWord, strategy: str = "leftmost") -> PositiveNormalForm:
@@ -522,7 +520,8 @@ def gs_rewrite_to_fixpoint(w: PositiveWord, strategy: str = "leftmost") -> Posit
         return None if _is_normal_words(a, b) else _transfer_words(a, b)
 
     perms = [letter.perm for letter in w.letters]
-    perms = _rewrite_to_fixpoint(perms, strategy, identity(w.n), step, None)
+    for _rewrite in _rewrite_to_fixpoint(perms, strategy, identity(w.n), step):
+        pass
     return PositiveNormalForm(w.n, tuple(map(SimpleBraid, perms)))
 
 

@@ -62,7 +62,7 @@ from .perms import (
     pair_count,
 )
 from .simple import SimpleBraid, _is_clean_words, _is_normal_words, _transfer_words
-from .textio import EXHAUSTIVE_MAX_STRANDS, MAX_LETTERS, MAX_STRANDS
+from .textio import EXHAUSTIVE_MAX_STRANDS, MAX_LETTERS, MAX_STRANDS, _check_count
 
 BRUTE_MAX_STRANDS = 7
 
@@ -445,11 +445,6 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
 # Verification sweeps
 
 
-def _check_samples(samples: Optional[int]) -> None:
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-
-
 def _sample(n: int, rng: random.Random) -> tuple[int, ...]:
     """rng.choice(list(all_permutations(n))) without the list: randrange(n!), unranked."""
     index, digits = rng.randrange(math.factorial(n)), []
@@ -465,7 +460,7 @@ def _triples(n: int, samples: Optional[int], seed: int):
     Triples of S_n: all of them up to EXHAUSTIVE_MAX_STRANDS, by rows (3),
     else seeded samples; checks its arguments eagerly.
     """
-    _check_samples(samples)
+    _check_count("samples", samples, 1)
     if samples is None:
         if n > EXHAUSTIVE_MAX_STRANDS:
             raise ValueError(
@@ -556,13 +551,6 @@ def _check_confluence_strands(n: int) -> None:
         raise ValueError(f"confluence sweep is sized for 2 <= n <= 6, got {n}")
 
 
-def _check_length(length: Optional[int]) -> None:
-    if length is not None and length < 0:
-        raise ValueError(f"length must be at least 0, got {length}")
-    if length is not None and length > MAX_LETTERS:
-        raise ValueError(f"length must be at most {MAX_LETTERS}, got {length}")
-
-
 def verify_confluence(
     n: int, length: int = 20, samples: int = 1000, seed: int = 42
 ) -> VerificationReport:
@@ -573,17 +561,19 @@ def verify_confluence(
     crossings at every rewrite step.  The two strategies rewrite ints of
     one pair table built for this call (_PairTable), so each distinct pair
     is tested for normality once and, when it rewrites, transferred and
-    checked for conservation once; a word fails conservation when one of
-    its rewrites is a broken pair.  Each strategy's result is judged only
-    by comparison with normalize_positive's validated form: a result that
-    differs is a confluence failure, and one that equals it is that form,
-    so the rewriting path reads no engine table.  Each generator has one
+    checked for conservation once.  The rewriting loop yields the
+    rewrites it makes, which the twin lists: a word fails conservation
+    when one of them is a broken pair, and termination when there are
+    more of them than the bound.  Each strategy's result is judged only by comparison
+    with normalize_positive's validated form: a result that differs is a
+    confluence failure, and one that equals it is that form, so the
+    rewriting path reads no engine table.  Each generator has one
     SimpleBraid, built on first use and shared by the words, so its
     crossings are counted from one inversion set.
     """
     _check_confluence_strands(n)
-    _check_length(length)
-    _check_samples(samples)
+    _check_count("length", length, 0, MAX_LETTERS)
+    _check_count("samples", samples, 1)
     rng = random.Random(seed)
     failures: list = []
     table = _PairTable()
@@ -597,13 +587,13 @@ def verify_confluence(
         word = PositiveWord(n, tuple(map(braid, letters)))
         bound = rewrite_potential(word)
         for strategy in ("leftmost", "rightmost"):
-            steps = []  # the (position, left, right, head, tail) of every rewrite step
-            form = _rewrite_to_fixpoint(letters, strategy, ident, step, lambda *s: steps.append(s))
+            form = list(letters)
+            rewrites = list(_rewrite_to_fixpoint(form, strategy, ident, step))
             outcomes.append(tuple(map(perm.__getitem__, form)))
-            if table.broken and not table.broken.keys().isdisjoint(s[1:3] for s in steps):
+            if table.broken and not table.broken.keys().isdisjoint(r[1:3] for r in rewrites):
                 failures.append(["crossing-conservation", strategy, idxs])
-            if len(steps) > bound:
-                failures.append(["termination-bound", strategy, idxs, len(steps), bound])
+            if len(rewrites) > bound:
+                failures.append(["termination-bound", strategy, idxs, len(rewrites), bound])
         appended = tuple(f.perm for f in normalize_positive(word).factors)
         if not (outcomes[0] == outcomes[1] == appended):
             failures.append(["confluence", idxs, outcomes[0], outcomes[1], appended])
@@ -625,7 +615,7 @@ def verify_meet(n: int, samples: Optional[int] = None, seed: int = 42) -> Verifi
     disagreement is reported in one-line notation.
     """
     _weak_order(n)  # the enumeration bound, checked before the samples
-    _check_samples(samples)
+    _check_count("samples", samples, 1)
     if samples is None and n > EXHAUSTIVE_MAX_STRANDS:
         raise ValueError(f"exhaustive meet sweep needs n <= {EXHAUSTIVE_MAX_STRANDS}; pass samples")
     failures: list = []

@@ -30,7 +30,7 @@ letter.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .normalform import GroupNormalForm, PositiveWord
 from .perms import _check_strands, _Value, check_permutation
@@ -79,6 +79,20 @@ MAX_STRANDS = 1024
 # unbounded work.  It is caught by one bounded split per word, before any
 # token is converted.
 MAX_LETTERS = 1_000_000
+
+
+def _check_count(name: str, value: Optional[int], low: int, high: Optional[int] = None) -> None:
+    """
+    Raise ValueError unless the count value lies in low..high, or is at
+    least low when high is None; a value of None was not given and
+    passes.  Every count refusal of the CLI and of the oracle's sweeps is
+    raised here: the strand count and length of bench, and the length
+    and sample count of the verification sweeps.
+    """
+    if value is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value is not None and high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
 
 # Exhaustive sweeps run over every pair or triple of S_n up to this n.  It
 # sits with the bounds the CLI checks, so that its help text can state it

@@ -357,24 +357,31 @@ def test_verify_bounds_error(capsys):
 
 
 def test_verify_rejects_bad_arguments(capsys):
+    # each refusal is pinned as the whole error line
     for argv, message in [
-        (["--suite", "meet", "--n", "6", "--samples", "-3"], "samples must be at least 1"),
-        (["--suite", "gsb", "--n", "6", "--samples", "-2"], "samples must be at least 1"),
-        (["--suite", "confluence", "--samples", "0"], "samples must be at least 1"),
-        (["--suite", "confluence", "--length", "-5"], "length must be at least 0"),
-        (["--suite", "meet", "--n", "4", "--length", "-3"], "length must be at least 0"),
-        (["--all", "--length", "-1"], "length must be at least 0"),
+        (["--suite", "meet", "--n", "6", "--samples", "-3"], "samples must be at least 1, got -3"),
+        (["--suite", "gsb", "--n", "6", "--samples", "-2"], "samples must be at least 1, got -2"),
+        (["--suite", "gsb", "--samples", "0"], "samples must be at least 1, got 0"),
+        (["--suite", "confluence", "--samples", "0"], "samples must be at least 1, got 0"),
+        (["--all", "--n", "1", "--samples", "0"], "samples must be at least 1, got 0"),
+        (["--suite", "confluence", "--length", "-5"], "length must be at least 0, got -5"),
+        (["--suite", "meet", "--n", "4", "--length", "-3"], "length must be at least 0, got -3"),
+        (["--all", "--length", "-1"], "length must be at least 0, got -1"),
         (["--suite", "meet", "--length", "5"], "--length: suite meet draws no words"),
         (["--suite", "gsb", "--length", "20"], "--length: suite gsb draws no words"),
-        (["--suite", "confluence", "--n", "1"], "2 <= n <= 6"),
+        (["--suite", "confluence", "--n", "1"], "confluence sweep is sized for 2 <= n <= 6, got 1"),
         (["--suite", "gsb", "--n", "0"], "need at least one strand"),
         (["--suite", "stop", "--n", "0"], "need at least one strand"),
         (["--suite", "stop", "--n", "-2"], "need at least one strand"),
         (["--suite", "strands", "--n", "-1"], "need at least one strand"),
-        (["--all", "--length", "1000001"], "length must be at most 1000000"),
+        (["--all", "--length", "1000001"], "length must be at most 1000000, got 1000001"),
+        (
+            ["--suite", "confluence", "--length", "1000001"],
+            "length must be at most 1000000, got 1000001",
+        ),
     ]:
         code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 2 and out == "" and message in err, argv
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_broken_pipe_exits_quietly():
@@ -455,15 +462,16 @@ def test_bench_small(capsys):
 
 
 def test_bench_rejects_bad_arguments(capsys):
-    for argv, flag in [
-        (["--n", "1"], "--n"),
-        (["--n", "0"], "--n"),
-        (["--len", "0"], "--len"),
-        (["--len", "-1"], "--len"),
+    for argv, message in [
+        (["--n", "1"], "--n must be at least 2, got 1"),
+        (["--n", "0"], "--n must be at least 2, got 0"),
+        (["--n", "1025"], "--n must be at most 1024, got 1025"),
+        (["--len", "0"], "--len must be at least 1, got 0"),
+        (["--len", "-1"], "--len must be at least 1, got -1"),
+        (["--n", "1", "--len", "0"], "--n must be at least 2, got 1"),
     ]:
         code, out, err = run_cli(capsys, "bench", *argv)
-        assert code == 2 and out == "", argv
-        assert err.startswith(f"error: {flag} must be at least"), argv
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
     code, out, _ = run_cli(capsys, "bench", "--n", "2", "--len", "1")
     assert code == 0 and out.startswith("n=2 letters=1 ")
     code, out, err = run_cli(capsys, "bench", "--len", "1000001")

@@ -32,7 +32,7 @@ from braidnf.perms import (
     length,
     omega,
 )
-from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
+from braidnf.simple import SimpleBraid, flip_braid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import (
     ArtinWord,
     format_word,
@@ -254,18 +254,15 @@ def test_gs_rewrite_strategies_agree():
 def rewrite_steps(w, strategy):
     """
     The rewrites gs_rewrite_to_fixpoint makes on w: its loop, run with its
-    step on one-line words and a hook that records every rewrite.  The
-    loop's result is checked against gs_rewrite_to_fixpoint's.
+    step on one-line words, yields them.  The loop's result is checked
+    against gs_rewrite_to_fixpoint's.
     """
 
     def step(a, b):
         return None if simple._is_normal_words(a, b) else simple._transfer_words(a, b)
 
-    steps = []
-    letters = [b.perm for b in w.letters]
-    form = normalform._rewrite_to_fixpoint(
-        letters, strategy, identity(w.n), step, lambda *s: steps.append(s)
-    )
+    form = [b.perm for b in w.letters]
+    steps = list(normalform._rewrite_to_fixpoint(form, strategy, identity(w.n), step))
     assert form == [f.perm for f in gs_rewrite_to_fixpoint(w, strategy).factors]
     return steps
 
@@ -307,11 +304,9 @@ def test_rewriting_loop_is_its_plain_twin():
             letters = rng.choices(ints + [ident], k=rng.randint(0, 16))
             for strategy in ("leftmost", "rightmost"):
                 for step in (table.step, scramble):
-                    hooks = []
-                    got = normalform._rewrite_to_fixpoint(
-                        letters, strategy, ident, step, lambda *s: hooks.append(s)
-                    )
-                    assert (got, hooks) == rewrite_twin(letters, strategy, ident, step)
+                    got = list(letters)
+                    rewrites = list(normalform._rewrite_to_fixpoint(got, strategy, ident, step))
+                    assert (got, rewrites) == rewrite_twin(letters, strategy, ident, step)
 
 
 def test_normalize_group_values():
@@ -681,6 +676,29 @@ def test_group_form_round_trips_through_handle_reduction():
             w = parse_word(bench_words.text(n, tokens))
             back = parse_word(format_word(spelled_form(normalize_group(w))))
             assert handle_reduce(artin_letters(w) + artin_letters(formal_inverse(back))) == []
+
+
+def test_garside_relations_past_the_twins():
+    # For x = D^p a_1...a_k, inf(x) = p and sup(x) = p + k.  On seeded
+    # benchmark words at strand counts no twin reaches: inf(x^-1) = -sup(x)
+    # and sup(x^-1) = -inf(x) (Elrifai and Morton 1994; Epstein et al.,
+    # Word Processing in Groups, ch. 9); the reversed word has the same inf
+    # and sup; and the flip sending each generator i to n - i flips every
+    # factor and keeps p, the relation test_flip_equivariance checks at n <= 8
+    def bounds(form):
+        return form.delta_power, form.delta_power + len(form.factors)
+
+    rng = random.Random(241)
+    for n, length, words in ((9, 300, 6), (16, 300, 4), (64, 200, 3), (256, 80, 2), (1024, 30, 1)):
+        for _ in range(words):
+            w = parse_word(bench_words.text(n, bench_words.signed_word(rng, n, length, 0.5, 0.02)))
+            form = normalize_group(w)
+            inf, sup = bounds(form)
+            assert bounds(normalize_group(formal_inverse(w))) == (-sup, -inf), n
+            assert bounds(normalize_group(ArtinWord(n, w.symbols[::-1]))) == (inf, sup), n
+            flipped = [s if abs(s) == n else (n if s > 0 else -n) - s for s in w.symbols]
+            flipped_form = GroupNormalForm(n, inf, tuple(map(flip_braid, form.factors)))
+            assert normalize_group(ArtinWord(n, flipped)) == flipped_form, n
 
 def test_append_matches_fold_reference():
     # the engine's right-append of one letter to a normal form, on the word
