@@ -564,10 +564,10 @@ def verify_confluence(
     checked for conservation once.  The rewriting loop yields the
     rewrites it makes, which the twin lists: a word fails conservation
     when one of them is a broken pair, and termination when there are
-    more of them than the bound.  Each strategy's result is judged only by comparison
-    with normalize_positive's validated form: a result that differs is a
-    confluence failure, and one that equals it is that form, so the
-    rewriting path reads no engine table.  Each generator has one
+    more of them than the bound.  Each strategy's result is judged only
+    by comparison with normalize_positive's validated form: a result that
+    differs is a confluence failure, and one that equals it is that form,
+    so the rewriting path reads no engine table.  Each generator has one
     SimpleBraid, built on first use and shared by the words, so its
     crossings are counted from one inversion set.
     """

@@ -94,6 +94,7 @@ def _check_count(name: str, value: Optional[int], low: int, high: Optional[int] 
     if value is not None and high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}, got {value}")
 
+
 # Exhaustive sweeps run over every pair or triple of S_n up to this n.  It
 # sits with the bounds the CLI checks, so that its help text can state it
 # without loading the oracle.

@@ -689,9 +689,9 @@ def test_garside_relations_past_the_twins():
         return form.delta_power, form.delta_power + len(form.factors)
 
     rng = random.Random(241)
-    for n, length, words in ((9, 300, 6), (16, 300, 4), (64, 200, 3), (256, 80, 2), (1024, 30, 1)):
+    for n, size, words in ((9, 300, 6), (16, 300, 4), (64, 200, 3), (256, 80, 2), (1024, 30, 1)):
         for _ in range(words):
-            w = parse_word(bench_words.text(n, bench_words.signed_word(rng, n, length, 0.5, 0.02)))
+            w = parse_word(bench_words.text(n, bench_words.signed_word(rng, n, size, 0.5, 0.02)))
             form = normalize_group(w)
             inf, sup = bounds(form)
             assert bounds(normalize_group(formal_inverse(w))) == (-sup, -inf), n
@@ -699,6 +699,7 @@ def test_garside_relations_past_the_twins():
             flipped = [s if abs(s) == n else (n if s > 0 else -n) - s for s in w.symbols]
             flipped_form = GroupNormalForm(n, inf, tuple(map(flip_braid, form.factors)))
             assert normalize_group(ArtinWord(n, flipped)) == flipped_form, n
+
 
 def test_append_matches_fold_reference():
     # the engine's right-append of one letter to a normal form, on the word
