@@ -38,16 +38,22 @@ memos that lives for the one call and stores at most a fixed budget of
 entries, so the second middle reads the steps it shares with the first
 instead of taking their transfers again.
 
-Generators do not enter the engine's core one at a time.  Each maximal
-run of same-sign generators whose product is still a simple braid is
-folded into one letter first, so a run costs one transfer chain, not
-one per generator.  A positive run enters as its product B; an inverse run
-C^-1 enters as Omega^-1 * (Omega * C^-1), an inverse half twist followed
-by the simple complement of C.  The run is carried as the letter it
-enters as, B or Omega * C^-1, and each generator grows it by one rule
-on that letter, so a run closes with no further work.  A run is folded
-in the word's own frame: flip is an automorphism, so flipping the
-folded letter on arrival is the same as flipping each of its generators.
+Generators do not enter the engine's core one at a time.  They are
+folded first into a pending run, a fraction B * C^-1 of simple braids,
+so a run costs at most two transfer chains, not one per generator.  A
+positive generator grows B, cancels a crossing of C, or, when it
+commutes with all of C, passes C^-1 and grows B; an inverse generator
+cancels a crossing of B while C is empty and grows C otherwise.  On a
+mixed word at many strands most opposite-sign neighbours commute or
+cancel, so a run spans many sign changes, as in the treatment of
+inverse letters by the Delta-form algorithm of Epstein et al., Word
+Processing in Groups (1992), ch. 9.  A closed run enters the core as B,
+then C^-1 as Omega^-1 * (Omega * C^-1), an inverse half twist followed
+by the simple complement of C.  B and Omega * C^-1 are carried as the
+letters they enter as, and each generator grows one of them by one
+rule, so a run closes with no further work.  A run is folded in the
+word's own frame: flip is an automorphism, so flipping the folded
+letters on arrival is the same as flipping each of their generators.
 
 The same rewriting step (replace an adjacent pair by its head and tail)
 applied at arbitrary non-normal positions is confluent and terminating,
@@ -354,17 +360,25 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
     subscription or C-level calls, with no Python call per symbol, letter
     or step.
 
-    Generators are folded into runs.  A run is carried as the letter it
-    enters the core as: B for a positive run B, which enters as itself,
-    and Omega * C^-1 for an inverse run C^-1, which enters as None
-    followed by that letter.  Either way the next generator, read with its
-    sign s, multiplies the letter on the right by s_|s|, and the run stays
-    simple exactly when that adds a crossing (s > 0) or removes one
-    (s < 0): one read, extend[s][run], which is -1 otherwise.  A positive
-    run starts from the identity, an inverse run from Omega.  A run closes
-    at a sign change, a generator that does not extend it, any other
-    symbol and the end of the stream; the pending run is empty (the
-    identity, positive) after any other symbol.
+    Generators are folded into a run, the fraction B * C^-1, carried as
+    the two letters it enters the core as: pos = B, which enters as
+    itself, and neg = Omega * C^-1, which enters as None followed by that
+    letter; an empty run is the identity and Omega.  A generator, read
+    with its sign s, multiplies one of them on the right by s_|s|, and
+    that letter stays simple exactly when this adds a crossing (s > 0) or
+    removes one (s < 0): one read, extend[s][letter], which is -1
+    otherwise.  On pos, s > 0 grows B and s < 0 cancels a crossing of B;
+    on neg, s < 0 grows C (C^-1 * s_k^-1 = (s_k * C)^-1) and s > 0
+    cancels a crossing of C.  An int mask, blocked, holds bits k - 1, k
+    and k + 1 for each generator k that C has taken in, and is zero
+    exactly when C is empty.  So s = k > 0 grows B while C is empty;
+    otherwise it cancels into C, or, when bit k is clear, commutes with
+    all of C and grows B.  s = -k < 0 cancels into B while C is empty,
+    and grows C otherwise.  A run closes at a generator that no rule
+    takes, at any other symbol and at the end of the stream; it enters
+    the core as pos, then, unless C is empty, None and neg.  The next run
+    starts from the generator that closed it, and is empty after any
+    other symbol.
 
     A letter bubbles leftwards from the right end of the core: rewrite the
     last pair, then the pair to its left, and so on until a pair is
@@ -379,20 +393,39 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
     step, extend = alphabet.step, alphabet.extend
     m = parity = trail = 0
     core: list = []
-    run, positive = ident, True
+    pos, neg, blocked = ident, top, 0
     for s in chain(symbols, (_END,)):
         if s.__class__ is int:
-            if (s > 0) is positive and (grown := extend[s][run]) != -1:
-                run = grown
-                continue
-        letters = [run] if positive else [None, run]
+            if s > 0:
+                if not blocked:
+                    if (grown := extend[s][pos]) != -1:
+                        pos = grown
+                        continue
+                elif (grown := extend[s][neg]) != -1:
+                    neg = grown
+                    if neg == top:
+                        blocked = 0
+                    continue
+                elif not blocked >> s & 1 and (grown := extend[s][pos]) != -1:
+                    pos = grown
+                    continue
+            else:
+                if not blocked and (grown := extend[s][pos]) != -1:
+                    pos = grown
+                    continue
+                if (grown := extend[s][neg]) != -1:
+                    neg = grown
+                    blocked |= 7 << (-s - 1)
+                    continue
+        letters = [pos, None, neg] if blocked else [pos]
+        pos, neg, blocked = ident, top, 0
         if s.__class__ is int:
-            positive = s > 0
-            run = extend[s][ident if positive else top]
-        else:
-            run, positive = ident, True
-            if s is not _END:
-                letters.append(None if s is None else letter(s))
+            if s > 0:
+                pos = extend[s][ident]
+            else:
+                neg, blocked = extend[s][top], 7 << (-s - 1)
+        elif s is not _END:
+            letters.append(None if s is None else letter(s))
         for x in letters:
             if x is None:
                 if trail:
