@@ -605,7 +605,8 @@ def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNor
 # entry at n = 7, 16, 64 and 256, so 10, 8, 4.5 and 3.6 MB in all
 # (tracemalloc peak of one eq of two 20,000-letter words, CPython 3.11.7).
 # An eq of the benchmark's n = 64 words of up to 256 letters stores at
-# most about 930 of its 4,096 entries.
+# most 576 of its 4,096 entries (the 108 eq calls of six mixed-n64
+# cycles at seeds 1-3).
 _MEMO_BUDGET = 2**18
 
 

@@ -733,20 +733,27 @@ def test_append_matches_fold_reference():
 
 def _cut_stream(rng, n, positive):
     """
-    A seeded engine symbol stream whose runs of generators end in every
-    way a run can end: at a sign change, at a generator that does not
-    extend it (its last generator again), at D or -D (the half twist or
-    None), at a one-line letter and at the end of the stream.  Positive
-    streams hold no inverse symbol, and their one-line letters include
-    the identity and the half twist.
+    A seeded engine symbol stream whose runs of generators meet every
+    rule of the pending fraction B * C^-1 and end in every way a run can
+    end.  A signed segment's last generator may cancel a crossing (of B
+    after a positive run, of C after an inverse one), or follow an inverse
+    run as a positive generator that commutes with all of it or one next
+    to it, which closes the run.  A segment may also end at a sign
+    change, at a generator that does not extend the run (its last
+    generator again), at D or -D (the half twist or None), at a one-line
+    letter and at the end of the stream.  Positive streams hold no
+    inverse symbol, and their one-line letters include the identity and
+    the half twist.
     """
     top = omega(n)
-    cuts = ("square", "D", "letter") if positive else ("sign", "square", "D", "-D")
+    cuts = ("square", "D", "letter") if positive else (
+        "sign", "square", "D", "-D", "cancel", "commute", "next"
+    )
     symbols = []
     for _ in range(rng.randint(1, 10)):
-        sign = 1 if positive else rng.choice((1, -1))
-        run = [sign * rng.randint(1, n - 1) for _ in range(rng.randint(1, 4))]
         cut = rng.choice(cuts)
+        sign = 1 if positive else -1 if cut in ("commute", "next") else rng.choice((1, -1))
+        run = [sign * rng.randint(1, n - 1) for _ in range(rng.randint(1, 4))]
         if cut == "sign":
             run.append(-sign * rng.randint(1, n - 1))
         elif cut == "square":
@@ -755,6 +762,13 @@ def _cut_stream(rng, n, positive):
             run.append(top)
         elif cut == "-D":
             run.append(None)
+        elif cut == "cancel":
+            run.append(-run[-1])
+        elif cut in ("commute", "next"):
+            taken = {-s for s in run}
+            far = [j for j in range(1, n) if all(abs(j - k) > 1 for k in taken)]
+            near = [j for j in range(1, n) if j not in taken and {j - 1, j + 1} & taken]
+            run.append(rng.choice((far if cut == "commute" else near) or range(1, n)))
         else:
             run.append(rng.choice((tuple(range(1, n + 1)), top, random_simple(rng, n).perm)))
         symbols += run
@@ -768,7 +782,7 @@ def test_engine_cuts_runs_alike_on_both_alphabets():
     # positive path and the lifted group twin on the signed one; above
     # six strands the word alphabet alone, against the same twins
     rng = random.Random(2711)
-    for n in (3, 4, 5, 6, 8):
+    for n in (3, 4, 5, 6, 7, 8):
         words, top = normalform._word_alphabet(n), omega(n)
         for positive in (True, False):
             for _ in range(150):
@@ -937,6 +951,10 @@ def test_runs_cut_transfers_per_letter(engine_counts):
     # Folding runs of generators into one simple letter before the engine
     # halves the transfers per letter on four strands: one per generator
     # appended singly came to about 2.0 (positive) and 1.4 (all inverse).
+    # On mixed-sign words a run is a fraction B * C^-1 that spans sign
+    # changes; with a run closed at every sign change these words took
+    # 1.41 (n = 4) and 3.48 (n = 64) transfers per letter, against 0.78
+    # and 1.53 with the fraction.
     length, count = 800, 4
     rng = random.Random(101)
     positive = [
@@ -946,11 +964,24 @@ def test_runs_cut_transfers_per_letter(engine_counts):
         ArtinWord(4, tuple(-rng.randint(1, 3) for _ in range(length)))
         for _ in range(count)
     ]
-    for run, words in ((normalize_positive, positive), (normalize_group, inverse)):
+    mixed = {
+        n: [
+            ArtinWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)))
+            for _ in range(count)
+        ]
+        for n in (4, 64)
+    }
+    rows = (
+        (normalize_positive, positive, 1.0),
+        (normalize_group, inverse, 1.0),
+        (normalize_group, mixed[4], 1.0),
+        (normalize_group, mixed[64], 2.0),
+    )
+    for run, words, bound in rows:
         engine_counts.clear()
         for w in words:
             run(w)
-        assert 0 < engine_counts["transfer"] / (count * length) <= 1.0, run.__name__
+        assert 0 < engine_counts["transfer"] / (count * length) <= bound, (run.__name__, words[0].n)
 
 
 def memo_entries(memo):
@@ -996,15 +1027,16 @@ def test_equal_shares_work_between_its_words(engine_counts):
 
 def test_normalize_group_takes_its_own_transfers(engine_counts):
     # normalize_group alone shares nothing: its transfer counts on seeded
-    # words at 4, 7 and 64 strands are the ones pinned before equal
-    # shared work between its words
+    # words at 4, 7 and 64 strands, pinned when the pending run became a
+    # fraction B * C^-1 (a run closed at every sign change took 359, 473
+    # and 389)
     rng = random.Random(2237)
     counts = []
     for n in (4, 7, 64):
         engine_counts.clear()
         normalize_group(ArtinWord(n, tuple(signed_symbols(rng, n, 200, 0.02))))
         counts.append(engine_counts["transfer"])
-    assert counts == [359, 473, 389]
+    assert counts == [213, 335, 200]
 
 
 def test_equal_memo_stays_within_its_budget(monkeypatch):
@@ -1034,7 +1066,7 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
             pairs.append((ArtinWord(n, tuple(symbols)), ArtinWord(n, tuple(partner))))
     answers = [equal(a, b) for a, b in pairs]
     assert 0 < sum(answers) < len(answers)
-    budget = 64 * 16
+    budget = 64 * 8  # every memo fills: the fewest entries one pair takes unbounded is 104, at n = 7
     monkeypatch.setattr(normalform, "_MEMO_BUDGET", budget)
     memos.clear()
     assert [equal(a, b) for a, b in pairs] == answers
