@@ -7,15 +7,16 @@ no adjacent pair admits a transfer; half-twist factors, when present,
 form a block at its right end.
 
 Both normal forms come from one engine that appends letters at the right.
-It holds the running element as Omega^m * flip^parity(core) * Omega^trail:
-an appended letter bubbles leftwards through the core with one transfer
-per non-normal pair, a half twist that forms at the right end of the core
-moves into the bare count trail, and an inverse half twist either cancels
-one unit of trail or, when trail is empty, is commuted to the front by
-toggling parity.  Flip commutes with the transfer, so the core itself is
-never flipped while letters arrive: each incoming letter is flipped
-instead, and the core once at the end.  Each rewrite is one step of
-Thurston's automaton over pairs of simple braids.
+It holds the running element as core * Omega^delta, core a normal form
+free of half twists and delta one signed count: an appended letter
+bubbles leftwards through the core with one transfer per non-normal pair,
+a half twist, appended or formed at the right end of the core, adds one
+to delta, and an inverse half twist takes one away.  Since Omega * x =
+flip(x) * Omega, a letter x appended to core * Omega^delta enters the
+core as flip^delta(x), and the group form is Omega^delta *
+flip^delta(core), so the core itself is flipped at most once, at the
+end.  Each rewrite is one step of Thurston's automaton over pairs of
+simple braids.
 
 The engine is one loop (_normalize_letters) over an alphabet chosen
 once per call, which it reads as tables: step[a][b] and extend[s][p]
@@ -349,14 +350,13 @@ def _alphabet(n: int) -> _Alphabet:
 _END = object()  # closes the symbol stream of an engine call
 
 
-def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int, int, list]:
+def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, list]:
     """
     Run the engine over a stream of symbols: signed generator indices (i
     for sigma_i, -i for its inverse, as ArtinWord holds them), one-line
-    words, and None for the inverse half twist.  Returns
-    (m, parity, trail, core) with the product equal to
-    Omega^m * flip^parity(core) * Omega^trail, core a normal form free of
-    half twists.  It is one loop: the alphabet's rules are read by
+    words, and None for the inverse half twist.  Returns (delta, core)
+    with the product equal to core * Omega^delta, core a normal form free
+    of half twists.  It is one loop: the alphabet's rules are read by
     subscription or C-level calls, with no Python call per symbol, letter
     or step.
 
@@ -391,7 +391,7 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
     """
     ident, top, letter, flip_letter = alphabet.ident, alphabet.top, alphabet.letter, alphabet.flip
     step, extend = alphabet.step, alphabet.extend
-    m = parity = trail = 0
+    delta = 0
     core: list = []
     pos, neg, blocked = ident, top, 0
     for s in chain(symbols, (_END,)):
@@ -428,19 +428,15 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
             letters.append(None if s is None else letter(s))
         for x in letters:
             if x is None:
-                if trail:
-                    trail -= 1
-                else:
-                    m -= 1
-                    parity ^= 1
+                delta -= 1
                 continue
             # identity and half twist are fixed by flip, so test them first
             if x == ident:
                 continue
             if x == top:
-                trail += 1
+                delta += 1
                 continue
-            if (trail + parity) & 1:
+            if delta & 1:
                 x = flip_letter(x)
             # x bubbles leftwards; core[i] is x, its pair is (core[i-1], x)
             i = len(core)
@@ -457,8 +453,8 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, int
                 core[i] = x
             while core and core[-1] == top:
                 core.pop()
-                trail += 1
-    return m, parity, trail, core
+                delta += 1
+    return delta, core
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +490,16 @@ def _generator_index(p: tuple[int, ...]) -> Optional[int]:
 def normalize_positive(w: PositiveWord) -> PositiveNormalForm:
     """
     The right-greedy normal form of a positive word, appending its letters
-    in order at the right end, runs of generator letters folded; the half
-    twists collected there come back as a trailing block of factors.
+    in order at the right end, runs of generator letters folded; the
+    engine's delta half twists come back as a block of factors there.
     Each distinct letter is tested once for being a generator.
     """
     n = w.n
     perms = [letter.perm for letter in w.letters]
     symbols = {p: _generator_index(p) or p for p in set(perms)}
     alphabet = _alphabet(n)
-    _m, _parity, trail, core = _normalize_letters(alphabet, map(symbols.__getitem__, perms))
-    factors = core + [alphabet.top] * trail
+    delta, core = _normalize_letters(alphabet, map(symbols.__getitem__, perms))
+    factors = core + [alphabet.top] * delta
     return PositiveNormalForm(n, tuple(map(alphabet.braid, factors)))
 
 
@@ -578,9 +574,9 @@ def normalize_group(word) -> GroupNormalForm:
     Canonicalise a signed word over Artin generators and half-twist
     symbols (a textio.ArtinWord) into (delta_power, positive factors).
 
-    The engine's trailing half twists are commuted to the front at the
-    end, together with the pending parity, so the core is flipped at most
-    once.
+    The engine holds the element as core * Omega^delta; its half twists
+    are commuted to the front at the end as Omega^delta *
+    flip^delta(core), so the core is flipped at most once.
     """
     return _group_form(word.n, word.symbols, _alphabet(word.n))
 
@@ -592,10 +588,10 @@ def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNor
         return GroupNormalForm(1, 0, ())
     # D and -D become the half twist and None; a generator stays an int
     symbols = map({n: omega(n), -n: None}.get, symbols, symbols)
-    m, parity, trail, core = _normalize_letters(alphabet, symbols)
-    if (trail + parity) & 1:
+    delta, core = _normalize_letters(alphabet, symbols)
+    if delta & 1:
         core = map(alphabet.flip, core)
-    return GroupNormalForm(n, m + trail, tuple(map(alphabet.braid, core)))
+    return GroupNormalForm(n, delta, tuple(map(alphabet.braid, core)))
 
 
 # The step memo of one equal call above the table bound stores at most

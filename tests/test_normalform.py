@@ -684,11 +684,16 @@ def test_garside_relations_past_the_twins():
     # and sup(x^-1) = -inf(x) (Elrifai and Morton 1994; Epstein et al.,
     # Word Processing in Groups, ch. 9); the reversed word has the same inf
     # and sup; and the flip sending each generator i to n - i flips every
-    # factor and keeps p, the relation test_flip_equivariance checks at n <= 8
+    # factor and keeps p, the relation test_flip_equivariance checks at n <= 8.
+    # Garside's D^2 is central and D x = flip(x) D, so D^j w has the factors
+    # of w and p + j, for an odd and a negative j; and u v has the form of
+    # spelled_form(form(u)) v, at a seeded cut.  spelled_form writes each
+    # factor as its reduced word, up to n^2/4 generators, so that relation
+    # stops at n = 64: n = 256 and 1,024 took about 0.8 and 13 s.
     def bounds(form):
         return form.delta_power, form.delta_power + len(form.factors)
 
-    rng = random.Random(241)
+    rng, cuts = random.Random(241), random.Random(242)
     for n, size, words in ((9, 300, 6), (16, 300, 4), (64, 200, 3), (256, 80, 2), (1024, 30, 1)):
         for _ in range(words):
             w = parse_word(bench_words.text(n, bench_words.signed_word(rng, n, size, 0.5, 0.02)))
@@ -699,6 +704,14 @@ def test_garside_relations_past_the_twins():
             flipped = [s if abs(s) == n else (n if s > 0 else -n) - s for s in w.symbols]
             flipped_form = GroupNormalForm(n, inf, tuple(map(flip_braid, form.factors)))
             assert normalize_group(ArtinWord(n, flipped)) == flipped_form, n
+            for j in (-1, 2):
+                shifted = ArtinWord(n, (n if j > 0 else -n,) * abs(j) + w.symbols)
+                assert normalize_group(shifted) == GroupNormalForm(n, inf + j, form.factors), n
+            if n <= 64:
+                cut = cuts.randint(0, len(w.symbols))
+                u, v = ArtinWord(n, w.symbols[:cut]), w.symbols[cut:]
+                spelled = spelled_form(normalize_group(u)).symbols
+                assert normalize_group(ArtinWord(n, spelled + v)) == form, n
 
 
 def test_append_matches_fold_reference():
@@ -724,9 +737,9 @@ def test_append_matches_fold_reference():
             continue
         expected = rightmost(n, core + [x])
         words = normalform._word_alphabet(n)
-        m, parity, trail, appended = normalform._normalize_letters(words, core + [x])
-        assert (m, parity) == (0, 0)
-        assert appended + [words.top] * trail == expected
+        delta, appended = normalform._normalize_letters(words, core + [x])
+        assert delta >= 0
+        assert appended + [words.top] * delta == expected
         engine = normalize_positive(PositiveWord(n, tuple(SimpleBraid(p) for p in base + [x])))
         assert [f.perm for f in engine.factors] == expected
 
@@ -777,7 +790,7 @@ def _cut_stream(rng, n, positive):
 
 def test_engine_cuts_runs_alike_on_both_alphabets():
     # the one engine loop on the rank alphabet and on the word alphabet:
-    # the same (m, parity, trail, core) once ranks are read as braids, and
+    # the same (delta, core) once ranks are read as braids, and
     # the right element, against the rightmost rewriting twin on the
     # positive path and the lifted group twin on the signed one; above
     # six strands the word alphabet alone, against the same twins
@@ -787,10 +800,10 @@ def test_engine_cuts_runs_alike_on_both_alphabets():
         for positive in (True, False):
             for _ in range(150):
                 symbols = _cut_stream(rng, n, positive)
-                m, parity, trail, core = normalform._normalize_letters(words, symbols)
+                delta, core = normalform._normalize_letters(words, symbols)
                 if n <= normalform.TABLE_MAX_STRANDS:
                     tables = normalform.rank_tables(n)
-                    ranked = (m, parity, trail, list(map(tables.letter, core)))
+                    ranked = (delta, list(map(tables.letter, core)))
                     assert normalform._normalize_letters(tables, symbols) == ranked
                 if positive:
                     letters = tuple(
@@ -798,15 +811,15 @@ def test_engine_cuts_runs_alike_on_both_alphabets():
                         for s in symbols
                     )
                     twin = gs_rewrite_to_fixpoint(PositiveWord(n, letters), "rightmost")
-                    assert (m, parity) == (0, 0)
-                    assert core + [top] * trail == [f.perm for f in twin.factors]
+                    assert delta >= 0
+                    assert core + [top] * delta == [f.perm for f in twin.factors]
                     continue
                 signed = ArtinWord(n, tuple(
                     -n if s is None else n if s == top else s for s in symbols
                 ))
-                if (trail + parity) & 1:
+                if delta & 1:
                     core = list(map(flip, core))
-                form = GroupNormalForm(n, m + trail, tuple(map(SimpleBraid, core)))
+                form = GroupNormalForm(n, delta, tuple(map(SimpleBraid, core)))
                 assert form == lifted_group_twin(signed)
 
 
@@ -1252,6 +1265,6 @@ def test_normal_forms_are_counted_by_the_growth_series(monkeypatch):
         alphabet = normalform._alphabet(n)
         forms = set()
         for word in itertools.product(range(1, n), repeat=total):
-            _m, _parity, trail, core = normalform._normalize_letters(alphabet, word)
-            forms.add((trail, tuple(core)))
+            delta, core = normalform._normalize_letters(alphabet, word)
+            forms.add((delta, tuple(core)))
         assert len(forms) == growth_series(n, total)[total], n
