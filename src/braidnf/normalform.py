@@ -42,9 +42,9 @@ instead of taking their transfers again.
 Generators do not enter the engine's core one at a time.  They are
 folded first into a pending run, a fraction B * C^-1 of simple braids,
 so a run costs at most two transfer chains, not one per generator.  A
-positive generator grows B, cancels a crossing of C, or, when it
-commutes with all of C, passes C^-1 and grows B; an inverse generator
-cancels a crossing of B while C is empty and grows C otherwise.  On a
+positive generator commuting with all of C (C may be empty) grows B;
+any other cancels a crossing of C.  An inverse generator cancels a
+crossing of B while C is empty and grows C otherwise.  On a
 mixed word at many strands most opposite-sign neighbours commute or
 cancel, so a run spans many sign changes, as in the treatment of
 inverse letters by the Delta-form algorithm of Epstein et al., Word
@@ -371,14 +371,14 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, lis
     on neg, s < 0 grows C (C^-1 * s_k^-1 = (s_k * C)^-1) and s > 0
     cancels a crossing of C.  An int mask, blocked, holds bits k - 1, k
     and k + 1 for each generator k that C has taken in, and is zero
-    exactly when C is empty.  So s = k > 0 grows B while C is empty;
-    otherwise it cancels into C, or, when bit k is clear, commutes with
-    all of C and grows B.  s = -k < 0 cancels into B while C is empty,
-    and grows C otherwise.  A run closes at a generator that no rule
-    takes, at any other symbol and at the end of the stream; it enters
-    the core as pos, then, unless C is empty, None and neg.  The next run
-    starts from the generator that closed it, and is empty after any
-    other symbol.
+    exactly when C is empty.  So s = k > 0 whose bit k is clear, C empty
+    or not, commutes with all of C and can only grow B; otherwise it can
+    only cancel a crossing of C.  s = -k < 0 cancels into B while C is
+    empty, and grows C otherwise.  A run closes at a generator that no
+    rule takes, at any other symbol and at the end of the stream; it
+    enters the core as pos, then, unless C is empty, None and neg.  The
+    next run starts from the generator that closed it, and is empty
+    after any other symbol.
 
     A letter bubbles leftwards from the right end of the core: rewrite the
     last pair, then the pair to its left, and so on until a pair is
@@ -397,7 +397,8 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, lis
     for s in chain(symbols, (_END,)):
         if s.__class__ is int:
             if s > 0:
-                if not blocked:
+                # the first test spares runs with C empty the shift
+                if not blocked or not blocked >> s & 1:
                     if (grown := extend[s][pos]) != -1:
                         pos = grown
                         continue
@@ -405,9 +406,6 @@ def _normalize_letters(alphabet: _Alphabet, symbols: Iterable) -> tuple[int, lis
                     neg = grown
                     if neg == top:
                         blocked = 0
-                    continue
-                elif not blocked >> s & 1 and (grown := extend[s][pos]) != -1:
-                    pos = grown
                     continue
             else:
                 if not blocked and (grown := extend[s][pos]) != -1:
