@@ -28,6 +28,10 @@ tabulates that alphabet over S_n, so a letter is the rank of its simple
 braid and the whole run is integer table reads: each step is a read of
 its left factor's row, filled on first read, each flip and run
 extension a list read, and each output factor a shared SimpleBraid.
+From seven to 255 strands the word alphabet's letters are bytes, one
+byte per strand, so that a letter's inverse, flip and run swap are each
+one C-level table call and its hash is computed once; a byte numbers at
+most 255 strands, so above that letters stay tuples.
 
 A step is memoised by one class, _Memo: a dict whose missing entry is
 computed on its first read and kept while a room shared with the other
@@ -223,16 +227,20 @@ class _Rule(functools.partial):
     __getitem__ = functools.partial.__call__
 
 
-def _extend_run(s: int, p: tuple) -> object:
+def _extend_run(s: int, swap: Optional[bytes], p: Sequence[int]) -> object:
     """
     p * s_|s| for a run p of the word alphabet, the values |s| and |s| + 1
     swapped, when that adds a crossing (s > 0) or removes one (s < 0);
-    else -1, the run would not stay simple.
+    else -1, the run would not stay simple.  A bytes p is swapped by one
+    translate through swap, the table exchanging |s| and |s| + 1, and a
+    tuple p is rebuilt.
     """
     j = abs(s)
     a, b = p.index(j), p.index(j + 1)
     if (a < b) is not (s > 0):
         return -1
+    if p.__class__ is bytes:
+        return p.translate(swap)
     grown = list(p)
     grown[a], grown[b] = j + 1, j
     return tuple(grown)
@@ -244,21 +252,39 @@ def _extensions(n: int) -> tuple:
     The word alphabet's extend on n strands: entry s is the rule of the
     signed generator s (_extend_run), listed as None, +1 .. +(n - 1),
     -(n - 1) .. -1, so extend[-j] is the rule of generator j's inverse.
-    The 2(n - 1) rules take about 30 us to build at n = 64, more than the
-    rest of the alphabet, so those of the last few strand counts are kept;
-    they store nothing.
+    Up to 255 strands, where letters may be bytes, +j and -j share one
+    swap table of 256 bytes.  The 2(n - 1) rules and their tables take
+    about 60 us to build at n = 64 (30 us for the rules alone), more
+    than the rest of the alphabet, so those of the last few strand
+    counts are kept; they store nothing.
     """
-    return (None, *(_Rule(_extend_run, s) for s in chain(range(1, n), range(1 - n, 0))))
+    swaps = [None] * n
+    if n <= _BYTE_MAX_STRANDS:
+        swaps[1:] = (bytes.maketrans(bytes((j, j + 1)), bytes((j + 1, j))) for j in range(1, n))
+    rules = (_Rule(_extend_run, s, swaps[abs(s)]) for s in chain(range(1, n), range(1 - n, 0)))
+    return (None, *rules)
+
+
+# A byte numbers at most 255 strands.
+_BYTE_MAX_STRANDS = 255
 
 
 def _word_alphabet(n: int) -> _Alphabet:
     """
     The engine's alphabet on one-line words, where every rule is stated
     once: a step is one transfer (simple._step_words), and a run of
-    generators grows by one swap (_extend_run).
+    generators grows by one swap (_extend_run).  Above the table bound
+    and up to 255 strands a letter is its one-line word as bytes, one
+    byte per strand: its inverse, flip and swap are then one C-level
+    table call each, and its hash is computed once, where a tuple's is a
+    pass per dict read.  Above 255 strands letters are tuples, as are
+    those the rank tables read, so each rule takes either type and
+    returns the type it is given.
     """
+    word = bytes if TABLE_MAX_STRANDS < n <= _BYTE_MAX_STRANDS else tuple
     return _Alphabet(
-        identity(n), omega(n), tuple, SimpleBraid, flip, _Rule(_Rule, _step_words), _extensions(n)
+        word(identity(n)), word(omega(n)), word, SimpleBraid, flip, _Rule(_Rule, _step_words),
+        _extensions(n),
     )
 
 
@@ -594,10 +620,13 @@ def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNor
 
 # The step memo of one equal call above the table bound stores at most
 # _MEMO_BUDGET // n entries, step rows counted as entries, whatever the
-# words' length.  An entry keeps up to three one-line words of n ints
-# alive: a full memo measured about 290, 500, 1,100 and 3,500 bytes per
-# entry at n = 7, 16, 64 and 256, so 10, 8, 4.5 and 3.6 MB in all
-# (tracemalloc peak of one eq of two 20,000-letter words, CPython 3.11.7).
+# words' length.  An entry keeps up to three letters alive, one-line
+# words as bytes up to 255 strands and as tuples of n ints above: a full
+# memo measured about 210, 340 and 470 bytes per entry at n = 7, 16 and
+# 64 (300, 510 and 1,050 with tuple letters), so 7.9, 5.5 and 1.9 MB in
+# all (tracemalloc peak of one eq of two 20,000-letter words, CPython
+# 3.11.7), and 2,760 bytes per entry, 2.8 MB, at n = 256 (two 3,000-letter
+# words; 3,500 bytes per entry at 20,000 letters).
 # An eq of the benchmark's n = 64 words of up to 256 letters stores at
 # most 576 of its 4,096 entries (the 108 eq calls of six mixed-n64
 # cycles at seeds 1-3).

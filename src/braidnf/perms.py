@@ -185,13 +185,27 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[v - 1] for v in p)
 
 
-def inverse(p: Sequence[int]) -> tuple[int, ...]:
+# The identity on 255 strands, the most a byte can number; its prefixes are
+# the smaller identities.  _COMPLEMENTS[n] is the translation table of
+# v -> n + 1 - v, built on first use.
+_BYTE_IDENTITY = bytes(range(1, 256))
+_COMPLEMENTS: dict[int, bytes] = {}
+
+
+def inverse(p: Sequence[int]) -> tuple[int, ...] | bytes:
     """
-    The inverse permutation.
+    The inverse permutation, as bytes when p is bytes, else as a tuple.
+    On bytes it is one C-level call: the translation table that sends
+    p[i - 1] to i, read at 1..n.
 
     >>> inverse((3, 1, 2))
     (2, 3, 1)
+    >>> list(inverse(bytes((3, 1, 2))))
+    [2, 3, 1]
     """
+    if p.__class__ is bytes:
+        n = len(p)
+        return bytes.maketrans(p, _BYTE_IDENTITY[:n])[1 : n + 1]
     inv = [0] * (len(p) + 1)
     for i, v in enumerate(p, 1):
         inv[v] = i
@@ -199,13 +213,21 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def flip(p: Sequence[int]) -> tuple[int, ...]:
+def flip(p: Sequence[int]) -> tuple[int, ...] | bytes:
     """
     Conjugation by the reversing permutation: flip(p) = omega * p * omega.
 
     This is the involutive automorphism induced by turning a braid diagram
-    over, sending the i-th Artin generator to the (n-i)-th one.
+    over, sending the i-th Artin generator to the (n-i)-th one.  On bytes
+    it is p reversed and translated by the complement table of its n, and
+    returns bytes.
     """
+    if p.__class__ is bytes:
+        n = len(p)
+        complement = _COMPLEMENTS.get(n) or _COMPLEMENTS.setdefault(
+            n, bytes.maketrans(_BYTE_IDENTITY[:n], _BYTE_IDENTITY[n - 1 :: -1])
+        )
+        return p[::-1].translate(complement)
     return tuple(map((len(p) + 1).__sub__, reversed(p)))
 
 

@@ -122,7 +122,7 @@ def product_in_D(a: SimpleBraid, b: SimpleBraid) -> Optional[SimpleBraid]:
 # The transfer
 
 
-def _step_words(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple]:
+def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
     """
     One rewriting step on one-line words: None when (a, b) is normal, else
     (head, tail), with head = a*m and tail = m^-1*b, where m is the
@@ -132,11 +132,13 @@ def _step_words(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple]:
     and b in m's order, which are head^-1 and tail, so m itself is never
     built.  Nothing moves iff (a, b) is normal, and the tail equals b
     exactly when m is the identity, so the head is only built for a pair
-    that rewrites.
+    that rewrites.  Head and tail are built in the type of b, tuple or
+    bytes, which the inverse keeps.
     """
     head_inv, tail = _meet_reads(inverse(a), b)
-    tail = tuple(tail)
-    return None if tail == b else (inverse(head_inv), tail)
+    word = b.__class__
+    tail = word(tail)
+    return None if tail == b else (inverse(word(head_inv)), tail)
 
 
 def _transfer_words(

@@ -812,7 +812,8 @@ def test_engine_cuts_runs_alike_on_both_alphabets():
                     )
                     twin = gs_rewrite_to_fixpoint(PositiveWord(n, letters), "rightmost")
                     assert delta >= 0
-                    assert core + [top] * delta == [f.perm for f in twin.factors]
+                    # above six strands the word alphabet's letters are bytes
+                    assert list(map(tuple, core)) + [top] * delta == [f.perm for f in twin.factors]
                     continue
                 signed = ArtinWord(n, tuple(
                     -n if s is None else n if s == top else s for s in symbols
@@ -1223,6 +1224,38 @@ def test_signed_run_rule_matches_the_product_twin():
                 sign = 1 if s > 0 else -1
                 want = grown if length(grown) == crossings + sign else -1
                 assert extend[s][p] == want, (n, p, s)
+
+
+def test_run_rules_swap_bytes_as_they_rebuild_tuples():
+    # extend[s] swaps |s| and |s| + 1 by one translate on a bytes letter
+    # and rebuilds a tuple one; on every signed generator both agree, or
+    # both are -1, on seeded letters, the identity and the half twist
+    rng = random.Random(4503)
+    for n in (7, 8, 16, 64):
+        extend = normalform._word_alphabet(n).extend
+        letters = [identity(n), omega(n), *(tuple(rng.sample(range(1, n + 1), n)) for _ in range(6))]
+        for p in letters:
+            for s in [*range(1, n), *range(1 - n, 0)]:
+                grown, swapped = extend[s][p], extend[s][bytes(p)]
+                assert swapped == (-1 if grown == -1 else bytes(grown)), (n, p, s)
+
+
+def test_one_engine_on_bytes_and_tuple_letters():
+    # the word alphabet's letters are bytes from seven to 255 strands and
+    # tuples above; its rules take either type, so a copy of it on tuple
+    # letters must give the same group forms on seeded signed words
+    assert normalform._word_alphabet(255).ident.__class__ is bytes
+    assert normalform._word_alphabet(256).ident.__class__ is tuple
+    rng = random.Random(4502)
+    for n, count in ((7, 40), (16, 20), (64, 6), (255, 2)):
+        letters = normalform._word_alphabet(n)
+        assert (letters.ident, letters.top) == (bytes(identity(n)), bytes(omega(n)))
+        tuples = letters._replace(ident=identity(n), top=omega(n), letter=tuple)
+        for _ in range(count):
+            tokens = bench_words.signed_word(rng, n, rng.randint(20, 160), rng.random(), 0.05)
+            symbols = parse_word(bench_words.text(n, tokens)).symbols
+            form = normalform._group_form(n, symbols, letters)
+            assert form == normalform._group_form(n, symbols, tuples), (n, tokens)
 
 
 def test_mask_clear_generators_cannot_cancel_into_c():

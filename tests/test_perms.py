@@ -103,6 +103,17 @@ def test_flip():
         assert len(inversion_set(flip(p))) == len(inversion_set(p))
 
 
+def test_inverse_and_flip_keep_bytes():
+    # on bytes, up to the 255 strands a byte can number, inverse and flip
+    # are table calls that return bytes, the tuple results as bytes
+    rng = random.Random(4504)
+    for n in range(1, 256):
+        for p in (identity(n), omega(n), tuple(rng.sample(range(1, n + 1), n))):
+            for op in (inverse, flip):
+                got = op(bytes(p))
+                assert got.__class__ is bytes and got == bytes(op(p)), (op, p)
+
+
 def test_pair_set_basics():
     s = PairSet.from_pairs(4, [(1, 2), (2, 4)])
     assert (1, 2) in s and (2, 4) in s and (1, 3) not in s
