@@ -227,6 +227,10 @@ class _Rule(functools.partial):
     __getitem__ = functools.partial.__call__
 
 
+# A byte numbers at most 255 strands.
+_BYTE_MAX_STRANDS = 255
+
+
 def _extend_run(s: int, swap: Optional[bytes], p: Sequence[int]) -> object:
     """
     p * s_|s| for a run p of the word alphabet, the values |s| and |s| + 1
@@ -263,10 +267,6 @@ def _extensions(n: int) -> tuple:
         swaps[1:] = (bytes.maketrans(bytes((j, j + 1)), bytes((j + 1, j))) for j in range(1, n))
     rules = (_Rule(_extend_run, s, swaps[abs(s)]) for s in chain(range(1, n), range(1 - n, 0)))
     return (None, *rules)
-
-
-# A byte numbers at most 255 strands.
-_BYTE_MAX_STRANDS = 255
 
 
 def _word_alphabet(n: int) -> _Alphabet:
