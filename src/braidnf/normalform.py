@@ -143,14 +143,20 @@ def is_normal(factors: Sequence[SimpleBraid]) -> bool:
 
 def _is_normal_perms(n: int, perms: list) -> bool:
     """
-    is_normal on the factors' one-line words, all on n strands.  The pairs
-    are stepped in order, step[a][b] read through C-level maps, until one
-    rewrites: a step is None or a non-empty tuple, so any() finds it.
+    is_normal on the factors' one-line words, all on n strands.  Up to
+    TABLE_MAX_STRANDS the pairs are stepped in order, step[a][b] read
+    through C-level maps, until one rewrites: a step is None or a
+    non-empty tuple, so any() finds it.  Above it each pair takes the
+    descent test (simple._is_normal_words) on the word alphabet's
+    letters, so a form is not checked by the transfer that made it.
     """
     alphabet = _alphabet(n)
     word = list(map(alphabet.letter, perms))
-    rows = map(alphabet.step.__getitem__, word)
-    return alphabet.ident not in word and not any(map(getitem, rows, word[1:]))
+    if alphabet.ident in word:
+        return False
+    if n > TABLE_MAX_STRANDS:
+        return all(map(_is_normal_words, word, word[1:]))
+    return not any(map(getitem, map(alphabet.step.__getitem__, word), word[1:]))
 
 
 def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
