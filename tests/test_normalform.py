@@ -1058,16 +1058,16 @@ def test_equal_shares_work_between_its_words(engine_counts):
 
 def test_normalize_group_takes_its_own_transfers(engine_counts):
     # normalize_group alone shares nothing: its transfer counts on seeded
-    # words at 4, 7 and 64 strands, pinned when the pending run became a
-    # fraction B * C^-1 (a run closed at every sign change took 359, 473
-    # and 389)
+    # words at 4, 7 and 64 strands, pinned when one side of a run began to
+    # leave alone (a run closed whole took 213, 335 and 200, and one closed
+    # at every sign change 359, 473 and 389)
     rng = random.Random(2237)
     counts = []
     for n in (4, 7, 64):
         engine_counts.clear()
         normalize_group(ArtinWord(n, tuple(signed_symbols(rng, n, 200, 0.02))))
         counts.append(engine_counts["transfer"])
-    assert counts == [213, 335, 200]
+    assert counts == [207, 280, 173]
 
 
 def test_equal_memo_stays_within_its_budget(monkeypatch):
@@ -1280,6 +1280,100 @@ def test_mask_clear_generators_cannot_cancel_into_c():
     assert checks > 90_000
 
 
+def test_support_lists_the_generators_of_every_reduced_word():
+    # support[x] has bit k set exactly when s_k is a letter of x: the twin
+    # reads the generators off the canonical reduced word, on every letter
+    # up to five strands and on seeded letters above, as bytes up to 255
+    # strands and as tuples above
+    rng = random.Random(4601)
+    seeded = {6: 40, 7: 40, 8: 40, 16: 20, 64: 6, 255: 2, 256: 2}
+    for n in [1, 2, 3, 4, 5, *seeded]:
+        words = normalform._word_alphabet(n)
+        letters = all_permutations(n) if n <= 5 else [
+            tuple(rng.sample(range(1, n + 1), n)) for _ in range(seeded[n])
+        ]
+        if n > 5:  # letters that keep some {1..k} fixed, and generators
+            letters += [compose(adjacent_transposition(n, k), p) for k, p in zip(
+                (1, n - 1, n // 2), (identity(n), omega(n), identity(n)))]
+        for p in letters:
+            used = {abs(k) for k in simple_to_artin(SimpleBraid(p)).symbols}
+            assert words.support[words.letter(p)] == sum(1 << k for k in used), (n, p)
+
+
+def _step_reads(n, symbols) -> list:
+    """The (left, right) pairs one engine call on the word alphabet steps, in order."""
+    words = normalform._word_alphabet(n)
+    reads = []
+
+    class RecordedRow:
+        def __init__(self, a):
+            self.a = a
+
+        def __getitem__(self, b):
+            reads.append((self.a, b))
+            return words.step[self.a][b]
+
+    class RecordedRows:
+        def __getitem__(self, a):
+            return RecordedRow(a)
+
+    normalform._normalize_letters(words._replace(step=RecordedRows()), symbols)
+    return reads
+
+
+def test_one_side_of_a_closing_run_leaves_alone():
+    # The run B * C^-1 with B = s1 and C = s5 on eight strands, which
+    # commute, meets a generator it cannot take.  (A) s1 commutes with C,
+    # so B leaves alone and the run goes on as s1 * C^-1; (B) s4 is
+    # blocked by C, so C^-1 leaves alone and the run goes on as s1 s4;
+    # (C) s5^-1 cannot grow C, so C^-1 leaves alone and C starts anew.
+    # The engine steps exactly the pairs of those letters entered by hand,
+    # not those of the whole run's close, and its forms match the twins.
+    n = 8
+    words = normalform._word_alphabet(n)
+    top = omega(n)
+    s1, s4 = adjacent_transposition(n, 1), adjacent_transposition(n, 4)
+    s1s4 = compose(s1, s4)
+    c = tuple(words.extend[-5][words.top])  # Omega * s5^-1
+    rng = random.Random(4603)
+    cases = {
+        "A": ([1, -5, 1], [s1, s1, None, c], [s1, None, c, s1]),
+        "B": ([1, -5, 4], [None, c, s1s4], [s1, None, c, s4]),
+        "C": ([1, -5, -5], [None, c, s1, None, c], [s1, None, c, None, c]),
+    }
+    for rule, (run, alone, whole) in cases.items():
+        for _ in range(10):
+            prefix = [rng.randint(1, n - 1) * rng.choice((1, -1)) for _ in range(12)] + [top]
+            reads = _step_reads(n, prefix + run)
+            assert reads == _step_reads(n, prefix + alone), rule
+            assert reads != _step_reads(n, prefix + whole), rule
+            symbols = [n if s == top else s for s in prefix] + run
+            word = ArtinWord(n, tuple(symbols))
+            assert normalize_group(word) == lifted_group_twin(word), (rule, symbols)
+            assert handle_reduce(artin_letters(word) + artin_letters(
+                formal_inverse(spelled_form(normalize_group(word))))) == []
+
+
+def test_runs_whose_sides_leave_alone_match_the_twins():
+    # seeded words made of runs B * C^-1 whose generators lie in two far
+    # apart blocks of strands, each closed by a generator that fires (A)
+    # (B's last generator again), (B) (a positive neighbour of C) or (C)
+    # (C's last generator again), against the lifted group twin
+    rng = random.Random(4607)
+    for n in (7, 8, 9, 12, 16):
+        for _ in range(25):
+            symbols = []
+            for _ in range(rng.randint(1, 5)):
+                low = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+                high = [-rng.randint(n - 3, n - 1) for _ in range(rng.randint(1, 3))]
+                close = rng.choice((low[-1], -high[-1] - 1, high[-1]))
+                symbols += low + high + [close]
+                if rng.random() < 0.2:
+                    symbols.append(rng.choice((n, -n)))
+            word = ArtinWord(n, tuple(symbols))
+            assert normalize_group(word) == lifted_group_twin(word), (n, symbols)
+
+
 def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
     # the rank tables state no rule of their own: each rule of the rank
     # alphabet is the word alphabet's, read through letter and braid, and
@@ -1295,6 +1389,7 @@ def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
         for a, p in enumerate(perm):
             assert rank(p) == a and ranks.braid(a) == words.braid(p)
             assert perm[ranks.flip(a)] == words.flip(p)
+            assert ranks.support[a] == words.support[p]
             for s in [*range(1, n), *range(1 - n, 0)]:
                 grown = words.extend[s][p]
                 assert ranks.extend[s][a] == (-1 if grown == -1 else rank(grown))
