@@ -1,10 +1,11 @@
+import collections
 import itertools
 import math
 import random
 
 import pytest
 
-from braidnf import oracle
+from braidnf import oracle, simple
 from braidnf.lattice import InversionSet, complement, deglex_compare, deglex_key, meet, star
 from braidnf.perms import (
     all_permutations,
@@ -284,6 +285,68 @@ def test_transfer_matches_the_fixpoint_meet_at_wide_n():
             checked += 1
             normal += is_normal
     assert checked == 4 * 4 + 8 * (200 + 100 + 25 + 3) and 0 < normal < checked
+
+
+def _swapped(rng, p, swaps):
+    """p with a number of random adjacent positions swapped."""
+    p = list(p)
+    for _ in range(swaps):
+        i = rng.randrange(len(p) - 1)
+        p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
+
+
+def test_local_swaps_match_the_insertion_pass_and_the_fixpoint_meet():
+    # Bytes letters take the transfer by local swaps from a candidate mask,
+    # unless the pair has the heavy shape (a^-1 starts above where it ends,
+    # b below), more than _SWAP_FIRST first candidates or would take
+    # _SWAP_BUDGET swaps or more; each way the step must be the insertion
+    # pass's, called directly, and the transfer built from the fixpoint
+    # meet (every pair up to 64 strands, every sixth at 255).  Pairs of
+    # every shape are drawn, and each shape must come up at each n.
+    rng = random.Random(4611)
+
+    def fixpoint_transfer(a, b):
+        r_a, r_b = InversionSet.from_permutation(a), InversionSet.from_permutation(b)
+        m = permutation_from_inversions(meet(star(r_a, a), complement(r_b)))
+        return compose(a, m), compose(inverse(m), b)
+
+    for n, rounds in ((7, 40), (16, 30), (64, 10), (255, 4)):
+        ident, top = identity(n), omega(n)
+        # against the identity all of a moves: a^-1 a cycle on 1..k has one
+        # descent and k - 1 crossings, a reversed block of 12 has 11 descents
+        cycles = [inverse((*range(2, k + 1), 1, *range(k + 1, n + 1))) for k in {2, 9, 34, n} if k <= n]
+        block = min(12, n)
+        pairs = [(c, ident) for c in cycles] + [((*range(block, 0, -1), *range(block + 1, n + 1)), ident)]
+        for _ in range(rounds):
+            r = tuple(rng.sample(range(1, n + 1), n))
+            few, many = rng.randint(0, 12), rng.randint(12, 4 * n)
+            pairs += [
+                _transfer_words(r, tuple(rng.sample(range(1, n + 1), n))),  # normal
+                (_swapped(rng, ident, few), _swapped(rng, ident, few)),
+                (_swapped(rng, ident, many), _swapped(rng, ident, few)),
+                (_swapped(rng, top, few), _swapped(rng, ident, few)),  # heavy
+                (r, _swapped(rng, ident, many)),
+            ]
+        shapes = collections.Counter()
+        for k, (a, b) in enumerate(pairs):
+            head_inv, tail = simple._meet_reads(inverse(a), b)
+            want = None if tuple(tail) == b else (inverse(tuple(head_inv)), tuple(tail))
+            got = _step_words(bytes(a), bytes(b))
+            assert (got and tuple(map(tuple, got))) == want, (n, a, b)
+            if n < 255 or k % 6 == 0:
+                assert (want or (a, b)) == fixpoint_transfer(a, b), (n, a, b)
+            u = inverse(a)
+            moved = 0 if want is None else length(a) - length(want[0])
+            first = sum(u[i] > u[i + 1] and b[i] < b[i + 1] for i in range(n - 1))
+            shapes[
+                "heavy" if u[0] > u[-1] and b[0] < b[-1] else "normal" if not moved
+                else "first" if first > simple._SWAP_FIRST
+                else "budget" if moved >= simple._SWAP_BUDGET else "swaps"
+            ] += 1
+        # seven strands have 6 positions and 21 crossings: too few for the bounds
+        bounds = set() if n == 7 else {"first", "budget"}
+        assert set(shapes) == {"heavy", "normal", "swaps"} | bounds, (n, shapes)
 
 
 def test_star_set():
