@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from unittest import mock
 
@@ -386,7 +387,9 @@ def test_verify_rejects_bad_arguments(capsys):
 
 def test_broken_pipe_exits_quietly():
     # about 820 KB of output, many times the 64 KiB pipe buffer, so the early
-    # close always leaves a write to fail
+    # close always leaves a write to fail; the first bytes are read in a
+    # thread with a deadline, so that a slow engine fails the test instead
+    # of stalling the suite
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -396,7 +399,14 @@ def test_broken_pipe_exits_quietly():
     )
     proc.stdin.write(("n=16; " + " 1" * 20000).encode())
     proc.stdin.close()
-    assert proc.stdout.read(100).startswith(b"D^0 : [2 1 3 4")
+    first = []
+    reader = threading.Thread(target=lambda: first.append(proc.stdout.read(100)), daemon=True)
+    reader.start()
+    reader.join(timeout=60)
+    if reader.is_alive():
+        proc.kill()
+        pytest.fail("normalize wrote nothing within 60 s")
+    assert first[0].startswith(b"D^0 : [2 1 3 4")
     proc.stdout.close()
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""

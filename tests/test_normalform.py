@@ -41,7 +41,10 @@ from braidnf.textio import (
     word_to_simple_letters,
 )
 from twins import (
+    BURAU_PRIME,
     artin_letters,
+    burau_image,
+    form_symbols,
     formal_inverse,
     growth_series,
     half_twist_letters,
@@ -712,6 +715,31 @@ def test_garside_relations_past_the_twins():
                 u, v = ArtinWord(n, w.symbols[:cut]), w.symbols[cut:]
                 spelled = spelled_form(normalize_group(u)).symbols
                 assert normalize_group(ArtinWord(n, spelled + v)) == form, n
+
+
+def test_forms_have_their_words_burau_image():
+    # The Burau image at a random t mod 2^61 - 1 on a random row vector is
+    # a homomorphism, so every form D^p a_1 ... a_k, each factor spelled by
+    # its own insertion sort, must have its word's image; it reads no
+    # permutation, meet or transfer of the package.  Faults that the
+    # Garside relations cannot see, being symmetric under them, change the
+    # image: a form without its last factor, or with p one lower, must not
+    # match.  Seeded signed words with a low D share, where the cost is the
+    # spelled D symbols and factors.
+    rng = random.Random(4613)
+    for n, length, words in ((9, 1500, 3), (16, 1500, 3), (64, 800, 2), (255, 200, 1)):
+        for k in range(words):
+            w = ArtinWord(n, tuple(signed_symbols(rng, n, length, 0.01)))
+            form = normalize_group(w)
+            t = rng.randrange(2, BURAU_PRIME - 1)
+            vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
+            image = burau_image(n, w.symbols, t, vector)
+            assert burau_image(n, form_symbols(form), t, vector) == image, (n, k)
+            if k == 0:
+                short = GroupNormalForm(n, form.delta_power, form.factors[:-1])
+                lower = GroupNormalForm(n, form.delta_power - 1, form.factors)
+                assert form.factors and burau_image(n, form_symbols(short), t, vector) != image
+                assert burau_image(n, form_symbols(lower), t, vector) != image
 
 
 def test_append_matches_fold_reference():

@@ -177,6 +177,62 @@ def rewrite_twin(letters, strategy, ident, step):
     return letters, hooks
 
 
+BURAU_PRIME = 2**61 - 1
+
+
+def burau_image(n, symbols, t, vector) -> list:
+    """
+    A row vector times the Burau image of a word, mod BURAU_PRIME: sigma_i
+    acts as I + [[1 - t, t], [1, 0]] on coordinates i - 1 and i (from 0),
+    a homomorphism B_n -> GL_n(Z[t, 1/t]) (W. Burau, 1936) evaluated at t.
+    symbols holds k for sigma_|k|^sign(k) and n and -n for D and -D, which
+    are spelled as sigma_1 (sigma_2 sigma_1) ... (sigma_{n-1} ... sigma_1).
+    Each letter changes two coordinates, so the cost is the letter count
+    with each D counted as n(n - 1)/2.  Equal braids have equal images;
+    Burau is not faithful for n >= 5 (S. Bigelow, Geom. Topol. 3, 1999),
+    so only a differing image decides anything.
+    """
+    p = BURAU_PRIME
+    t_inv = pow(t, p - 2, p)
+    up, down = (1 - t) % p, (t - 1) * t_inv % p
+    delta = half_twist_letters(n)
+    spelled = {n: delta, -n: [-s for s in reversed(delta)]}
+    v = list(vector)
+    for s in symbols:
+        for k in spelled.get(s, (s,)):
+            i = abs(k) - 1
+            x, y = v[i], v[i + 1]
+            if k > 0:
+                v[i], v[i + 1] = (x * up + y) % p, x * t % p
+            else:
+                v[i], v[i + 1] = y * t_inv % p, (x + y * down) % p
+    return v
+
+
+def sorted_word(perm) -> list:
+    """
+    A reduced word of the simple braid with this one-line word, read off an
+    insertion sort: each swap of positions i and i + 1 (from 1) peels
+    sigma_i off the left, so the swaps in order spell the braid.
+    """
+    current, word = list(perm), []
+    for j in range(1, len(current)):
+        i = j
+        while i and current[i - 1] > current[i]:
+            current[i - 1], current[i] = current[i], current[i - 1]
+            word.append(i)
+            i -= 1
+    return word
+
+
+def form_symbols(form) -> list:
+    """A group normal form D^m a_1 ... a_k as symbols, each factor spelled by sorted_word."""
+    symbols = [form.n if form.delta_power > 0 else -form.n] * abs(form.delta_power)
+    for factor in form.factors:
+        symbols += sorted_word(factor.perm)
+    return symbols
+
+
 def growth_series(n, length) -> list:
     """
     The numbers of positive braids on n strands with 0, 1, ..., length
