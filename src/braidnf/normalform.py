@@ -161,11 +161,10 @@ def _is_normal_perms(n: int, perms: list) -> bool:
     """
     alphabet = _alphabet(n)
     word = list(map(alphabet.letter, perms))
-    if alphabet.ident in word:
-        return False
     if n > TABLE_MAX_STRANDS:
-        return all(map(_is_normal_words, word, word[1:]))
-    return not any(map(getitem, map(alphabet.step.__getitem__, word), word[1:]))
+        return alphabet.ident not in word and all(map(_is_normal_words, word, word[1:]))
+    rows = map(alphabet.step.__getitem__, word)
+    return alphabet.ident not in word and not any(map(getitem, rows, word[1:]))
 
 
 def _check_form(n: int, factors: Sequence[SimpleBraid]) -> list:
@@ -679,8 +678,8 @@ def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNor
 # 3.11.7), and 2,760 bytes per entry, 2.8 MB, at n = 256 (two 3,000-letter
 # words; 3,500 bytes per entry at 20,000 letters).
 # An eq of the benchmark's n = 64 words of up to 256 letters stores at
-# most 576 of its 4,096 entries (the 108 eq calls of six mixed-n64
-# cycles at seeds 1-3).
+# most 514 of its 4,096 entries (the 108 eq calls of six mixed-n64
+# cycles at seeds 1-3; 576 before one side of a run could leave alone).
 _MEMO_BUDGET = 2**18
 
 

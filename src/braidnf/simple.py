@@ -25,9 +25,9 @@ neither the meet nor a product of permutations is formed.
 
 Most transfers move few crossings, and on bytes letters (7 to 255
 strands) those are found by local swaps instead of the O(n) pass: one
-C-level mask over 16-bit lanes marks every position whose crossing can
-move, a zero mask is a normal pair, and each move swaps one position in
-a^-1 and in b and can only free its neighbours.  The heavy shape, a
+C-level mask marks every position whose crossing can move, a zero mask
+is a normal pair, and each move swaps one position in a^-1 and in b and
+can only free its neighbours.  The heavy shape, a
 near the top against b near the identity, and tuple letters (the rank
 tables' fills and n >= 256) keep the insertion pass, as does a pair with
 many first candidates or one that overruns the swap budget.
@@ -150,11 +150,9 @@ def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
     """
     u = inverse(a)
     word = b.__class__
-    if word is bytes and not (u[0] > u[-1] and b[0] < b[-1]) and (reads := _swap_reads(u, b)):
-        head_inv, tail = reads
-    else:
-        head_inv, tail = _meet_reads(u, b)
-        tail = word(tail)
+    swaps = word is bytes and not (u[0] > u[-1] and b[0] < b[-1]) and _swap_reads(u, b)
+    head_inv, tail = swaps or _meet_reads(u, b)
+    tail = word(tail)
     return None if tail == b else (inverse(word(head_inv)), tail)
 
 
@@ -166,7 +164,8 @@ def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
 _SWAP_FIRST, _SWAP_BUDGET = 8, 32
 
 
-_GUARDS: dict = {}  # n -> bit 8 of each of n 16-bit lanes, the mask's borrow guard
+# The mask's borrow guards: on n strands, the top bit of each of n lanes
+_GUARDS = [int.from_bytes((b"\x80" if n < 128 else b"\0\1") * n, "little") for n in range(256)]
 
 
 def _swap_reads(u: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
@@ -178,27 +177,31 @@ def _swap_reads(u: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
     of _is_normal_words), and moving it swaps i and i + 1 in both words.
     The tails that can move form the interval [1, m], so single moves in
     any order end at (head^-1, tail) after exactly |m| swaps.  All first
-    candidates are found at C level: u and b spread into 16-bit lanes,
-    with bit 8 set in every lane, so that one subtraction per word leaves
-    bit 8 of lane i set exactly when its test holds at i.  A zero mask
+    candidates are found at C level: u and b read as ints of lanes, a
+    byte each below 128 strands and two bytes from 128, with the top bit
+    of every lane set as a guard, so that one subtraction per word leaves
+    lane i's guard set exactly when its test holds at i.  A zero mask
     is a normal pair, returned as it is.  Each swap can only make
     candidates of its two neighbours, so they go on the work stack; the
     words are padded with a zero at each end, where the test never holds.
     """
     n = len(u)
-    lanes = bytearray(2 * n)
-    lanes[::2] = u
-    lu = int.from_bytes(lanes, "little")
-    lanes[::2] = b
-    lb = int.from_bytes(lanes, "little")
-    guard = _GUARDS.get(n) or _GUARDS.setdefault(n, int.from_bytes(b"\0\1" * n, "little"))
-    mask = ((lu | guard) - (lu >> 16)) & (((lb >> 16) | guard) - lb) & guard >> 16
-    if not mask:
-        return u, b
-    if mask.bit_count() > _SWAP_FIRST:
-        return None
+    if n < 128:  # every value fits below the guard bit of a byte
+        lu, lb, width = int.from_bytes(u, "little"), int.from_bytes(b, "little"), 8
+    else:
+        lanes = bytearray(2 * n)
+        lanes[::2] = u
+        lu = int.from_bytes(lanes, "little")
+        lanes[::2] = b
+        lb = int.from_bytes(lanes, "little")
+        width = 16
+    guard = _GUARDS[n]
+    mask = ((lu | guard) - (lu >> width)) & (((lb >> width) | guard) - lb) & guard >> width
+    if not mask or mask.bit_count() > _SWAP_FIRST:  # a normal pair, or too many candidates
+        return None if mask else (u, b)
     us, bs = bytearray(b"\0" + u + b"\0"), bytearray(b"\0" + b + b"\0")
-    stack = list(compress(count(1), mask.to_bytes(2 * n, "little")[1::2]))  # lane i: padded i + 1
+    step = width >> 3  # lane i's guard is in its last byte; it is the padded pair at i + 1
+    stack = list(compress(count(1), mask.to_bytes(n * step, "little")[step - 1 :: step]))
     budget = _SWAP_BUDGET
     while stack and budget:
         j = stack.pop()
