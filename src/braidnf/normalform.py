@@ -65,9 +65,9 @@ leave, and the other stays pending; each entered letter costs a chain
 of transfers, so this saves about a fifth of the steps on mixed words
 at 64 strands.  If the generator commutes with C, B * C^-1 * s =
 B * (s * C^-1): B leaves alone.  If B commutes with C, B * C^-1 * s =
-C^-1 * (B * s): C^-1 leaves alone, and s meets B with C empty, growing
-or cancelling into it.  Commuting is read off supports, the generators
-a letter's reduced words use, and tested only when a run closes.
+C^-1 * (B * s): C^-1 leaves alone, and s grows B or, inverse, starts C
+anew.  Commuting is read off supports, the generators a letter's
+reduced words use, and tested only when a run closes.
 
 The same rewriting step (replace an adjacent pair by its head and tail)
 applied at arbitrary non-normal positions is confluent and terminating,
@@ -298,10 +298,10 @@ def _word_alphabet(n: int) -> _Alphabet:
     The engine's alphabet on one-line words, where every rule is stated
     once: a step is one transfer (simple._step_words), a run of
     generators grows by one swap (_extend_run), and a support is one
-    pass (_support).  Above the table bound
-    and up to 255 strands a letter is its one-line word as bytes, one
-    byte per strand: its inverse, flip and swap are then one C-level
-    table call each, and its hash is computed once, where a tuple's is a
+    pass (_support).  Above the table bound and up to 255 strands a
+    letter is its one-line word as bytes, one byte per strand: its
+    inverse, flip and swap are then one C-level table call each, and its
+    hash is computed once, where a tuple's is a
     pass per dict read.  Above 255 strands letters are tuples, as are
     those the rank tables read, so each rule takes either type and
     returns the type it is given.
@@ -365,8 +365,8 @@ def rank_tables(n: int) -> _Alphabet:
     the half twist n! - 1.  Every rule of the word alphabet is read
     through ranks, as list reads: the flip, the run extensions
     extend[s][a] (-1 where a run stops being simple), the supports and
-    one SimpleBraid per rank, checked once and shared.  The step has one row per left
-    rank, read as step[a][b]: a memo (_Memo) of one transfer per entry
+    one SimpleBraid per rank, checked once and shared.  The step has one
+    row per left rank, read as step[a][b]: a memo (_Memo) of one transfer per entry
     (_rank_step), filled on the entry's first read.  The rows share room
     for every pair, so they never forget; only they grow with use, and
     the rest is O(n!).
@@ -679,7 +679,7 @@ def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNor
 # words; 3,500 bytes per entry at 20,000 letters).
 # An eq of the benchmark's n = 64 words of up to 256 letters stores at
 # most 514 of its 4,096 entries (the 108 eq calls of six mixed-n64
-# cycles at seeds 1-3; 576 before one side of a run could leave alone).
+# cycles at seeds 1-3).
 _MEMO_BUDGET = 2**18
 
 

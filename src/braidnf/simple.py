@@ -27,10 +27,10 @@ Most transfers move few crossings, and on bytes letters (7 to 255
 strands) those are found by local swaps instead of the O(n) pass: one
 C-level mask marks every position whose crossing can move, a zero mask
 is a normal pair, and each move swaps one position in a^-1 and in b and
-can only free its neighbours.  The heavy shape, a
-near the top against b near the identity, and tuple letters (the rank
-tables' fills and n >= 256) keep the insertion pass, as does a pair with
-many first candidates or one that overruns the swap budget.
+can only free its neighbours.  The heavy shape, a near the top against b
+near the identity, and tuple letters (the rank tables' fills and
+n >= 256) keep the insertion pass, as does a pair with many first
+candidates or one that overruns the swap budget.
 """
 from __future__ import annotations
 
@@ -142,8 +142,8 @@ def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
     and b in m's order, which are head^-1 and tail, so m itself is never
     built.  Bytes letters try local swaps first (_swap_reads), unless a^-1
     starts above where it ends and b below, the heavy shape in which much
-    of a moves, and fall back to the pass when the swaps overrun their
-    budget.  Nothing moves iff (a, b) is normal, and the tail equals b
+    of a moves, and fall back to the pass when there are too many
+    candidates or the swaps overrun their budget.  Nothing moves iff (a, b) is normal, and the tail equals b
     exactly when m is the identity, so the head is only built for a pair
     that rewrites.  Head and tail are built in the type of b, tuple or
     bytes, which the inverse keeps.
@@ -158,14 +158,15 @@ def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
 
 # The local swaps' bounds: a pair with more than _SWAP_FIRST first
 # candidates, or one that takes _SWAP_BUDGET swaps, takes the insertion
-# pass.  On the steps of mixed words at 64 strands a pass costs
-# about 20 us, a swap 1 us, and the pairs with 9 to 12 or more first
-# candidates moved a median of 16 to 47 crossings.
+# pass.  On the steps of mixed words at 64 strands a pass costs 12-20 us
+# and a swap about 1 us (2-core VM, CPython 3.11.7), and the pairs with 9
+# to 12 or more first candidates moved a median of 16 to 47 crossings.
 _SWAP_FIRST, _SWAP_BUDGET = 8, 32
 
 
-# The mask's borrow guards: on n strands, the top bit of each of n lanes
-_GUARDS = [int.from_bytes((b"\x80" if n < 128 else b"\0\1") * n, "little") for n in range(256)]
+# The mask's borrow guards by lane width: the top bit of each lane, for as
+# many lanes as a width serves
+_GUARDS = {8: int.from_bytes(b"\x80" * 127, "little"), 16: int.from_bytes(b"\0\1" * 255, "little")}
 
 
 def _swap_reads(u: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
@@ -195,7 +196,7 @@ def _swap_reads(u: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
         lanes[::2] = b
         lb = int.from_bytes(lanes, "little")
         width = 16
-    guard = _GUARDS[n]
+    guard = _GUARDS[width] & (1 << width * n) - 1  # one lane per position
     mask = ((lu | guard) - (lu >> width)) & (((lb >> width) | guard) - lb) & guard >> width
     if not mask or mask.bit_count() > _SWAP_FIRST:  # a normal pair, or too many candidates
         return None if mask else (u, b)
