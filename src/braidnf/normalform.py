@@ -366,10 +366,10 @@ def rank_tables(n: int) -> _Alphabet:
     through ranks, as list reads: the flip, the run extensions
     extend[s][a] (-1 where a run stops being simple), the supports and
     one SimpleBraid per rank, checked once and shared.  The step has one
-    row per left rank, read as step[a][b]: a memo (_Memo) of one transfer per entry
-    (_rank_step), filled on the entry's first read.  The rows share room
-    for every pair, so they never forget; only they grow with use, and
-    the rest is O(n!).
+    row per left rank, read as step[a][b]: a memo (_Memo) of one transfer
+    per entry (_rank_step), filled on the entry's first read.  The rows
+    share room for every pair, so they never forget; only they grow with
+    use, and the rest is O(n!).
     """
     if n in _TABLES:
         return _TABLES[n]

@@ -23,14 +23,14 @@ transfer is one insertion pass of the weak-order meet that lists a^-1
 and b in the meet's order: those lists are head^-1 and the tail, so
 neither the meet nor a product of permutations is formed.
 
-Most transfers move few crossings, and on bytes letters (7 to 255
-strands) those are found by local swaps instead of the O(n) pass: one
+Most transfers move few crossings, and on bytes letters from 7 to 127
+strands those are found by local swaps instead of the O(n) pass: one
 C-level mask marks every position whose crossing can move, a zero mask
 is a normal pair, and each move swaps one position in a^-1 and in b and
 can only free its neighbours.  The heavy shape, a near the top against b
-near the identity, and tuple letters (the rank tables' fills and
-n >= 256) keep the insertion pass, as does a pair with many first
-candidates or one that overruns the swap budget.
+near the identity, bytes letters from 128 strands and tuple letters (the
+rank tables' fills and n >= 256) keep the insertion pass, as does a pair
+with many first candidates or one that overruns the swap budget.
 """
 from __future__ import annotations
 
@@ -140,18 +140,19 @@ def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
     b*omega is the complement of R(b), so m encodes the maximal
     transferable tail.  One insertion pass (lattice._meet_reads) lists a^-1
     and b in m's order, which are head^-1 and tail, so m itself is never
-    built.  Bytes letters try local swaps first (_swap_reads), unless a^-1
-    starts above where it ends and b below, the heavy shape in which much
-    of a moves, and fall back to the pass when there are too many
-    candidates or the swaps overrun their budget.  Nothing moves iff (a, b) is normal, and the tail equals b
-    exactly when m is the identity, so the head is only built for a pair
-    that rewrites.  Head and tail are built in the type of b, tuple or
-    bytes, which the inverse keeps.
+    built.  Bytes letters below 128 strands try local swaps first
+    (_swap_reads), unless a^-1 starts above where it ends and b below, the
+    heavy shape in which much of a moves; they fall back to the pass when
+    there are too many candidates or the swaps overrun their budget.
+    Nothing moves iff (a, b) is normal, and the tail equals b exactly when
+    m is the identity, so the head is only built for a pair that rewrites.
+    Head and tail are built in the type of b, tuple or bytes, which the
+    inverse keeps.
     """
     u = inverse(a)
     word = b.__class__
-    swaps = word is bytes and not (u[0] > u[-1] and b[0] < b[-1]) and _swap_reads(u, b)
-    head_inv, tail = swaps or _meet_reads(u, b)
+    local = word is bytes and len(b) < 128 and not (u[0] > u[-1] and b[0] < b[-1])
+    head_inv, tail = local and _swap_reads(u, b) or _meet_reads(u, b)
     tail = word(tail)
     return None if tail == b else (inverse(word(head_inv)), tail)
 
@@ -161,48 +162,41 @@ def _step_words(a: Sequence[int], b: Sequence[int]) -> Optional[tuple]:
 # pass.  On the steps of mixed words at 64 strands a pass costs 12-20 us
 # and a swap about 1 us (2-core VM, CPython 3.11.7), and the pairs with 9
 # to 12 or more first candidates moved a median of 16 to 47 crossings.
+# Without the first-candidate cut, perfbench's mixed-n64 read a lower
+# work_per_s in 17 of 20 paired runs and a higher op_tail_ms in all 20.
 _SWAP_FIRST, _SWAP_BUDGET = 8, 32
 
 
-# The mask's borrow guards by lane width: the top bit of each lane, for as
-# many lanes as a width serves
-_GUARDS = {8: int.from_bytes(b"\x80" * 127, "little"), 16: int.from_bytes(b"\0\1" * 255, "little")}
+# The mask's borrow guard: the top bit of each byte lane, one lane per
+# position up to 127 strands
+_GUARD = int.from_bytes(b"\x80" * 127, "little")
 
 
 def _swap_reads(u: bytes, b: bytes) -> Optional[tuple[bytes, bytes]]:
     """
-    The transfer's reads of u = a^-1 and b by local swaps, or None when
-    there are more than _SWAP_FIRST first candidates or the swaps reach
-    _SWAP_BUDGET with candidates left.  Position i holds a transferable
-    crossing when u[i] > u[i + 1] and b[i] < b[i + 1] (the descent test
-    of _is_normal_words), and moving it swaps i and i + 1 in both words.
-    The tails that can move form the interval [1, m], so single moves in
-    any order end at (head^-1, tail) after exactly |m| swaps.  All first
-    candidates are found at C level: u and b read as ints of lanes, a
-    byte each below 128 strands and two bytes from 128, with the top bit
-    of every lane set as a guard, so that one subtraction per word leaves
-    lane i's guard set exactly when its test holds at i.  A zero mask
-    is a normal pair, returned as it is.  Each swap can only make
-    candidates of its two neighbours, so they go on the work stack; the
-    words are padded with a zero at each end, where the test never holds.
+    The transfer's reads of u = a^-1 and b (bytes below 128 strands) by
+    local swaps, or None when there are more than _SWAP_FIRST first
+    candidates or the swaps reach _SWAP_BUDGET with candidates left.
+    Position i holds a transferable crossing when u[i] > u[i + 1] and
+    b[i] < b[i + 1] (the descent test of _is_normal_words), and moving it
+    swaps i and i + 1 in both words.  The tails that can move form the
+    interval [1, m], so single moves in any order end at (head^-1, tail)
+    after exactly |m| swaps.  All first candidates are found at C level:
+    u and b read as ints of byte lanes, every value below the lane's top
+    bit, which is set as a guard, so that one subtraction per word leaves
+    lane i's guard set exactly when its test holds at i.  A zero mask is
+    a normal pair, returned as it is.  Each swap can only make candidates
+    of its two neighbours, so they go on the work stack; the words are
+    padded with a zero at each end, where the test never holds.
     """
     n = len(u)
-    if n < 128:  # every value fits below the guard bit of a byte
-        lu, lb, width = int.from_bytes(u, "little"), int.from_bytes(b, "little"), 8
-    else:
-        lanes = bytearray(2 * n)
-        lanes[::2] = u
-        lu = int.from_bytes(lanes, "little")
-        lanes[::2] = b
-        lb = int.from_bytes(lanes, "little")
-        width = 16
-    guard = _GUARDS[width] & (1 << width * n) - 1  # one lane per position
-    mask = ((lu | guard) - (lu >> width)) & (((lb >> width) | guard) - lb) & guard >> width
+    lu, lb = int.from_bytes(u, "little"), int.from_bytes(b, "little")
+    guard = _GUARD & (1 << 8 * n) - 1  # one lane per position
+    mask = ((lu | guard) - (lu >> 8)) & (((lb >> 8) | guard) - lb) & guard >> 8
     if not mask or mask.bit_count() > _SWAP_FIRST:  # a normal pair, or too many candidates
         return None if mask else (u, b)
     us, bs = bytearray(b"\0" + u + b"\0"), bytearray(b"\0" + b + b"\0")
-    step = width >> 3  # lane i's guard is in its last byte; it is the padded pair at i + 1
-    stack = list(compress(count(1), mask.to_bytes(n * step, "little")[step - 1 :: step]))
+    stack = list(compress(count(1), mask.to_bytes(n, "little")))  # lane i is the padded pair at i + 1
     budget = _SWAP_BUDGET
     while stack and budget:
         j = stack.pop()
