@@ -18,20 +18,22 @@ flip^delta(core), so the core itself is flipped at most once, at the
 end.  Each rewrite is one step of Thurston's automaton over pairs of
 simple braids.
 
-The engine is one loop (_normalize_letters) over an alphabet chosen
-once per call, which it reads as tables: step[a][b] and extend[s][p]
-by subscription, the other rules by C-level calls.  The rules are
-stated once, on one-line words (_word_alphabet): a letter is its
-one-line word and a step is one transfer (simple._step_words), computed
-on each read.  Up to six strands (TABLE_MAX_STRANDS) rank_tables
-tabulates that alphabet over S_n, so a letter is the rank of its simple
-braid and the whole run is integer table reads: each step is a read of
-its left factor's row, filled on first read, each flip and run
-extension a list read, and each output factor a shared SimpleBraid.
-From seven to 255 strands the word alphabet's letters are bytes, one
-byte per strand, so that a letter's inverse, flip and run swap are each
-one C-level table call and its hash is computed once; a byte numbers at
-most 255 strands, so above that letters stay tuples.
+The engine is one loop (_normalize_letters) over an alphabet chosen once
+per call, which it reads as tables: step[a][b] and extend[s][p] by
+subscription, the other rules by C-level calls.  The rules are stated
+once, on one-line words (_word_alphabet): a letter is its one-line word
+and a step is one transfer (simple._step_words), computed on each read.
+Its letters, run extensions and support rule are built once per strand
+count (_word_parts); its flip and step are read from this module on each
+call.  Up to six strands (TABLE_MAX_STRANDS) rank_tables tabulates that
+alphabet over S_n, so a letter is the rank of its simple braid and the
+whole run is integer table reads: each step is a read of its left
+factor's row, filled on first read, each flip and run extension a list
+read, and each output factor a shared SimpleBraid.  From seven to 255
+strands the word alphabet's letters are bytes, one byte per strand, so
+that a letter's inverse, flip and run swap are each one C-level table
+call and its hash is computed once; a byte numbers at most 255 strands,
+so above that letters stay tuples.
 
 A step is memoised by one class, _Memo: a dict whose missing entry is
 computed on its first read and kept while a room shared with the other
@@ -266,22 +268,26 @@ def _extend_run(s: int, swap: Optional[bytes], p: Sequence[int]) -> object:
 
 
 @functools.lru_cache(maxsize=8)
-def _extensions(n: int) -> tuple:
+def _word_parts(n: int) -> tuple:
     """
-    The word alphabet's extend on n strands: entry s is the rule of the
-    signed generator s (_extend_run), listed as None, +1 .. +(n - 1),
-    -(n - 1) .. -1, so extend[-j] is the rule of generator j's inverse.
-    Up to 255 strands, where letters may be bytes, +j and -j share one
-    swap table of 256 bytes.  The 2(n - 1) rules and their tables take
-    about 60 us to build at n = 64 (30 us for the rules alone), more
-    than the rest of the alphabet, so those of the last few strand
-    counts are kept; they store nothing.
+    The parts of the word alphabet on n strands that only n fixes, as
+    (ident, top, letter, extend, support): the identity and half-twist
+    letters, the letter type, the run extensions and the support rule.
+    Entry s of extend is the rule of the signed generator s
+    (_extend_run), listed as None, +1 .. +(n - 1), -(n - 1) .. -1, so
+    extend[-j] is the rule of generator j's inverse.  Up to 255 strands,
+    where a letter may be bytes, +j and -j share one swap table of 256
+    bytes, also at n <= TABLE_MAX_STRANDS, since a rule takes a letter of
+    either type.  The parts take about 60 us to build at n = 64, most of
+    it the 2(n - 1) rules and their tables, so those of the last few
+    strand counts are kept; they store nothing.
     """
+    word = bytes if TABLE_MAX_STRANDS < n <= _BYTE_MAX_STRANDS else tuple
     swaps = [None] * n
     if n <= _BYTE_MAX_STRANDS:
         swaps[1:] = (bytes.maketrans(bytes((j, j + 1)), bytes((j + 1, j))) for j in range(1, n))
     rules = (_Rule(_extend_run, s, swaps[abs(s)]) for s in chain(range(1, n), range(1 - n, 0)))
-    return (None, *rules)
+    return word(identity(n)), word(omega(n)), word, (None, *rules), _Rule(_support)
 
 
 def _support(p: Sequence[int]) -> int:
@@ -305,12 +311,14 @@ def _word_alphabet(n: int) -> _Alphabet:
     pass per dict read.  Above 255 strands letters are tuples, as are
     those the rank tables read, so each rule takes either type and
     returns the type it is given.
+
+    The parts that only n fixes are built once per strand count
+    (_word_parts); the flip and the step are read from this module on
+    each call, so a wrapper set on normalform.flip or
+    normalform._step_words runs in the next alphabet built.
     """
-    word = bytes if TABLE_MAX_STRANDS < n <= _BYTE_MAX_STRANDS else tuple
-    return _Alphabet(
-        word(identity(n)), word(omega(n)), word, SimpleBraid, flip, _Rule(_Rule, _step_words),
-        _extensions(n), _Rule(_support),
-    )
+    ident, top, word, extend, support = _word_parts(n)
+    return _Alphabet(ident, top, word, SimpleBraid, flip, _Rule(_Rule, _step_words), extend, support)
 
 
 # Thurston's transitions number (n!)^2: 14,400 at n = 5, 518,400 at n = 6 and

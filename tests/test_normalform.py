@@ -51,6 +51,7 @@ from twins import (
     handle_reduce,
     lifted_group_twin,
     rewrite_twin,
+    sorted_word,
     spelled_form,
     word_permutation,
 )
@@ -589,10 +590,10 @@ IDENTITY_MOVES = (
 )
 
 
-def equal_partner(rng, n, symbols, rounds=2):
+def equal_partner(rng, n, symbols, rounds=2, moves=IDENTITY_MOVES):
     """The symbols after every identity-preserving move, rounds times each, in seeded order."""
     w = list(symbols)
-    moves = list(IDENTITY_MOVES) * rounds
+    moves = list(moves) * rounds
     rng.shuffle(moves)
     for move in moves:
         move(rng, n, w)
@@ -725,21 +726,58 @@ def test_forms_have_their_words_burau_image():
     # Garside relations cannot see, being symmetric under them, change the
     # image: a form without its last factor, or with p one lower, must not
     # match.  Seeded signed words with a low D share, where the cost is the
-    # spelled D symbols and factors.
+    # spelled D symbols and factors, so the form's image is taken in three
+    # legs, D^p, a_1 ... a_(k-1) and a_k, and each fault's image starts
+    # from a leg already taken.  At 256 and 1,024 strands the words have no
+    # D, and the 1,024-strand word is short: the half twist and a factor
+    # near it each spell as some 523,000 generators, 0.3 s of the twin.
     rng = random.Random(4613)
-    for n, length, words in ((9, 1500, 3), (16, 1500, 3), (64, 800, 2), (255, 200, 1)):
+    for n, length, words, delta_share in ((9, 1500, 3, 0.01), (16, 1500, 3, 0.01),
+                                          (64, 800, 2, 0.01), (255, 200, 1, 0.01),
+                                          (256, 300, 1, 0.0), (1024, 20, 1, 0.0)):
         for k in range(words):
-            w = ArtinWord(n, tuple(signed_symbols(rng, n, length, 0.01)))
+            w = ArtinWord(n, tuple(signed_symbols(rng, n, length, delta_share)))
             form = normalize_group(w)
             t = rng.randrange(2, BURAU_PRIME - 1)
             vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
             image = burau_image(n, w.symbols, t, vector)
-            assert burau_image(n, form_symbols(form), t, vector) == image, (n, k)
+            symbols, p = form_symbols(form), abs(form.delta_power)
+            last = len(symbols) - len(sorted_word(form.factors[-1].perm) if form.factors else ())
+            head = burau_image(n, symbols[:p], t, vector)
+            short = burau_image(n, symbols[p:last], t, head)
+            assert burau_image(n, symbols[last:], t, short) == image, (n, k)
             if k == 0:
-                short = GroupNormalForm(n, form.delta_power, form.factors[:-1])
-                lower = GroupNormalForm(n, form.delta_power - 1, form.factors)
-                assert form.factors and burau_image(n, form_symbols(short), t, vector) != image
-                assert burau_image(n, form_symbols(lower), t, vector) != image
+                # without a_k, and with D^(p - 1) = D^p D^-1 in front
+                assert form.factors and short != image
+                assert burau_image(n, symbols[p:], t, burau_image(n, [-n], t, head)) != image
+
+
+def test_equal_agrees_with_the_burau_image():
+    # equal against the Burau image of its two words (tests/twins.py), up
+    # to 1,024 strands: a partner made by the identity moves without D has
+    # the word's image, and equal must answer True; the partner with
+    # sigma_i^2 sigma_(i+1)^2 sigma_i^-2 sigma_(i+1)^-2 inserted has another
+    # image, and equal must answer False.  Equal images alone would not
+    # prove a False answer wrong, Burau being unfaithful for n >= 5, so the
+    # commutator's changed image is asserted, not assumed.  The twin reads
+    # only the words, so its cost is their letters.
+    rng = random.Random(4621)
+    moves = (_cancelling_pair, _braid_relation, _far_commutation)
+    for n, length, words in ((9, 300, 3), (16, 300, 3), (64, 300, 2), (255, 300, 2),
+                             (256, 300, 2), (1024, 200, 2)):
+        for _ in range(words):
+            symbols = signed_symbols(rng, n, length)
+            partner = equal_partner(rng, n, symbols, moves=moves)
+            i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
+            unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
+            t = rng.randrange(2, BURAU_PRIME - 1)
+            vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
+            image = burau_image(n, symbols, t, vector)
+            word = ArtinWord(n, tuple(symbols))
+            assert burau_image(n, partner, t, vector) == image, n
+            assert equal(word, ArtinWord(n, tuple(partner))), n
+            assert burau_image(n, unequal, t, vector) != image, n
+            assert not equal(word, ArtinWord(n, tuple(unequal))), n
 
 
 def test_append_matches_fold_reference():
@@ -1255,6 +1293,33 @@ def test_signed_run_rule_matches_the_product_twin():
                 assert extend[s][p] == want, (n, p, s)
                 if n <= 255:
                     assert extend[s][bytes(p)] == (-1 if want == -1 else bytes(want)), (n, p, s)
+
+
+def test_word_alphabet_keeps_its_parts_and_binds_flip_and_step_per_call(monkeypatch):
+    # The word alphabet's parts that only n fixes are built once per strand
+    # count: after one engine call, every alphabet of the next call wraps
+    # the same record (normalform._word_parts).  Its flip and step are read
+    # from the module on each call, so wrappers set on normalform.flip and
+    # normalform._step_words after an engine call run in the next one, as
+    # the tests that count steps and the benchmark's trace wrap them.  The
+    # word has odd delta, so its core is flipped.  A cache of the whole
+    # alphabet, or no cache of its parts, fails here.
+    parts, seen, counts = normalform._word_parts, [], collections.Counter()
+    monkeypatch.setattr(normalform, "_word_parts", lambda n: seen.append(parts(n)) or seen[-1])
+
+    def counted(key, rule):
+        return lambda *args: counts.update((key,)) or rule(*args)
+
+    for n in (64, 300):
+        w = parse_word(f"n={n}; D 1 2 1 -3 2 5 4 -5 1 2 3 2 -1")
+        first = normalize_group(w)
+        record = seen[-1]
+        seen.clear()
+        monkeypatch.setattr(normalform, "flip", counted(("flip", n), flip))
+        monkeypatch.setattr(normalform, "_step_words", counted(("step", n), simple._step_words))
+        assert normalize_group(w) == first and first.delta_power % 2 == 1
+        assert seen and all(r is record for r in seen), n
+        assert counts["flip", n] and counts["step", n], counts
 
 
 def test_one_engine_on_bytes_and_tuple_letters():
