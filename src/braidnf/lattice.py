@@ -164,9 +164,9 @@ def _meet_reads(u: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int
     entries placed before the last boundary.  Boundaries are looked for
     only when an entry passes the whole list; a missed one makes a walk
     longer, never different.  A near-top u against a sparse b then takes
-    O(n) comparisons instead of O(n^2).
+    O(n) comparisons instead of O(n^2).  u and b must be on the same
+    strands, as every caller checks or builds them: this is not checked.
     """
-    _same_strands("permutations", len(u), len(b))
     n = len(u)
     us: list[int] = []
     bs: list[int] = []

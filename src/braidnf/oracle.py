@@ -445,16 +445,6 @@ def _sweep(suite: str, n: int, *parts, diagnostic: bool = False) -> Verification
 # Verification sweeps
 
 
-def _sample(n: int, rng: random.Random) -> tuple[int, ...]:
-    """rng.choice(list(all_permutations(n))) without the list: randrange(n!), unranked."""
-    index, digits = rng.randrange(math.factorial(n)), []
-    for radix in range(1, n + 1):
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    rest = list(range(1, n + 1))
-    return tuple(rest.pop(digit) for digit in reversed(digits))
-
-
 def _triples(n: int, samples: Optional[int], seed: int):
     """
     Triples of S_n: all of them up to EXHAUSTIVE_MAX_STRANDS, by rows (3),
@@ -469,8 +459,8 @@ def _triples(n: int, samples: Optional[int], seed: int):
         return 3
     if n > MAX_STRANDS:
         raise ValueError(f"sampled triples need n <= {MAX_STRANDS}, got {n}")
-    rng = random.Random(seed)
-    return ((_sample(n, rng), _sample(n, rng), _sample(n, rng)) for _ in range(samples))
+    rng, letters = random.Random(seed), range(1, n + 1)
+    return (tuple(tuple(rng.sample(letters, n)) for _ in range(3)) for _ in range(samples))
 
 
 def _pairs(n: int, samples: Optional[int] = None, seed: int = 42):

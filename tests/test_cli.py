@@ -74,6 +74,13 @@ MALFORMED_WORDS = [
     ("n=3; 3", "generator index 3 out of range 1..2"),
     ("n=3; -3", "generator index 3 out of range 1..2"),
     ("n=1; 1", "generator index 1 out of range 1..0"),
+    # runs past int()'s 4,300 digits: significant ones are out of range
+    pytest.param(
+        "n=" + "9" * 4301 + ";", f"strand count {'9' * 4301} out of range 1..1024", id="long-count"
+    ),
+    pytest.param(
+        "n=3; -00" + "9" * 4301, f"generator index {'9' * 4301} out of range 1..2", id="long-index"
+    ),
     # word length, checked before any token
     pytest.param(
         "n=3; " + "1 " * (MAX_LETTERS + 1), "word has more than 1000000 tokens", id="too-long"
@@ -84,6 +91,17 @@ MALFORMED_WORDS = [
 @pytest.mark.parametrize("text,message", MALFORMED_WORDS)
 def test_malformed_word_error_lines(capsys, text, message):
     assert run_cli(capsys, "normalize", text) == (2, "", f"error: {message}\n")
+
+
+def test_leading_zeros_of_any_length_read_as_unpadded(capsys):
+    zeros = "0" * 5000
+    for padded, plain in [
+        (("normalize", f"n=3; {zeros}1 2"), ("normalize", "n=3; 1 2")),
+        (("normalize", f"n={zeros}3; 1 2"), ("normalize", "n=3; 1 2")),
+        (("transfer", f"[{zeros}2 1]", "[1 2]"), ("transfer", "[2 1]", "[1 2]")),
+    ]:
+        assert run_cli(capsys, *padded) == run_cli(capsys, *plain)
+    assert run_cli(capsys, "normalize", f"n=3; {zeros}1 2")[:2] == (0, "D^0 : [3 1 2]\n")
 
 
 def test_word_at_the_letter_limit_parses():

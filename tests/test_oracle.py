@@ -228,15 +228,19 @@ def test_verify_gsb_and_stop_small():
             verify_stop(3, samples=samples)
 
 
-def test_samples_are_the_draws_of_a_listed_s_n():
-    # sampled suites draw without listing S_n, yet every seed keeps drawing
-    # what random.choice on the list would: the pinned sweeps stay the same
-    for n in range(1, 7):
-        listed = list(all_permutations(n))
-        for seed in (1, 42):
-            lazy, eager = random.Random(seed), random.Random(seed)
-            for _ in range(50):
-                assert oracle._sample(n, lazy) == eager.choice(listed)
+def test_sampled_triples_are_seeded_permutations():
+    # sampled sweeps draw each entry of a triple from random.Random(seed):
+    # a seed fixes the triples, and so the report
+    for n in (6, 9, 1024):
+        triples = list(oracle._triples(n, 20, 1))
+        assert len(triples) == 20
+        for triple in triples:
+            assert len(triple) == 3
+            for p in triple:
+                assert type(p) is tuple and sorted(p) == list(range(1, n + 1))
+        assert list(oracle._triples(n, 20, 1)) == triples
+        assert list(oracle._triples(n, 20, 2)) != triples
+    assert verify_gsb(6, samples=30, seed=3) == verify_gsb(6, samples=30, seed=3)
 
 
 def test_verify_gsb_and_stop_catch_a_short_transfer(monkeypatch):

@@ -268,7 +268,6 @@ STRAND_CHECKS = [
     (lattice.meet, _inversion_sets, "inversion sets"),
     (lattice.leq, _inversion_sets, "inversion sets"),
     (lattice.deglex_compare, _inversion_sets, "inversion sets"),
-    (lattice._meet_reads, _permutations, "permutations"),
     (lattice.meet_permutations, _permutations, "permutations"),
     (oracle.brute_meet, _inversion_sets, "inversion sets"),
     (normalform.equal, _words, "words"),

@@ -149,7 +149,7 @@ def word_texts(draw):
     n = draw(st.integers(1, 12))
     space = st.text(st.sampled_from(WHITESPACE), max_size=2)
     gap = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=2)
-    zeros = st.sampled_from(("", "", "0", "00"))
+    zeros = st.sampled_from(("", "", "0", "00", "0" * 4301))  # past int()'s 4,300 digits
     header = "".join([
         draw(space), "n", draw(space), "=", draw(space), draw(zeros), str(n), draw(space), ";"
     ])

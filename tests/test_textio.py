@@ -12,6 +12,8 @@ from braidnf.perms import all_permutations
 from braidnf.simple import SimpleBraid, generator_braid, identity_braid, omega_braid
 from braidnf.textio import (
     MAX_DRAWING_CELLS,
+    MAX_LETTERS,
+    MAX_STRANDS,
     ArtinWord,
     ParseError,
     format_normal_form,
@@ -23,7 +25,7 @@ from braidnf.textio import (
     simple_to_artin,
     word_to_simple_letters,
 )
-from twins import formal_inverse
+from twins import formal_inverse, grammar_twin
 
 
 def test_parse_word():
@@ -127,6 +129,7 @@ def test_word_roundtrip():
 def test_parse_permutation():
     assert parse_permutation("[3 5 4 2 6 1]") == (3, 5, 4, 2, 6, 1)
     assert parse_permutation(" [1 2 3] ") == (1, 2, 3)
+    assert parse_permutation("[03 001 2]") == (3, 1, 2)
     for bad in ["[1 1 3]", "[0 1]", "3 5 4", "[]", "[1 2", "[a b]"]:
         with pytest.raises(ParseError):
             parse_permutation(bad)
@@ -142,6 +145,34 @@ def test_parse_permutation():
         assert parse_permutation(format_permutation(p)) == p
     with pytest.raises(ValueError, match="^need at least one strand$"):
         format_permutation(())  # "[]", which parse_permutation refuses
+
+
+def test_integers_of_any_length():
+    # int() and str() refuse more than 4,300 digits: leading zeros are
+    # dropped first, and a longer run is out of range, named as given
+    zeros, nines = "0" * 5000, "9" * 4301
+    for padded, plain in [
+        (f"n=3; {zeros}1 2", "n=3; 1 2"),
+        (f"n={zeros}3; 1 2", "n=3; 1 2"),
+        (f"n=3; -{zeros}2 +{zeros}1", "n=3; -2 +1"),
+    ]:
+        assert parse_word(padded) == parse_word(plain)
+        twin = grammar_twin(plain, MAX_STRANDS, MAX_LETTERS)
+        assert grammar_twin(padded, MAX_STRANDS, MAX_LETTERS) == twin
+    for text, message in [
+        (f"n=3; 1 -{zeros}", "generator index 0 is not allowed"),
+        (f"n={zeros}{nines};", f"strand count {nines} out of range 1..1024"),
+        (f"n=3; 1 -{zeros}{nines}", f"generator index {nines} out of range 1..2"),
+        (f"n=3; +{nines} x", f"generator index {nines} out of range 1..2"),
+    ]:
+        with pytest.raises(ParseError) as caught:
+            parse_word(text)
+        assert str(caught.value) == message
+        assert grammar_twin(text, MAX_STRANDS, MAX_LETTERS) is None
+    assert parse_permutation(f"[{zeros}2 {zeros}1]") == (2, 1)
+    with pytest.raises(ParseError) as caught:
+        parse_permutation(f"[1 -{zeros}{nines}]")
+    assert str(caught.value) == f"permutation entry -{nines} out of range 1..2"
 
 
 def test_word_to_simple_letters():
