@@ -10,12 +10,10 @@ stands for the |k|-th Artin generator with sign(k) as exponent; ``D``
 and ``-D`` stand for the half twist and its inverse.  Words are ASCII:
 integers are runs of the digits 0-9, with no underscores, after an
 optional ``-`` or ``+`` (``+1`` is ``1``; ``+D`` is not a token), of
-any length: leading zeros are dropped, and a run with more significant
-digits than its bound has is out of range, named as given.  The
-strand count is at most MAX_STRANDS, and a word has at most MAX_LETTERS
-tokens.  Permutations read and print in bracketed one-line notation
-``[3 5 4 2 6 1]``, and a bad one is printed as given.  All emitted text
-is deterministic.
+any length (_integer).  The strand count is at most MAX_STRANDS, and a
+word has at most MAX_LETTERS tokens.  Permutations read and print in
+bracketed one-line notation ``[3 5 4 2 6 1]``, and a bad one is printed
+as given.  All emitted text is deterministic.
 
 A parsed word (ArtinWord) holds one nonzero int per token, the signed
 symbols the normalisation engine reads: k for the generator token k, and
@@ -110,7 +108,7 @@ EXHAUSTIVE_MAX_STRANDS = 5
 # VM); on 1,024 strands it would be some 50 GB of SVG.
 MAX_DRAWING_CELLS = 2**18
 
-_HEADER = re.compile(r"^\s*n\s*=\s*0*([1-9][0-9]*|0)\s*$", re.ASCII)  # the significant digits
+_HEADER = re.compile(r"^\s*n\s*=\s*([0-9]+)\s*$", re.ASCII)
 _REFUSED = "_\x1c\x1d\x1e\x1f"  # the ASCII characters refused in a word body
 
 
@@ -128,15 +126,11 @@ def parse_word(text: str) -> ArtinWord:
     match = _HEADER.match(head)
     if not match:
         raise ParseError(f"bad header {head!r}; expected 'n=<int>;'")
-    digits = match.group(1)
-    # int() and str() refuse more than 4,300 digits, so a run with more
-    # digits than its bound has is out of range unconverted, named as given
-    if len(digits) > len(str(MAX_STRANDS)) or not 1 <= int(digits) <= MAX_STRANDS:
-        raise ParseError(f"strand count {digits} out of range 1..{MAX_STRANDS}")
-    n = int(digits)
-    # other scripts' digits and "_" are refused as characters, not as
-    # tokens, and split() splits at the separators too; each refused
-    # character is one C-level search
+    n = _integer(match.group(1), "strand count", MAX_STRANDS)
+    if not 1 <= n <= MAX_STRANDS:
+        raise ParseError(f"strand count {n} out of range 1..{MAX_STRANDS}")
+    # int() takes other scripts' digits and "_", and split() splits at the
+    # separators too; each refused character is one C-level search
     if not rest.isascii() or any(map(rest.__contains__, _REFUSED)):
         bad = next(c for c in rest if not c.isascii() or c in _REFUSED)
         raise ParseError(f"bad character {bad!r} in word")
@@ -152,19 +146,35 @@ def parse_word(text: str) -> ArtinWord:
     return ArtinWord(n, tuple(map(symbols.__getitem__, tokens)))
 
 
+def _integer(raw: str, name: str, high: int) -> Optional[int]:
+    """
+    int(raw) for an optional sign and a run of the digits 0-9 of any
+    length, else None.  int() refuses more than 4,300 digits, so such a
+    run is read again without its leading zeros, and one with more
+    significant digits than high has is out of range: ParseError names
+    those digits, since str() of their int would fail too.
+    """
+    try:
+        return int(raw)
+    except ValueError:
+        match = re.fullmatch(r"([-+]?)0*([1-9][0-9]*|0)", raw)  # a sign, the significant digits
+    if match and len(match[2]) > len(str(high)):
+        raise ParseError(f"{name} {match[2]} out of range 1..{high}")
+    return match and int(match[1] + match[2])
+
+
 def _symbol(raw: str, n: int) -> int:
     """The symbol of one token of a word on n strands, or ParseError."""
     if raw in ("D", "-D"):
         return n if raw == "D" else -n
-    match = re.fullmatch(r"([-+]?)0*([1-9][0-9]*|0)", raw)  # a sign, the significant digits
-    if not match:
+    k = _integer(raw, "generator index", n - 1)
+    if k is None:
         raise ParseError(f"bad token {raw!r}")
-    sign, digits = match.groups()
-    if digits == "0":
-        raise ParseError("generator index 0 is not allowed")
-    if len(digits) > len(str(n)) or not int(digits) < n:
-        raise ParseError(f"generator index {digits} out of range 1..{n - 1}")
-    return int(sign + digits)
+    if not 0 < abs(k) < n:
+        if k == 0:
+            raise ParseError("generator index 0 is not allowed")
+        raise ParseError(f"generator index {abs(k)} out of range 1..{n - 1}")
+    return k
 
 
 def format_word(word: ArtinWord) -> str:
@@ -178,14 +188,12 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     match = re.match(r"^\s*\[([-0-9\s]*)\]\s*$", text, re.ASCII)
     if not match:
         raise ParseError(f"expected '[v1 v2 ... vn]', got {text!r}")
-    runs = [re.fullmatch(r"(-?)0*([1-9][0-9]*|0)", v) for v in match.group(1).split()]
-    if not all(runs):
+    entries = match.group(1).split()
+    values = tuple(_integer(v, "permutation entry", len(entries)) for v in entries)
+    if None in values:
         raise ParseError(f"bad permutation entries in {text!r}")
-    for sign, digits in (run.groups() for run in runs):
-        if len(digits) > len(str(len(runs))):  # out of range, like a word's long runs
-            raise ParseError(f"permutation entry {sign}{digits} out of range 1..{len(runs)}")
     try:
-        return check_permutation(tuple(int(run[1] + run[2]) for run in runs))
+        return check_permutation(values)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

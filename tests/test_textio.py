@@ -172,7 +172,9 @@ def test_integers_of_any_length():
     assert parse_permutation(f"[{zeros}2 {zeros}1]") == (2, 1)
     with pytest.raises(ParseError) as caught:
         parse_permutation(f"[1 -{zeros}{nines}]")
-    assert str(caught.value) == f"permutation entry -{nines} out of range 1..2"
+    assert str(caught.value) == f"permutation entry {nines} out of range 1..2"
+    with pytest.raises(ParseError, match="^bad permutation entries"):
+        parse_permutation(f"[1 {zeros}2-1]")
 
 
 def test_word_to_simple_letters():
