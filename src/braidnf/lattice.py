@@ -43,8 +43,11 @@ class InversionSet(PairSet):
             raise ValueError(f"not an inversion set: {self.pairs()}")
 
     @classmethod
-    def _trusted(cls, n: int, bits: int) -> InversionSet:
-        """An inversion set by construction: PairSet's checks, not the inversion-set test."""
+    def _by_construction(cls, n: int, bits: int) -> InversionSet:
+        """
+        An inversion set by construction: PairSet's checks run, the
+        inversion-set test does not (_Value._trusted would skip both).
+        """
         r = object.__new__(cls)
         cls._setters[0](r, n)
         cls._setters[1](r, bits)
@@ -53,7 +56,7 @@ class InversionSet(PairSet):
 
     @classmethod
     def from_permutation(cls, p: Sequence[int]) -> InversionSet:
-        return cls._trusted(len(p), inversion_bits(p))
+        return cls._by_construction(len(p), inversion_bits(p))
 
 
 def complement(r: InversionSet) -> InversionSet:
@@ -62,7 +65,7 @@ def complement(r: InversionSet) -> InversionSet:
     to p*omega when r belongs to p, because appending the reversing
     permutation inverts exactly the previously non-inverted pairs.
     """
-    return InversionSet._trusted(r.n, full_bits(r.n) ^ r.bits)
+    return InversionSet._by_construction(r.n, full_bits(r.n) ^ r.bits)
 
 
 def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
@@ -74,7 +77,7 @@ def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
     p = check_permutation(p)
     if inversion_bits(p) != r.bits:
         raise ValueError("pair set is not the inversion set of the given permutation")
-    return InversionSet._trusted(r.n, act_on_pairs(p, r).bits)
+    return InversionSet._by_construction(r.n, act_on_pairs(p, r).bits)
 
 
 def _between_mask(i: int, k: int) -> int:

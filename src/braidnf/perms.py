@@ -48,7 +48,9 @@ class _Value:
       the hash of the tuple of fields, or of the field when there is one;
     - the repr ``Name(field=value, ...)``;
     - AttributeError on any assignment or deletion;
-    - copying and pickling through the constructor, so a copy is validated.
+    - copying and pickling through the constructor, so a copy is validated;
+    - ``cls._trusted(*values)``, which sets fields already in their stored
+      form and valid by construction and skips ``__post_init__``.
 
     The fields are set through the class's slot descriptors, whose setters
     are looked up once per class; they bypass ``__setattr__``.  Equality
@@ -71,6 +73,14 @@ class _Value:
         for k, value in enumerate(values):
             setters[k](self, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A value whose fields are stored and valid by construction: no __post_init__."""
+        value = object.__new__(cls)
+        for setter, field in zip(cls._setters, values):
+            setter(value, field)
+        return value
 
     def __post_init__(self):
         pass

@@ -17,7 +17,12 @@ as given.  All emitted text is deterministic.
 
 A parsed word (ArtinWord) holds one nonzero int per token, the signed
 symbols the normalisation engine reads: k for the generator token k, and
-n and -n for ``D`` and ``-D`` on n strands.
+n and -n for ``D`` and ``-D`` on n strands.  Each letter is checked once
+on its way in: parse_word checks each distinct token as it converts it,
+and word_to_simple_letters builds each letter on the word's n strands, so
+both build their word through _Value._trusted, with no second pass of
+the constructor's check.  ArtinWord(...) and PositiveWord(...), and so
+copies and pickles, still check.
 
 Diagrams are drawn strands-down, one band per factor, each factor opened
 up into its canonical reduced word; the front strand of a positive
@@ -118,7 +123,9 @@ def parse_word(text: str) -> ArtinWord:
     distinct token is converted and checked once (_symbol), and the word
     is read through that table in one pass.  When a token is bad the
     tokens are scanned again in word order, so the error names the first
-    bad token of the word.
+    bad token of the word.  The header check has bounded n and every
+    symbol is one _symbol returned, so the word is built without
+    ArtinWord's check.
     """
     head, sep, rest = text.partition(";")
     if not sep:
@@ -143,7 +150,7 @@ def parse_word(text: str) -> ArtinWord:
         for raw in tokens:
             _symbol(raw, n)
         raise
-    return ArtinWord(n, tuple(map(symbols.__getitem__, tokens)))
+    return ArtinWord._trusted(n, tuple(map(symbols.__getitem__, tokens)))
 
 
 def _integer(raw: str, name: str, high: int) -> Optional[int]:
@@ -206,13 +213,15 @@ def format_permutation(p) -> str:
 def word_to_simple_letters(word: ArtinWord) -> PositiveWord:
     """
     Interpret a positive word letter by letter as simple braids.  Each
-    distinct symbol is built once and shared by all its letters.
+    distinct symbol is built once and shared by all its letters.  Every
+    letter is built on the word's n strands, so the word is built
+    without PositiveWord's strand check.
     """
     n, symbols = word.n, word.symbols
     if symbols and min(symbols) < 0:
         raise ParseError("word contains an inverse token; only positive words lift letterwise")
     braids = {s: omega_braid(n) if s == n else generator_braid(n, s) for s in set(symbols)}
-    return PositiveWord(n, tuple(map(braids.__getitem__, symbols)))
+    return PositiveWord._trusted(n, tuple(map(braids.__getitem__, symbols)))
 
 
 def simple_to_artin(a: SimpleBraid) -> ArtinWord:

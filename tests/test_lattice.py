@@ -65,8 +65,8 @@ def test_inversion_set_is_a_validated_pair_set():
     with pytest.raises(ValueError) as caught:
         InversionSet(0, 0)
     assert str(caught.value) == "need at least one strand"
-    # _trusted skips the inversion-set test but keeps PairSet's; from_pairs runs both
-    assert InversionSet._trusted(3, gapped).bits == gapped
+    # _by_construction skips the inversion-set test but keeps PairSet's; from_pairs runs both
+    assert InversionSet._by_construction(3, gapped).bits == gapped
     with pytest.raises(ValueError, match="need at least one strand"):
         InversionSet.from_permutation(())
     with pytest.raises(ValueError, match="not an inversion set"):

@@ -368,11 +368,13 @@ def test_src_sets_no_field_through_object_setattr():
 
 def test_src_reads_slot_setters_only_in_the_value_base():
     """
-    Values are built through the value base: outside perms._Value only
-    lattice.InversionSet._trusted, which skips the inversion-set test for
-    sets that are one by construction, reads a class's _setters.
+    Values are built through the value base, perms._Value, whose _trusted
+    builds values valid by construction without their check: outside it
+    only lattice.InversionSet._by_construction, which skips the
+    inversion-set test but keeps PairSet's checks, reads a class's
+    _setters.
     """
-    allowed = {("perms", "_Value"), ("lattice", "_trusted")}
+    allowed = {("perms", "_Value"), ("lattice", "_by_construction")}
 
     def reads(tree) -> set:
         return {

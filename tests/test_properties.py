@@ -6,7 +6,7 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidnf.normalform import GroupNormalForm, normalize_group
+from braidnf.normalform import GroupNormalForm, PositiveWord, normalize_group
 from braidnf.simple import SimpleBraid, flip_braid
 from braidnf.textio import (
     MAX_LETTERS,
@@ -18,6 +18,7 @@ from braidnf.textio import (
     parse_permutation,
     parse_word,
     simple_to_artin,
+    word_to_simple_letters,
 )
 from twins import (
     WHITESPACE,
@@ -212,3 +213,9 @@ def test_parse_word_accepts_exactly_the_documented_grammar(text):
         assert want is None, text
     else:
         assert (word.n, word.symbols) == want, text
+        # parse_word and word_to_simple_letters build their words without
+        # the constructors' checks, which admit every word they build
+        assert ArtinWord(word.n, word.symbols) == word, text
+        if not word.symbols or min(word.symbols) > 0:
+            letters = word_to_simple_letters(word)
+            assert PositiveWord(letters.n, letters.letters) == letters, text

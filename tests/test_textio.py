@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import time
 
@@ -183,6 +185,41 @@ def test_word_to_simple_letters():
     assert word_to_simple_letters(parse_word("n=3; D")).letters == (omega_braid(3),)
     with pytest.raises(ParseError):
         word_to_simple_letters(parse_word("n=3; -1"))
+
+
+def test_each_parsed_letter_is_checked_once(monkeypatch):
+    """
+    parse_word and word_to_simple_letters check each letter on its way in
+    and build their words without the constructors' checks, which the
+    public constructors, copies and pickles still run.
+    """
+    checked = []
+    for cls in (ArtinWord, PositiveWord):
+        check = cls.__post_init__
+
+        def counted(self, check=check):
+            checked.append(type(self))
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    word = parse_word("n=4; 1 2 3 D 2 1 1")
+    letters = word_to_simple_letters(word)
+    assert checked == []
+    assert ArtinWord(4, word.symbols) == word
+    assert PositiveWord(4, letters.letters) == letters
+    assert checked == [ArtinWord, PositiveWord]
+    for bad in [(0,), (5,), (True,), (1.0,)]:
+        with pytest.raises(ValueError) as caught:
+            ArtinWord(4, bad)
+        assert str(caught.value) == f"symbol {bad[0]!r} is not a nonzero int in -4..4"
+    with pytest.raises(ValueError) as caught:
+        PositiveWord(4, (*letters.letters, generator_braid(3, 1)))
+    assert str(caught.value) == "letter on 3 strands in a word on 4"
+    del checked[:]
+    for value in (word, letters):
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert checked == [ArtinWord, ArtinWord, PositiveWord, PositiveWord]
 
 
 def test_simple_to_artin():
