@@ -38,10 +38,13 @@ so above that letters stay tuples.
 A step is memoised by one class, _Memo: a dict whose missing entry is
 computed on its first read and kept while a room shared with the other
 rows lasts.  The rank tables' rows are memos with room for every pair.
-equal compares two words with shared work.  Their common prefix and
-suffix cancel, so only the middles are normalised, both through one
-alphabet.  Above the table bound that alphabet's step is a memo of
-memos that lives for the one call and stores at most a fixed budget of
+equal cancels the two words' common prefix and suffix, so only their
+middles R1 and R2 reach the engine.  Up to the table bound, where every
+step is a table read, it runs the engine once, on R1 followed by R2^-1,
+and answers whether that form is trivial: a second form would cost its
+building, flip and validation and share nothing.  Above the bound each
+middle is normalised through one alphabet whose step is a memo of memos
+that lives for the one call and stores at most a fixed budget of
 entries, so the second middle reads the steps it shares with the first
 instead of taking their transfers again.
 
@@ -80,8 +83,8 @@ module check the engine against.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, chain, compress, count
-from operator import getitem, ne
+from itertools import accumulate, chain, compress, count, islice
+from operator import getitem, ne, neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import (
@@ -663,13 +666,18 @@ def normalize_group(word) -> GroupNormalForm:
     return _group_form(word.n, word.symbols, _alphabet(word.n))
 
 
-def _group_form(n: int, symbols: Sequence[int], alphabet: _Alphabet) -> GroupNormalForm:
-    """normalize_group on the symbols of a word on n strands, through the given alphabet."""
+def _group_form(n: int, symbols: Iterable[int], alphabet: _Alphabet) -> GroupNormalForm:
+    """
+    normalize_group on the symbols of a word on n strands, read once as a
+    stream, through the given alphabet.
+    """
     if n == 1:
         # one strand: every symbol is trivial
         return GroupNormalForm(1, 0, ())
-    # D and -D become the half twist and None; a generator stays an int
-    symbols = map({n: omega(n), -n: None}.get, symbols, symbols)
+    # D and -D become the half twist and None; a generator stays an int.
+    # One list read per symbol: laid out as 0, 1 .. n - 1, D, -D,
+    # -(n - 1) .. -1, the list holds each symbol s at index s.
+    symbols = map([*range(n), omega(n), None, *range(1 - n, 0)].__getitem__, symbols)
     delta, core = _normalize_letters(alphabet, symbols)
     if delta & 1:
         core = map(alphabet.flip, core)
@@ -707,25 +715,32 @@ def equal(w1, w2) -> bool:
     """
     Whether two signed words represent the same braid group element.
 
-    The two words share work.  Their longest common prefix Q and then
-    their longest common suffix S are cancelled first, exactly, since
-    Q * R1 * S = Q * R2 * S if and only if R1 = R2; only the middles R1
-    and R2 are normalised, as symbol sequences.  Both run through one
-    alphabet: the rank tables up to TABLE_MAX_STRANDS, and above it the
-    word alphabet behind a step memo (_Memo, whose rows are memos over the
-    word alphabet's rows) that lives for this call only and stores at
-    most _MEMO_BUDGET // n entries, rows included.  Words that differ
-    by local moves pass the same (factor, letter) pairs away from the
-    moves, so the second middle reads much of its steps from the first.
+    Their longest common prefix Q and then their longest common suffix S
+    are cancelled first, exactly, since Q * R1 * S = Q * R2 * S if and
+    only if R1 = R2; only the middles R1 and R2 reach the engine, as
+    symbol streams, and neither is copied.  Up to TABLE_MAX_STRANDS the
+    rank tables make every step a table read, so the engine runs once,
+    on R1 followed by R2^-1 (R2 reversed, each symbol negated, so D and
+    -D swap), and the answer is whether that validated form is trivial:
+    the normal form solves the word problem.  Above the bound a step is
+    a transfer, and words that differ by local moves pass the same
+    (factor, letter) pairs away from the moves, so each middle is
+    normalised on its own and the two forms compared, both through the
+    word alphabet behind a step memo (_Memo, whose rows are memos over
+    the word alphabet's rows) that lives for this call only and stores
+    at most _MEMO_BUDGET // n entries, rows included: the second middle
+    reads much of its steps from the first.
     """
     n = w1.n
     _same_strands("words", n, w2.n)
     a, b = w1.symbols, w2.symbols
     head, tail = _common_ends(a, b)
     alphabet = _alphabet(n)
-    if n > TABLE_MAX_STRANDS:
-        rows, room = alphabet.step, [_MEMO_BUDGET // n]
-        alphabet = alphabet._replace(step=_Memo(lambda a: _Memo(rows[a].__getitem__, room), room))
-    forms = [_group_form(n, w[head : len(w) - tail], alphabet) for w in (a, b)]
+    if n <= TABLE_MAX_STRANDS:
+        inverse = map(neg, islice(reversed(b), tail, len(b) - head))
+        form = _group_form(n, chain(islice(a, head, len(a) - tail), inverse), alphabet)
+        return not form.delta_power and not form.factors
+    rows, room = alphabet.step, [_MEMO_BUDGET // n]
+    alphabet = alphabet._replace(step=_Memo(lambda a: _Memo(rows[a].__getitem__, room), room))
+    forms = [_group_form(n, islice(w, head, len(w) - tail), alphabet) for w in (a, b)]
     return forms[0] == forms[1]
-

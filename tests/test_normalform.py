@@ -667,6 +667,48 @@ def test_equal_on_pairs_with_common_ends():
             assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
 
 
+def test_equal_below_the_table_bound_on_pairs_with_common_ends():
+    # the pairs of test_equal_on_pairs_with_common_ends on 2 to 6 strands,
+    # where equal decides by one engine call on R1 R2^-1: empty against
+    # empty, w against w g, D -D at either end, and the rest
+    rng = random.Random(2227)
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(6):
+            w = signed_symbols(rng, n, rng.randint(0, 20), 0.05)
+            g = rng.randint(1, n - 1) * rng.choice((1, -1))
+            assert check_equal(n, [], [])
+            assert check_equal(n, w, w)
+            assert not check_equal(n, w, w + [g])
+            assert not check_equal(n, [g] + w, w)
+            assert check_equal(n, w + [g, -g], w)
+            assert check_equal(n, w, [-g, g] + w)
+            assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
+            assert not check_equal(n, [g] * 2, [g] * 3)
+            assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
+            assert check_equal(n, w, [n, -n] + w) and check_equal(n, w, w + [-n, n])
+            assert not check_equal(n, w + [n], w) and not check_equal(n, w, [-n] + w)
+
+
+def test_equal_normalises_once_up_to_the_table_bound(monkeypatch):
+    # one engine call on R1 R2^-1 up to six strands, two middles above,
+    # on equal, unequal and identical pairs
+    calls = []
+
+    def counted(n, symbols, alphabet):
+        calls.append(n)
+        return group_form(n, symbols, alphabet)
+
+    group_form = normalform._group_form
+    monkeypatch.setattr(normalform, "_group_form", counted)
+    rng = random.Random(2229)
+    for n in (1, 2, 3, 4, 5, 6, 7):
+        w = signed_symbols(rng, n, 30, 0.05) if n > 1 else [1, -1, 1]
+        for partner in (w, w + [n, -n], [n] + w):
+            calls.clear()
+            equal(ArtinWord(n, tuple(w)), ArtinWord(n, tuple(partner)))
+            assert calls == [n] * (1 if n <= normalform.TABLE_MAX_STRANDS else 2), n
+
+
 
 def test_group_form_round_trips_through_handle_reduction():
     # the normal form of a benchmark word, spelled as D^m and each factor's
@@ -778,6 +820,40 @@ def test_equal_agrees_with_the_burau_image():
             assert equal(word, ArtinWord(n, tuple(partner))), n
             assert burau_image(n, unequal, t, vector) != image, n
             assert not equal(word, ArtinWord(n, tuple(unequal))), n
+
+
+def test_equal_below_the_table_bound_agrees_with_the_burau_image():
+    # the rows of test_equal_agrees_with_the_burau_image on 3 and 4
+    # strands, where equal runs the engine once on R1 R2^-1: words with D,
+    # partners made by all the identity moves that fit (three strands hold
+    # no far commutation), and the partner with the commutator of squares
+    # inserted, whose image must differ.  Burau is faithful on three
+    # strands, so there a seeded neighbour, w with two letters swapped,
+    # is equal exactly when its image is.
+    rng = random.Random(4627)
+    swaps = []
+    for n, length, words in ((3, 200, 6), (4, 200, 6)):
+        moves = [move for move in IDENTITY_MOVES if n > 3 or move is not _far_commutation]
+        for _ in range(words):
+            symbols = signed_symbols(rng, n, length, 0.03)
+            partner = equal_partner(rng, n, symbols, moves=moves)
+            i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
+            unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
+            t = rng.randrange(2, BURAU_PRIME - 1)
+            vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
+            image = burau_image(n, symbols, t, vector)
+            word = ArtinWord(n, tuple(symbols))
+            assert burau_image(n, partner, t, vector) == image, n
+            assert equal(word, ArtinWord(n, tuple(partner))), n
+            assert burau_image(n, unequal, t, vector) != image, n
+            assert not equal(word, ArtinWord(n, tuple(unequal))), n
+            if n == 3:
+                at = rng.randrange(length - 1)
+                swapped = symbols[:at] + [symbols[at + 1], symbols[at]] + symbols[at + 2 :]
+                same = burau_image(n, swapped, t, vector) == image
+                assert equal(word, ArtinWord(n, tuple(swapped))) == same
+                swaps.append(same)
+    assert 0 < sum(swaps) < len(swaps)
 
 
 def test_append_matches_fold_reference():
