@@ -3,10 +3,16 @@ The weak-order lattice on inversion sets.
 
 Permutations ordered by inclusion of inversion sets form a lattice: the
 empty set at the bottom, the full pair set (the reversing permutation) at
-the top.  This module provides InversionSet, a PairSet validated as the
+the top.  This module provides InversionSet, a PairSet that is the
 inversion set of some permutation, together with the lattice structure:
 complement, star, meet, join, the partial order, and the
 degree-lexicographic total order used to rank simple braids.
+
+A set is built one of two ways.  The constructor, InversionSet(n, bits),
+runs PairSet's checks and then the inversion-set test.  A set that is
+one by construction (from_permutation's, the results of complement and
+star, and oracle.brute_meet's) is built through _Value._trusted and runs
+neither.  meet runs the constructor, so a broken fixpoint raises.
 
 The meet also has a fast form on one-line words, an insertion pass that
 never builds a pair set.  The transfer runs it directly: it carries
@@ -20,6 +26,7 @@ from typing import Sequence
 
 from .perms import (
     PairSet,
+    _check_strands,
     _pairs,
     _same_strands,
     act_on_pairs,
@@ -33,7 +40,11 @@ from .perms import (
 
 
 class InversionSet(PairSet):
-    """A pair set that is the inversion set of some permutation."""
+    """
+    A pair set that is the inversion set of some permutation: checked so
+    when built through the constructor, by construction when built
+    through _trusted.
+    """
 
     __slots__ = ()
 
@@ -43,41 +54,41 @@ class InversionSet(PairSet):
             raise ValueError(f"not an inversion set: {self.pairs()}")
 
     @classmethod
-    def _by_construction(cls, n: int, bits: int) -> InversionSet:
-        """
-        An inversion set by construction: PairSet's checks run, the
-        inversion-set test does not (_Value._trusted would skip both).
-        """
-        r = object.__new__(cls)
-        cls._setters[0](r, n)
-        cls._setters[1](r, bits)
-        PairSet.__post_init__(r)
-        return r
-
-    @classmethod
     def from_permutation(cls, p: Sequence[int]) -> InversionSet:
-        return cls._by_construction(len(p), inversion_bits(p))
+        """
+        The inversion set of p, a permutation in one-line notation.  Its
+        one check is the strand count: the empty word raises need at least
+        one strand.  That p is a permutation is not checked; every caller
+        holds a checked one.  The rest needs no check: inversion_bits sets
+        no bit at or above pair_count(len(p)), and the inversion set of a
+        permutation passes the inversion-set test, so the set is built
+        through _trusted.
+        """
+        _check_strands(len(p))
+        return cls._trusted(len(p), inversion_bits(p))
 
 
 def complement(r: InversionSet) -> InversionSet:
     """
     The full pair set minus r.  This is again an inversion set: it belongs
     to p*omega when r belongs to p, because appending the reversing
-    permutation inverts exactly the previously non-inverted pairs.
+    permutation inverts exactly the previously non-inverted pairs.  So it
+    is built through _trusted, with no check.
     """
-    return InversionSet._by_construction(r.n, full_bits(r.n) ^ r.bits)
+    return InversionSet._trusted(r.n, full_bits(r.n) ^ r.bits)
 
 
 def star(r: InversionSet, p: Sequence[int]) -> InversionSet:
     """
     The image of r under its own permutation p: the crossings renumbered
     from the bottom of the braid.  Equals the inversion set of the inverse
-    permutation.  Requires r == inversion_set(p).
+    permutation.  Requires r == inversion_set(p), which is checked; the
+    image is then an inversion set by construction, built through _trusted.
     """
     p = check_permutation(p)
     if inversion_bits(p) != r.bits:
         raise ValueError("pair set is not the inversion set of the given permutation")
-    return InversionSet._by_construction(r.n, act_on_pairs(p, r).bits)
+    return InversionSet._trusted(r.n, act_on_pairs(p, r).bits)
 
 
 def _between_mask(i: int, k: int) -> int:

@@ -152,7 +152,7 @@ def brute_meet(r1: InversionSet, r2: InversionSet) -> InversionSet:
     if down[m] != common:
         stray = [b for r, b in enumerate(bits) if (common & ~down[m]) >> r & 1]
         raise AssertionError(f"non-unique maximal lower bound at n={r1.n}: {[bits[m], *stray]}")
-    return InversionSet._by_construction(r1.n, bits[m])
+    return InversionSet._trusted(r1.n, bits[m])
 
 
 def brute_validity(s: PairSet) -> bool:

@@ -65,8 +65,8 @@ def test_inversion_set_is_a_validated_pair_set():
     with pytest.raises(ValueError) as caught:
         InversionSet(0, 0)
     assert str(caught.value) == "need at least one strand"
-    # _by_construction skips the inversion-set test but keeps PairSet's; from_pairs runs both
-    assert InversionSet._by_construction(3, gapped).bits == gapped
+    # _trusted runs no check; the constructor and from_pairs run both
+    assert InversionSet._trusted(3, gapped).bits == gapped
     with pytest.raises(ValueError, match="need at least one strand"):
         InversionSet.from_permutation(())
     with pytest.raises(ValueError, match="not an inversion set"):
@@ -79,6 +79,19 @@ def test_inversion_set_is_a_validated_pair_set():
     assert len({r, plain}) == 2
     for p in all_permutations(4):
         assert InversionSet.from_permutation(p) == InversionSet(4, inversion_bits(p))
+
+
+def test_trusted_sets_equal_their_checked_twins():
+    # from_permutation, complement and star build through _trusted: each
+    # result must be the set the checked constructor accepts, with the
+    # pair-set range test and the inversion-set test both run
+    rng = random.Random(51)
+    perms = [p for n in range(1, 6) for p in all_permutations(n)]
+    perms += [tuple(rng.sample(range(1, n + 1), n)) for n in (64, 64, 64, 1024)]
+    for p in perms:
+        r = InversionSet.from_permutation(p)
+        for trusted in (r, complement(r), star(r, p)):
+            assert trusted == InversionSet(len(p), trusted.bits)
 
 
 def test_complement():

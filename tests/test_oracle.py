@@ -56,6 +56,14 @@ def test_brute_meet_values():
         brute_meet(big, big)
 
 
+def test_brute_meet_equals_its_checked_twin():
+    # brute_meet builds its result through _trusted, from its table
+    sets = [inv(p) for p in all_permutations(4)]
+    for r1, r2 in itertools.product(sets, repeat=2):
+        got = brute_meet(r1, r2)
+        assert got == InversionSet(4, got.bits)
+
+
 def test_brute_validity():
     assert brute_validity(PairSet(3, 0))
     assert not brute_validity(PairSet.from_pairs(3, [(1, 2), (2, 3)]))

@@ -368,13 +368,11 @@ def test_src_sets_no_field_through_object_setattr():
 
 def test_src_reads_slot_setters_only_in_the_value_base():
     """
-    Values are built through the value base, perms._Value, whose _trusted
-    builds values valid by construction without their check: outside it
-    only lattice.InversionSet._by_construction, which skips the
-    inversion-set test but keeps PairSet's checks, reads a class's
-    _setters.
+    Values are built through the value base, perms._Value: by its checked
+    constructor, or by its _trusted when they are valid by construction.
+    No code outside the base reads a class's _setters.
     """
-    allowed = {("perms", "_Value"), ("lattice", "_by_construction")}
+    allowed = {("perms", "_Value")}
 
     def reads(tree) -> set:
         return {

@@ -9,6 +9,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
 import code_lines  # noqa: E402
+import mutants  # noqa: E402
 
 
 def bench_number(path):
@@ -73,3 +74,34 @@ def test_code_lines_counts_code_tokens_outside_docstrings(tmp_path, capsys):
         "empty.py              0",
         "total                 6",
     ]
+
+
+def test_mutants_reports_killed_survived_and_refused_mutants(tmp_path, capsys):
+    # a fixture package whose one test, with a space in its id, catches a
+    # wrong sign but never calls unused(); the tool copies the tree, so the
+    # fixture stays unchanged
+    (tmp_path / "calc.py").write_text(
+        "def absolute(x):\n    return x if x >= 0 else -x\n\n\ndef unused():\n    return 1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "test_calc.py").write_text(
+        "import calc\nimport pytest\n\n\n@pytest.mark.parametrize('x', [-3], ids=['minus three'])\n"
+        "def test_absolute(x):\n    assert calc.absolute(x) == 3\n",
+        encoding="utf-8",
+    )
+    before = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+    fixture = [
+        mutants.Mutant("calc.py", "else -x", "else x", "absolute keeps the sign"),
+        mutants.Mutant("calc.py", "return 1", "return 2", "unused returns 2"),
+        mutants.Mutant("calc.py", "return", "yield", "found twice, so refused"),
+    ]
+    assert mutants.main(["--root", str(tmp_path), "--timeout", "120"], fixture) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["mutant"], r["status"]) for r in reports] == [
+        (1, "killed"), (2, "survived"), (3, "refused"),
+    ]
+    assert reports[0]["killed_by"] == "test_calc.py::test_absolute[minus three]"
+    assert reports[1]["killed_by"] is None
+    assert reports[2]["reason"] == "text found 2 times"
+    assert all(r["seconds"] >= 0 for r in reports[:2])
+    assert sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir()) == before
