@@ -95,7 +95,7 @@ def test_mutants_reports_killed_survived_and_refused_mutants(tmp_path, capsys):
         mutants.Mutant("calc.py", "return 1", "return 2", "unused returns 2"),
         mutants.Mutant("calc.py", "return", "yield", "found twice, so refused"),
     ]
-    assert mutants.main(["--root", str(tmp_path), "--timeout", "120"], fixture) == 1
+    assert mutants.main(tmp_path, fixture) == 1
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["mutant"], r["status"]) for r in reports] == [
         (1, "killed"), (2, "survived"), (3, "refused"),

@@ -2,26 +2,26 @@
 Score the test suite by mutants: small deliberate faults in the package,
 each of which some test should catch.
 
-    python tools/mutants.py                  # every mutant, 600 s each at most
-    python tools/mutants.py 1 3 --timeout 300
+    python tools/mutants.py
 
 A mutant names a file of the tree (relative to its root), an exact text
 in it, the text's replacement and one line on what the change breaks.
 For each mutant the tree is copied into a fresh temporary directory
-(without .git and the caches of Python, pytest and hypothesis), the text is replaced there, and
+(without .git and the caches of Python, pytest and hypothesis), the text
+is replaced there, and
 
     python -m pytest -x -q
 
-runs in the copy under a wall-clock timeout, with the copy's src first
-on PYTHONPATH.  A mutant whose text is not found exactly once is refused
-and not run.  Each mutant prints one JSON line: its status (killed,
+runs in the copy, with the copy's src first on PYTHONPATH, under a
+wall-clock timeout of TIMEOUT seconds: a mutant can make a test loop far
+longer than the whole suite runs.  A mutant whose text is not found
+exactly once is refused and not run.  Each mutant prints one JSON line: its status (killed,
 survived, timeout or refused), the first failing test that killed it and
 the seconds taken.  The exit status is 0 when every mutant was killed.
 The working tree is only read.  Standard library only.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
@@ -35,6 +35,7 @@ import time
 from typing import NamedTuple, Sequence
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TIMEOUT = 600
 COMMAND = ("-m", "pytest", "-x", "-q")
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)  # a test id may hold spaces
@@ -99,7 +100,7 @@ MUTANTS = (
 )
 
 
-def _run(tree: pathlib.Path, timeout: float) -> tuple[str, str | None]:
+def _run(tree: pathlib.Path) -> tuple[str, str | None]:
     """Run the suite in tree: (killed, survived or timeout; the first failing test)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
@@ -108,7 +109,7 @@ def _run(tree: pathlib.Path, timeout: float) -> tuple[str, str | None]:
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)  # the suite's own subprocesses too
         proc.communicate()
@@ -119,7 +120,7 @@ def _run(tree: pathlib.Path, timeout: float) -> tuple[str, str | None]:
     return "killed", failed.group(1) if failed else f"exit {proc.returncode}"
 
 
-def score(root: pathlib.Path, mutant: Mutant, timeout: float) -> dict:
+def score(root: pathlib.Path, mutant: Mutant) -> dict:
     """Apply one mutant to a copy of root, run the suite there and report."""
     report = {"module": mutant.module, "breaks": mutant.breaks}
     source = (root / mutant.module).read_text(encoding="utf-8")
@@ -131,26 +132,20 @@ def score(root: pathlib.Path, mutant: Mutant, timeout: float) -> dict:
         tree = pathlib.Path(scratch) / "tree"
         shutil.copytree(root, tree, ignore=_IGNORE)
         (tree / mutant.module).write_text(source.replace(mutant.text, mutant.replacement), encoding="utf-8")
-        status, killer = _run(tree, timeout)
+        status, killer = _run(tree)
     seconds = round(time.perf_counter() - start, 1)
     return {**report, "status": status, "killed_by": killer, "seconds": seconds}
 
 
-def main(argv: Sequence[str], mutants: Sequence[Mutant] = MUTANTS) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("numbers", nargs="*", type=int, help="mutants to run, from 1 (default: all)")
-    parser.add_argument("--root", type=pathlib.Path, default=ROOT, help="the tree to copy")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per suite run")
-    args = parser.parse_args(argv)
-    if not all(1 <= number <= len(mutants) for number in args.numbers):
-        parser.error(f"mutants are numbered 1..{len(mutants)}")
+def main(root: pathlib.Path = ROOT, mutants: Sequence[Mutant] = MUTANTS) -> int:
+    """Score every mutant of the tree at root, one JSON line each; 0 when all are killed."""
     statuses = []
-    for number in args.numbers or range(1, len(mutants) + 1):
-        report = {"mutant": number, **score(args.root, mutants[number - 1], args.timeout)}
+    for number, mutant in enumerate(mutants, 1):
+        report = {"mutant": number, **score(root, mutant)}
         statuses.append(report["status"])
         print(json.dumps(report), flush=True)
     return 0 if all(status == "killed" for status in statuses) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
