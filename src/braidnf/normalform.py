@@ -42,11 +42,13 @@ equal cancels the two words' common prefix and suffix, so only their
 middles R1 and R2 reach the engine.  Up to the table bound, where every
 step is a table read, it runs the engine once, on R1 followed by R2^-1,
 and answers whether that form is trivial: a second form would cost its
-building, flip and validation and share nothing.  Above the bound each
-middle is normalised through one alphabet whose step is a memo of memos
-that lives for the one call and stores at most a fixed budget of
-entries, so the second middle reads the steps it shares with the first
-instead of taking their transfers again.
+building, flip and validation and share nothing.  Above the bound the
+middles' Burau images at a fixed t mod a prime are compared first, and
+different images answer False; on equal images each middle is
+normalised through one alphabet whose step is a memo of memos that
+lives for the one call and stores at most a fixed budget of entries, so
+the second middle reads the steps it shares with the first instead of
+taking their transfers again.
 
 Generators do not enter the engine's core one at a time.  They are
 folded first into a pending run, a fraction B * C^-1 of simple braids,
@@ -686,16 +688,17 @@ def _group_form(n: int, symbols: Iterable[int], alphabet: _Alphabet) -> GroupNor
 
 # The step memo of one equal call above the table bound stores at most
 # _MEMO_BUDGET // n entries, step rows counted as entries, whatever the
-# words' length.  An entry keeps up to three letters alive, one-line
-# words as bytes up to 255 strands and as tuples of n ints above: a full
-# memo measured about 210, 340 and 470 bytes per entry at n = 7, 16 and
-# 64 (300, 510 and 1,050 with tuple letters), so 7.9, 5.5 and 1.9 MB in
-# all (tracemalloc peak of one eq of two 20,000-letter words, CPython
-# 3.11.7), and 2,760 bytes per entry, 2.8 MB, at n = 256 (two 3,000-letter
-# words; 3,500 bytes per entry at 20,000 letters).
-# An eq of the benchmark's n = 64 words of up to 256 letters stores at
-# most 514 of its 4,096 entries (the 108 eq calls of six mixed-n64
-# cycles at seeds 1-3).
+# words' length.  Only a pair whose Burau fingerprints agree reaches the
+# memo; a pair they tell apart makes none.  An entry keeps up to three
+# letters alive, one-line words as bytes up to 255 strands and as tuples
+# of n ints above: a full memo measured about 210, 340 and 470 bytes per
+# entry at n = 7, 16 and 64 (300, 510 and 1,050 with tuple letters), so
+# 7.9, 5.5 and 1.9 MB in all (tracemalloc peak of one eq of two
+# 20,000-letter words, CPython 3.11.7), and 2,760 bytes per entry, 2.8 MB,
+# at n = 256 (two 3,000-letter words; 3,500 bytes per entry at 20,000
+# letters).  An eq of the benchmark's n = 64 words of up to 256 letters
+# stores at most 448 of its 4,096 entries (the 54 of the 108 eq calls of
+# six mixed-n64 cycles at seeds 1-3 that reach the memo).
 _MEMO_BUDGET = 2**18
 
 
@@ -711,19 +714,80 @@ def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
     return head, tail
 
 
+def _burau_differ(n: int, middles: Sequence[Sequence[int]]) -> bool:
+    """
+    Whether the two middles' Burau fingerprints differ, which proves them
+    different braids; False when they agree or the fingerprint is
+    skipped.  equal's docstring states the map and its constants.  A
+    middle is folded as W * Omega^delta: D and -D add one to delta or
+    take one away, and a generator after an odd count of them enters W
+    flipped, i to n - i.  The middle with the larger delta gets the
+    difference as spelled half twists, sigma_1 (sigma_2 sigma_1) ...
+    (sigma_(n-1) ... sigma_1), appended to its W, unless they would
+    outnumber the middles' symbols.  Each generator changes two
+    coordinates of the row vector, v[k] and v[k + 1] for sigma_k.
+    """
+    p, t = 2**61 - 1, 1_000_000_007
+    t_inv = pow(t, -1, p)
+    up, down = 1 - t, (t - 1) * t_inv % p
+    deltas = [m.count(n) - m.count(-n) for m in middles]
+    excess = deltas[0] - deltas[1]
+    if abs(excess) * n * (n - 1) // 2 > len(middles[0]) + len(middles[1]):
+        return False
+    twists = [i for _ in range(abs(excess)) for top in range(1, n) for i in range(top, 0, -1)]
+    # index s holds symbol s's generator, 0 for D and -D; flipped maps i to n - i
+    same = [*range(n), 0, 0, *range(1 - n, 0)]
+    flipped = [0, *range(n - 1, 0, -1), 0, 0, *range(-1, -n, -1)]
+    row = [pow(3, j, p) for j in range(n + 1)]  # row[0] is never read
+    images = []
+    for m, spelled in zip(middles, (twists, []) if excess > 0 else ([], twists)):
+        v, fold = row[:], same
+        for s in chain(m, spelled):
+            k = fold[s]
+            if k > 0:
+                x = v[k]
+                v[k] = (x * up + v[k + 1]) % p
+                v[k + 1] = x * t % p
+            elif k:
+                k = -k
+                y = v[k + 1]
+                v[k + 1] = (v[k] + y * down) % p
+                v[k] = y * t_inv % p
+            else:
+                fold = flipped if fold is same else same
+        images.append(v)
+    return images[0] != images[1]
+
+
 def equal(w1, w2) -> bool:
     """
     Whether two signed words represent the same braid group element.
 
     Their longest common prefix Q and then their longest common suffix S
     are cancelled first, exactly, since Q * R1 * S = Q * R2 * S if and
-    only if R1 = R2; only the middles R1 and R2 reach the engine, as
-    symbol streams, and neither is copied.  Up to TABLE_MAX_STRANDS the
-    rank tables make every step a table read, so the engine runs once,
-    on R1 followed by R2^-1 (R2 reversed, each symbol negated, so D and
-    -D swap), and the answer is whether that validated form is trivial:
-    the normal form solves the word problem.  Above the bound a step is
-    a transfer, and words that differ by local moves pass the same
+    only if R1 = R2; only the middles R1 and R2 are read further.  Up to
+    TABLE_MAX_STRANDS the rank tables make every step a table read, so
+    the engine runs once, on R1 followed by R2^-1 (R2 reversed, each
+    symbol negated, so D and -D swap), streamed from the words without a
+    copy, and the answer is whether that validated form is trivial: the
+    normal form solves the word problem.
+
+    Above the bound the middles' Burau fingerprints are compared first
+    (_burau_differ).  The Burau map sends sigma_k to the identity matrix
+    with the block [[1 - t, t], [1, 0]] on coordinates k and k + 1; at a
+    fixed t, mod a prime p, it is a homomorphism B_n -> GL_n(F_p), so
+    two different images certify two different braids (the classical
+    way to solve the word problem of a linear group, R. J. Lipton and
+    Y. Zalcstein, J. ACM 24, 1977).  The fingerprint is the row vector
+    (3, 3^2, ..., 3^n) times the middle's image, mod p = 2^61 - 1, at
+    t = 1,000,000,007; it is not a row of powers of t, since every braid
+    fixes (1, t, ..., t^(n-1)).  Different fingerprints answer
+    False.  Equal ones decide nothing, since Burau is not faithful for
+    n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).  The fingerprint is
+    skipped when the half twists it would spell, |delta1 - delta2| *
+    n(n - 1)/2 generators, outnumber the middles' symbols.  On equal
+    fingerprints, or a skipped one, the engine decides: a step is a
+    transfer, and words that differ by local moves pass the same
     (factor, letter) pairs away from the moves, so each middle is
     normalised on its own and the two forms compared, both through the
     word alphabet behind a step memo (_Memo, whose rows are memos over
@@ -740,7 +804,10 @@ def equal(w1, w2) -> bool:
         inverse = map(neg, islice(reversed(b), tail, len(b) - head))
         form = _group_form(n, chain(islice(a, head, len(a) - tail), inverse), alphabet)
         return not form.delta_power and not form.factors
+    middles = [w[head : len(w) - tail] for w in (a, b)]
+    if _burau_differ(n, middles):
+        return False
     rows, room = alphabet.step, [_MEMO_BUDGET // n]
     alphabet = alphabet._replace(step=_Memo(lambda a: _Memo(rows[a].__getitem__, room), room))
-    forms = [_group_form(n, islice(w, head, len(w) - tail), alphabet) for w in (a, b)]
+    forms = [_group_form(n, middle, alphabet) for middle in middles]
     return forms[0] == forms[1]

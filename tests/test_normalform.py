@@ -691,7 +691,10 @@ def test_equal_below_the_table_bound_on_pairs_with_common_ends():
 
 def test_equal_normalises_once_up_to_the_table_bound(monkeypatch):
     # one engine call on R1 R2^-1 up to six strands, two middles above,
-    # on equal, unequal and identical pairs
+    # on equal, unequal and identical pairs; above the bound the pair
+    # unequal by one generator is decided by its Burau fingerprints and
+    # reaches no engine call, while D w, whose middles are D against
+    # nothing, is under the skip rule and takes the two
     calls = []
 
     def counted(n, symbols, alphabet):
@@ -703,10 +706,100 @@ def test_equal_normalises_once_up_to_the_table_bound(monkeypatch):
     rng = random.Random(2229)
     for n in (1, 2, 3, 4, 5, 6, 7):
         w = signed_symbols(rng, n, 30, 0.05) if n > 1 else [1, -1, 1]
-        for partner in (w, w + [n, -n], [n] + w):
+        g = rng.randint(1, n - 1) if n > 1 else 1
+        for partner, decided in ((w, False), (w + [n, -n], False), ([n] + w, False), (w + [g], True)):
             calls.clear()
             equal(ArtinWord(n, tuple(w)), ArtinWord(n, tuple(partner)))
-            assert calls == [n] * (1 if n <= normalform.TABLE_MAX_STRANDS else 2), n
+            engine = 1 if n <= normalform.TABLE_MAX_STRANDS else 0 if decided else 2
+            assert calls == [n] * engine, n
+
+
+def flipped_symbols(n, symbols):
+    """Each generator i as n - i, its sign kept, D and -D as they are: D w = flip(w) D."""
+    return [s if abs(s) == n else (n if s > 0 else -n) - s for s in symbols]
+
+
+def test_equal_decides_unequal_pairs_by_their_burau_fingerprints(monkeypatch):
+    # Above the table bound an unequal pair whose Burau fingerprints
+    # differ takes no _group_form call: the partner with one generator
+    # more; the partner with sigma_i^2 sigma_(i+1)^2 sigma_i^-2
+    # sigma_(i+1)^-2 inserted, which keeps the exponent sum and the
+    # permutation; and D w spelled as flip(w) D, whose middles are whole
+    # and outnumber the generators of the half twist the fingerprint
+    # spells.  Equal pairs take both calls: one whose D and -D symbols
+    # _delta_conjugation moved across generators, and a word with one D
+    # against its spelling in generators, where the fingerprint spells a
+    # half twist on the side of the D.  At 64 strands the skip
+    # rule is pinned on both sides of its bound: middles of 2,016
+    # symbols, one half twist's generators, take the fingerprint, and
+    # middles of 2,015 skip it and reach the engine, which still answers.
+    calls = []
+
+    def counted(n, symbols, alphabet):
+        calls.append(n)
+        return group_form(n, symbols, alphabet)
+
+    group_form = normalform._group_form
+    monkeypatch.setattr(normalform, "_group_form", counted)
+    rng = random.Random(2251)
+    rows = []
+    for n in (7, 64, 256):
+        w = signed_symbols(rng, n, 120, 0.03)
+        conjugated = list(w)
+        for _ in range(4):
+            _delta_conjugation(rng, n, conjugated)
+        assert n in conjugated or -n in conjugated
+        i, at = rng.randint(1, n - 2), rng.randint(0, len(conjugated))
+        g = rng.randint(1, n - 1) * rng.choice((1, -1))
+        squares = [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1]
+        # x starts with sigma_1 and holds no D, so flip(x) D shares no end with x
+        x = [1] + signed_symbols(rng, n, n * (n - 1) // 4)
+        rows += [
+            (n, w, conjugated, True, 2),
+            (n, w, conjugated[:at] + [g] + conjugated[at:], False, 0),
+            (n, w, conjugated[:at] + squares + conjugated[at:], False, 0),
+            (n, x, flipped_symbols(n, x) + [n], False, 0),
+        ]
+    for n in (7, 64):  # at 256 strands the spelled D would be 32,640 generators for the engine
+        y = signed_symbols(rng, n, 20) + [n] + signed_symbols(rng, n, 20)
+        rows.append((n, y, artin_letters(ArtinWord(n, tuple(y))), True, 2))
+    x = [1] + signed_symbols(rng, 64, 1007)
+    rows += [
+        (64, x, flipped_symbols(64, x[:-1]) + [64], False, 0),  # 1,008 + 1,008 symbols
+        (64, x, flipped_symbols(64, x[:-2]) + [64], False, 2),  # 1,008 + 1,007 symbols
+    ]
+    for n, u, v, answer, engine in rows:
+        a, b = ArtinWord(n, tuple(u)), ArtinWord(n, tuple(v))
+        calls.clear()
+        assert equal(a, b) == answer, (n, len(u), len(v))
+        assert calls == [n] * engine, (n, len(u), len(v))
+    assert normalize_group(a) != normalize_group(b)
+
+
+def test_equal_agrees_with_two_normal_forms_past_the_table_bound():
+    # equal against the comparison of normalize_group on each word, which
+    # takes no fingerprint, on seeded pairs at 7 to 1,024 strands whose
+    # words hold D and -D: a partner made by the five identity moves, that
+    # partner with one generator more or with the commutator of squares
+    # inserted, D w spelled as flip(w) D, and an unrelated word
+    rng = random.Random(2267)
+    answers = collections.Counter()
+    for n, length, words in ((7, 200, 4), (9, 200, 2), (16, 200, 2), (64, 150, 2),
+                             (255, 100, 1), (256, 100, 1), (1024, 40, 1)):
+        for _ in range(words):
+            w = signed_symbols(rng, n, length, 0.02)
+            partner = equal_partner(rng, n, w)
+            i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
+            g = rng.randint(1, n - 1) * rng.choice((1, -1))
+            squares = [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1]
+            for other in (partner, partner[:at] + [g] + partner[at:],
+                          partner[:at] + squares + partner[at:], flipped_symbols(n, w) + [n],
+                          signed_symbols(rng, n, length, 0.02)):
+                a, b = ArtinWord(n, tuple(w)), ArtinWord(n, tuple(other))
+                answer = equal(a, b)
+                assert answer == (normalize_group(a) == normalize_group(b)), n
+                answers[answer] += 1
+    assert answers == {True: 13, False: 4 * 13}  # one equal partner per word
 
 
 
@@ -1216,8 +1309,17 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
     # with the budget cut to a few entries, every answer stays the same
     # and no memo stores more than budget // n entries, rows included; a
     # call's step memo is the first _Memo made with a new room, and its
-    # rows share that room
-    memos = []
+    # rows share that room.  Only a pair whose Burau fingerprints agree
+    # reaches the engine and makes a memo; on these seeds those are
+    # exactly the equal pairs.
+    memos, differ = [], []
+    burau_differ = normalform._burau_differ
+
+    def recorded_differ(n, middles):
+        differ.append(burau_differ(n, middles))
+        return differ[-1]
+
+    monkeypatch.setattr(normalform, "_burau_differ", recorded_differ)
 
     class RecordedMemo(normalform._Memo):
         __slots__ = ()
@@ -1242,9 +1344,12 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
     budget = 64 * 8  # every memo fills: the fewest entries one pair takes unbounded is 104, at n = 7
     monkeypatch.setattr(normalform, "_MEMO_BUDGET", budget)
     memos.clear()
+    differ.clear()
     assert [equal(a, b) for a, b in pairs] == answers
-    assert len(memos) == len(pairs)
-    for memo, (a, _) in zip(memos, pairs):
+    assert [not d for d in differ] == answers
+    agreeing = [pair for pair, d in zip(pairs, differ) if not d]
+    assert len(memos) == len(agreeing) == sum(answers)
+    for memo, (a, _) in zip(memos, agreeing):
         assert memo_entries(memo) + memo.room[0] == budget // a.n
     assert all(memo.room == [0] for memo in memos)
 

@@ -92,6 +92,42 @@ MUTANTS = (
         "equal calls R1 R2^-1 trivial when it has no simple factor",
     ),
     Mutant(
+        "src/braidnf/normalform.py",
+        "fold = flipped if fold is same else same",
+        "fold = same",
+        "the Burau fingerprint folds D without flipping the generators after it",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "v[k] = y * t_inv % p",
+        "v[k] = y * t % p",
+        "the Burau fingerprint's inverse generator block uses t for t^-1",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "if _burau_differ(n, middles):",
+        "if not _burau_differ(n, middles):",
+        "equal answers False when the Burau fingerprints agree",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "(twists, []) if excess > 0 else ([], twists)",
+        "([], twists) if excess > 0 else (twists, [])",
+        "the Burau fingerprint spells the half twists on the side with the smaller D count",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "// 2 > len(middles[0]) + len(middles[1]):",
+        "// 2 <= len(middles[0]) + len(middles[1]):",
+        "the Burau fingerprint's skip test is inverted",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "// 2 > len(middles[0]) + len(middles[1]):",
+        "// 2 >= len(middles[0]) + len(middles[1]):",
+        "the Burau fingerprint is skipped at its bound too",
+    ),
+    Mutant(
         "src/braidnf/textio.py",
         "if not 0 < abs(k) < n:",
         "if not 0 < abs(k) <= n:",
