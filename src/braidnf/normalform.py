@@ -738,7 +738,7 @@ def _burau_differ(n: int, middles: Sequence[Sequence[int]]) -> bool:
     # index s holds symbol s's generator, 0 for D and -D; flipped maps i to n - i
     same = [*range(n), 0, 0, *range(1 - n, 0)]
     flipped = [0, *range(n - 1, 0, -1), 0, 0, *range(-1, -n, -1)]
-    row = [pow(3, j, p) for j in range(n + 1)]  # row[0] is never read
+    row = list(range(n + 1))  # row[0] is never read
     images = []
     for m, spelled in zip(middles, (twists, []) if excess > 0 else ([], twists)):
         v, fold = row[:], same
@@ -779,9 +779,9 @@ def equal(w1, w2) -> bool:
     two different images certify two different braids (the classical
     way to solve the word problem of a linear group, R. J. Lipton and
     Y. Zalcstein, J. ACM 24, 1977).  The fingerprint is the row vector
-    (3, 3^2, ..., 3^n) times the middle's image, mod p = 2^61 - 1, at
-    t = 1,000,000,007; it is not a row of powers of t, since every braid
-    fixes (1, t, ..., t^(n-1)).  Different fingerprints answer
+    (1, 2, ..., n) times the middle's image, mod p = 2^61 - 1, at
+    t = 1,000,000,007; it is not a multiple of (1, t, ..., t^(n-1)),
+    which every braid fixes.  Different fingerprints answer
     False.  Equal ones decide nothing, since Burau is not faithful for
     n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).  The fingerprint is
     skipped when the half twists it would spell, |delta1 - delta2| *
