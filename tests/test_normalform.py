@@ -773,7 +773,7 @@ def test_equal_decides_unequal_pairs_by_their_burau_fingerprints(monkeypatch):
         calls.clear()
         assert equal(a, b) == answer, (n, len(u), len(v))
         assert calls == [n] * engine, (n, len(u), len(v))
-    assert normalize_group(a) != normalize_group(b)
+    assert normalize_group(a) != normalize_group(b)  # the skipped pair, by its two forms
 
 
 def test_equal_agrees_with_two_normal_forms_past_the_table_bound():
