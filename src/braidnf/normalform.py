@@ -688,8 +688,9 @@ def _group_form(n: int, symbols: Iterable[int], alphabet: _Alphabet) -> GroupNor
 
 # The step memo of one equal call above the table bound stores at most
 # _MEMO_BUDGET // n entries, step rows counted as entries, whatever the
-# words' length.  Only a pair whose Burau fingerprints agree reaches the
-# memo; a pair they tell apart makes none.  An entry keeps up to three
+# words' length.  Only a pair whose Burau fingerprints agree, or whose
+# net D counts differ so that none is taken, reaches the memo; a pair
+# the fingerprints tell apart makes none.  An entry keeps up to three
 # letters alive, one-line words as bytes up to 255 strands and as tuples
 # of n ints above: a full memo measured about 210, 340 and 470 bytes per
 # entry at n = 7, 16 and 64 (300, 510 and 1,050 with tuple letters), so
@@ -714,35 +715,49 @@ def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
     return head, tail
 
 
-def _burau_differ(n: int, middles: Sequence[Sequence[int]]) -> bool:
+# The Burau fingerprint's constants (equal): the prime 2^61 - 1, t and
+# t^-1 mod it, the entry 1 - t of sigma_k's block and the entry
+# 1 - t^-1 of its inverse's, [[0, 1], [t^-1, 1 - t^-1]].
+_BURAU_P = 2**61 - 1
+_BURAU_T = 1_000_000_007
+_BURAU_T_INV = pow(_BURAU_T, -1, _BURAU_P)
+_BURAU_UP = 1 - _BURAU_T
+_BURAU_DOWN = (_BURAU_T - 1) * _BURAU_T_INV % _BURAU_P
+
+
+@functools.lru_cache(maxsize=8)
+def _burau_folds(n: int) -> tuple[list, list, list]:
     """
-    Whether the two middles' Burau fingerprints differ, which proves them
-    different braids; False when they agree or the fingerprint is
-    skipped.  equal's docstring states the map and its constants.  A
-    middle is folded as W * Omega^delta: D and -D add one to delta or
-    take one away, and a generator after an odd count of them enters W
-    flipped, i to n - i.  The middle with the larger delta gets the
-    difference as spelled half twists, sigma_1 (sigma_2 sigma_1) ...
-    (sigma_(n-1) ... sigma_1), appended to its W, unless they would
-    outnumber the middles' symbols.  Each generator changes two
-    coordinates of the row vector, v[k] and v[k + 1] for sigma_k.
+    The parts of the Burau fingerprint on n strands, as (same, flipped,
+    row): index s of same holds symbol s's signed generator, 0 for D and
+    -D, flipped holds it with i sent to n - i, and row is the row vector
+    (1, 2, ..., n) behind an unread 0.
     """
-    p, t = 2**61 - 1, 1_000_000_007
-    t_inv = pow(t, -1, p)
-    up, down = 1 - t, (t - 1) * t_inv % p
-    deltas = [m.count(n) - m.count(-n) for m in middles]
-    excess = deltas[0] - deltas[1]
-    if abs(excess) * n * (n - 1) // 2 > len(middles[0]) + len(middles[1]):
-        return False
-    twists = [i for _ in range(abs(excess)) for top in range(1, n) for i in range(top, 0, -1)]
-    # index s holds symbol s's generator, 0 for D and -D; flipped maps i to n - i
     same = [*range(n), 0, 0, *range(1 - n, 0)]
     flipped = [0, *range(n - 1, 0, -1), 0, 0, *range(-1, -n, -1)]
-    row = list(range(n + 1))  # row[0] is never read
+    return same, flipped, list(range(n + 1))
+
+
+def _burau_differ(n: int, words: Sequence[Sequence[int]], head: int, tail: int) -> bool:
+    """
+    Whether the middles words[i][head : len - tail] have the same net
+    count of D and different Burau fingerprints, which proves them
+    different braids; False when the fingerprints agree or the counts
+    differ.  The counts are taken on the whole words, whose common ends
+    add the same to both.  equal's docstring states the map and its
+    constants.  A middle is folded as W * Omega^delta: a generator after
+    an odd count of D and -D enters W flipped, i to n - i, so middles of
+    one delta are told apart by their W.  Each generator changes two
+    coordinates of the row vector, v[k] and v[k + 1] for sigma_k.
+    """
+    if words[0].count(n) - words[0].count(-n) != words[1].count(n) - words[1].count(-n):
+        return False
+    p, t, t_inv, up, down = _BURAU_P, _BURAU_T, _BURAU_T_INV, _BURAU_UP, _BURAU_DOWN
+    same, flipped, row = _burau_folds(n)
     images = []
-    for m, spelled in zip(middles, (twists, []) if excess > 0 else ([], twists)):
+    for w in words:
         v, fold = row[:], same
-        for s in chain(m, spelled):
+        for s in islice(w, head, len(w) - tail):
             k = fold[s]
             if k > 0:
                 x = v[k]
@@ -781,12 +796,12 @@ def equal(w1, w2) -> bool:
     Y. Zalcstein, J. ACM 24, 1977).  The fingerprint is the row vector
     (1, 2, ..., n) times the middle's image, mod p = 2^61 - 1, at
     t = 1,000,000,007; it is not a multiple of (1, t, ..., t^(n-1)),
-    which every braid fixes.  Different fingerprints answer
-    False.  Equal ones decide nothing, since Burau is not faithful for
-    n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).  The fingerprint is
-    skipped when the half twists it would spell, |delta1 - delta2| *
-    n(n - 1)/2 generators, outnumber the middles' symbols.  On equal
-    fingerprints, or a skipped one, the engine decides: a step is a
+    which every braid fixes.  It is taken only when the two middles
+    hold the same net count of D, so that each is folded to W *
+    Omega^delta with one delta and only the W are compared.  Different
+    fingerprints answer False.  Equal ones decide nothing, since Burau
+    is not faithful for n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).  On
+    equal fingerprints, or different D counts, the engine decides: a step is a
     transfer, and words that differ by local moves pass the same
     (factor, letter) pairs away from the moves, so each middle is
     normalised on its own and the two forms compared, both through the
@@ -804,10 +819,9 @@ def equal(w1, w2) -> bool:
         inverse = map(neg, islice(reversed(b), tail, len(b) - head))
         form = _group_form(n, chain(islice(a, head, len(a) - tail), inverse), alphabet)
         return not form.delta_power and not form.factors
-    middles = [w[head : len(w) - tail] for w in (a, b)]
-    if _burau_differ(n, middles):
+    if _burau_differ(n, (a, b), head, tail):
         return False
     rows, room = alphabet.step, [_MEMO_BUDGET // n]
     alphabet = alphabet._replace(step=_Memo(lambda a: _Memo(rows[a].__getitem__, room), room))
-    forms = [_group_form(n, middle, alphabet) for middle in middles]
+    forms = [_group_form(n, islice(w, head, len(w) - tail), alphabet) for w in (a, b)]
     return forms[0] == forms[1]

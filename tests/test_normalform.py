@@ -693,8 +693,8 @@ def test_equal_normalises_once_up_to_the_table_bound(monkeypatch):
     # one engine call on R1 R2^-1 up to six strands, two middles above,
     # on equal, unequal and identical pairs; above the bound the pair
     # unequal by one generator is decided by its Burau fingerprints and
-    # reaches no engine call, while D w, whose middles are D against
-    # nothing, is under the skip rule and takes the two
+    # reaches no engine call, while D w, whose net D count is not w's,
+    # takes no fingerprint and takes the two
     calls = []
 
     def counted(n, symbols, alphabet):
@@ -724,15 +724,13 @@ def test_equal_decides_unequal_pairs_by_their_burau_fingerprints(monkeypatch):
     # differ takes no _group_form call: the partner with one generator
     # more; the partner with sigma_i^2 sigma_(i+1)^2 sigma_i^-2
     # sigma_(i+1)^-2 inserted, which keeps the exponent sum and the
-    # permutation; and D w spelled as flip(w) D, whose middles are whole
-    # and outnumber the generators of the half twist the fingerprint
-    # spells.  Equal pairs take both calls: one whose D and -D symbols
-    # _delta_conjugation moved across generators, and a word with one D
-    # against its spelling in generators, where the fingerprint spells a
-    # half twist on the side of the D.  At 64 strands the skip
-    # rule is pinned on both sides of its bound: middles of 2,016
-    # symbols, one half twist's generators, take the fingerprint, and
-    # middles of 2,015 skip it and reach the engine, which still answers.
+    # permutation; and D x against x D, one D on each side.  Equal pairs
+    # take both calls: one whose D and -D symbols _delta_conjugation
+    # moved across generators, and D x against flip(x) D, whose
+    # fingerprints agree only through the flip of the generators after
+    # a D.  A pair whose net D counts differ takes no fingerprint and
+    # reaches the engine, which answers: x against flip(x) D, unequal,
+    # and a word with one D against its spelling in generators, equal.
     calls = []
 
     def counted(n, symbols, alphabet):
@@ -752,36 +750,32 @@ def test_equal_decides_unequal_pairs_by_their_burau_fingerprints(monkeypatch):
         i, at = rng.randint(1, n - 2), rng.randint(0, len(conjugated))
         g = rng.randint(1, n - 1) * rng.choice((1, -1))
         squares = [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1]
-        # x starts with sigma_1 and holds no D, so flip(x) D shares no end with x
-        x = [1] + signed_symbols(rng, n, n * (n - 1) // 4)
+        # x starts with sigma_1 and holds no D, so no pair below shares an end
+        x = [1] + signed_symbols(rng, n, 40)
         rows += [
             (n, w, conjugated, True, 2),
             (n, w, conjugated[:at] + [g] + conjugated[at:], False, 0),
             (n, w, conjugated[:at] + squares + conjugated[at:], False, 0),
-            (n, x, flipped_symbols(n, x) + [n], False, 0),
+            (n, [n] + x, x + [n], False, 0),
+            (n, [n] + x, flipped_symbols(n, x) + [n], True, 2),
+            (n, x, flipped_symbols(n, x) + [n], False, 2),
         ]
     for n in (7, 64):  # at 256 strands the spelled D would be 32,640 generators for the engine
         y = signed_symbols(rng, n, 20) + [n] + signed_symbols(rng, n, 20)
         rows.append((n, y, artin_letters(ArtinWord(n, tuple(y))), True, 2))
-    x = [1] + signed_symbols(rng, 64, 1007)
-    rows += [
-        (64, x, flipped_symbols(64, x[:-1]) + [64], False, 0),  # 1,008 + 1,008 symbols
-        (64, x, flipped_symbols(64, x[:-2]) + [64], False, 2),  # 1,008 + 1,007 symbols
-    ]
     for n, u, v, answer, engine in rows:
-        a, b = ArtinWord(n, tuple(u)), ArtinWord(n, tuple(v))
         calls.clear()
-        assert equal(a, b) == answer, (n, len(u), len(v))
+        assert equal(ArtinWord(n, tuple(u)), ArtinWord(n, tuple(v))) == answer, (n, len(u), len(v))
         assert calls == [n] * engine, (n, len(u), len(v))
-    assert normalize_group(a) != normalize_group(b)  # the skipped pair, by its two forms
 
 
 def test_equal_agrees_with_two_normal_forms_past_the_table_bound():
     # equal against the comparison of normalize_group on each word, which
     # takes no fingerprint, on seeded pairs at 7 to 1,024 strands whose
-    # words hold D and -D: a partner made by the five identity moves, that
-    # partner with one generator more or with the commutator of squares
-    # inserted, D w spelled as flip(w) D, and an unrelated word
+    # words hold D and -D: w against a partner made by the five identity
+    # moves, that partner with one generator more or with the commutator
+    # of squares inserted, flip(w) D and an unrelated word, and D w
+    # against w D and against flip(w) D
     rng = random.Random(2267)
     answers = collections.Counter()
     for n, length, words in ((7, 200, 4), (9, 200, 2), (16, 200, 2), (64, 150, 2),
@@ -792,14 +786,16 @@ def test_equal_agrees_with_two_normal_forms_past_the_table_bound():
             i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
             g = rng.randint(1, n - 1) * rng.choice((1, -1))
             squares = [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1]
-            for other in (partner, partner[:at] + [g] + partner[at:],
-                          partner[:at] + squares + partner[at:], flipped_symbols(n, w) + [n],
-                          signed_symbols(rng, n, length, 0.02)):
-                a, b = ArtinWord(n, tuple(w)), ArtinWord(n, tuple(other))
+            flipped = flipped_symbols(n, w) + [n]
+            for u, v in ((w, partner), (w, partner[:at] + [g] + partner[at:]),
+                         (w, partner[:at] + squares + partner[at:]), (w, flipped),
+                         (w, signed_symbols(rng, n, length, 0.02)), ([n] + w, w + [n]),
+                         ([n] + w, flipped)):
+                a, b = ArtinWord(n, tuple(u)), ArtinWord(n, tuple(v))
                 answer = equal(a, b)
                 assert answer == (normalize_group(a) == normalize_group(b)), n
                 answers[answer] += 1
-    assert answers == {True: 13, False: 4 * 13}  # one equal partner per word
+    assert answers == {True: 2 * 13, False: 5 * 13}  # two equal pairs per word
 
 
 
@@ -1310,13 +1306,13 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
     # and no memo stores more than budget // n entries, rows included; a
     # call's step memo is the first _Memo made with a new room, and its
     # rows share that room.  Only a pair whose Burau fingerprints agree
-    # reaches the engine and makes a memo; on these seeds those are
-    # exactly the equal pairs.
+    # reaches the engine and makes a memo; on these seeds, whose partners
+    # keep their net D counts, those are exactly the equal pairs.
     memos, differ = [], []
     burau_differ = normalform._burau_differ
 
-    def recorded_differ(n, middles):
-        differ.append(burau_differ(n, middles))
+    def recorded_differ(*args):
+        differ.append(burau_differ(*args))
         return differ[-1]
 
     monkeypatch.setattr(normalform, "_burau_differ", recorded_differ)

@@ -105,27 +105,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/braidnf/normalform.py",
-        "if _burau_differ(n, middles):",
-        "if not _burau_differ(n, middles):",
+        "if _burau_differ(n, (a, b), head, tail):",
+        "if not _burau_differ(n, (a, b), head, tail):",
         "equal answers False when the Burau fingerprints agree",
     ),
     Mutant(
         "src/braidnf/normalform.py",
-        "(twists, []) if excess > 0 else ([], twists)",
-        "([], twists) if excess > 0 else (twists, [])",
-        "the Burau fingerprint spells the half twists on the side with the smaller D count",
-    ),
-    Mutant(
-        "src/braidnf/normalform.py",
-        "// 2 > len(middles[0]) + len(middles[1]):",
-        "// 2 <= len(middles[0]) + len(middles[1]):",
-        "the Burau fingerprint's skip test is inverted",
-    ),
-    Mutant(
-        "src/braidnf/normalform.py",
-        "// 2 > len(middles[0]) + len(middles[1]):",
-        "// 2 >= len(middles[0]) + len(middles[1]):",
-        "the Burau fingerprint is skipped at its bound too",
+        "if words[0].count(n) - words[0].count(-n) != words[1].count(n) - words[1].count(-n):",
+        "if False:",
+        "the Burau fingerprint is compared when the middles' net D counts differ",
     ),
     Mutant(
         "src/braidnf/textio.py",
