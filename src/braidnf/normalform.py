@@ -43,12 +43,13 @@ middles R1 and R2 reach the engine.  Up to the table bound, where every
 step is a table read, it runs the engine once, on R1 followed by R2^-1,
 and answers whether that form is trivial: a second form would cost its
 building, flip and validation and share nothing.  Above the bound the
-middles' Burau images at a fixed t mod a prime are compared first, and
-different images answer False; on equal images each middle is
-normalised through one alphabet whose step is a memo of memos that
-lives for the one call and stores at most a fixed budget of entries, so
-the second middle reads the steps it shares with the first instead of
-taking their transfers again.
+middles' Burau images at a fixed t mod a prime are compared first when
+they hold one net count of D, and different images answer False; on
+equal images, or different counts, each middle is normalised through
+one alphabet whose step is a memo of memos that lives for the one call
+and stores at most a fixed budget of entries, so the second middle
+reads the steps it shares with the first instead of taking their
+transfers again.
 
 Generators do not enter the engine's core one at a time.  They are
 folded first into a pending run, a fraction B * C^-1 of simple braids,
@@ -780,12 +781,12 @@ def equal(w1, w2) -> bool:
 
     Their longest common prefix Q and then their longest common suffix S
     are cancelled first, exactly, since Q * R1 * S = Q * R2 * S if and
-    only if R1 = R2; only the middles R1 and R2 are read further.  Up to
-    TABLE_MAX_STRANDS the rank tables make every step a table read, so
-    the engine runs once, on R1 followed by R2^-1 (R2 reversed, each
-    symbol negated, so D and -D swap), streamed from the words without a
-    copy, and the answer is whether that validated form is trivial: the
-    normal form solves the word problem.
+    only if R1 = R2; only the middles R1 and R2 are read further, as
+    symbol streams, and neither is copied.  Up to TABLE_MAX_STRANDS the
+    rank tables make every step a table read, so the engine runs once,
+    on R1 followed by R2^-1 (R2 reversed, each symbol negated, so D and
+    -D swap), and the answer is whether that validated form is trivial:
+    the normal form solves the word problem.
 
     Above the bound the middles' Burau fingerprints are compared first
     (_burau_differ).  The Burau map sends sigma_k to the identity matrix
@@ -801,8 +802,8 @@ def equal(w1, w2) -> bool:
     Omega^delta with one delta and only the W are compared.  Different
     fingerprints answer False.  Equal ones decide nothing, since Burau
     is not faithful for n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).  On
-    equal fingerprints, or different D counts, the engine decides: a step is a
-    transfer, and words that differ by local moves pass the same
+    equal fingerprints, or different D counts, the engine decides: a
+    step is a transfer, and words that differ by local moves pass the same
     (factor, letter) pairs away from the moves, so each middle is
     normalised on its own and the two forms compared, both through the
     word alphabet behind a step memo (_Memo, whose rows are memos over
