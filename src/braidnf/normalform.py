@@ -39,14 +39,15 @@ A step is memoised by one class, _Memo: a dict whose missing entry is
 computed on its first read and kept while a room shared with the other
 rows lasts.  The rank tables' rows are memos with room for every pair.
 equal cancels the two words' common prefix and suffix, so only their
-middles R1 and R2 reach the engine.  Up to the table bound, where every
-step is a table read, it runs the engine once, on R1 followed by R2^-1,
-and answers whether that form is trivial: a second form would cost its
-building, flip and validation and share nothing.  Above the bound the
-middles' Burau images at a fixed t mod a prime are compared first when
-they hold one net count of D, and different images answer False; on
-equal images, or different counts, each middle is normalised through
-one alphabet whose step is a memo of memos that lives for the one call
+middles R1 and R2 are read, as one stream, R1 followed by R2^-1.  Up to
+the table bound, where every step is a table read, it runs the engine
+once, on that stream, and answers whether that form is trivial: a
+second form would cost its building, flip and validation and share
+nothing.  Above the bound the stream's Burau image at a fixed t mod a
+prime is taken first, in one walk that also counts D, and when the
+stream holds no net D an image that moves a fixed row vector answers
+False; on an unmoved row, or a nonzero net D, each middle is normalised
+through one alphabet whose step is a memo of memos that lives for the one call
 and stores at most a fixed budget of entries, so the second middle
 reads the steps it shares with the first instead of taking their
 transfers again.
@@ -708,12 +709,13 @@ def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
     """
     The lengths of the longest common prefix of a and b, and of the
     longest common suffix of what follows it, each found by one C-level
-    pass over the symbols.
+    pass over the symbols that copies neither word: the suffix is read
+    from both words' ends and capped at what the prefix leaves.
     """
     short = min(len(a), len(b))
     head = next(compress(count(), map(ne, a, b)), short)
-    tail = next(compress(count(), map(ne, reversed(a[head:]), reversed(b[head:]))), short - head)
-    return head, tail
+    tail = next(compress(count(), map(ne, reversed(a), reversed(b))), short)
+    return head, min(tail, short - head)
 
 
 # The Burau fingerprint's constants (equal): the prime 2^61 - 1, t and
@@ -739,40 +741,36 @@ def _burau_folds(n: int) -> tuple[list, list, list]:
     return same, flipped, list(range(n + 1))
 
 
-def _burau_differ(n: int, words: Sequence[Sequence[int]], head: int, tail: int) -> bool:
+def _burau_moves(n: int, symbols: Iterable[int]) -> bool:
     """
-    Whether the middles words[i][head : len - tail] have the same net
-    count of D and different Burau fingerprints, which proves them
-    different braids; False when the fingerprints agree or the counts
-    differ.  The counts are taken on the whole words, whose common ends
-    add the same to both.  equal's docstring states the map and its
-    constants.  A middle is folded as W * Omega^delta: a generator after
-    an odd count of D and -D enters W flipped, i to n - i, so middles of
-    one delta are told apart by their W.  Each generator changes two
-    coordinates of the row vector, v[k] and v[k + 1] for sigma_k.
+    Whether a stream of symbols on n strands holds no net count of D and
+    moves the row vector of the Burau fingerprint, which proves it a
+    nontrivial braid; False when the row stays or the count is not
+    zero.  equal's docstring states the map and its constants.  The
+    stream is folded as W * Omega^delta: a generator after an odd count
+    of D and -D enters W flipped, i to n - i, so a stream of delta 0 is
+    W.  delta is summed over the half twists as they pass, n for D and
+    -n for -D.  Each generator changes two coordinates of the row
+    vector, v[k] and v[k + 1] for sigma_k.
     """
-    if words[0].count(n) - words[0].count(-n) != words[1].count(n) - words[1].count(-n):
-        return False
     p, t, t_inv, up, down = _BURAU_P, _BURAU_T, _BURAU_T_INV, _BURAU_UP, _BURAU_DOWN
     same, flipped, row = _burau_folds(n)
-    images = []
-    for w in words:
-        v, fold = row[:], same
-        for s in islice(w, head, len(w) - tail):
-            k = fold[s]
-            if k > 0:
-                x = v[k]
-                v[k] = (x * up + v[k + 1]) % p
-                v[k + 1] = x * t % p
-            elif k:
-                k = -k
-                y = v[k + 1]
-                v[k + 1] = (v[k] + y * down) % p
-                v[k] = y * t_inv % p
-            else:
-                fold = flipped if fold is same else same
-        images.append(v)
-    return images[0] != images[1]
+    v, fold, delta = row[:], same, 0
+    for s in symbols:
+        k = fold[s]
+        if k > 0:
+            x = v[k]
+            v[k] = (x * up + v[k + 1]) % p
+            v[k + 1] = x * t % p
+        elif k:
+            k = -k
+            y = v[k + 1]
+            v[k + 1] = (v[k] + y * down) % p
+            v[k] = y * t_inv % p
+        else:
+            fold = flipped if fold is same else same
+            delta += s
+    return not delta and v != row
 
 
 def equal(w1, w2) -> bool:
@@ -782,27 +780,28 @@ def equal(w1, w2) -> bool:
     Their longest common prefix Q and then their longest common suffix S
     are cancelled first, exactly, since Q * R1 * S = Q * R2 * S if and
     only if R1 = R2; only the middles R1 and R2 are read further, as
-    symbol streams, and neither is copied.  Up to TABLE_MAX_STRANDS the
-    rank tables make every step a table read, so the engine runs once,
-    on R1 followed by R2^-1 (R2 reversed, each symbol negated, so D and
-    -D swap), and the answer is whether that validated form is trivial:
-    the normal form solves the word problem.
+    symbol streams, and neither is copied: one stream reads R1 followed
+    by R2^-1 (R2 reversed, each symbol negated, so D and -D swap).  Up
+    to TABLE_MAX_STRANDS the rank tables make every step a table read,
+    so the engine runs once, on that stream, and the answer is whether
+    its validated form is trivial: the normal form solves the word
+    problem.
 
-    Above the bound the middles' Burau fingerprints are compared first
-    (_burau_differ).  The Burau map sends sigma_k to the identity matrix
+    Above the bound the stream's Burau fingerprint is read first
+    (_burau_moves).  The Burau map sends sigma_k to the identity matrix
     with the block [[1 - t, t], [1, 0]] on coordinates k and k + 1; at a
     fixed t, mod a prime p, it is a homomorphism B_n -> GL_n(F_p), so
-    two different images certify two different braids (the classical
-    way to solve the word problem of a linear group, R. J. Lipton and
-    Y. Zalcstein, J. ACM 24, 1977).  The fingerprint is the row vector
-    (1, 2, ..., n) times the middle's image, mod p = 2^61 - 1, at
-    t = 1,000,000,007; it is not a multiple of (1, t, ..., t^(n-1)),
-    which every braid fixes.  It is taken only when the two middles
-    hold the same net count of D, so that each is folded to W *
-    Omega^delta with one delta and only the W are compared.  Different
-    fingerprints answer False.  Equal ones decide nothing, since Burau
-    is not faithful for n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).  On
-    equal fingerprints, or different D counts, the engine decides: a
+    an image other than the identity certifies a nontrivial braid (the
+    classical way to solve the word problem of a linear group, R. J.
+    Lipton and Y. Zalcstein, J. ACM 24, 1977).  The fingerprint is the
+    row vector (1, 2, ..., n) times the image of R1 * R2^-1, mod
+    p = 2^61 - 1, at t = 1,000,000,007; the row is not a multiple of
+    (1, t, ..., t^(n-1)), which every braid fixes.  The walk counts D
+    as it reads, and the fingerprint is used only when the stream holds
+    no net D, so that it folds to W * Omega^0 = W.  A fingerprint other
+    than the row answers False.  The row itself decides nothing, since
+    Burau is not faithful for n >= 5 (S. Bigelow, Geom. Topol. 3, 1999).
+    On an unmoved row, or a nonzero net count of D, the engine decides: a
     step is a transfer, and words that differ by local moves pass the same
     (factor, letter) pairs away from the moves, so each middle is
     normalised on its own and the two forms compared, both through the
@@ -816,11 +815,12 @@ def equal(w1, w2) -> bool:
     a, b = w1.symbols, w2.symbols
     head, tail = _common_ends(a, b)
     alphabet = _alphabet(n)
+    inverse = map(neg, islice(reversed(b), tail, len(b) - head))
+    middles = chain(islice(a, head, len(a) - tail), inverse)
     if n <= TABLE_MAX_STRANDS:
-        inverse = map(neg, islice(reversed(b), tail, len(b) - head))
-        form = _group_form(n, chain(islice(a, head, len(a) - tail), inverse), alphabet)
+        form = _group_form(n, middles, alphabet)
         return not form.delta_power and not form.factors
-    if _burau_differ(n, (a, b), head, tail):
+    if _burau_moves(n, middles):
         return False
     rows, room = alphabet.step, [_MEMO_BUDGET // n]
     alphabet = alphabet._replace(step=_Memo(lambda a: _Memo(rows[a].__getitem__, room), room))

@@ -689,6 +689,22 @@ def test_equal_below_the_table_bound_on_pairs_with_common_ends():
             assert not check_equal(n, w + [n], w) and not check_equal(n, w, [-n] + w)
 
 
+def test_common_ends_copies_neither_word():
+    # two 100,000-symbol words that differ in the middle: the prefix and
+    # the suffix are read in place, so the peak is a few iterators, where
+    # slicing the words past their prefix held 800 kB
+    a = tuple(range(1, 100_001))
+    b = a[:50_000] + (0,) + a[50_001:]
+    tracemalloc.start()
+    try:
+        ends = normalform._common_ends(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ends == (50_000, 49_999)
+    assert peak < 4_096
+
+
 def test_equal_normalises_once_up_to_the_table_bound(monkeypatch):
     # one engine call on R1 R2^-1 up to six strands, two middles above,
     # on equal, unequal and identical pairs; above the bound the pair
@@ -1305,17 +1321,18 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
     # with the budget cut to a few entries, every answer stays the same
     # and no memo stores more than budget // n entries, rows included; a
     # call's step memo is the first _Memo made with a new room, and its
-    # rows share that room.  Only a pair whose Burau fingerprints agree
-    # reaches the engine and makes a memo; on these seeds, whose partners
-    # keep their net D counts, those are exactly the equal pairs.
-    memos, differ = [], []
-    burau_differ = normalform._burau_differ
+    # rows share that room.  Only a pair whose stream R1 R2^-1 leaves the
+    # Burau row unmoved reaches the engine and makes a memo; on these
+    # seeds, whose partners keep their net D counts, those are exactly the
+    # equal pairs.
+    memos, moved = [], []
+    burau_moves = normalform._burau_moves
 
-    def recorded_differ(*args):
-        differ.append(burau_differ(*args))
-        return differ[-1]
+    def recorded_moves(*args):
+        moved.append(burau_moves(*args))
+        return moved[-1]
 
-    monkeypatch.setattr(normalform, "_burau_differ", recorded_differ)
+    monkeypatch.setattr(normalform, "_burau_moves", recorded_moves)
 
     class RecordedMemo(normalform._Memo):
         __slots__ = ()
@@ -1340,10 +1357,10 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
     budget = 64 * 8  # every memo fills: the fewest entries one pair takes unbounded is 104, at n = 7
     monkeypatch.setattr(normalform, "_MEMO_BUDGET", budget)
     memos.clear()
-    differ.clear()
+    moved.clear()
     assert [equal(a, b) for a, b in pairs] == answers
-    assert [not d for d in differ] == answers
-    agreeing = [pair for pair, d in zip(pairs, differ) if not d]
+    assert [not m for m in moved] == answers
+    agreeing = [pair for pair, m in zip(pairs, moved) if not m]
     assert len(memos) == len(agreeing) == sum(answers)
     for memo, (a, _) in zip(memos, agreeing):
         assert memo_entries(memo) + memo.room[0] == budget // a.n

@@ -105,3 +105,13 @@ def test_mutants_reports_killed_survived_and_refused_mutants(tmp_path, capsys):
     assert reports[2]["reason"] == "text found 2 times"
     assert all(r["seconds"] >= 0 for r in reports[:2])
     assert sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir()) == before
+
+
+def test_every_mutant_text_occurs_once():
+    # the tool refuses a mutant whose text is not found exactly once, so a
+    # change to the package that orphans one fails here instead
+    found = [
+        (mutant.breaks, (ROOT / mutant.module).read_text(encoding="utf-8").count(mutant.text))
+        for mutant in mutants.MUTANTS
+    ]
+    assert found == [(mutant.breaks, 1) for mutant in mutants.MUTANTS]

@@ -71,7 +71,7 @@ MUTANTS = (
         "src/braidnf/normalform.py",
         "inverse = map(neg, islice(reversed(b), tail, len(b) - head))",
         "inverse = islice(reversed(b), tail, len(b) - head)",
-        "equal reads R2 reversed but not negated as R2^-1",
+        "equal reads R2 reversed but not negated as R2^-1, in the engine and the Burau walk",
     ),
     Mutant(
         "src/braidnf/normalform.py",
@@ -105,15 +105,27 @@ MUTANTS = (
     ),
     Mutant(
         "src/braidnf/normalform.py",
-        "if _burau_differ(n, (a, b), head, tail):",
-        "if not _burau_differ(n, (a, b), head, tail):",
-        "equal answers False when the Burau fingerprints agree",
+        "if _burau_moves(n, middles):",
+        "if not _burau_moves(n, middles):",
+        "equal answers False when the Burau fingerprint leaves the row unmoved",
     ),
     Mutant(
         "src/braidnf/normalform.py",
-        "if words[0].count(n) - words[0].count(-n) != words[1].count(n) - words[1].count(-n):",
-        "if False:",
-        "the Burau fingerprint is compared when the middles' net D counts differ",
+        "return not delta and v != row",
+        "return v != row",
+        "the Burau fingerprint is used when R1 R2^-1 holds a net count of D",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "delta += s",
+        "delta += 1",
+        "the Burau walk counts -D as D, so a stream of D and -D takes no fingerprint",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "return head, min(tail, short - head)",
+        "return head, tail",
+        "the common suffix overlaps the common prefix",
     ),
     Mutant(
         "src/braidnf/textio.py",
