@@ -47,9 +47,9 @@ nothing.  Above the bound the stream's Burau image at a fixed t mod a
 prime is taken first, in one walk that also counts D, and when the
 stream holds no net D an image that moves a fixed row vector answers
 False; on an unmoved row, or a nonzero net D, each middle is normalised
-through one alphabet whose step is a memo of memos that lives for the one call
-and stores at most a fixed budget of entries, so the second middle
-reads the steps it shares with the first instead of taking their
+through one alphabet whose step is a memo of memos that lives for the
+one call and stores at most a fixed budget of entries, so the second
+middle reads the steps it shares with the first instead of taking their
 transfers again.
 
 Generators do not enter the engine's core one at a time.  They are
@@ -710,12 +710,12 @@ def _common_ends(a: Sequence, b: Sequence) -> tuple[int, int]:
     The lengths of the longest common prefix of a and b, and of the
     longest common suffix of what follows it, each found by one C-level
     pass over the symbols that copies neither word: the suffix is read
-    from both words' ends and capped at what the prefix leaves.
+    from both words' ends, no further than the prefix leaves.
     """
     short = min(len(a), len(b))
     head = next(compress(count(), map(ne, a, b)), short)
-    tail = next(compress(count(), map(ne, reversed(a), reversed(b))), short)
-    return head, min(tail, short - head)
+    rest = short - head
+    return head, next(compress(count(), map(ne, islice(reversed(a), rest), reversed(b))), rest)
 
 
 # The Burau fingerprint's constants (equal): the prime 2^61 - 1, t and

@@ -123,9 +123,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/braidnf/normalform.py",
-        "return head, min(tail, short - head)",
-        "return head, tail",
-        "the common suffix overlaps the common prefix",
+        "map(ne, islice(reversed(a), rest), reversed(b))",
+        "map(ne, reversed(a), reversed(b))",
+        "the common suffix is read past what the prefix leaves, so the two overlap",
     ),
     Mutant(
         "src/braidnf/textio.py",
