@@ -691,8 +691,8 @@ def test_equal_below_the_table_bound_on_pairs_with_common_ends():
 
 def test_common_ends_copies_neither_word():
     # two 100,000-symbol words that differ in the middle: the prefix and
-    # the suffix are read in place, so the peak is a few iterators, where
-    # slicing the words past their prefix held 800 kB
+    # the suffix are read in place, so the peak is a few iterators; a copy
+    # of either word past the prefix would hold 400 kB
     a = tuple(range(1, 100_001))
     b = a[:50_000] + (0,) + a[50_001:]
     tracemalloc.start()
