@@ -25,7 +25,7 @@ once, on one-line words (_word_alphabet): a letter is its one-line word
 and a step is one transfer (simple._step_words), computed on each read.
 Its letters, run extensions and support rule are built once per strand
 count (_word_parts); its flip and step are read from this module on each
-call.  Up to six strands (TABLE_MAX_STRANDS) rank_tables tabulates that
+call.  Up to six strands (TABLE_MAX_STRANDS) _alphabet tabulates that
 alphabet over S_n, so a letter is the rank of its simple braid and the
 whole run is integer table reads: each step is a read of its left
 factor's row, filled on first read, each flip and run extension a list
@@ -329,8 +329,8 @@ def _word_alphabet(n: int) -> _Alphabet:
 
 
 # Thurston's transitions number (n!)^2: 14,400 at n = 5, 518,400 at n = 6 and
-# 25.4M at n = 7, so rank tables stop at six strands.  rank_tables(6) builds
-# in 12-13 ms with a tracemalloc peak of 0.3 MB before any step row fills
+# 25.4M at n = 7, so rank tables stop at six strands.  _alphabet(6) builds
+# them in 12-13 ms with a tracemalloc peak of 0.3 MB before any step row fills
 # (2-core VM, CPython 3.11.7); rows fill lazily, and a full fill, the
 # ceiling, takes about 2 s and 61 MB of RSS.
 TABLE_MAX_STRANDS = 6
@@ -371,25 +371,29 @@ def _rank_step(left: tuple, perms: list, rank: dict, b: int) -> Optional[tuple[i
 _TABLES: dict[int, _Alphabet] = {}
 
 
-def rank_tables(n: int) -> _Alphabet:
+def _alphabet(n: int) -> _Alphabet:
     """
-    Thurston's automaton on n <= TABLE_MAX_STRANDS strands, on integer
-    states: the word alphabet (_word_alphabet) tabulated over S_n, built
-    when n is first seen.  A simple braid's rank is its index in S_n
-    listed in itertools (lexicographic) order, so the identity is 0 and
-    the half twist n! - 1.  Every rule of the word alphabet is read
-    through ranks, as list reads: the flip, the run extensions
-    extend[s][a] (-1 where a run stops being simple), the supports and
-    one SimpleBraid per rank, checked once and shared.  The step has one
-    row per left rank, read as step[a][b]: a memo (_Memo) of one transfer
-    per entry (_rank_step), filled on the entry's first read.  The rows
-    share room for every pair, so they never forget; only they grow with
-    use, and the rest is O(n!).
+    The alphabet of one engine call or normality test, chosen once per
+    call: above TABLE_MAX_STRANDS the word alphabet (_word_alphabet),
+    where a step is one transfer, and up to it the rank tables, where
+    every operation is a table read.  The rank tables are Thurston's
+    automaton on n strands, on integer states: the word alphabet
+    tabulated over S_n, built when n is first seen and kept in _TABLES.
+    A simple braid's rank is its index in S_n listed in itertools
+    (lexicographic) order, so the identity is 0 and the half twist
+    n! - 1.  Every rule of the word alphabet is read through ranks, as
+    list reads: the flip, the run extensions extend[s][a] (-1 where a run
+    stops being simple), the supports and one SimpleBraid per rank,
+    checked once and shared.  The step has one row per left rank, read as
+    step[a][b]: a memo (_Memo) of one transfer per entry (_rank_step),
+    filled on the entry's first read.  The rows share room for every
+    pair, so they never forget; only they grow with use, and the rest is
+    O(n!).
     """
+    if n > TABLE_MAX_STRANDS:
+        return _word_alphabet(n)
     if n in _TABLES:
         return _TABLES[n]
-    if not 1 <= n <= TABLE_MAX_STRANDS:
-        raise ValueError(f"rank tables need 1 <= n <= {TABLE_MAX_STRANDS}, got {n}")
     perms = list(all_permutations(n))
     rank = {p: r for r, p in enumerate(perms)}
     words = _word_alphabet(n)
@@ -402,16 +406,6 @@ def rank_tables(n: int) -> _Alphabet:
         list(map(_support, perms)),
     )
     return tables
-
-
-def _alphabet(n: int) -> _Alphabet:
-    """
-    The alphabet of one engine call or normality test, chosen once per
-    call: the rank tables up to TABLE_MAX_STRANDS, where every operation
-    is a table read, and the word alphabet above, where a step is one
-    transfer.
-    """
-    return rank_tables(n) if n <= TABLE_MAX_STRANDS else _word_alphabet(n)
 
 
 _END = object()  # closes the symbol stream of an engine call

@@ -46,7 +46,7 @@ def test_second_build_reads_the_filled_step_rows(monkeypatch):
     first = build(6)
     assert calls == 5 * 720
     assert build(6) == first and calls == 5 * 720
-    shared = normalform.rank_tables(6)
+    shared = normalform._alphabet(6)
     assert all(state is shared.braid(shared.letter(state.perm)) for state in first.states)
 
 

@@ -650,43 +650,32 @@ def test_equal_above_the_table_bound_under_identity_moves():
 def test_equal_on_pairs_with_common_ends():
     # w against itself, against w g and g w, against w with a cancelling
     # pair at either end, and pairs whose middles are both empty or whose
-    # common prefix and suffix would overlap
-    rng = random.Random(2213)
-    for n in (7, 8, 16, 64):
-        for _ in range(4):
-            w = signed_symbols(rng, n, rng.randint(0, 20), 0.05 if n < 64 else 0.0)
-            g = rng.randint(1, n - 1) * rng.choice((1, -1))
-            assert check_equal(n, w, w)
-            assert check_equal(n, [], [])
-            assert not check_equal(n, w, w + [g])
-            assert not check_equal(n, [g] + w, w)
-            assert check_equal(n, w + [g, -g], w)
-            assert check_equal(n, w, [-g, g] + w)
-            assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
-            assert not check_equal(n, [g] * 2, [g] * 3)
-            assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
-
-
-def test_equal_below_the_table_bound_on_pairs_with_common_ends():
-    # the pairs of test_equal_on_pairs_with_common_ends on 2 to 6 strands,
-    # where equal decides by one engine call on R1 R2^-1: empty against
-    # empty, w against w g, D -D at either end, and the rest
-    rng = random.Random(2227)
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(6):
-            w = signed_symbols(rng, n, rng.randint(0, 20), 0.05)
-            g = rng.randint(1, n - 1) * rng.choice((1, -1))
-            assert check_equal(n, [], [])
-            assert check_equal(n, w, w)
-            assert not check_equal(n, w, w + [g])
-            assert not check_equal(n, [g] + w, w)
-            assert check_equal(n, w + [g, -g], w)
-            assert check_equal(n, w, [-g, g] + w)
-            assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
-            assert not check_equal(n, [g] * 2, [g] * 3)
-            assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
-            assert check_equal(n, w, [n, -n] + w) and check_equal(n, w, w + [-n, n])
-            assert not check_equal(n, w + [n], w) and not check_equal(n, w, [-n] + w)
+    # common prefix and suffix would overlap.  Each row draws its words
+    # from its own seed: the strand counts with their D shares, the words
+    # per strand count, and whether the pairs that move D across w (D -D
+    # at either end of either word, w D against w) are asserted too.
+    rows = [
+        (2213, {7: 0.05, 8: 0.05, 16: 0.05, 64: 0.0}, 4, False),
+        (2227, {2: 0.05, 3: 0.05, 4: 0.05, 5: 0.05, 6: 0.05}, 6, True),
+    ]
+    for seed, shares, count, moves_d in rows:
+        rng = random.Random(seed)
+        for n, share in shares.items():
+            for _ in range(count):
+                w = signed_symbols(rng, n, rng.randint(0, 20), share)
+                g = rng.randint(1, n - 1) * rng.choice((1, -1))
+                assert check_equal(n, w, w)
+                assert check_equal(n, [], [])
+                assert not check_equal(n, w, w + [g])
+                assert not check_equal(n, [g] + w, w)
+                assert check_equal(n, w + [g, -g], w)
+                assert check_equal(n, w, [-g, g] + w)
+                assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
+                assert not check_equal(n, [g] * 2, [g] * 3)
+                assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
+                if moves_d:
+                    assert check_equal(n, w, [n, -n] + w) and check_equal(n, w, w + [-n, n])
+                    assert not check_equal(n, w + [n], w) and not check_equal(n, w, [-n] + w)
 
 
 def test_common_ends_copies_neither_word():
@@ -900,64 +889,47 @@ def test_forms_have_their_words_burau_image():
 
 
 def test_equal_agrees_with_the_burau_image():
-    # equal against the Burau image of its two words (tests/twins.py), up
-    # to 1,024 strands: a partner made by the identity moves without D has
-    # the word's image, and equal must answer True; the partner with
-    # sigma_i^2 sigma_(i+1)^2 sigma_i^-2 sigma_(i+1)^-2 inserted has another
-    # image, and equal must answer False.  Equal images alone would not
-    # prove a False answer wrong, Burau being unfaithful for n >= 5, so the
-    # commutator's changed image is asserted, not assumed.  The twin reads
-    # only the words, so its cost is their letters.
-    rng = random.Random(4621)
-    moves = (_cancelling_pair, _braid_relation, _far_commutation)
-    for n, length, words in ((9, 300, 3), (16, 300, 3), (64, 300, 2), (255, 300, 2),
-                             (256, 300, 2), (1024, 200, 2)):
-        for _ in range(words):
-            symbols = signed_symbols(rng, n, length)
-            partner = equal_partner(rng, n, symbols, moves=moves)
-            i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
-            unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
-            t = rng.randrange(2, BURAU_PRIME - 1)
-            vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
-            image = burau_image(n, symbols, t, vector)
-            word = ArtinWord(n, tuple(symbols))
-            assert burau_image(n, partner, t, vector) == image, n
-            assert equal(word, ArtinWord(n, tuple(partner))), n
-            assert burau_image(n, unequal, t, vector) != image, n
-            assert not equal(word, ArtinWord(n, tuple(unequal))), n
-
-
-def test_equal_below_the_table_bound_agrees_with_the_burau_image():
-    # the rows of test_equal_agrees_with_the_burau_image on 3 and 4
-    # strands, where equal runs the engine once on R1 R2^-1: words with D,
-    # partners made by all the identity moves that fit (three strands hold
-    # no far commutation), and the partner with the commutator of squares
-    # inserted, whose image must differ.  Burau is faithful on three
-    # strands, so there a seeded neighbour, w with two letters swapped,
-    # is equal exactly when its image is.
-    rng = random.Random(4627)
+    # equal against the Burau image of its two words (tests/twins.py), from
+    # 3 to 1,024 strands: a partner made by the identity moves that fit
+    # (three strands hold no far commutation) has the word's image, and
+    # equal must answer True; the partner with sigma_i^2 sigma_(i+1)^2
+    # sigma_i^-2 sigma_(i+1)^-2 inserted has another image, and equal must
+    # answer False.  Equal images alone would not prove a False answer
+    # wrong, Burau being unfaithful for n >= 5, so the commutator's changed
+    # image is asserted, not assumed.  Burau is faithful on three strands,
+    # so there a seeded neighbour, w with two letters swapped, is equal
+    # exactly when its image is.  Each row draws its words from its own
+    # seed, with its moves and D share, as (n, length, words) cells; the
+    # twin reads only the words, so its cost is their letters.
+    rows = [
+        (4621, (_cancelling_pair, _braid_relation, _far_commutation), 0.0,
+         ((9, 300, 3), (16, 300, 3), (64, 300, 2), (255, 300, 2), (256, 300, 2), (1024, 200, 2))),
+        (4627, IDENTITY_MOVES, 0.03, ((3, 200, 6), (4, 200, 6))),
+    ]
     swaps = []
-    for n, length, words in ((3, 200, 6), (4, 200, 6)):
-        moves = [move for move in IDENTITY_MOVES if n > 3 or move is not _far_commutation]
-        for _ in range(words):
-            symbols = signed_symbols(rng, n, length, 0.03)
-            partner = equal_partner(rng, n, symbols, moves=moves)
-            i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
-            unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
-            t = rng.randrange(2, BURAU_PRIME - 1)
-            vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
-            image = burau_image(n, symbols, t, vector)
-            word = ArtinWord(n, tuple(symbols))
-            assert burau_image(n, partner, t, vector) == image, n
-            assert equal(word, ArtinWord(n, tuple(partner))), n
-            assert burau_image(n, unequal, t, vector) != image, n
-            assert not equal(word, ArtinWord(n, tuple(unequal))), n
-            if n == 3:
-                at = rng.randrange(length - 1)
-                swapped = symbols[:at] + [symbols[at + 1], symbols[at]] + symbols[at + 2 :]
-                same = burau_image(n, swapped, t, vector) == image
-                assert equal(word, ArtinWord(n, tuple(swapped))) == same
-                swaps.append(same)
+    for seed, moves, share, cells in rows:
+        rng = random.Random(seed)
+        for n, length, words in cells:
+            fitting = [move for move in moves if n > 3 or move is not _far_commutation]
+            for _ in range(words):
+                symbols = signed_symbols(rng, n, length, share)
+                partner = equal_partner(rng, n, symbols, moves=fitting)
+                i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
+                unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
+                t = rng.randrange(2, BURAU_PRIME - 1)
+                vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
+                image = burau_image(n, symbols, t, vector)
+                word = ArtinWord(n, tuple(symbols))
+                assert burau_image(n, partner, t, vector) == image, n
+                assert equal(word, ArtinWord(n, tuple(partner))), n
+                assert burau_image(n, unequal, t, vector) != image, n
+                assert not equal(word, ArtinWord(n, tuple(unequal))), n
+                if n == 3:
+                    at = rng.randrange(length - 1)
+                    swapped = symbols[:at] + [symbols[at + 1], symbols[at]] + symbols[at + 2 :]
+                    same = burau_image(n, swapped, t, vector) == image
+                    assert equal(word, ArtinWord(n, tuple(swapped))) == same
+                    swaps.append(same)
     assert 0 < sum(swaps) < len(swaps)
 
 
@@ -1049,7 +1021,7 @@ def test_engine_cuts_runs_alike_on_both_alphabets():
                 symbols = _cut_stream(rng, n, positive)
                 delta, core = normalform._normalize_letters(words, symbols)
                 if n <= normalform.TABLE_MAX_STRANDS:
-                    tables = normalform.rank_tables(n)
+                    tables = normalform._alphabet(n)
                     ranked = (delta, list(map(tables.letter, core)))
                     assert normalform._normalize_letters(tables, symbols) == ranked
                 if positive:
@@ -1370,9 +1342,9 @@ def test_equal_memo_stays_within_its_budget(monkeypatch):
 def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     # Four strands have 24 * 24 = 576 pairs of simple braids, so from a
     # fresh table the engine computes at most that many meets however many
-    # transfers the words take; on seven strands no table is built.
-    tables = normalform.rank_tables(4)
-    assert not any(tables.step)  # the fixture's tables are fresh: every row is empty
+    # transfers the words take; on seven strands no table is built.  The
+    # fixture wraps _alphabet, so the raw tables are read from _TABLES.
+    assert normalform._TABLES == {}  # the fixture's tables are fresh
     meets = 0
     meet = simple._meet_reads
 
@@ -1396,7 +1368,7 @@ def test_transition_table_computes_each_pair_once(engine_counts, monkeypatch):
     for w in inverse:
         normalize_group(w)
     assert 0 < meets <= 576 < engine_counts["transfer"]
-    assert 0 < sum(map(len, tables.step)) <= 576
+    assert 0 < sum(map(len, normalform._TABLES[4].step)) <= 576
     built = set(normalform._TABLES)
     before = meets
     for _ in range(count):
@@ -1419,7 +1391,7 @@ def test_rank_tables_fill_lazily_and_stop_at_six_strands(monkeypatch):
         form = normalize_group(word)
         word_inv = ArtinWord(n, word.symbols + formal_inverse(word).symbols)
         assert normalize_group(word_inv) == GroupNormalForm(n, 0, ())
-        filled = sum(map(len, normalform.rank_tables(n).step))  # entries, not rows
+        filled = sum(map(len, normalform._alphabet(n).step))  # entries, not rows
         assert len(form.factors) > 0 and 0 < filled <= transitions // 10
     for n in (7, 64):
         signed = ArtinWord(n, tuple(
@@ -1431,9 +1403,11 @@ def test_rank_tables_fill_lazily_and_stop_at_six_strands(monkeypatch):
         assert is_normal(nf.factors)
         normalize_positive(gen_word(n, [rng.randint(1, n - 1) for _ in range(100)]))
     assert set(normalform._TABLES) == {5, 6}
-    for n in (0, 7, 64):
-        with pytest.raises(ValueError, match="rank tables need"):
-            normalform.rank_tables(n)
+    for n in (7, 64):
+        alphabet = normalform._alphabet(n)
+        assert alphabet.letter is bytes and alphabet.ident.__class__ is bytes
+    with pytest.raises(ValueError, match="need at least one strand"):
+        normalform._alphabet(0)
     assert set(normalform._TABLES) == {5, 6}
 
 
@@ -1453,7 +1427,7 @@ def test_rank_tables_never_forget(monkeypatch):
 
     monkeypatch.setattr(normalform, "_step_words", counted)
     for n in (2, 3, 4, 5):
-        step = normalform.rank_tables(n).step
+        step = normalform._alphabet(n).step
         size = math.factorial(n)
         room = step[0].room
         assert all(row.room is room for row in step) and room == [size**2]
@@ -1547,7 +1521,7 @@ def test_mask_clear_generators_cannot_cancel_into_c():
     for n, count in walks.items():
         alphabets = [normalform._word_alphabet(n)]
         if n <= normalform.TABLE_MAX_STRANDS:
-            alphabets.append(normalform.rank_tables(n))
+            alphabets.append(normalform._alphabet(n))
         for alphabet in alphabets:
             extend, top = alphabet.extend, alphabet.top
             for _ in range(count):
@@ -1667,7 +1641,7 @@ def test_rank_alphabet_is_the_word_alphabet_read_through_ranks(monkeypatch):
     # its step, filled from empty step rows, agrees on every pair of ranks
     monkeypatch.setattr(normalform, "_TABLES", {})
     for n in range(1, 6):
-        ranks, words = normalform.rank_tables(n), normalform._word_alphabet(n)
+        ranks, words = normalform._alphabet(n), normalform._word_alphabet(n)
         perm = [ranks.braid(a).perm for a in range(len(ranks.step))]
         rank = ranks.letter
         assert not any(ranks.step)
@@ -1702,7 +1676,7 @@ def test_normal_forms_are_counted_by_the_growth_series(monkeypatch):
     assert growth_series(7, 4) == [1, 6, 26, 95, 316]
     top = 20
     for n in (2, 3, 4, 5):
-        tables = normalform.rank_tables(n)
+        tables = normalform._alphabet(n)
         lengths = [length(p) for p in all_permutations(n)]
         states = [x for x in range(len(lengths)) if x != tables.ident]
         normal_after = {b: [a for a in states if tables.step[a][b] is None] for b in states}

@@ -657,7 +657,7 @@ def test_verify_meet_checks_the_transition_table(monkeypatch):
     # step rows with head and tail swapped are caught on every pair they
     # rewrite into two different factors, and only there
     monkeypatch.setattr(normalform, "_TABLES", {})
-    tables = normalform.rank_tables(3)
+    tables = normalform._alphabet(3)
     pairs = list(itertools.product(range(len(tables.step)), repeat=2))
     steps = {(a, b): tables.step[a][b] for a, b in pairs}
     swapped = [
@@ -682,7 +682,7 @@ def test_verify_meet_checks_the_transition_table_at_six_strands(monkeypatch):
     # rows; rows with head and tail swapped are caught on every drawn pair
     # they rewrite into two different factors, in draw order, and only there
     monkeypatch.setattr(normalform, "_TABLES", {})
-    tables = normalform.rank_tables(6)
+    tables = normalform._alphabet(6)
 
     class SwappedRow(dict):
         def __init__(self, row):

@@ -3,6 +3,7 @@ The package surface: the public namespace, the modules each command
 loads, the value types' shared semantics, and the one strand-count check
 every binary operation shares, with its messages pinned site by site.
 """
+import argparse
 import ast
 import copy
 import importlib
@@ -324,6 +325,42 @@ def test_src_keeps_no_test_only_names():
             if (name, module) not in lazy and (module, name) not in imported:
                 unused.append(f"{module}.{name}")
     assert not unused, "only tests use " + ", ".join(unused)
+
+
+def test_src_reads_every_private_name():
+    """
+    Every private module-level function, class and constant of the
+    package is read somewhere in the package: by name, as an attribute,
+    or as an entry of cli._LAZY.  A cli._cmd_<command> handler is read by
+    main's lookup by name, so it counts when <command> is a command of
+    the parser.  Dunder names are read by Python itself and not checked.
+    """
+    trees = _source_trees()
+    read = set(cli._LAZY)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    read.update("_cmd_" + command for command in commands)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}.{name}" for name in names
+                if name.startswith("_") and not name.endswith("__") and name not in read
+            ]
+    assert not unread, "the package never reads " + ", ".join(unread)
 
 
 def test_src_keeps_no_test_only_members():

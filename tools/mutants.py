@@ -128,6 +128,42 @@ MUTANTS = (
         "the common suffix is read past what the prefix leaves, so the two overlap",
     ),
     Mutant(
+        "src/braidnf/normalform.py",
+        "if n > TABLE_MAX_STRANDS:\n        return _word_alphabet(n)",
+        "if n >= TABLE_MAX_STRANDS:\n        return _word_alphabet(n)",
+        "_alphabet sends six strands to the word alphabet, so no rank table is built there",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "return rewrite and (rank[rewrite[0]], rank[rewrite[1]])",
+        "return rewrite and (rank[rewrite[1]], rank[rewrite[0]])",
+        "the rank tables' step entries list (tail, head)",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "return alphabet.ident not in word and not any(map(getitem, rows, word[1:]))",
+        "return not any(map(getitem, rows, word[1:]))",
+        "up to six strands a form with an identity factor passes as normal",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "            self[key] = value",
+        "        self[key] = value",
+        "a _Memo stores every entry, past its room",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "if n in _TABLES:",
+        "if False:",
+        "_alphabet builds fresh rank tables on every call, so no step is kept between calls",
+    ),
+    Mutant(
+        "src/braidnf/normalform.py",
+        "room = [len(perms) ** 2]",
+        "room = [len(perms)]",
+        "the rank tables' rows share room for n! entries, not one per pair, and forget the rest",
+    ),
+    Mutant(
         "src/braidnf/textio.py",
         "if not 0 < abs(k) < n:",
         "if not 0 < abs(k) <= n:",
