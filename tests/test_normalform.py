@@ -647,35 +647,39 @@ def test_equal_above_the_table_bound_under_identity_moves():
             assert not check_equal(n, symbols, partner[:at] + [g] + partner[at:])
 
 
-def test_equal_on_pairs_with_common_ends():
+def _check_pairs_with_common_ends(seed, shares, count, moves_d):
     # w against itself, against w g and g w, against w with a cancelling
     # pair at either end, and pairs whose middles are both empty or whose
-    # common prefix and suffix would overlap.  Each row draws its words
-    # from its own seed: the strand counts with their D shares, the words
-    # per strand count, and whether the pairs that move D across w (D -D
-    # at either end of either word, w D against w) are asserted too.
-    rows = [
-        (2213, {7: 0.05, 8: 0.05, 16: 0.05, 64: 0.0}, 4, False),
-        (2227, {2: 0.05, 3: 0.05, 4: 0.05, 5: 0.05, 6: 0.05}, 6, True),
-    ]
-    for seed, shares, count, moves_d in rows:
-        rng = random.Random(seed)
-        for n, share in shares.items():
-            for _ in range(count):
-                w = signed_symbols(rng, n, rng.randint(0, 20), share)
-                g = rng.randint(1, n - 1) * rng.choice((1, -1))
-                assert check_equal(n, w, w)
-                assert check_equal(n, [], [])
-                assert not check_equal(n, w, w + [g])
-                assert not check_equal(n, [g] + w, w)
-                assert check_equal(n, w + [g, -g], w)
-                assert check_equal(n, w, [-g, g] + w)
-                assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
-                assert not check_equal(n, [g] * 2, [g] * 3)
-                assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
-                if moves_d:
-                    assert check_equal(n, w, [n, -n] + w) and check_equal(n, w, w + [-n, n])
-                    assert not check_equal(n, w + [n], w) and not check_equal(n, w, [-n] + w)
+    # common prefix and suffix would overlap.  The row draws its words from
+    # its own seed: the strand counts with their D shares, the words per
+    # strand count, and whether the pairs that move D across w (D -D at
+    # either end of either word, w D against w) are asserted too.
+    rng = random.Random(seed)
+    for n, share in shares.items():
+        for _ in range(count):
+            w = signed_symbols(rng, n, rng.randint(0, 20), share)
+            g = rng.randint(1, n - 1) * rng.choice((1, -1))
+            assert check_equal(n, w, w)
+            assert check_equal(n, [], [])
+            assert not check_equal(n, w, w + [g])
+            assert not check_equal(n, [g] + w, w)
+            assert check_equal(n, w + [g, -g], w)
+            assert check_equal(n, w, [-g, g] + w)
+            assert check_equal(n, w + [g] + w, w + [g, g, -g] + w)
+            assert not check_equal(n, [g] * 2, [g] * 3)
+            assert check_equal(n, w + [n, -n], w) and check_equal(n, [-n, n] + w, w)
+            if moves_d:
+                assert check_equal(n, w, [n, -n] + w) and check_equal(n, w, w + [-n, n])
+                assert not check_equal(n, w + [n], w) and not check_equal(n, w, [-n] + w)
+
+
+def test_equal_on_pairs_with_common_ends():
+    _check_pairs_with_common_ends(2213, {7: 0.05, 8: 0.05, 16: 0.05, 64: 0.0}, 4, False)
+
+
+def test_equal_below_the_table_bound_on_pairs_with_common_ends():
+    # the same pairs on 2 to 6 strands, with the pairs that move D
+    _check_pairs_with_common_ends(2227, {2: 0.05, 3: 0.05, 4: 0.05, 5: 0.05, 6: 0.05}, 6, True)
 
 
 def test_common_ends_copies_neither_word():
@@ -888,48 +892,56 @@ def test_forms_have_their_words_burau_image():
                 assert burau_image(n, symbols[p:], t, burau_image(n, [-n], t, head)) != image
 
 
-def test_equal_agrees_with_the_burau_image():
-    # equal against the Burau image of its two words (tests/twins.py), from
-    # 3 to 1,024 strands: a partner made by the identity moves that fit
-    # (three strands hold no far commutation) has the word's image, and
-    # equal must answer True; the partner with sigma_i^2 sigma_(i+1)^2
-    # sigma_i^-2 sigma_(i+1)^-2 inserted has another image, and equal must
-    # answer False.  Equal images alone would not prove a False answer
-    # wrong, Burau being unfaithful for n >= 5, so the commutator's changed
-    # image is asserted, not assumed.  Burau is faithful on three strands,
-    # so there a seeded neighbour, w with two letters swapped, is equal
-    # exactly when its image is.  Each row draws its words from its own
-    # seed, with its moves and D share, as (n, length, words) cells; the
-    # twin reads only the words, so its cost is their letters.
-    rows = [
-        (4621, (_cancelling_pair, _braid_relation, _far_commutation), 0.0,
-         ((9, 300, 3), (16, 300, 3), (64, 300, 2), (255, 300, 2), (256, 300, 2), (1024, 200, 2))),
-        (4627, IDENTITY_MOVES, 0.03, ((3, 200, 6), (4, 200, 6))),
-    ]
+def _burau_image_swaps(seed, moves, share, cells):
+    # equal against the Burau image of its two words (tests/twins.py): a
+    # partner made by the identity moves that fit (three strands hold no
+    # far commutation) has the word's image, and equal must answer True;
+    # the partner with sigma_i^2 sigma_(i+1)^2 sigma_i^-2 sigma_(i+1)^-2
+    # inserted has another image, and equal must answer False.  Equal
+    # images alone would not prove a False answer wrong, Burau being
+    # unfaithful for n >= 5, so the commutator's changed image is asserted,
+    # not assumed.  Burau is faithful on three strands, so there a seeded
+    # neighbour, w with two letters swapped, is equal exactly when its
+    # image is; the swaps' verdicts are returned.  The row draws its words
+    # from its own seed, with its moves and D share, as (n, length, words)
+    # cells; the twin reads only the words, so its cost is their letters.
+    rng = random.Random(seed)
     swaps = []
-    for seed, moves, share, cells in rows:
-        rng = random.Random(seed)
-        for n, length, words in cells:
-            fitting = [move for move in moves if n > 3 or move is not _far_commutation]
-            for _ in range(words):
-                symbols = signed_symbols(rng, n, length, share)
-                partner = equal_partner(rng, n, symbols, moves=fitting)
-                i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
-                unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
-                t = rng.randrange(2, BURAU_PRIME - 1)
-                vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
-                image = burau_image(n, symbols, t, vector)
-                word = ArtinWord(n, tuple(symbols))
-                assert burau_image(n, partner, t, vector) == image, n
-                assert equal(word, ArtinWord(n, tuple(partner))), n
-                assert burau_image(n, unequal, t, vector) != image, n
-                assert not equal(word, ArtinWord(n, tuple(unequal))), n
-                if n == 3:
-                    at = rng.randrange(length - 1)
-                    swapped = symbols[:at] + [symbols[at + 1], symbols[at]] + symbols[at + 2 :]
-                    same = burau_image(n, swapped, t, vector) == image
-                    assert equal(word, ArtinWord(n, tuple(swapped))) == same
-                    swaps.append(same)
+    for n, length, words in cells:
+        fitting = [move for move in moves if n > 3 or move is not _far_commutation]
+        for _ in range(words):
+            symbols = signed_symbols(rng, n, length, share)
+            partner = equal_partner(rng, n, symbols, moves=fitting)
+            i, at = rng.randint(1, n - 2), rng.randint(0, len(partner))
+            unequal = partner[:at] + [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1] + partner[at:]
+            t = rng.randrange(2, BURAU_PRIME - 1)
+            vector = [rng.randrange(BURAU_PRIME) for _ in range(n)]
+            image = burau_image(n, symbols, t, vector)
+            word = ArtinWord(n, tuple(symbols))
+            assert burau_image(n, partner, t, vector) == image, n
+            assert equal(word, ArtinWord(n, tuple(partner))), n
+            assert burau_image(n, unequal, t, vector) != image, n
+            assert not equal(word, ArtinWord(n, tuple(unequal))), n
+            if n == 3:
+                at = rng.randrange(length - 1)
+                swapped = symbols[:at] + [symbols[at + 1], symbols[at]] + symbols[at + 2 :]
+                same = burau_image(n, swapped, t, vector) == image
+                assert equal(word, ArtinWord(n, tuple(swapped))) == same
+                swaps.append(same)
+    return swaps
+
+
+def test_equal_agrees_with_the_burau_image():
+    # 9 to 1,024 strands, words without D, partners without the half twist
+    assert _burau_image_swaps(
+        4621, (_cancelling_pair, _braid_relation, _far_commutation), 0.0,
+        ((9, 300, 3), (16, 300, 3), (64, 300, 2), (255, 300, 2), (256, 300, 2), (1024, 200, 2)),
+    ) == []
+
+
+def test_equal_below_the_table_bound_agrees_with_the_burau_image():
+    # 3 and 4 strands, words with D and partners by all the identity moves
+    swaps = _burau_image_swaps(4627, IDENTITY_MOVES, 0.03, ((3, 200, 6), (4, 200, 6)))
     assert 0 < sum(swaps) < len(swaps)
 
 
